@@ -7,12 +7,13 @@ All randomness flows from the single config seed.
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import cko as cko_mod
 from . import data, evaluate, gan, metrics, nn, selftrain, text
-from .config import apply_override, config_hash, load_config
+from .config import config_hash, load_config
 from .errors import ConfigError, ZsgenError
 
 
@@ -82,6 +83,10 @@ def _load_dataset(cfg):
     )
 
 
+def _from_section(cls, section):
+    return cls(**{f.name: section[f.name] for f in fields(cls)})
+
+
 def _model_configs(cfg, dataset):
     g = cfg["gan"]
     gen_cfg = gan.GeneratorConfig(
@@ -93,19 +98,8 @@ def _model_configs(cfg, dataset):
         visual_dim=dataset.visual_dim, hidden_dim=g["disc_hidden_dim"],
         num_classes=len(dataset.split.seen),
     )
-    train_cfg = gan.GanTrainConfig(
-        margin=g["margin"], lambda_t=g["lambda_t"], n_d=g["n_d"],
-        n_step=g["n_step"], patience=g["patience"], batch_size=g["batch_size"],
-        n_pos=g["n_pos"], n_neg=g["n_neg"], alpha=g["alpha"],
-        beta1=g["beta1"], beta2=g["beta2"], gp_weight=g["gp_weight"],
-        eval_every=g["eval_every"], knn_k=g["knn_k"],
-        probe_per_class=g["probe_per_class"], val_fraction=g["val_fraction"],
-    )
-    s = cfg["ssl"]
-    ssl_cfg = selftrain.SslConfig(
-        psi=s["psi"], n_ssl=s["n_ssl"],
-        per_class_synthetic=s["per_class_synthetic"], knn_k=s["knn_k"],
-    )
+    train_cfg = _from_section(gan.GanTrainConfig, g)
+    ssl_cfg = _from_section(selftrain.SslConfig, cfg["ssl"])
     return gen_cfg, disc_cfg, train_cfg, ssl_cfg
 
 
@@ -161,7 +155,7 @@ def cmd_evaluate(args, cfg):
     checkpoint = args.checkpoint or _require(cfg, "io", "checkpoint")
     gen, scaled = _load_scaled(cfg, checkpoint)
     e = cfg["eval"]
-    sweep = metrics.CalibrationSweep(e["lambda_min"], e["lambda_max"], e["step"])
+    sweep = _from_section(metrics.CalibrationSweep, e)
     rng = np.random.default_rng(cfg["seed"])
     report = evaluate.evaluate_model(
         gen, scaled, sweep, e["ratios"], e["per_class_synthetic"],

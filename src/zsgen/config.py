@@ -1,53 +1,117 @@
-"""Run configuration: YAML document, JSON-schema validated, defaults merged.
+"""Run configuration: a YAML document checked against the config dataclasses.
 
-Unknown keys are rejected by the schema. `section.key=value` overrides
-are parsed with YAML scalar rules.
+Each section is a dataclass whose fields own its defaults and bounds.
+Unknown keys and wrongly typed values are rejected naming `section.key`.
+`section.key=value` overrides are parsed with YAML scalar rules.
 """
 
-import copy
 import hashlib
 import json
-from importlib import resources
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, make_dataclass
+from typing import get_args, get_origin
 
-import jsonschema
 import yaml
 
+from .bounds import bounded, check_value
 from .errors import ConfigError
-
-DEFAULTS = {
-    "seed": 0,
-    "text": {"stopwords": None, "fit_on": "overlay"},
-    "cko": {"k": 4, "similarity": "cosine", "embeddings": None},
-    "gan": {
-        "margin": 0.1, "lambda_t": 1.0, "n_d": 5, "n_step": 10000,
-        "patience": 100, "batch_size": 1000, "n_pos": 5, "n_neg": 5,
-        "alpha": 0.001, "beta1": 0.5, "beta2": 0.9, "gp_weight": 10.0,
-        "eval_every": 40, "knn_k": 20, "probe_per_class": 60,
-        "val_fraction": 0.1, "reduce_dim": 1000, "hidden_dim": 2048,
-        "disc_hidden_dim": 2048, "noise_sigma": 1.0, "noise_mode": "add",
-    },
-    "ssl": {"psi": 0.5, "n_ssl": 1, "per_class_synthetic": 60, "knn_k": 20},
-    "eval": {
-        "lambda_min": -2.0, "lambda_max": 2.0, "step": 0.01,
-        "ratios": [0.25, 0.5, 1.0], "per_class_synthetic": 60, "knn_k": 20,
-    },
-    "io": {},
-}
+from .gan import DiscriminatorConfig, GanTrainConfig, GeneratorConfig
+from .metrics import CalibrationSweep
+from .selftrain import SslConfig
 
 
-def _schema():
-    text = resources.files("zsgen").joinpath("config_schema.json").read_text("utf-8")
-    return json.loads(text)
+@dataclass
+class TextConfig:
+    stopwords: str | None = None
+    fit_on: str = bounded("overlay", choices=("overlay", "original"))
 
 
-def _merge(base, override):
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
+@dataclass
+class CkoConfig:
+    k: int = bounded(4, ge=0)
+    similarity: str = bounded("cosine", choices=("cosine", "neg_euclidean"))
+    embeddings: str | None = None
+
+
+def _copied(cls, name):
+    f = cls.__dataclass_fields__[name]
+    return f.type, field(default=f.default, metadata=f.metadata)
+
+
+# the gan section: the training settings plus the network widths
+GanSection = make_dataclass("GanSection", [
+    ("reduce_dim", *_copied(GeneratorConfig, "reduce_dim")),
+    ("hidden_dim", *_copied(GeneratorConfig, "hidden_dim")),
+    ("disc_hidden_dim", *_copied(DiscriminatorConfig, "hidden_dim")),
+    ("noise_sigma", *_copied(GeneratorConfig, "noise_sigma")),
+    ("noise_mode", *_copied(GeneratorConfig, "noise_mode")),
+], bases=(GanTrainConfig,))
+
+
+@dataclass
+class EvalConfig(CalibrationSweep):
+    ratios: list[float] = bounded([0.25, 0.5, 1.0], gt=0, le=1)
+    per_class_synthetic: int = bounded(60, ge=1)
+    knn_k: int = bounded(20, ge=1)
+
+
+# file paths; an unset path stays out of the loaded config
+IoPaths = make_dataclass("IoPaths", [(name, str, None) for name in (
+    "corpus_dir", "overlay_dir", "similarity_matrix", "semantic_vectors",
+    "classes", "features_train", "features_test", "semantics", "split",
+    "checkpoint", "train_log", "ssl_report", "report", "suc_points", "retrieval",
+)])
+
+
+@dataclass
+class RunConfig:
+    seed: int = bounded(0, ge=0)
+    text: TextConfig = field(default_factory=TextConfig)
+    cko: CkoConfig = field(default_factory=CkoConfig)
+    gan: GanSection = field(default_factory=GanSection)
+    ssl: SslConfig = field(default_factory=SslConfig)
+    eval: EvalConfig = field(default_factory=EvalConfig)
+    io: IoPaths = field(default_factory=IoPaths)
+
+
+def _is_a(value, tp):
+    """YAML value against a field type; int excludes bool and float."""
+    if get_origin(tp) is list:
+        return isinstance(value, list) and all(_is_a(v, get_args(tp)[0]) for v in value)
+    if get_args(tp):  # X | None
+        return any(_is_a(value, t) for t in get_args(tp))
+    return type(value) in ((int, float) if tp is float else (tp,))
+
+
+def _build(cls, document, where):
+    """Construct dataclass cls from a YAML mapping, checking every key."""
+    if not isinstance(document, dict):
+        raise ConfigError(f"{where} must be a mapping, got {document!r}")
+    known = {f.name: f for f in fields(cls)}
+    values = {}
+    for key, value in document.items():
+        name = f"{where}.{key}" if where else str(key)
+        f = known.get(key)
+        if f is None:
+            raise ConfigError(f"unknown config key {name}")
+        if is_dataclass(f.type):
+            value = _build(f.type, value, name)
+        elif not _is_a(value, f.type):
+            kind = f.type.__name__ if isinstance(f.type, type) else f.type
+            raise ConfigError(f"{name} must be of type {kind}, got {value!r}")
         else:
-            out[key] = value
-    return out
+            check_value(name, value, f)
+        values[key] = value
+    return cls(**values)
+
+
+def _parse_yaml(text, where):
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        line = f", line {mark.line + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or exc
+        raise ConfigError(f"{where}{line}: malformed YAML: {problem}") from None
 
 
 def apply_override(cfg, setting):
@@ -56,7 +120,7 @@ def apply_override(cfg, setting):
         raise ConfigError(f"override {setting!r} must look like section.key=value")
     dotted, raw = setting.split("=", 1)
     keys = dotted.split(".")
-    value = yaml.safe_load(raw)
+    value = _parse_yaml(raw, f"override {setting!r}")
     node = cfg
     for key in keys[:-1]:
         node = node.setdefault(key, {})
@@ -66,24 +130,25 @@ def apply_override(cfg, setting):
 
 
 def load_config(path=None, overrides=()):
-    """Load, override, default-fill and validate a run configuration."""
+    """Load, override, check and default-fill a run configuration."""
     document = {}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            document = yaml.safe_load(fh) or {}
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from None
+        document = _parse_yaml(text, path) or {}
         if not isinstance(document, dict):
             raise ConfigError(f"{path} must contain a mapping")
     for setting in overrides:
         apply_override(document, setting)
-    try:
-        jsonschema.validate(document, _schema())
-    except jsonschema.ValidationError as exc:
-        where = ".".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {where}: {exc.message}")
-    return _merge(DEFAULTS, document)
+    cfg = asdict(_build(RunConfig, document, ""))
+    cfg["io"] = {key: p for key, p in cfg["io"].items() if p is not None}
+    return cfg
 
 
 def config_hash(cfg):
-    """Stable content hash of a validated config document."""
+    """Stable content hash of a loaded config document."""
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()

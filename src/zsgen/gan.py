@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import metrics
+from .bounds import bounded, check_bounds
 from .errors import ConfigError, UsageError
 from .knn import KnnClassifier, knn_scores
 from .nn import (
@@ -24,20 +25,17 @@ from .nn import (
 
 @dataclass
 class GeneratorConfig:
-    semantic_dim: int
-    visual_dim: int
-    reduce_dim: int = 1000
-    hidden_dim: int = 2048
+    semantic_dim: int = bounded(ge=1)
+    visual_dim: int = bounded(ge=1)
+    reduce_dim: int = bounded(1000, ge=1)
+    hidden_dim: int = bounded(2048, ge=1)
     noise_dim: int = 0          # 0: same as reduce_dim (additive mode)
-    noise_sigma: float = 1.0
-    noise_mode: str = "add"     # add | concat
+    noise_sigma: float = bounded(1.0, ge=0)
+    noise_mode: str = bounded("add", choices=("add", "concat"))
     slope: float = 0.2
 
     def __post_init__(self):
-        if min(self.semantic_dim, self.visual_dim, self.reduce_dim, self.hidden_dim) < 1:
-            raise ConfigError("all generator dims must be >= 1")
-        if self.noise_mode not in ("add", "concat"):
-            raise ConfigError(f"unknown noise mode {self.noise_mode!r}")
+        check_bounds(self)
         if self.noise_dim == 0:
             self.noise_dim = self.reduce_dim
         if self.noise_mode == "add" and self.noise_dim != self.reduce_dim:
@@ -46,37 +44,33 @@ class GeneratorConfig:
 
 @dataclass
 class DiscriminatorConfig:
-    visual_dim: int
-    hidden_dim: int = 2048
-    num_classes: int = 1
+    visual_dim: int = bounded(ge=1)
+    hidden_dim: int = bounded(2048, ge=1)
+    num_classes: int = bounded(1, ge=1)
 
-    def __post_init__(self):
-        if min(self.visual_dim, self.hidden_dim, self.num_classes) < 1:
-            raise ConfigError("all discriminator dims must be >= 1")
+    __post_init__ = check_bounds
 
 
 @dataclass
 class GanTrainConfig:
-    margin: float = 0.1
+    margin: float = bounded(0.1, ge=0)
     lambda_t: float = 1.0
-    n_d: int = 5
-    n_step: int = 10000
-    patience: int = 100
-    batch_size: int = 1000
-    n_pos: int = 5
-    n_neg: int = 5
-    alpha: float = 0.001
-    beta1: float = 0.5
-    beta2: float = 0.9
-    gp_weight: float = 10.0
-    eval_every: int = 40
-    knn_k: int = 20
-    probe_per_class: int = 60
-    val_fraction: float = 0.1
+    n_d: int = bounded(5, ge=1)
+    n_step: int = bounded(10000, ge=0)
+    patience: int = bounded(100, ge=1)
+    batch_size: int = bounded(1000, ge=1)
+    n_pos: int = bounded(5, ge=1)
+    n_neg: int = bounded(5, ge=1)
+    alpha: float = bounded(0.001, gt=0)
+    beta1: float = bounded(0.5, ge=0, lt=1)
+    beta2: float = bounded(0.9, ge=0, lt=1)
+    gp_weight: float = bounded(10.0, ge=0)
+    eval_every: int = bounded(40, ge=0)
+    knn_k: int = bounded(20, ge=1)
+    probe_per_class: int = bounded(60, ge=1)
+    val_fraction: float = bounded(0.1, ge=0, le=0.5)
 
-    def __post_init__(self):
-        if self.margin < 0.0 or self.n_d < 1 or self.batch_size < 1:
-            raise ConfigError("need margin >= 0, n_d >= 1, batch_size >= 1")
+    __post_init__ = check_bounds
 
 
 @dataclass
@@ -450,8 +444,9 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng,
     by_class = _class_index(fit_y)
     sem_cache = {c: dataset.semantics_for([c])[0] for c in class_cols}
 
-    gen_adam = AdamState.for_params(gen.params(), cfg.alpha, cfg.beta1, cfg.beta2)
-    disc_adam = AdamState.for_params(disc.params(), cfg.alpha, cfg.beta1, cfg.beta2)
+    rates = dict(alpha=cfg.alpha, beta1=cfg.beta1, beta2=cfg.beta2)
+    gen_adam = AdamState.for_params(gen.params(), **rates)
+    disc_adam = AdamState.for_params(disc.params(), **rates)
 
     best = TrainResult(gen.copy(), disc.copy(), [], [], float("-inf"))
     log_lines, history = [], []

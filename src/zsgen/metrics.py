@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import bounded, check_bounds
 from .errors import ConfigError, UsageError
 
 
@@ -43,11 +44,13 @@ class ScoreMatrix:
 class CalibrationSweep:
     lambda_min: float = -2.0
     lambda_max: float = 2.0
-    step: float = 0.01
+    step: float = bounded(0.01, gt=0)
 
     def __post_init__(self):
-        if self.step <= 0.0 or self.lambda_min >= self.lambda_max:
-            raise ConfigError("sweep needs step > 0 and lambda_min < lambda_max")
+        check_bounds(self)
+        if len(self.values()) == 0:
+            raise ConfigError(f"sweep from {self.lambda_min} to {self.lambda_max} "
+                              f"by {self.step} has no points")
 
     def values(self):
         """Half-open grid lambda_min + j*step for j = 0..m-1."""

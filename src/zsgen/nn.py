@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import bounded, check_bounds
 from .errors import ConfigError, UsageError
 
 ACTIVATIONS = ("identity", "relu", "leaky_relu", "tanh")
@@ -173,22 +174,20 @@ def mlp_backward(mlp, cache, d_out):
 @dataclass
 class AdamState:
     alpha: float = 0.001
-    beta1: float = 0.5
-    beta2: float = 0.9
+    beta1: float = bounded(0.5, ge=0, lt=1)
+    beta2: float = bounded(0.9, ge=0, lt=1)
     epsilon: float = 1e-8
     t: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
+    __post_init__ = check_bounds
+
     @classmethod
-    def for_params(cls, params, alpha=0.001, beta1=0.5, beta2=0.9, epsilon=1e-8):
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ConfigError("Adam decay rates must lie in [0, 1)")
-        return cls(
-            alpha=alpha, beta1=beta1, beta2=beta2, epsilon=epsilon, t=0,
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
+    def for_params(cls, params, **settings):
+        """Zero moments for each parameter array; settings are the rates."""
+        return cls(**settings, m=[np.zeros_like(p) for p in params],
+                   v=[np.zeros_like(p) for p in params])
 
 
 def adam_step(params, grads, state):

@@ -11,8 +11,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import metrics
+from .bounds import bounded, check_bounds
 from .data import TRAIN, ZslDataset
-from .errors import ConfigError, UsageError
+from .errors import UsageError
 from .gan import (
     Discriminator, FeatureScaler, GanTrainConfig, Generator, TrainResult,
     generate, train_gan,
@@ -23,14 +24,12 @@ from .nn import glorot_init
 
 @dataclass
 class SslConfig:
-    psi: float = 0.5
-    n_ssl: int = 1
-    per_class_synthetic: int = 60
-    knn_k: int = 20
+    psi: float = bounded(0.5, ge=0)
+    n_ssl: int = bounded(1, ge=1)
+    per_class_synthetic: int = bounded(60, ge=1)
+    knn_k: int = bounded(20, ge=1)
 
-    def __post_init__(self):
-        if self.n_ssl < 1:
-            raise ConfigError("n_ssl must be >= 1")
+    __post_init__ = check_bounds
 
 
 @dataclass

@@ -222,3 +222,40 @@ def test_config_overrides_and_hash():
     assert config_hash(base) != config_hash(tweaked)
     with pytest.raises(ConfigError):
         load_config(None, ["gan.nope=1"])
+
+
+def test_float_for_integer_key_is_clean_error(tmp_path, capsys):
+    out = tmp_path / "ds"
+    assert main(synth_args(out)) == 0
+    cfg_path = write_config(tmp_path / "run.yaml", tiny_run_config(tmp_path, out))
+    assert main(["--quiet", "--config", cfg_path,
+                 "--set", "gan.n_step=4.0", "train"]) == 1
+    assert "gan.n_step" in capsys.readouterr().err
+    assert not (tmp_path / "model.ck").exists()
+
+
+@pytest.mark.parametrize("setting", [
+    "gan.batch_size=8.0", "seed=0.0", "ssl.knn_k=3.0", "eval.knn_k=3.0", "seed=-1",
+    "eval.lambda_max=.inf", "eval.step=.nan", "gan.margin=.nan",
+])
+def test_value_that_fails_later_is_rejected_at_load(setting):
+    with pytest.raises(ConfigError, match=setting.split("=")[0].replace(".", r"\.")):
+        load_config(None, [setting])
+
+
+def test_missing_config_file_is_clean_error(tmp_path, capsys):
+    path = str(tmp_path / "absent.yaml")
+    assert main(["--quiet", "--config", path, "grad-check"]) == 1
+    assert path in capsys.readouterr().err
+
+
+def test_malformed_config_file_names_path_and_line(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("seed: 0\ngan: {n_step: 1\nssl: {}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"run\.yaml, line 3: malformed YAML"):
+        load_config(str(path), [])
+
+
+def test_malformed_override_names_the_key():
+    with pytest.raises(ConfigError, match=r"gan\.n_step=\[1.*malformed YAML"):
+        load_config(None, ["gan.n_step=[1"])

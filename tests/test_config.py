@@ -1,0 +1,101 @@
+"""Every rule a run configuration must satisfy, one rejected case per rule.
+
+Each case writes a YAML document and expects load_config to raise a
+ConfigError whose message names the offending key.
+"""
+
+import pytest
+import yaml
+
+from zsgen.config import load_config
+from zsgen.errors import ConfigError
+
+INT, NUM, STR, STR_OR_NULL, ENUM, NUM_LIST = (
+    "int", "num", "str", "str_or_null", "enum", "num_list")
+
+SECTIONS = {
+    "text": {"stopwords": STR_OR_NULL, "fit_on": ENUM},
+    "cko": {"k": INT, "similarity": ENUM, "embeddings": STR_OR_NULL},
+    "gan": {
+        "margin": NUM, "lambda_t": NUM, "n_d": INT, "n_step": INT,
+        "patience": INT, "batch_size": INT, "n_pos": INT, "n_neg": INT,
+        "alpha": NUM, "beta1": NUM, "beta2": NUM, "gp_weight": NUM,
+        "eval_every": INT, "knn_k": INT, "probe_per_class": INT,
+        "val_fraction": NUM, "reduce_dim": INT, "hidden_dim": INT,
+        "disc_hidden_dim": INT, "noise_sigma": NUM, "noise_mode": ENUM,
+    },
+    "ssl": {"psi": NUM, "n_ssl": INT, "per_class_synthetic": INT, "knn_k": INT},
+    "eval": {
+        "lambda_min": NUM, "lambda_max": NUM, "step": NUM, "ratios": NUM_LIST,
+        "per_class_synthetic": INT, "knn_k": INT,
+    },
+    "io": {name: STR for name in (
+        "corpus_dir", "overlay_dir", "similarity_matrix", "semantic_vectors",
+        "classes", "features_train", "features_test", "semantics", "split",
+        "checkpoint", "train_log", "ssl_report", "report", "suc_points",
+        "retrieval",
+    )},
+}
+
+WRONG_TYPE = {
+    INT: [1.5, "3", True],
+    NUM: ["x", True, None],
+    STR: [3, True, None],
+    STR_OR_NULL: [3, True],
+    ENUM: [3, "bogus"],
+    NUM_LIST: ["x", 0.5, ["x"], [True]],
+}
+
+# (key, value just past the bound): every minimum, exclusive minimum,
+# maximum and exclusive maximum
+OUT_OF_BOUNDS = [
+    ("cko.k", -1),
+    ("gan.margin", -0.1), ("gan.n_d", 0), ("gan.n_step", -1),
+    ("gan.patience", 0), ("gan.batch_size", 0), ("gan.n_pos", 0),
+    ("gan.n_neg", 0), ("gan.alpha", 0), ("gan.alpha", -1.0),
+    ("gan.beta1", -0.1), ("gan.beta1", 1), ("gan.beta2", -0.1),
+    ("gan.beta2", 1.0), ("gan.gp_weight", -1), ("gan.eval_every", -1),
+    ("gan.knn_k", 0), ("gan.probe_per_class", 0), ("gan.val_fraction", -0.1),
+    ("gan.val_fraction", 0.6), ("gan.reduce_dim", 0), ("gan.hidden_dim", 0),
+    ("gan.disc_hidden_dim", 0), ("gan.noise_sigma", -0.5),
+    ("ssl.psi", -0.1), ("ssl.n_ssl", 0), ("ssl.per_class_synthetic", 0),
+    ("ssl.knn_k", 0),
+    ("eval.step", 0), ("eval.step", -0.01), ("eval.ratios", [0.5, 0]),
+    ("eval.ratios", [-0.25]), ("eval.ratios", [1.5]), ("eval.ratios", [0.5, 1.01]),
+    ("eval.per_class_synthetic", 0), ("eval.knn_k", 0),
+]
+
+
+def _document(dotted, value):
+    if "." not in dotted:
+        return {dotted: value}
+    section, key = dotted.split(".")
+    return {section: {key: value}}
+
+
+def _cases():
+    yield from ((f"seed={v!r}", {"seed": v}, "seed") for v in WRONG_TYPE[INT])
+    for section, keys in SECTIONS.items():
+        for key, kind in keys.items():
+            for value in WRONG_TYPE[kind]:
+                dotted = f"{section}.{key}"
+                yield f"{dotted}={value!r}", _document(dotted, value), dotted
+        yield f"{section}.unknown", {section: {"bogus_key": 1}}, "bogus_key"
+        yield f"{section}=3", {section: 3}, section
+        yield f"{section}=list", {section: [1]}, section
+    for dotted, value in OUT_OF_BOUNDS:
+        yield f"{dotted}={value!r}", _document(dotted, value), dotted
+    yield "top-level unknown", {"bogus_key": 1}, "bogus_key"
+
+
+CASES = list(_cases())
+
+
+@pytest.mark.parametrize("document,named", [c[1:] for c in CASES],
+                         ids=[c[0] for c in CASES])
+def test_config_rule_violation_names_the_key(tmp_path, document, named):
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(document), encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        load_config(str(path), [])
+    assert named in str(info.value)

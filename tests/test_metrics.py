@@ -20,6 +20,13 @@ def test_sweep_grid_is_half_open_400_points():
     np.testing.assert_allclose(np.diff(values), 0.01)
 
 
+@pytest.mark.parametrize("sweep", [(-2.0, 2.0, 10.0), (-2.0, 2.0, 0.0),
+                                   (1.0, 1.0, 0.01), (2.0, -2.0, 0.01)])
+def test_sweep_without_points_is_rejected(sweep):
+    with pytest.raises(ConfigError):
+        CalibrationSweep(*sweep)
+
+
 def test_predict_labels_tie_to_smallest_id():
     scores = np.array([[0.5, 0.5, 0.1]])
     assert predict_labels(scores, [7, 3, 9])[0] == 3
