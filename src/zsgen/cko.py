@@ -5,7 +5,7 @@ ranked by pairwise similarity, and every class article is extended with
 the articles of its top-k most similar classes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

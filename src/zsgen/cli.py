@@ -12,7 +12,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import cko as cko_mod
-from . import data, evaluate, gan, metrics, nn, selftrain, text
+from . import data, evaluate, gan, metrics, selftrain, text
 from .config import config_hash, load_config
 from .errors import ConfigError, ZsgenError
 
@@ -176,16 +176,14 @@ def cmd_retrieve(args, cfg):
     e = cfg["eval"]
     rng = np.random.default_rng(cfg["seed"])
     unseen = sorted(scaled.split.unseen)
-    test_idx = scaled.test_indices()
-    mask = np.isin(scaled.labels[test_idx], unseen)
-    lines = []
-    for ratio in e["ratios"]:
-        value = evaluate.retrieval_map(
-            gen, unseen, scaled.semantics_for(unseen),
-            scaled.features[test_idx][mask], scaled.labels[test_idx][mask],
-            ratio, e["per_class_synthetic"], rng,
-        )
-        lines.append(f"mAP@{int(round(100 * ratio))}: {value!r}")
+    refs, ref_labels = selftrain.synthesize_references(
+        gen, unseen, scaled.semantics_for(unseen), e["per_class_synthetic"], rng
+    )
+    rows = selftrain.unseen_test_rows(scaled)
+    map_at = evaluate.retrieval_map(
+        refs, ref_labels, scaled.features[rows], scaled.labels[rows], e["ratios"]
+    )
+    lines = [f"mAP@{pct}: {value!r}" for pct, value in map_at.items()]
     out_path = cfg["io"].get("retrieval")
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:

@@ -9,8 +9,9 @@ Checkpoints (magic ZSCK) hold named arrays plus a JSON metadata blob.
 """
 
 import json
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,16 +57,26 @@ def load_matrix(path):
     return _load_matrix_text(path)
 
 
+def _read_exact(fh, size, path):
+    """Exactly size bytes from fh; a file with fewer left is truncated."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise ParseError(f"truncated: expected {size} more bytes, found {left}", path=path)
+    return fh.read(size)
+
+
+def _unpack(fh, fmt, path):
+    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt), path))
+
+
 def _load_matrix_binary(path):
     with open(path, "rb") as fh:
         fh.read(4)
-        version, n, d = struct.unpack("<III", fh.read(12))
+        version, n, d = _unpack(fh, "<III", path)
         if version != _FORMAT_VERSION:
             raise ParseError(f"unsupported matrix format version {version}", path=path)
-        labels = np.frombuffer(fh.read(8 * n), dtype=np.int64).copy()
-        values = np.frombuffer(fh.read(8 * n * d), dtype=np.float64).copy()
-        if values.size != n * d:
-            raise ParseError("truncated binary matrix", path=path)
+        labels = np.frombuffer(_read_exact(fh, 8 * n, path), dtype=np.int64).copy()
+        values = np.frombuffer(_read_exact(fh, 8 * n * d, path), dtype=np.float64).copy()
     return labels, values.reshape(n, d)
 
 
@@ -100,11 +111,6 @@ def _load_matrix_text(path):
     if row != n:
         raise ParseError(f"expected {n} data rows, found {row}", path=path)
     return labels, values
-
-
-def load_features(path):
-    """Features file: one sample per row, integer class label per row."""
-    return load_matrix(path)
 
 
 @dataclass(frozen=True)
@@ -217,8 +223,8 @@ class ZslDataset:
 
 def assemble_dataset(train_features_path, test_features_path, semantics_path, split_path):
     """Build a ZslDataset from the four on-disk pieces."""
-    tr_labels, tr_feats = load_features(train_features_path)
-    te_labels, te_feats = load_features(test_features_path)
+    tr_labels, tr_feats = load_matrix(train_features_path)
+    te_labels, te_feats = load_matrix(test_features_path)
     if tr_feats.shape[1] != te_feats.shape[1]:
         raise ConfigError(
             f"train/test feature dims differ: {tr_feats.shape[1]} vs {te_feats.shape[1]}"
@@ -367,21 +373,21 @@ def load_checkpoint(path):
     with open(path, "rb") as fh:
         if fh.read(4) != _CHECKPOINT_MAGIC:
             raise ParseError("not a checkpoint file", path=path)
-        version, meta_len = struct.unpack("<II", fh.read(8))
+        version, meta_len = _unpack(fh, "<II", path)
         if version != _FORMAT_VERSION:
             raise ParseError(f"unsupported checkpoint version {version}", path=path)
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        (count,) = struct.unpack("<I", fh.read(4))
+        meta = json.loads(_read_exact(fh, meta_len, path).decode("utf-8"))
+        (count,) = _unpack(fh, "<I", path)
         arrays = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("utf-8")
-            (dlen,) = struct.unpack("<H", fh.read(2))
-            dtype = np.dtype(fh.read(dlen).decode("ascii"))
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
+            (nlen,) = _unpack(fh, "<H", path)
+            name = _read_exact(fh, nlen, path).decode("utf-8")
+            (dlen,) = _unpack(fh, "<H", path)
+            dtype = np.dtype(_read_exact(fh, dlen, path).decode("ascii"))
+            (ndim,) = _unpack(fh, "<I", path)
+            shape = _unpack(fh, f"<{ndim}Q", path)
             size = int(np.prod(shape)) if ndim else 1
             arrays[name] = np.frombuffer(
-                fh.read(size * dtype.itemsize), dtype=dtype
+                _read_exact(fh, size * dtype.itemsize, path), dtype=dtype
             ).copy().reshape(shape)
     return arrays, meta

@@ -1,9 +1,9 @@
 """Model persistence and the full evaluation protocol.
 
-Scoring uses kNN probes over synthetic features: one probe restricted to
-the unseen search space for plain zero-shot top-1, one over the combined
-space for the calibrated/GZSL metrics. Retrieval queries are centroids of
-generated per-class features.
+Each evaluation synthesizes one reference set over the seen+unseen classes.
+All of it feeds the kNN probe over the combined space (calibrated/GZSL
+metrics); its unseen rows feed the unseen-only probe (zero-shot top-1), and
+their per-class centroids are the retrieval queries.
 """
 
 from dataclasses import asdict
@@ -17,7 +17,7 @@ from .gan import (
 )
 from .knn import KnnClassifier, knn_scores
 from .nn import Layer, Mlp
-from .selftrain import synthesize_references
+from .selftrain import synthesize_references, unseen_test_rows, unseen_top1
 
 CHECKPOINT_KIND = "zsgen-model"
 
@@ -88,27 +88,20 @@ def load_model(path):
     return gen, disc, scaler, class_cols, meta
 
 
-def retrieval_map(gen, class_ids, semantics, features, labels, ratio,
-                  per_class_synthetic, rng):
-    """Zero-shot retrieval mAP (%) with generated-centroid queries."""
-    refs, ref_labels = synthesize_references(
-        gen, class_ids, semantics, per_class_synthetic, rng
-    )
-    queries = {
-        int(c): refs[ref_labels == c].mean(axis=0) for c in class_ids
+def retrieval_map(refs, ref_labels, features, labels, ratios):
+    """Zero-shot retrieval mAP (%) per ratio, keyed by percent, with the
+    per-class centroids of the references as queries."""
+    queries = {int(c): refs[ref_labels == c].mean(axis=0) for c in np.unique(ref_labels)}
+    return {
+        int(round(100 * ratio)): metrics.retrieval_precision(queries, features, labels, ratio)
+        for ratio in ratios
     }
-    return metrics.retrieval_precision(queries, features, labels, ratio)
 
 
-def score_matrix(gen, dataset, queries, per_class_synthetic, knn_k, rng):
+def score_matrix(refs, ref_labels, dataset, queries, knn_k):
     """kNN vote-fraction scores over the combined seen+unseen class space."""
     seen = sorted(dataset.split.seen)
-    unseen = sorted(dataset.split.unseen)
-    class_ids = np.array(seen + unseen, dtype=np.int64)
-    refs, ref_labels = synthesize_references(
-        gen, class_ids, dataset.semantics_for(class_ids),
-        per_class_synthetic, rng,
-    )
+    class_ids = np.array(seen + sorted(dataset.split.unseen), dtype=np.int64)
     clf = KnnClassifier(refs, ref_labels, k=knn_k)
     scores = knn_scores(clf, queries, class_ids)
     return metrics.ScoreMatrix(scores, class_ids, seen_count=len(seen))
@@ -120,33 +113,31 @@ def evaluate_model(gen, dataset_scaled, sweep, ratios, per_class_synthetic,
     test_idx = dataset_scaled.test_indices()
     x_test = dataset_scaled.features[test_idx]
     y_test = dataset_scaled.labels[test_idx]
-    unseen = sorted(dataset_scaled.split.unseen)
-    unseen_mask = np.isin(y_test, unseen)
-    if not unseen_mask.any():
+    rows = unseen_test_rows(dataset_scaled)
+    if rows.size == 0:
         raise ConfigError("test partition has no unseen-class samples")
 
-    # zero-shot top-1: unseen search space only
-    u_refs, u_labels = synthesize_references(
-        gen, unseen, dataset_scaled.semantics_for(unseen),
+    seen = sorted(dataset_scaled.split.seen)
+    class_ids = seen + sorted(dataset_scaled.split.unseen)
+    refs, ref_labels = synthesize_references(
+        gen, class_ids, dataset_scaled.semantics_for(class_ids),
         per_class_synthetic, rng,
     )
-    u_clf = KnnClassifier(u_refs, u_labels, k=knn_k)
-    u_scores = knn_scores(u_clf, x_test[unseen_mask], unseen)
-    top1_unseen = metrics.top1_per_class(u_scores, unseen, y_test[unseen_mask])
+    unseen_refs = slice(len(seen) * per_class_synthetic, None)
+    top1_unseen = unseen_top1(
+        refs[unseen_refs], ref_labels[unseen_refs], dataset_scaled, knn_k
+    )
 
-    sm = score_matrix(gen, dataset_scaled, x_test, per_class_synthetic, knn_k, rng)
+    sm = score_matrix(refs, ref_labels, dataset_scaled, x_test, knn_k)
     s, u, h = metrics.gzsl_suh(sm, y_test)
     g_acc = metrics.generalized_accuracy(sm, y_test, sweep)
     points = metrics.suc_curve(sm, y_test, sweep)
     area = metrics.ausuc(points)
 
-    map_at = {}
-    for ratio in ratios:
-        map_at[int(round(100 * ratio))] = retrieval_map(
-            gen, unseen, dataset_scaled.semantics_for(unseen),
-            x_test[unseen_mask], y_test[unseen_mask], ratio,
-            per_class_synthetic, rng,
-        )
+    map_at = retrieval_map(
+        refs[unseen_refs], ref_labels[unseen_refs],
+        dataset_scaled.features[rows], dataset_scaled.labels[rows], ratios,
+    )
     return metrics.EvalReport(
         top1_unseen=top1_unseen, s=s, u=u, h=h, g_acc=g_acc,
         ausuc=area, suc_points=points, map_at=map_at,

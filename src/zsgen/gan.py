@@ -18,8 +18,7 @@ from .bounds import bounded, check_bounds
 from .errors import ConfigError, UsageError
 from .knn import KnnClassifier, knn_scores
 from .nn import (
-    AdamState, Layer, Mlp, activate_grad, adam_step, glorot_init, init_mlp,
-    mlp_backward, mlp_forward,
+    AdamState, activate_grad, adam_step, init_mlp, mlp_backward, mlp_forward,
 )
 
 

@@ -38,13 +38,18 @@ def _neighbor_labels(clf, queries):
     return clf.labels[order]
 
 
+def _votes(clf, queries, class_ids):
+    """Neighbor votes per query for every class in class_ids, shape (n, n_cls)."""
+    neigh = _neighbor_labels(clf, queries)
+    votes = np.zeros((neigh.shape[0], len(class_ids)), dtype=np.int64)
+    for j, c in enumerate(class_ids):
+        votes[:, j] = (neigh == c).sum(axis=1)
+    return votes
+
+
 def knn_scores(clf, queries, class_ids):
     """Per-query vote fraction for every class in class_ids, shape (n, n_cls)."""
-    neigh = _neighbor_labels(clf, queries)
-    scores = np.zeros((neigh.shape[0], len(class_ids)))
-    for j, c in enumerate(class_ids):
-        scores[:, j] = (neigh == c).sum(axis=1) / clf.k
-    return scores
+    return _votes(clf, queries, class_ids) / clf.k
 
 
 def knn_predict_proba(clf, queries):
@@ -52,8 +57,7 @@ def knn_predict_proba(clf, queries):
 
     Vote ties go to the smallest class id.
     """
-    neigh = _neighbor_labels(clf, queries)
     classes = np.unique(clf.labels)  # sorted, so argmax tie -> smallest id
-    counts = np.stack([(neigh == c).sum(axis=1) for c in classes], axis=1)
-    best = counts.argmax(axis=1)
-    return classes[best], counts[np.arange(len(best)), best] / clf.k
+    votes = _votes(clf, queries, classes)
+    best = votes.argmax(axis=1)
+    return classes[best], votes[np.arange(len(best)), best] / clf.k

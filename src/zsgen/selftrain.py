@@ -14,10 +14,7 @@ from . import metrics
 from .bounds import bounded, check_bounds
 from .data import TRAIN, ZslDataset
 from .errors import UsageError
-from .gan import (
-    Discriminator, FeatureScaler, GanTrainConfig, Generator, TrainResult,
-    generate, train_gan,
-)
+from .gan import Discriminator, FeatureScaler, Generator, generate, train_gan
 from .knn import KnnClassifier, knn_predict_proba, knn_scores
 from .nn import glorot_init
 
@@ -51,6 +48,21 @@ def synthesize_references(gen, class_ids, semantics, per_class, rng):
         refs.append(generate(gen, batch, gen.sample_noise(rng, per_class)))
         labels.append(np.full(per_class, c, dtype=np.int64))
     return np.vstack(refs), np.concatenate(labels)
+
+
+def unseen_test_rows(dataset):
+    """Indices of the test-partition rows labeled with an unseen class."""
+    test_idx = dataset.test_indices()
+    return test_idx[np.isin(dataset.labels[test_idx], list(dataset.split.unseen))]
+
+
+def unseen_top1(refs, ref_labels, dataset, knn_k):
+    """Zero-shot top-1 (%) of the unseen test rows, searched over unseen refs only."""
+    unseen = sorted(dataset.split.unseen)
+    rows = unseen_test_rows(dataset)
+    clf = KnnClassifier(refs, ref_labels, k=knn_k)
+    scores = knn_scores(clf, dataset.features[rows], unseen)
+    return metrics.top1_per_class(scores, unseen, dataset.labels[rows])
 
 
 def pseudo_label(gen, unseen_class_ids, unseen_semantics, x_u, cfg, rng):
@@ -162,20 +174,6 @@ def prepare_models(dataset, gen_cfg, disc_cfg, rng):
     return work, scaler, gen, disc, class_cols
 
 
-def _unseen_top1(gen, work, ssl_cfg, rng):
-    unseen = sorted(work.split.unseen)
-    refs, ref_labels = synthesize_references(
-        gen, unseen, work.semantics_for(unseen), ssl_cfg.per_class_synthetic, rng
-    )
-    clf = KnnClassifier(refs, ref_labels, k=ssl_cfg.knn_k)
-    test_idx = work.test_indices()
-    mask = np.isin(work.labels[test_idx], unseen)
-    queries = work.features[test_idx][mask]
-    labels = work.labels[test_idx][mask]
-    scores = knn_scores(clf, queries, unseen)
-    return metrics.top1_per_class(scores, unseen, labels)
-
-
 def run_ssl(dataset, gen_cfg, disc_cfg, train_cfg, ssl_cfg, seed):
     """Full outer loop: (train -> pseudo-label -> augment -> widen head) x n_ssl."""
     rng = np.random.default_rng(seed)
@@ -183,8 +181,7 @@ def run_ssl(dataset, gen_cfg, disc_cfg, train_cfg, ssl_cfg, seed):
         dataset, gen_cfg, disc_cfg, rng
     )
     unseen = sorted(work.split.unseen)
-    test_idx = work.test_indices()
-    candidates = test_idx[np.isin(work.labels[test_idx], unseen)]
+    candidates = unseen_test_rows(work)
     frozen = np.zeros(candidates.shape[0], dtype=bool)
 
     reports, train_logs = [], []
@@ -210,11 +207,14 @@ def run_ssl(dataset, gen_cfg, disc_cfg, train_cfg, ssl_cfg, seed):
         expand_classifier_head(disc, len(class_cols), rng)
         work = augment_training_set(work, pl)
 
+        refs, ref_labels = synthesize_references(
+            gen, unseen, work.semantics_for(unseen), ssl_cfg.per_class_synthetic, rng
+        )
         reports.append({
             "iteration": iteration,
             "retained": int(len(pl)),
             "new_classes": len(new_classes),
-            "unseen_top1": _unseen_top1(gen, work, ssl_cfg, rng),
+            "unseen_top1": unseen_top1(refs, ref_labels, work, ssl_cfg.knn_k),
             "val_gacc": result.best_gacc,
         })
     return SslResult(gen, disc, scaler, class_cols, work, reports, train_logs)

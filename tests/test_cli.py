@@ -116,10 +116,11 @@ def test_command_artifacts_byte_identical_across_runs(tmp_path):
     for run in ("r1", "r2"):  # identical config, artifacts overwritten in place
         assert main(["--quiet", "--config", cfg_path, "train"]) == 0
         assert main(["--quiet", "--config", cfg_path, "evaluate"]) == 0
+        assert main(["--quiet", "--config", cfg_path, "retrieve"]) == 0
         artifacts[run] = {
             name: (tmp_path / name).read_bytes()
             for name in ("model.ck", "train.log", "ssl.tsv",
-                         "report.txt", "suc.tsv")
+                         "report.txt", "suc.tsv", "retrieval.txt")
         }
     assert artifacts["r1"] == artifacts["r2"]
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zsgen import data
+from zsgen import data, evaluate, gan
 from zsgen.errors import ConfigError, ParseError
 
 
@@ -169,3 +169,31 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\0" * 16)
     with pytest.raises(ParseError):
         data.load_checkpoint(str(path))
+
+
+def _tiny_model_checkpoint(path):
+    rng = np.random.default_rng(4)
+    gen = gan.Generator(gan.GeneratorConfig(semantic_dim=3, visual_dim=2,
+                                            reduce_dim=2, hidden_dim=2), rng)
+    disc = gan.Discriminator(gan.DiscriminatorConfig(visual_dim=2, hidden_dim=2,
+                                                     num_classes=2), rng)
+    scaler = gan.FeatureScaler(lo=-np.ones(2), hi=np.ones(2))
+    evaluate.save_model(path, gen, disc, scaler, {0: 0, 1: 1})
+
+
+@pytest.mark.parametrize("save, load", [
+    (lambda p: data.save_matrix_binary(p, np.arange(4), np.ones((4, 3))),
+     data.load_matrix),
+    (_tiny_model_checkpoint, evaluate.load_model),
+], ids=["matrix", "checkpoint"])
+def test_truncated_binary_file_raises_parse_error_naming_path(tmp_path, save, load):
+    full = str(tmp_path / "full.bin")
+    save(full)
+    load(full)
+    blob = open(full, "rb").read()
+    cut = tmp_path / "cut.bin"
+    for offset in range(len(blob)):
+        cut.write_bytes(blob[:offset])
+        with pytest.raises(ParseError) as info:
+            load(str(cut))
+        assert str(cut) in str(info.value), offset

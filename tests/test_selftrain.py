@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from zsgen import data, selftrain
+from zsgen import data, evaluate, selftrain
 from zsgen.errors import UsageError
-from zsgen.gan import DiscriminatorConfig, GanTrainConfig, GeneratorConfig
-from zsgen.knn import KnnClassifier, knn_predict_proba, knn_scores
+from zsgen.gan import DiscriminatorConfig, GanTrainConfig, GeneratorConfig, generate
+from zsgen.knn import KnnClassifier, _neighbor_labels, knn_predict_proba, knn_scores
+from zsgen.metrics import CalibrationSweep
 from zsgen.selftrain import (
     PseudoLabelSet, SslConfig, augment_training_set, expand_classifier_head,
-    pseudo_label, run_ssl, synthesize_references,
+    pseudo_label, run_ssl, synthesize_references, unseen_test_rows, unseen_top1,
 )
 
 SPEC = data.SyntheticSpec(num_seen=4, num_unseen=2, samples_per_class=20,
@@ -61,6 +62,40 @@ def test_knn_scores_rows_sum_to_one_over_full_class_set():
     clf = KnnClassifier(refs, labels, k=5)
     scores = knn_scores(clf, rng.normal(size=(7, 3)), [0, 1, 2])
     np.testing.assert_allclose(scores.sum(axis=1), 1.0)
+
+
+def _reference_knn_scores(clf, queries, class_ids):
+    neigh = _neighbor_labels(clf, queries)
+    scores = np.zeros((neigh.shape[0], len(class_ids)))
+    for j, c in enumerate(class_ids):
+        scores[:, j] = (neigh == c).sum(axis=1) / clf.k
+    return scores
+
+
+def _reference_knn_predict_proba(clf, queries):
+    neigh = _neighbor_labels(clf, queries)
+    classes = np.unique(clf.labels)
+    counts = np.stack([(neigh == c).sum(axis=1) for c in classes], axis=1)
+    best = counts.argmax(axis=1)
+    return classes[best], counts[np.arange(len(best)), best] / clf.k
+
+
+def test_knn_shared_vote_counter_matches_per_function_formulas():
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        n_refs = int(rng.integers(2, 12))
+        # points on a 3x3 grid and few labels: distance ties and vote ties
+        refs = rng.integers(0, 3, size=(n_refs, 2)).astype(np.float64)
+        labels = rng.choice([2, 5, 7, 11], size=n_refs)
+        queries = rng.integers(0, 3, size=(6, 2)).astype(np.float64)
+        clf = KnnClassifier(refs, labels, k=int(rng.integers(1, n_refs + 1)))
+        class_ids = rng.permutation([2, 5, 7, 11, 13])  # unsorted, 13 never voted
+        assert np.array_equal(knn_scores(clf, queries, class_ids),
+                              _reference_knn_scores(clf, queries, class_ids))
+        got_labels, got_conf = knn_predict_proba(clf, queries)
+        want_labels, want_conf = _reference_knn_predict_proba(clf, queries)
+        assert np.array_equal(got_labels, want_labels)
+        assert np.array_equal(got_conf, want_conf)
 
 
 def trained_setup(seed=0):
@@ -206,3 +241,43 @@ def test_ssl_unreachable_threshold_matches_plain_training():
     for a, b in zip(result.generator.params(), plain.generator.params()):
         assert (a == b).all()
     assert result.reports[0]["retained"] == 0
+
+
+def test_unseen_test_rows_are_the_unseen_test_partition():
+    ds, work, gen, disc, cols, rng = trained_setup()
+    rows = unseen_test_rows(work)
+    assert (work.partition[rows] == data.TEST).all()
+    assert set(work.labels[rows].tolist()) == set(work.split.unseen)
+    others = np.setdiff1d(work.test_indices(), rows)
+    assert not np.isin(work.labels[others], list(work.split.unseen)).any()
+
+
+def test_evaluate_model_synthesizes_one_reference_set(monkeypatch):
+    ds, work, gen, disc, cols, rng = trained_setup()
+    calls = []
+
+    def counting_generate(*args):
+        calls.append(args)
+        return generate(*args)
+
+    monkeypatch.setattr(selftrain, "generate", counting_generate)
+    evaluate.evaluate_model(gen, work, CalibrationSweep(), [0.25, 0.5, 1.0],
+                            5, 3, rng)
+    assert len(calls) == len(work.split.seen) + len(work.split.unseen)
+
+
+def test_evaluate_model_scores_unseen_rows_of_one_reference_draw():
+    ds, work, gen, disc, cols, rng = trained_setup()
+    ratios = [0.5, 1.0]
+    rep = evaluate.evaluate_model(gen, work, CalibrationSweep(), ratios, 5, 3,
+                                  np.random.default_rng(9))
+    class_ids = sorted(work.split.seen) + sorted(work.split.unseen)
+    refs, labels = synthesize_references(
+        gen, class_ids, work.semantics_for(class_ids), 5, np.random.default_rng(9)
+    )
+    u = np.isin(labels, list(work.split.unseen))
+    assert rep.top1_unseen == unseen_top1(refs[u], labels[u], work, 3)
+    rows = unseen_test_rows(work)
+    assert rep.map_at == evaluate.retrieval_map(
+        refs[u], labels[u], work.features[rows], work.labels[rows], ratios
+    )
