@@ -53,6 +53,15 @@ class EvalConfig(CalibrationSweep):
     per_class_synthetic: int = bounded(60, ge=1)
     knn_k: int = bounded(20, ge=1)
 
+    def __post_init__(self):
+        super().__post_init__()
+        # retrieval results are keyed by whole percent
+        percents = [int(round(100 * r)) for r in self.ratios]
+        for i, p in enumerate(percents):
+            if p in percents[:i]:
+                raise ConfigError(f"eval.ratios entries {self.ratios[percents.index(p)]!r} "
+                                  f"and {self.ratios[i]!r} both round to {p}%")
+
 
 # file paths; an unset path stays out of the loaded config
 IoPaths = make_dataclass("IoPaths", [(name, str, None) for name in (

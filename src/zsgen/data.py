@@ -77,37 +77,56 @@ def _load_matrix_binary(path):
             raise ParseError(f"unsupported matrix format version {version}", path=path)
         labels = np.frombuffer(_read_exact(fh, 8 * n, path), dtype=np.int64).copy()
         values = np.frombuffer(_read_exact(fh, 8 * n * d, path), dtype=np.float64).copy()
-    return labels, values.reshape(n, d)
+    values = values.reshape(n, d)
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise ParseError(f"non-finite value in data row {int(np.argmax(bad)) + 1}", path=path)
+    return labels, values
+
+
+def _text_lines(path):
+    """(line number, line) pairs of a UTF-8 text file. A line that is not
+    UTF-8 is a ParseError naming it, not a UnicodeDecodeError."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError("not UTF-8 text", path=path, line=lineno) from None
+            yield lineno, line
 
 
 def _load_matrix_text(path):
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("# dims:"):
-            raise ParseError("missing '# dims:' header", path=path, line=1)
+    lines = _text_lines(path)
+    _, header = next(lines, (1, ""))
+    if not header.startswith("# dims:"):
+        raise ParseError("missing '# dims:' header", path=path, line=1)
+    try:
+        n, d = (int(x) for x in header[len("# dims:"):].split())
+    except ValueError:
+        raise ParseError("malformed '# dims:' header", path=path, line=1)
+    labels = np.empty(n, dtype=np.int64)
+    values = np.empty((n, d))
+    row = 0
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        if row >= n:
+            raise ParseError(f"more than {n} data rows", path=path, line=lineno)
+        parts = line.split()
+        if len(parts) != d + 1:
+            raise ParseError(
+                f"expected {d + 1} fields, got {len(parts)}", path=path, line=lineno
+            )
         try:
-            n, d = (int(x) for x in header[len("# dims:"):].split())
-        except ValueError:
-            raise ParseError("malformed '# dims:' header", path=path, line=1)
-        labels = np.empty(n, dtype=np.int64)
-        values = np.empty((n, d))
-        row = 0
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            if row >= n:
-                raise ParseError(f"more than {n} data rows", path=path, line=lineno)
-            parts = line.split()
-            if len(parts) != d + 1:
-                raise ParseError(
-                    f"expected {d + 1} fields, got {len(parts)}", path=path, line=lineno
-                )
-            try:
-                labels[row] = int(parts[0])
-                values[row] = [float(v) for v in parts[1:]]
-            except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=lineno)
-            row += 1
+            labels[row] = int(parts[0])
+            values[row] = [float(v) for v in parts[1:]]
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path, line=lineno)
+        if not np.isfinite(values[row]).all():
+            raise ParseError("non-finite value", path=path, line=lineno)
+        row += 1
     if row != n:
         raise ParseError(f"expected {n} data rows, found {row}", path=path)
     return labels, values
@@ -133,23 +152,29 @@ def save_split(path, split):
         fh.write("unseen: " + " ".join(str(c) for c in split.unseen) + "\n")
 
 
+def _class_ids(text, path, lineno):
+    try:
+        return tuple(int(c) for c in text.split())
+    except ValueError as exc:
+        raise ParseError(f"class id is not an integer: {exc}", path=path, line=lineno) from None
+
+
 def load_split(path):
     seen = unseen = None
     scheme = ""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("# scheme:"):
-                scheme = line[len("# scheme:"):].strip()
-                continue
-            if line.startswith("seen:"):
-                seen = tuple(int(c) for c in line[len("seen:"):].split())
-            elif line.startswith("unseen:"):
-                unseen = tuple(int(c) for c in line[len("unseen:"):].split())
-            else:
-                raise ParseError(f"unrecognized line {line!r}", path=path, line=lineno)
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("# scheme:"):
+            scheme = line[len("# scheme:"):].strip()
+            continue
+        if line.startswith("seen:"):
+            seen = _class_ids(line[len("seen:"):], path, lineno)
+        elif line.startswith("unseen:"):
+            unseen = _class_ids(line[len("unseen:"):], path, lineno)
+        else:
+            raise ParseError(f"unrecognized line {line!r}", path=path, line=lineno)
     if seen is None or unseen is None:
         raise ParseError("split file needs both 'seen:' and 'unseen:' lines", path=path)
     return SplitSpec(seen=seen, unseen=unseen, scheme=scheme)

@@ -144,6 +144,8 @@ class Generator:
 def generate(gen, semantics, noise):
     """Synthesize visual features; plain forward pass, no cache."""
     out, _ = gen.forward(semantics, noise)
+    if not np.isfinite(out).all():
+        raise UsageError("non-finite values in generated features")
     return out
 
 
@@ -180,11 +182,12 @@ class Discriminator:
 
 
 def _safe_unit(diff, dist):
-    """diff / dist with zero rows where dist == 0."""
-    out = np.zeros_like(diff)
+    """diff / dist, in place on diff, with zero rows where dist == 0."""
     nz = dist > 0.0
-    out[nz] = diff[nz] / dist[nz][..., None]
-    return out
+    np.divide(diff, np.where(nz, dist, 1.0)[:, None], out=diff)
+    if not nz.all():
+        diff[~nz] = 0.0
+    return diff
 
 
 def triplet_loss(synthetic, positives, negatives, margin):
@@ -192,36 +195,68 @@ def triplet_loss(synthetic, positives, negatives, margin):
     return loss
 
 
+def _stack_sets(sets, n_rows, dim):
+    """Per-row sample sets as one (total, dim) stack plus the per-row counts.
+
+    An (n_rows, n, dim) array is reshaped without a copy; a ragged list of
+    (n_c, dim) arrays is concatenated.
+    """
+    if len(sets) != n_rows:
+        raise UsageError("need one positive and one negative set per class")
+    if isinstance(sets, np.ndarray) and sets.ndim == 3:
+        sets = np.asarray(sets, dtype=np.float64)
+        return sets.reshape(-1, dim), np.full(n_rows, sets.shape[1])
+    rows = [np.asarray(s, dtype=np.float64).reshape(-1, dim) for s in sets]
+    return np.concatenate(rows), np.array([r.shape[0] for r in rows])
+
+
+def _distances(synthetic, sets):
+    """Differences synthetic[c] - sample for every sample of every row c, as
+    one flat stack, with their lengths and each row's start and count."""
+    n_rows, dim = synthetic.shape
+    flat, counts = _stack_sets(sets, n_rows, dim)
+    if not counts.all():
+        c = int(np.argmin(counts))
+        raise UsageError(f"class {c} needs at least one positive and one negative")
+    diff = np.repeat(synthetic, counts, axis=0)
+    diff -= flat
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return diff, dist, np.cumsum(counts) - counts, counts
+
+
+def _mean_distance(synthetic, sets):
+    """Per row: the mean distance from synthetic[c] to its samples."""
+    _, dist, starts, counts = _distances(synthetic, sets)
+    return np.add.reduceat(dist, starts) / counts
+
+
+def _mean_direction(synthetic, sets):
+    """Per row: the mean unit vector from its samples to synthetic[c]; a
+    sample at distance 0 adds a zero vector."""
+    diff, dist, starts, counts = _distances(synthetic, sets)
+    return np.add.reduceat(_safe_unit(diff, dist), starts, axis=0) / counts[:, None]
+
+
 def triplet_loss_grad(synthetic, positives, negatives, margin):
     """Hinged inter/intra-class distance gap, plus its gradient in x-tilde.
 
     synthetic is one generated row per class; positives[c] / negatives[c]
-    are the real same-class / other-class samples for class c. Euclidean
-    distances, class-averaged, margin added inside the outer hinge.
+    are the real same-class / other-class samples for class c, either as
+    (m, n_pos, d) / (m, n_neg, d) arrays or as lists of (n_c, d) arrays.
+    Euclidean distances, class-averaged, margin added inside the outer hinge.
+    Each pass over a sample set recomputes its differences, so one
+    (samples, d) stack is alive at a time, and an inactive hinge skips the
+    gradient passes.
     """
     synthetic = np.asarray(synthetic, dtype=np.float64)
     n_classes = synthetic.shape[0]
-    if len(positives) != n_classes or len(negatives) != n_classes:
-        raise UsageError("need one positive and one negative set per class")
-    gap = 0.0
-    grads = np.zeros_like(synthetic)
-    for c in range(n_classes):
-        pos = np.asarray(positives[c], dtype=np.float64)
-        neg = np.asarray(negatives[c], dtype=np.float64)
-        if pos.size == 0 or neg.size == 0:
-            raise UsageError(f"class {c} needs at least one positive and one negative")
-        pd = synthetic[c][None, :] - pos
-        nd = synthetic[c][None, :] - neg
-        pdist = np.linalg.norm(pd, axis=1)
-        ndist = np.linalg.norm(nd, axis=1)
-        gap += pdist.mean() - ndist.mean()
-        grads[c] = (
-            _safe_unit(pd, pdist).mean(axis=0) - _safe_unit(nd, ndist).mean(axis=0)
-        ) / n_classes
-    loss = gap / n_classes + margin
+    gap = _mean_distance(synthetic, positives) - _mean_distance(synthetic, negatives)
+    loss = float(np.sum(gap)) / n_classes + margin
     if loss <= 0.0:
         return 0.0, np.zeros_like(synthetic)
-    return loss, grads
+    grad = _mean_direction(synthetic, positives)
+    grad -= _mean_direction(synthetic, negatives)
+    return loss, grad / n_classes
 
 
 def softmax_cross_entropy(logits, labels):
@@ -239,23 +274,6 @@ def softmax_cross_entropy(logits, labels):
     d_logits[np.arange(n), labels] -= 1.0
     d_logits /= n
     return loss, d_logits
-
-
-def generator_loss(critic_fake, critic_real, logits_fake, logits_real, labels,
-                   triplet, lambda_t):
-    """Wasserstein gap + averaged classification losses + weighted triplet term.
-
-    The critic gap enters with the generated side negated: the
-    discriminator drives critic(fake) down, so descending this loss pulls
-    generated features toward critic scores of real ones.
-    """
-    ce_fake, _ = softmax_cross_entropy(logits_fake, labels)
-    ce_real, _ = softmax_cross_entropy(logits_real, labels)
-    return (
-        float(np.mean(critic_real)) - float(np.mean(critic_fake))
-        + 0.5 * (ce_fake + ce_real)
-        + lambda_t * triplet
-    )
 
 
 def critic_input_gradient(disc, x):
@@ -344,30 +362,24 @@ def discriminator_loss_grads(disc, real_x, fake_x, labels, gp_weight, rng=None, 
     return loss, grads
 
 
-def generator_loss_grads(gen, disc, semantics, noise, real_x, labels,
+def generator_loss_grads(gen, disc, semantics, noise, labels,
                          pos_feats, neg_feats, cfg):
-    """Full generator loss with gradients in the generator parameters.
+    """Generator loss with its gradients in the generator parameters.
 
-    pos_feats / neg_feats are (m, n_pos, d) / (m, n_neg, d) real samples
-    matched to each batch row's class.
+    The loss is the part that depends on the generator: the negated mean
+    critic score of the generated batch, half its classification loss, and
+    the weighted triplet term. pos_feats / neg_feats are (m, n_pos, d) /
+    (m, n_neg, d) real samples matched to each batch row's class.
     """
     fake_x, gen_cache = gen.forward(semantics, noise)
     critic_f, logits_f, disc_cache = disc.forward(fake_x)
-    critic_r, logits_r, _ = disc.forward(real_x)
 
     n = fake_x.shape[0]
     ce_fake, d_logits_f = softmax_cross_entropy(logits_f, labels)
-    ce_real, _ = softmax_cross_entropy(logits_r, labels)
-    trip, d_trip = triplet_loss_grad(
-        fake_x, list(pos_feats), list(neg_feats), cfg.margin
-    )
-    loss = (
-        float(np.mean(critic_r)) - float(np.mean(critic_f))
-        + 0.5 * (ce_fake + ce_real)
-        + cfg.lambda_t * trip
-    )
+    trip, d_trip = triplet_loss_grad(fake_x, pos_feats, neg_feats, cfg.margin)
+    loss = -float(np.mean(critic_f)) + 0.5 * ce_fake + cfg.lambda_t * trip
     _, d_fake = disc.backward(disc_cache, np.full(n, -1.0 / n), 0.5 * d_logits_f)
-    d_fake = d_fake + cfg.lambda_t * d_trip
+    d_fake += cfg.lambda_t * d_trip
     grads, _ = gen.backward(gen_cache, d_fake)
     return loss, trip, grads
 
@@ -381,11 +393,47 @@ class TrainResult:
     best_gacc: float = float("nan")
 
 
-def _class_index(labels):
-    out = {}
-    for c in np.unique(labels):
-        out[int(c)] = np.flatnonzero(labels == c)
-    return out
+def _subset_offsets(rng, pool, n):
+    """n offsets into [0, pool[i]) for each row i: distinct where pool[i] >= n
+    (Floyd's subset sampling, vectorized over rows), drawn with replacement
+    where the pool is smaller."""
+    short = (pool < n)[:, None]
+    # Floyd's step k draws t in [0, j] with j = pool - n + k; a repeat takes j
+    top = np.where(short, pool[:, None] - 1, (pool - n)[:, None] + np.arange(n))
+    picks = (rng.random(top.shape) * (top + 1)).astype(np.int64)
+    for k in range(1, n):
+        t = picks[:, k:k + 1]
+        repeat = (picks[:, :k] == t).any(axis=1, keepdims=True) & ~short
+        picks[:, k:k + 1] = np.where(repeat, top[:, k:k + 1], t)
+    return picks
+
+
+class TripletSampler:
+    """Same-class and other-class row tables over a labelled set, built once.
+
+    Rows are sorted by class, so class k's rows are the block
+    order[start[k]:start[k] + count[k]] and its other-class pool is `order`
+    with that block left out. A draw's work and memory grow with the number
+    of rows drawn for, not with the size of the labelled set.
+    """
+
+    def __init__(self, labels):
+        self.classes, self.class_of_row, self.count = np.unique(
+            labels, return_inverse=True, return_counts=True)
+        self.order = np.argsort(self.class_of_row, kind="stable")
+        self.start = np.cumsum(self.count) - self.count
+
+    def draw(self, rng, rows, n_pos, n_neg):
+        """(len(rows), n_pos) row indices of the same class as each of rows, and
+        (len(rows), n_neg) of other classes; distinct where the pool allows."""
+        if self.classes.size < 2:
+            raise ConfigError("triplet negatives need at least two training classes")
+        k = self.class_of_row[rows]
+        start, count = self.start[k][:, None], self.count[k]
+        pos = self.order[start + _subset_offsets(rng, count, n_pos)]
+        off = _subset_offsets(rng, self.order.size - count, n_neg)
+        neg = self.order[off + np.where(off >= start, count[:, None], 0)]
+        return pos, neg
 
 
 def _validation_split(train_y, seen_ids, frac, rng):
@@ -440,8 +488,10 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng,
     fit_idx = np.flatnonzero(fit_mask)
     fit_x, fit_y = train_x[fit_idx], train_y[fit_idx]
     val_x, val_y = train_x[val_idx], train_y[val_idx]
-    by_class = _class_index(fit_y)
-    sem_cache = {c: dataset.semantics_for([c])[0] for c in class_cols}
+    sampler = TripletSampler(fit_y)
+    # per class of the fit rows: its semantic vector and its logit column
+    sem_of_class = dataset.semantics_for(sampler.classes)
+    col_of_class = np.array([class_cols[int(c)] for c in sampler.classes])
 
     rates = dict(alpha=cfg.alpha, beta1=cfg.beta1, beta2=cfg.beta2)
     gen_adam = AdamState.for_params(gen.params(), **rates)
@@ -455,32 +505,21 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng,
     for step in range(1, cfg.n_step + 1):
         for _ in range(cfg.n_d):
             idx = rng.integers(0, fit_x.shape[0], size=m)
-            xb, yb = fit_x[idx], fit_y[idx]
-            sem = np.stack([sem_cache[int(c)] for c in yb])
-            fake = generate(gen, sem, gen.sample_noise(rng, m))
-            cols = np.array([class_cols[int(c)] for c in yb])
+            k = sampler.class_of_row[idx]
+            fake = generate(gen, sem_of_class[k], gen.sample_noise(rng, m))
             last_ld, grads = discriminator_loss_grads(
-                disc, xb, fake, cols, cfg.gp_weight, rng=rng
+                disc, fit_x[idx], fake, col_of_class[k], cfg.gp_weight, rng=rng
             )
             if not math.isfinite(last_ld):
                 raise UsageError(f"non-finite discriminator loss at step {step}")
             adam_step(disc.params(), grads, disc_adam)
 
         idx = rng.integers(0, fit_x.shape[0], size=m)
-        xb, yb = fit_x[idx], fit_y[idx]
-        sem = np.stack([sem_cache[int(c)] for c in yb])
-        cols = np.array([class_cols[int(c)] for c in yb])
-        pos = np.empty((m, cfg.n_pos, train_x.shape[1]))
-        neg = np.empty((m, cfg.n_neg, train_x.shape[1]))
-        for j, c in enumerate(yb):
-            own = by_class[int(c)]
-            pos_pick = rng.choice(own, size=cfg.n_pos, replace=own.size < cfg.n_pos)
-            other = np.flatnonzero(fit_y != c)
-            neg_pick = rng.choice(other, size=cfg.n_neg, replace=other.size < cfg.n_neg)
-            pos[j] = fit_x[pos_pick]
-            neg[j] = fit_x[neg_pick]
+        k = sampler.class_of_row[idx]
+        pos, neg = sampler.draw(rng, idx, cfg.n_pos, cfg.n_neg)
         lg, trip, grads = generator_loss_grads(
-            gen, disc, sem, gen.sample_noise(rng, m), xb, cols, pos, neg, cfg
+            gen, disc, sem_of_class[k], gen.sample_noise(rng, m), col_of_class[k],
+            fit_x[pos], fit_x[neg], cfg
         )
         if not math.isfinite(lg):
             raise UsageError(f"non-finite generator loss at step {step}")

@@ -124,7 +124,8 @@ def mlp_forward(mlp, x):
     """Run the network on a batch. Returns (output, cache).
 
     cache holds per-layer (input, pre-activation) pairs and is consumed
-    by mlp_backward.
+    by mlp_backward. The output is not checked for non-finite values; the
+    callers check what leaves the networks (losses, generated features).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -139,8 +140,6 @@ def mlp_forward(mlp, x):
         z = h @ layer.weight + layer.bias
         cache.append((h, z))
         h = activate(layer.activation, z, layer.slope)
-    if not np.isfinite(h).all():
-        raise UsageError("non-finite values in forward pass output")
     return h, cache
 
 
@@ -191,21 +190,35 @@ class AdamState:
 
 
 def adam_step(params, grads, state):
-    """One bias-corrected Adam update, in place on the parameter arrays."""
+    """One bias-corrected Adam update, in place on the parameter arrays.
+
+    m_hat = m / (1 - b1^t), v_hat = v / (1 - b2^t) and
+    p -= alpha * m_hat / (sqrt(v_hat) + epsilon), operation for operation.
+    Intermediates go to two work buffers as long as the largest parameter,
+    allocated once per call and not held between calls.
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise UsageError("parameter/gradient/state lengths differ")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    work = np.empty((2, max((p.size for p in params), default=0)))
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise UsageError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+        a = work[0, :p.size].reshape(p.shape)
+        b = work[1, :p.size].reshape(p.shape)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=a)
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** state.t)
-        v_hat = v / (1.0 - b2 ** state.t)
-        p -= state.alpha * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        np.multiply(g, 1.0 - b2, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(v, c2, out=b)       # v_hat
+        np.sqrt(b, out=b)
+        b += state.epsilon
+        np.divide(m, c1, out=a)       # m_hat
+        a *= state.alpha
+        p -= np.divide(a, b, out=a)
 
 
 def gradient_check(f, params, step=1e-5):

@@ -63,7 +63,6 @@ def check_generator_loss(rng):
     m = 3
     sem = rng.normal(size=(m, gen.cfg.semantic_dim))
     noise = gen.sample_noise(rng, m)
-    real = rng.uniform(-0.9, 0.9, size=(m, gen.cfg.visual_dim))
     labels = rng.integers(0, disc.cfg.num_classes, size=m)
     pos = rng.normal(size=(m, 2, gen.cfg.visual_dim))
     neg = rng.normal(size=(m, 2, gen.cfg.visual_dim))
@@ -71,7 +70,7 @@ def check_generator_loss(rng):
 
     def f():
         loss, _, grads = generator_loss_grads(
-            gen, disc, sem, noise, real, labels, pos, neg, cfg
+            gen, disc, sem, noise, labels, pos, neg, cfg
         )
         return loss, grads
 

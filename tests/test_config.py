@@ -65,6 +65,9 @@ OUT_OF_BOUNDS = [
     ("eval.per_class_synthetic", 0), ("eval.knn_k", 0),
 ]
 
+# entries that collide once rounded to the whole percent results are keyed by
+RATIO_COLLISIONS = [[0.5, 0.5], [0.251, 0.249], [0.25, 1.0, 0.995]]
+
 
 def _document(dotted, value):
     if "." not in dotted:
@@ -85,6 +88,8 @@ def _cases():
         yield f"{section}=list", {section: [1]}, section
     for dotted, value in OUT_OF_BOUNDS:
         yield f"{dotted}={value!r}", _document(dotted, value), dotted
+    for value in RATIO_COLLISIONS:
+        yield f"eval.ratios={value!r}", _document("eval.ratios", value), "eval.ratios"
     yield "top-level unknown", {"bogus_key": 1}, "bogus_key"
 
 

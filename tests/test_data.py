@@ -50,6 +50,45 @@ def test_missing_header_rejected(tmp_path):
         data.load_matrix(str(path))
 
 
+@pytest.mark.parametrize("body, line", [
+    (b"# dims: 2 2\n0 1.0 2.0\n1 3.\xff 4.0\n", 3),       # not UTF-8
+    (b"# dims: 2 2\n0 1.0 2.0\n1 \xe2\x82 4.0\n", 3),    # cut multi-byte sequence
+    (b"# dims: 2 2\xff\n0 1.0 2.0\n1 3.0 4.0\n", 1),
+    (b"# dims: 2 2\n0 nan 2.0\n1 3.0 4.0\n", 2),
+    (b"# dims: 2 2\n0 1.0 2.0\n1 3.0 -inf\n", 3),
+    (b"# dims: 2 2\n0 1.0 2.0\n\n1 1e999 4.0\n", 4),      # overflows to inf
+], ids=["bad-byte", "cut-sequence", "bad-header-byte", "nan", "inf", "overflow"])
+def test_text_matrix_bad_value_names_path_and_line(tmp_path, body, line):
+    path = tmp_path / "m.txt"
+    path.write_bytes(body)
+    with pytest.raises(ParseError) as info:
+        data.load_matrix(str(path))
+    assert info.value.line == line
+    assert str(path) in str(info.value)
+
+
+def test_binary_matrix_non_finite_value_names_path(tmp_path):
+    path = str(tmp_path / "m.bin")
+    data.save_matrix_binary(path, np.arange(3), [[0.0, 1.0], [2.0, np.nan], [4.0, 5.0]])
+    with pytest.raises(ParseError, match="row 2") as info:
+        data.load_matrix(path)
+    assert path in str(info.value)
+
+
+@pytest.mark.parametrize("body, line", [
+    ("seen: 0 1\nunseen: 2 x\n", 2),
+    ("# scheme: SCS\nseen: 0 1.5\nunseen: 2\n", 2),
+    ("seen: 0 1\nunseen: 2\n\xff\n", 3),
+], ids=["word", "float", "bad-byte"])
+def test_split_bad_id_names_path_and_line(tmp_path, body, line):
+    path = tmp_path / "split.txt"
+    path.write_bytes(body.encode("latin-1"))
+    with pytest.raises(ParseError) as info:
+        data.load_split(str(path))
+    assert info.value.line == line
+    assert str(path) in str(info.value)
+
+
 def test_split_round_trip(tmp_path):
     path = str(tmp_path / "split.txt")
     split = data.SplitSpec(seen=(0, 1), unseen=(2,), scheme="SCS")

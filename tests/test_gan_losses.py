@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from zsgen.errors import UsageError
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zsgen.errors import ConfigError, UsageError
 from zsgen.gan import (
-    Discriminator, DiscriminatorConfig, Generator, GeneratorConfig,
-    discriminator_loss, generate, generator_loss, softmax_cross_entropy,
-    triplet_loss, triplet_loss_grad,
+    Discriminator, DiscriminatorConfig, GanTrainConfig, Generator,
+    GeneratorConfig, TripletSampler, discriminator_loss, generate,
+    generator_loss_grads, softmax_cross_entropy, triplet_loss, triplet_loss_grad,
 )
 from zsgen.nn import Layer, Mlp
 
@@ -19,6 +22,130 @@ def reference_triplet(synthetic, positives, negatives, margin):
         nd = np.mean([np.linalg.norm(synthetic[i] - q) for q in negatives[i]])
         gap += pd - nd
     return max(gap / c + margin, 0.0)
+
+
+def loop_triplet_loss_grad(synthetic, positives, negatives, margin):
+    """The per-class loop that triplet_loss_grad replaced, kept as its oracle."""
+    def safe_unit(diff, dist):
+        out = np.zeros_like(diff)
+        nz = dist > 0.0
+        out[nz] = diff[nz] / dist[nz][..., None]
+        return out
+
+    synthetic = np.asarray(synthetic, dtype=np.float64)
+    n_classes = synthetic.shape[0]
+    gap = 0.0
+    grads = np.zeros_like(synthetic)
+    for c in range(n_classes):
+        pos = np.asarray(positives[c], dtype=np.float64)
+        neg = np.asarray(negatives[c], dtype=np.float64)
+        pd = synthetic[c][None, :] - pos
+        nd = synthetic[c][None, :] - neg
+        pdist = np.linalg.norm(pd, axis=1)
+        ndist = np.linalg.norm(nd, axis=1)
+        gap += pdist.mean() - ndist.mean()
+        grads[c] = (
+            safe_unit(pd, pdist).mean(axis=0) - safe_unit(nd, ndist).mean(axis=0)
+        ) / n_classes
+    loss = gap / n_classes + margin
+    if loss <= 0.0:
+        return 0.0, np.zeros_like(synthetic)
+    return loss, grads
+
+
+def _triplet_cases(rng):
+    """Ragged random sets, rows at zero distance from their samples, and
+    hinges on both sides, as (synthetic, positives, negatives, margin)."""
+    for _ in range(300):
+        c, d = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        x = rng.normal(size=(c, d))
+        pos = [rng.normal(size=(int(rng.integers(1, 5)), d)) for _ in range(c)]
+        neg = [rng.normal(size=(int(rng.integers(1, 5)), d)) for _ in range(c)]
+        for i in range(c):
+            # a sample equal to its synthetic row has distance 0
+            if rng.random() < 0.3:
+                pos[i][0] = x[i]
+            if rng.random() < 0.3:
+                neg[i][-1] = x[i]
+        yield x, pos, neg, float(rng.uniform(0.0, 2.0))
+        # equal sets at margin 0: the gap is exactly 0 and the hinge inactive
+        yield x, pos, pos, 0.0
+
+
+def test_triplet_matches_loop_oracle_on_lists_and_arrays():
+    rng = np.random.default_rng(11)
+    worst, active, inactive, zero_rows = 0.0, 0, 0, 0
+    for x, pos, neg, margin in _triplet_cases(rng):
+        ref_loss, ref_grad = loop_triplet_loss_grad(x, pos, neg, margin)
+        loss, grad = triplet_loss_grad(x, pos, neg, margin)
+        worst = max(worst, abs(loss - ref_loss), float(np.abs(grad - ref_grad).max()))
+        active += ref_loss > 0.0
+        inactive += ref_loss == 0.0
+        zero_rows += any((p == x[i]).all(axis=1).any() for i, p in enumerate(pos))
+        if ref_loss == 0.0:
+            assert loss == 0.0 and not grad.any()
+        # the same sets as (m, n, d) arrays take the same path
+        n = min(len(p) for p in pos + neg)
+        pos3 = np.stack([p[:n] for p in pos])
+        neg3 = np.stack([q[:n] for q in neg])
+        ref_loss, ref_grad = loop_triplet_loss_grad(x, pos3, neg3, margin)
+        loss, grad = triplet_loss_grad(x, pos3, neg3, margin)
+        worst = max(worst, abs(loss - ref_loss), float(np.abs(grad - ref_grad).max()))
+    assert active > 100 and inactive > 300 and zero_rows > 50
+    assert worst < 1e-12, worst
+
+
+def test_triplet_empty_array_set_rejected():
+    with pytest.raises(UsageError):
+        triplet_loss(np.zeros((2, 3)), np.ones((2, 0, 3)), np.ones((2, 1, 3)), 0.0)
+    with pytest.raises(UsageError):
+        triplet_loss(np.zeros((2, 3)), np.ones((3, 1, 3)), np.ones((2, 1, 3)), 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 9), min_size=2, max_size=5),
+       n_pos=st.integers(1, 6), n_neg=st.integers(1, 12), seed=st.integers(0, 2**16))
+def test_triplet_sampler_properties(sizes, n_pos, n_neg, seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(10 * np.arange(len(sizes)), sizes))
+    sampler = TripletSampler(labels)
+    rows = rng.integers(0, labels.size, size=40)
+    pos, neg = sampler.draw(np.random.default_rng(seed), rows, n_pos, n_neg)
+    assert pos.shape == (40, n_pos) and neg.shape == (40, n_neg)
+    own = labels[rows][:, None]
+    assert (labels[pos] == own).all()
+    assert (labels[neg] != own).all()
+    for i, row in enumerate(rows):
+        same = int((labels == labels[row]).sum())
+        if same >= n_pos:
+            assert len(set(pos[i].tolist())) == n_pos
+        if labels.size - same >= n_neg:
+            assert len(set(neg[i].tolist())) == n_neg
+    again = sampler.draw(np.random.default_rng(seed), rows, n_pos, n_neg)
+    assert (again[0] == pos).all() and (again[1] == neg).all()
+
+
+def test_triplet_sampler_uniform_and_replacement_for_small_classes():
+    labels = np.array([0] * 7 + [1] * 2 + [2] * 1 + [3] * 5)
+    sampler = TripletSampler(labels)
+    rows = np.repeat([0, 7, 9], 4000)   # a class of 7, of 2 and of 1
+    pos, neg = sampler.draw(np.random.default_rng(0), rows, 4, 6)
+    # classes with fewer than n_pos rows fall back to replacement
+    assert (pos[4000:8000] < 9).all() and (pos[4000:8000] >= 7).all()
+    assert (pos[8000:] == 9).all()
+    assert any(len(set(r)) < 4 for r in pos[4000:8000].tolist())
+    # each class-0 row is one of 4 distinct picks from 7: probability 4/7
+    counts = np.bincount(pos[:4000].ravel(), minlength=7)[:7]
+    np.testing.assert_allclose(counts / 4000, 4 / 7, rtol=0.05)
+    # each of the 8 other-class rows is one of 6 distinct picks: 6/8
+    counts = np.bincount(neg[:4000].ravel(), minlength=15)[7:]
+    np.testing.assert_allclose(counts / 4000, 6 / 8, rtol=0.05)
+
+
+def test_triplet_sampler_needs_two_classes():
+    sampler = TripletSampler(np.zeros(5, dtype=np.int64))
+    with pytest.raises(ConfigError):
+        sampler.draw(np.random.default_rng(0), np.arange(5), 2, 2)
 
 
 def test_triplet_equal_distances_zero_margin():
@@ -66,50 +193,86 @@ def test_triplet_zero_grad_when_hinge_inactive():
     assert loss == 0.0 and not grad.any()
 
 
+def flat_disc(num_classes, critic_bias=0.0, head_bias=0.0):
+    """A critic whose score is critic_bias and whose logits are head_bias for
+    every input: zero weights, so the fake batch reaches neither."""
+    disc = make_disc(np.random.default_rng(0), visual_dim=4, hidden=5,
+                     num_classes=num_classes)
+    disc.critic.layers[0].weight[:] = 0.0
+    disc.critic.layers[0].bias[:] = critic_bias
+    disc.head.layers[0].weight[:] = 0.0
+    disc.head.layers[0].bias[:] = head_bias
+    return disc
+
+
+def generator_step(disc, labels, pos, neg, margin=0.0, lambda_t=1.0, seed=0):
+    rng = np.random.default_rng(seed)
+    gen = make_gen(rng)
+    n = len(labels)
+    cfg = GanTrainConfig(margin=margin, lambda_t=lambda_t)
+    return generator_loss_grads(gen, disc, rng.normal(size=(n, 6)),
+                                gen.sample_noise(rng, n), np.asarray(labels),
+                                pos, neg, cfg)
+
+
+def sets(rng, n, k=2, shift=0.0):
+    return rng.normal(size=(n, k, 4)) + shift
+
+
 def test_generator_loss_uniform_logits_is_log_c():
     n, c = 4, 3
-    zeros = np.zeros(n)
-    logits = np.zeros((n, c))
-    labels = np.zeros(n, dtype=np.int64)
-    loss = generator_loss(zeros, zeros, logits, logits, labels, 0.0, 1.0)
-    np.testing.assert_allclose(loss, np.log(c), atol=1e-12)
+    same = sets(np.random.default_rng(1), n)
+    loss, trip, _ = generator_step(flat_disc(c), np.zeros(n, dtype=np.int64), same, same)
+    # critic 0, triplet 0 (equal sets, margin 0): half the cross-entropy,
+    # which is log c on uniform logits
+    assert trip == 0.0
+    np.testing.assert_allclose(loss, 0.5 * np.log(c), rtol=0, atol=1e-12)
 
 
 def test_generator_loss_lambda_zero_ignores_triplet():
     n, c = 2, 2
-    zeros = np.zeros(n)
-    logits = np.zeros((n, c))
+    rng = np.random.default_rng(2)
+    same, far = sets(rng, n), sets(rng, n, shift=5.0)
+    disc = flat_disc(c, critic_bias=0.4, head_bias=[0.3, -0.2])
     labels = np.zeros(n, dtype=np.int64)
-    a = generator_loss(zeros, zeros, logits, logits, labels, 123.0, 0.0)
-    b = generator_loss(zeros, zeros, logits, logits, labels, 0.0, 0.0)
-    assert a == b
+    a_loss, a_trip, a_grads = generator_step(disc, labels, far, same, lambda_t=0.0)
+    b_loss, b_trip, b_grads = generator_step(disc, labels, same, same, lambda_t=0.0)
+    assert a_trip > 0.0 and b_trip == 0.0
+    assert a_loss == b_loss
+    assert all((a == b).all() for a, b in zip(a_grads, b_grads))
 
 
 def test_generator_loss_vanishes_on_matched_critics_and_perfect_logits():
-    n, c = 3, 2
-    critic = np.array([0.7, -0.2, 0.1])
-    labels = np.array([0, 1, 0], dtype=np.int64)
-    logits = np.full((n, c), -1000.0)
-    logits[np.arange(n), labels] = 1000.0
-    loss = generator_loss(critic, critic, logits, logits, labels, 0.0, 1.0)
-    np.testing.assert_allclose(loss, 0.0, atol=1e-12)
+    n = 3
+    same = sets(np.random.default_rng(3), n)
+    # critic score 0 everywhere; the head puts all mass on class 1, the label
+    disc = flat_disc(2, head_bias=[-1000.0, 1000.0])
+    loss, trip, grads = generator_step(disc, np.ones(n, dtype=np.int64), same, same)
+    assert loss == 0.0 and trip == 0.0
+    assert not any(g.any() for g in grads)
 
 
 def test_generator_loss_invariant_to_critic_constant_shift():
     rng = np.random.default_rng(3)
     n, c = 5, 4
-    cf, cr = rng.normal(size=n), rng.normal(size=n)
-    logits = rng.normal(size=(n, c))
     labels = rng.integers(0, c, size=n)
-    base = generator_loss(cf, cr, logits, logits, labels, 0.3, 0.7)
-    shifted = generator_loss(cf + 11.5, cr + 11.5, logits, logits, labels, 0.3, 0.7)
-    np.testing.assert_allclose(base, shifted, atol=1e-9)
+    pos, neg = sets(rng, n, shift=3.0), sets(rng, n)
+    head = rng.normal(size=c)
+    base, trip, base_grads = generator_step(
+        flat_disc(c, critic_bias=0.2, head_bias=head), labels, pos, neg, 0.3, 0.7)
+    shifted, _, shifted_grads = generator_step(
+        flat_disc(c, critic_bias=11.7, head_bias=head), labels, pos, neg, 0.3, 0.7)
+    # the loss holds -mean critic(fake): a constant shift moves it by exactly
+    # that constant and leaves every gradient unchanged
+    assert trip > 0.0
+    np.testing.assert_allclose(shifted, base - 11.5, rtol=0, atol=1e-9)
+    assert all((a == b).all() for a, b in zip(base_grads, shifted_grads))
 
 
 def test_generator_loss_label_out_of_range():
+    same = sets(np.random.default_rng(4), 1)
     with pytest.raises(UsageError):
-        generator_loss(np.zeros(1), np.zeros(1), np.zeros((1, 2)),
-                       np.zeros((1, 2)), np.array([5]), 0.0, 1.0)
+        generator_step(flat_disc(2), np.array([5]), same, same)
 
 
 def make_disc(rng, visual_dim=3, hidden=4, num_classes=2):
@@ -217,6 +380,18 @@ def test_generate_rejects_mismatched_noise():
         generate(gen, rng.normal(size=(2, 6)), rng.normal(size=(2, 3)))
     with pytest.raises(UsageError):
         generate(gen, rng.normal(size=(2, 6)), gen.sample_noise(rng, 3))
+
+
+def test_generate_rejects_non_finite_output():
+    rng = np.random.default_rng(6)
+    gen = make_gen(rng)
+    sem = rng.normal(size=(3, 6))
+    sem[1, 2] = np.nan
+    with pytest.raises(UsageError):
+        generate(gen, sem, gen.sample_noise(rng, 3))
+    gen.decode.layers[-1].bias[0] = np.nan
+    with pytest.raises(UsageError):
+        generate(gen, rng.normal(size=(3, 6)), gen.sample_noise(rng, 3))
 
 
 def test_concat_noise_mode():

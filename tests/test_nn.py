@@ -122,6 +122,45 @@ def test_adam_two_steps_match_hand_recursion():
     np.testing.assert_allclose(p, [ref], rtol=0, atol=1e-15)
 
 
+def reference_adam_step(params, grads, state):
+    """The allocating Adam update that adam_step replaced, kept as its oracle."""
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** state.t)
+        v_hat = v / (1.0 - b2 ** state.t)
+        p -= state.alpha * m_hat / (np.sqrt(v_hat) + state.epsilon)
+
+
+def test_adam_in_place_bit_identical_to_reference():
+    rng = np.random.default_rng(8)
+    mlp = init_mlp([5, 7, 3], ["leaky_relu", "tanh"], rng)
+    params = mlp.param_arrays()
+    ref_params = [p.copy() for p in params]
+    settings = dict(alpha=0.003, beta1=0.5, beta2=0.9)
+    state = AdamState.for_params(params, **settings)
+    ref_state = AdamState.for_params(ref_params, **settings)
+    ids = [id(p) for p in params + state.m + state.v]
+    for step in range(50):
+        # every scale, a zero gradient and a sparse one included
+        grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-8, 4) for p in params]
+        if step % 7 == 0:
+            grads[0][:] = 0.0
+        grads_before = [g.copy() for g in grads]
+        adam_step(params, grads, state)
+        reference_adam_step(ref_params, grads, ref_state)
+        for g, before in zip(grads, grads_before):
+            assert (g == before).all()
+        for got, ref in zip(params + state.m + state.v,
+                            ref_params + ref_state.m + ref_state.v):
+            assert got.tobytes() == ref.tobytes()
+    assert [id(p) for p in params + state.m + state.v] == ids
+
+
 def test_adam_rejects_shape_mismatch():
     p = np.zeros(3)
     state = AdamState.for_params([p])
