@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _text_lines
 from .errors import ConfigError, MissingEmbeddingError, ParseError
 
 
@@ -30,26 +31,25 @@ def load_embeddings(path):
     """Load a plain-text `word v1 v2 ... vd` embedding table."""
     vectors = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            word = parts[0].lower()
-            try:
-                vec = np.array([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=lineno)
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise ParseError(
-                    f"expected {dim} components, got {vec.shape[0]}",
-                    path=path, line=lineno,
-                )
-            if not np.isfinite(vec).all():
-                raise ParseError("non-finite embedding entry", path=path, line=lineno)
-            vectors[word] = vec
+    for lineno, line in _text_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        word = parts[0].lower()
+        try:
+            vec = np.array([float(v) for v in parts[1:]])
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path, line=lineno)
+        if dim is None:
+            dim = vec.shape[0]
+        elif vec.shape[0] != dim:
+            raise ParseError(
+                f"expected {dim} components, got {vec.shape[0]}",
+                path=path, line=lineno,
+            )
+        if not np.isfinite(vec).all():
+            raise ParseError("non-finite embedding entry", path=path, line=lineno)
+        vectors[word] = vec
     if not vectors:
         raise ConfigError(f"embedding table {path} is empty")
     return EmbeddingTable(vectors=vectors, dim=dim)

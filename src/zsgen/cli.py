@@ -35,8 +35,8 @@ def _read_corpus(corpus_dir):
         raise ConfigError(f"no .txt class articles in {corpus_dir}")
     records = []
     for i, fname in enumerate(names):
-        with open(os.path.join(corpus_dir, fname), encoding="utf-8") as fh:
-            article = fh.read()
+        path = os.path.join(corpus_dir, fname)
+        article = "".join(line for _, line in data._text_lines(path))
         records.append(cko_mod.ClassRecord(i, fname[:-4], article))
     return records, names
 

@@ -7,7 +7,9 @@ Unknown keys and wrongly typed values are rejected naming `section.key`.
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, make_dataclass
+from dataclasses import (
+    MISSING, asdict, dataclass, field, fields, is_dataclass, make_dataclass,
+)
 from typing import get_args, get_origin
 
 import yaml
@@ -91,7 +93,7 @@ def _is_a(value, tp):
     return type(value) in ((int, float) if tp is float else (tp,))
 
 
-def _build(cls, document, where):
+def build_section(cls, document, where):
     """Construct dataclass cls from a YAML mapping, checking every key."""
     if not isinstance(document, dict):
         raise ConfigError(f"{where} must be a mapping, got {document!r}")
@@ -103,13 +105,17 @@ def _build(cls, document, where):
         if f is None:
             raise ConfigError(f"unknown config key {name}")
         if is_dataclass(f.type):
-            value = _build(f.type, value, name)
+            value = build_section(f.type, value, name)
         elif not _is_a(value, f.type):
             kind = f.type.__name__ if isinstance(f.type, type) else f.type
             raise ConfigError(f"{name} must be of type {kind}, got {value!r}")
         else:
             check_value(name, value, f)
         values[key] = value
+    missing = [f.name for f in fields(cls) if f.name not in values
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{where} lacks required keys {missing}")
     return cls(**values)
 
 
@@ -152,7 +158,7 @@ def load_config(path=None, overrides=()):
             raise ConfigError(f"{path} must contain a mapping")
     for setting in overrides:
         apply_override(document, setting)
-    cfg = asdict(_build(RunConfig, document, ""))
+    cfg = asdict(build_section(RunConfig, document, ""))
     cfg["io"] = {key: p for key, p in cfg["io"].items() if p is not None}
     return cfg
 

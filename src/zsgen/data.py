@@ -9,6 +9,7 @@ Checkpoints (magic ZSCK) hold named arrays plus a JSON metadata blob.
 """
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -20,6 +21,8 @@ from .errors import ConfigError, ParseError
 _MATRIX_MAGIC = b"ZSMX"
 _CHECKPOINT_MAGIC = b"ZSCK"
 _FORMAT_VERSION = 1
+# array dtypes a checkpoint may hold, as numpy dtype strings
+_CHECKPOINT_DTYPES = ("<f8", "<i8")
 
 
 def save_matrix(path, labels, values):
@@ -384,6 +387,9 @@ def save_checkpoint(path, arrays, meta):
         fh.write(struct.pack("<I", len(arrays)))
         for name in sorted(arrays):
             arr = np.ascontiguousarray(arrays[name])
+            if arr.dtype.str not in _CHECKPOINT_DTYPES:
+                raise ConfigError(f"checkpoint array {name!r} has dtype {arr.dtype}, "
+                                  f"not float64 or int64")
             name_b = name.encode("utf-8")
             dtype_b = arr.dtype.str.encode("ascii")
             fh.write(struct.pack("<H", len(name_b)) + name_b)
@@ -391,6 +397,13 @@ def save_checkpoint(path, arrays, meta):
             fh.write(struct.pack("<I", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
             fh.write(arr.tobytes())
+
+
+def _utf8(raw, what, path):
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(f"{what} is not UTF-8", path=path) from None
 
 
 def load_checkpoint(path):
@@ -401,18 +414,30 @@ def load_checkpoint(path):
         version, meta_len = _unpack(fh, "<II", path)
         if version != _FORMAT_VERSION:
             raise ParseError(f"unsupported checkpoint version {version}", path=path)
-        meta = json.loads(_read_exact(fh, meta_len, path).decode("utf-8"))
+        try:
+            meta = json.loads(_utf8(_read_exact(fh, meta_len, path), "metadata", path))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed metadata: {exc}", path=path) from None
+        if not isinstance(meta, dict):
+            raise ParseError("metadata is not a JSON object", path=path)
         (count,) = _unpack(fh, "<I", path)
         arrays = {}
         for _ in range(count):
             (nlen,) = _unpack(fh, "<H", path)
-            name = _read_exact(fh, nlen, path).decode("utf-8")
+            name = _utf8(_read_exact(fh, nlen, path), "array name", path)
             (dlen,) = _unpack(fh, "<H", path)
-            dtype = np.dtype(_read_exact(fh, dlen, path).decode("ascii"))
+            dtype_str = _utf8(_read_exact(fh, dlen, path), "array dtype", path)
+            if dtype_str not in _CHECKPOINT_DTYPES:
+                raise ParseError(f"array {name!r} has unsupported dtype {dtype_str!r}",
+                                 path=path)
+            dtype = np.dtype(dtype_str)
             (ndim,) = _unpack(fh, "<I", path)
             shape = _unpack(fh, f"<{ndim}Q", path)
-            size = int(np.prod(shape)) if ndim else 1
-            arrays[name] = np.frombuffer(
-                _read_exact(fh, size * dtype.itemsize, path), dtype=dtype
-            ).copy().reshape(shape)
+            flat = np.frombuffer(
+                _read_exact(fh, math.prod(shape) * dtype.itemsize, path), dtype=dtype
+            ).copy()
+            try:
+                arrays[name] = flat.reshape(shape)
+            except ValueError:  # too many dimensions, or an index-overflowing empty shape
+                raise ParseError(f"array {name!r} has shape {shape}", path=path) from None
     return arrays, meta

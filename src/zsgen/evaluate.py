@@ -11,7 +11,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import data, metrics
-from .errors import ConfigError
+from .config import build_section
+from .errors import ConfigError, ParseError
 from .gan import (
     Discriminator, DiscriminatorConfig, FeatureScaler, Generator, GeneratorConfig,
 )
@@ -34,14 +35,52 @@ def _mlp_meta(mlp):
     return [{"activation": l.activation, "slope": l.slope} for l in mlp.layers]
 
 
-def _mlp_from(prefix, arrays, meta):
+def _meta_entry(node, key, kind, path):
+    """node[key], which must be of type kind; anything else is a corrupt checkpoint."""
+    if not isinstance(node, dict) or not isinstance(node.get(key), kind):
+        raise ParseError(f"model metadata entry {key!r} is missing or of the wrong type",
+                         path=path)
+    return node[key]
+
+
+def _array(arrays, name, path):
+    if name not in arrays:
+        raise ParseError(f"model checkpoint has no array {name!r}", path=path)
+    return arrays[name]
+
+
+def _mlp_from(prefix, arrays, layer_meta, key, path):
+    specs = _meta_entry(layer_meta, key, list, path)
+    if not specs:
+        raise ParseError(f"model metadata lists no {prefix} layers", path=path)
     layers = []
-    for i, spec in enumerate(meta):
+    for i, spec in enumerate(specs):
         layers.append(Layer(
-            arrays[f"{prefix}.{i}.weight"], arrays[f"{prefix}.{i}.bias"],
-            spec["activation"], spec["slope"],
+            _array(arrays, f"{prefix}.{i}.weight", path),
+            _array(arrays, f"{prefix}.{i}.bias", path),
+            _meta_entry(spec, "activation", str, path),
+            _meta_entry(spec, "slope", (int, float), path),
         ))
     return Mlp(layers)
+
+
+def _check_shapes(gen, disc, scaler):
+    """Raise ConfigError unless every network maps the widths its config names."""
+    g, d = gen.cfg, disc.cfg
+    decode_in = g.reduce_dim + (g.noise_dim if g.noise_mode == "concat" else 0)
+    for name, mlp, dims in [
+        ("gen.reduce", gen.reduce, (g.semantic_dim, g.reduce_dim)),
+        ("gen.decode", gen.decode, (decode_in, g.visual_dim)),
+        ("disc.trunk", disc.trunk, (d.visual_dim, d.hidden_dim)),
+        ("disc.critic", disc.critic, (d.hidden_dim, 1)),
+        ("disc.head", disc.head, (d.hidden_dim, d.num_classes)),
+    ]:
+        if (mlp.in_dim, mlp.out_dim) != dims:
+            raise ConfigError(f"{name} maps {mlp.in_dim} -> {mlp.out_dim}, "
+                              f"its config {dims[0]} -> {dims[1]}")
+    for bound in (scaler.lo, scaler.hi):
+        if bound.shape != (g.visual_dim,) or not np.isfinite(bound).all():
+            raise ConfigError(f"scaler bounds must be {g.visual_dim} finite values")
 
 
 def save_model(path, gen, disc, scaler, class_cols, config_hash=""):
@@ -74,17 +113,34 @@ def load_model(path):
     arrays, meta = data.load_checkpoint(path)
     if meta.get("kind") != CHECKPOINT_KIND:
         raise ConfigError(f"{path} is not a model checkpoint")
-    gen = Generator.__new__(Generator)
-    gen.cfg = GeneratorConfig(**meta["gen_cfg"])
-    gen.reduce = _mlp_from("gen.reduce", arrays, meta["gen_layers"]["reduce"])
-    gen.decode = _mlp_from("gen.decode", arrays, meta["gen_layers"]["decode"])
-    disc = Discriminator.__new__(Discriminator)
-    disc.cfg = DiscriminatorConfig(**meta["disc_cfg"])
-    disc.trunk = _mlp_from("disc.trunk", arrays, meta["disc_layers"]["trunk"])
-    disc.critic = _mlp_from("disc.critic", arrays, meta["disc_layers"]["critic"])
-    disc.head = _mlp_from("disc.head", arrays, meta["disc_layers"]["head"])
-    scaler = FeatureScaler(lo=arrays["scaler.lo"], hi=arrays["scaler.hi"])
-    class_cols = {int(k): v for k, v in meta["class_cols"].items()}
+    gen_layers = _meta_entry(meta, "gen_layers", dict, path)
+    disc_layers = _meta_entry(meta, "disc_layers", dict, path)
+    try:
+        gen = Generator.__new__(Generator)
+        gen.cfg = build_section(GeneratorConfig, _meta_entry(meta, "gen_cfg", dict, path),
+                                "gen_cfg")
+        gen.reduce = _mlp_from("gen.reduce", arrays, gen_layers, "reduce", path)
+        gen.decode = _mlp_from("gen.decode", arrays, gen_layers, "decode", path)
+        disc = Discriminator.__new__(Discriminator)
+        disc.cfg = build_section(DiscriminatorConfig, _meta_entry(meta, "disc_cfg", dict, path),
+                                 "disc_cfg")
+        disc.trunk = _mlp_from("disc.trunk", arrays, disc_layers, "trunk", path)
+        disc.critic = _mlp_from("disc.critic", arrays, disc_layers, "critic", path)
+        disc.head = _mlp_from("disc.head", arrays, disc_layers, "head", path)
+        scaler = FeatureScaler(lo=_array(arrays, "scaler.lo", path),
+                               hi=_array(arrays, "scaler.hi", path))
+        _check_shapes(gen, disc, scaler)
+    except ConfigError as exc:
+        raise ParseError(f"corrupt model checkpoint: {exc}", path=path) from None
+    class_cols = {}
+    for key, col in _meta_entry(meta, "class_cols", dict, path).items():
+        try:
+            class_id = int(key)
+        except ValueError:
+            raise ParseError(f"class_cols key {key!r} is not a class id", path=path) from None
+        if not isinstance(col, int) or not 0 <= col < disc.cfg.num_classes:
+            raise ParseError(f"class_cols value {col!r} is not a logit column", path=path)
+        class_cols[class_id] = col
     return gen, disc, scaler, class_cols, meta
 
 

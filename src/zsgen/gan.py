@@ -119,9 +119,15 @@ class Generator:
         return rng.normal(0.0, self.cfg.noise_sigma, size=(n, self.cfg.noise_dim))
 
     def forward(self, semantics, noise):
+        """Generated rows, one per noise row.
+
+        semantics holds one row per noise row, or a single row that every
+        noise row shares; then the reduce layer runs once. backward needs
+        one semantic row per noise row.
+        """
         semantics = np.asarray(semantics, dtype=np.float64)
         noise = np.asarray(noise, dtype=np.float64)
-        if semantics.shape[0] != noise.shape[0]:
+        if semantics.shape[0] not in (1, noise.shape[0]):
             raise UsageError("semantics and noise batch sizes differ")
         if noise.shape[1] != self.cfg.noise_dim:
             raise UsageError(f"noise dim {noise.shape[1]} != {self.cfg.noise_dim}")
@@ -129,7 +135,7 @@ class Generator:
         if self.cfg.noise_mode == "add":
             h = reduced + noise
         else:
-            h = np.hstack([reduced, noise])
+            h = np.hstack([np.broadcast_to(reduced, (noise.shape[0], reduced.shape[1])), noise])
         out, decode_cache = mlp_forward(self.decode, h)
         return out, (reduce_cache, decode_cache)
 
@@ -457,7 +463,7 @@ def _probe_gacc(gen, dataset, val_x, val_y, cfg, rng, sweep):
     class_ids = np.array(seen + unseen, dtype=np.int64)
     refs, ref_labels = [], []
     for c in class_ids:
-        sem = np.repeat(dataset.semantics_for([c]), cfg.probe_per_class, axis=0)
+        sem = dataset.semantics_for([c])
         refs.append(generate(gen, sem, gen.sample_noise(rng, cfg.probe_per_class)))
         ref_labels.append(np.full(cfg.probe_per_class, c, dtype=np.int64))
     clf = KnnClassifier(np.vstack(refs), np.concatenate(ref_labels), k=cfg.knn_k)

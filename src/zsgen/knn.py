@@ -22,7 +22,12 @@ class KnnClassifier:
             )
 
 
-def _neighbor_labels(clf, queries):
+def _neighbors(clf, queries):
+    """Reference indices of the k nearest neighbors of each query, (n, k).
+
+    Distance ties are broken by reference index: the set is that of a
+    stable sort of the distances, in no particular order.
+    """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.shape[1] != clf.references.shape[1]:
         raise UsageError(
@@ -33,18 +38,34 @@ def _neighbor_labels(clf, queries):
         - 2.0 * queries @ clf.references.T
         + (clf.references * clf.references).sum(axis=1)[None, :]
     )
-    # stable sort: distance ties broken by reference index
-    order = np.argsort(d2, axis=1, kind="stable")[:, : clf.k]
-    return clf.labels[order]
+    near = np.argpartition(d2, clf.k - 1, axis=1)[:, : clf.k]
+    near_d = np.take_along_axis(d2, near, axis=1)
+    kth = near_d.max(axis=1, keepdims=True)
+    # every reference closer than the k-th distance is in near; where more
+    # references sit at exactly that distance than near holds, keep the
+    # lowest-index ones
+    slots = (near_d == kth).sum(axis=1)
+    tied = np.flatnonzero((d2 == kth).sum(axis=1) > slots)
+    if tied.size:
+        at = d2[tied] == kth[tied]
+        keep = (d2[tied] < kth[tied]) | (at & (np.cumsum(at, axis=1) <= slots[tied, None]))
+        near[tied] = np.nonzero(keep)[1].reshape(tied.size, clf.k)
+    return near
 
 
 def _votes(clf, queries, class_ids):
     """Neighbor votes per query for every class in class_ids, shape (n, n_cls)."""
-    neigh = _neighbor_labels(clf, queries)
-    votes = np.zeros((neigh.shape[0], len(class_ids)), dtype=np.int64)
-    for j, c in enumerate(class_ids):
-        votes[:, j] = (neigh == c).sum(axis=1)
-    return votes
+    class_ids = np.asarray(class_ids, dtype=np.int64)
+    n_cls = class_ids.size
+    # column of each reference's class in class_ids; n_cls for a class not listed
+    sorter = np.argsort(class_ids, kind="stable")
+    pos = np.minimum(np.searchsorted(class_ids, clf.labels, sorter=sorter), n_cls - 1)
+    ref_col = np.where(class_ids[sorter[pos]] == clf.labels, sorter[pos], n_cls)
+    cols = ref_col[_neighbors(clf, queries)]
+    n = cols.shape[0]
+    flat = (np.arange(n)[:, None] * (n_cls + 1) + cols).ravel()
+    votes = np.bincount(flat, minlength=n * (n_cls + 1)).reshape(n, n_cls + 1)
+    return votes[:, :n_cls]
 
 
 def knn_scores(clf, queries, class_ids):

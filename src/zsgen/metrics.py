@@ -68,12 +68,13 @@ def predict_labels(scores, class_ids):
     return np.where(tie, class_ids[None, :], big).min(axis=1)
 
 
-def _per_class_accuracy(predicted, labels):
-    classes = np.unique(labels)
-    accs = [
-        float((predicted[labels == c] == c).mean()) for c in classes
-    ]
-    return 100.0 * float(np.mean(accs))
+def _per_class_accuracy(correct, labels):
+    """Mean over the classes in labels of per-class top-1 (%), for every row
+    of correct, an (L, n) hit mask over n samples with these labels; (L,)."""
+    order = np.argsort(labels, kind="stable")
+    _, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
+    hits = np.add.reduceat(correct[:, order], starts, axis=1, dtype=np.int64)
+    return 100.0 * (hits / sizes).mean(axis=1)
 
 
 def top1_per_class(scores, class_ids, labels):
@@ -84,13 +85,52 @@ def top1_per_class(scores, class_ids, labels):
     missing = set(labels.tolist()) - set(np.asarray(class_ids).tolist())
     if missing:
         raise ConfigError(f"labels outside the class set: {sorted(missing)}")
-    return _per_class_accuracy(predict_labels(scores, class_ids), labels)
+    correct = predict_labels(scores, class_ids) == labels
+    return float(_per_class_accuracy(correct[None, :], labels)[0])
 
 
-def _calibrated(sm, lam):
-    adjusted = sm.scores.copy()
-    adjusted[:, sm.seen_count:] += lam
-    return adjusted
+# cap on the temporaries of one chunk of sweep points; a whole evaluation at
+# the acceptance shapes holds about 7 MB of arrays at its peak (the kNN), and
+# the sweep stays under that so it does not raise the peak
+_SWEEP_CHUNK_BYTES = 1 << 20
+
+
+def _by_id(scores, ids):
+    """A column block and its class ids, columns in ascending id order."""
+    order = np.argsort(ids, kind="stable")
+    return scores[:, order], ids[order]
+
+
+def calibrated_predictions(sm, lams):
+    """Calibrated argmax of every row at every sweep point, shape (L, N).
+
+    Row i at point l is predict_labels of the scores with lams[l] added to
+    every unseen column. The seen block does not move, so its maximum and
+    smallest tied id are taken once; only the unseen sums are formed, as
+    adding lambda can round distinct unseen scores to one value and so
+    make ties the plain scores do not have. With columns in id order, the
+    first maximum is the smallest tied id.
+    """
+    lams = np.asarray(lams, dtype=np.float64)
+    s = sm.seen_count
+    seen, seen_ids = _by_id(sm.scores[:, :s], sm.seen_ids)
+    j = seen.argmax(axis=1)
+    seen_max, seen_pred = seen[np.arange(seen.shape[0]), j], seen_ids[j]
+    unseen, unseen_ids = _by_id(sm.scores[:, s:], sm.unseen_ids)
+    n, u = unseen.shape
+    pred = np.empty((lams.size, n), dtype=np.int64)
+    # per sweep point: the n * u sums and four length-n arrays
+    step = max(1, _SWEEP_CHUNK_BYTES // (8 * max(1, n * (u + 4))))
+    for a in range(0, lams.size, step):
+        shifted = unseen[None, :, :] + lams[a:a + step, None, None]
+        j = shifted.argmax(axis=2)
+        best = np.take_along_axis(shifted, j[:, :, None], axis=2)[:, :, 0]
+        ids = unseen_ids[j]
+        pred[a:a + step] = np.where(
+            best > seen_max, ids,
+            np.where(best < seen_max, seen_pred, np.minimum(ids, seen_pred)),
+        )
+    return pred
 
 
 def generalized_accuracy(sm, labels, sweep=None):
@@ -101,11 +141,10 @@ def generalized_accuracy(sm, labels, sweep=None):
     """
     sweep = sweep or CalibrationSweep()
     labels = np.asarray(labels, dtype=np.int64)
-    total = 0.0
     lams = sweep.values()
-    for lam in lams:
-        pred = predict_labels(_calibrated(sm, lam), sm.class_ids)
-        total += float((pred == labels).mean())
+    hits = (calibrated_predictions(sm, lams) == labels).sum(axis=1)
+    # running sum in sweep order: the same float total as adding point by point
+    total = float(np.add.accumulate(hits / labels.size)[-1])
     return 100.0 * total / len(lams)
 
 
@@ -117,19 +156,14 @@ def suc_curve(sm, labels, sweep=None):
     """
     sweep = sweep or CalibrationSweep()
     labels = np.asarray(labels, dtype=np.int64)
-    seen_set = set(sm.seen_ids.tolist())
-    unseen_set = set(sm.unseen_ids.tolist())
-    is_seen = np.isin(labels, list(seen_set))
-    is_unseen = np.isin(labels, list(unseen_set))
+    is_seen = np.isin(labels, sm.seen_ids)
+    is_unseen = np.isin(labels, sm.unseen_ids)
     if not is_seen.any() or not is_unseen.any():
         raise ConfigError("SUC curve needs both seen and unseen test samples")
-    points = set()
-    for lam in sweep.values():
-        pred = predict_labels(_calibrated(sm, lam), sm.class_ids)
-        acc_u = _per_class_accuracy(pred[is_unseen], labels[is_unseen]) / 100.0
-        acc_s = _per_class_accuracy(pred[is_seen], labels[is_seen]) / 100.0
-        points.add((acc_u, acc_s))
-    return sorted(points)
+    correct = calibrated_predictions(sm, sweep.values()) == labels
+    acc_u = _per_class_accuracy(correct[:, is_unseen], labels[is_unseen]) / 100.0
+    acc_s = _per_class_accuracy(correct[:, is_seen], labels[is_seen]) / 100.0
+    return sorted(set(zip(acc_u.tolist(), acc_s.tolist())))
 
 
 def ausuc(points):
@@ -159,8 +193,9 @@ def gzsl_suh(sm, labels):
     is_unseen = np.isin(labels, sm.unseen_ids)
     if not is_seen.any() or not is_unseen.any():
         raise ConfigError("GZSL evaluation needs both seen and unseen test samples")
-    s = _per_class_accuracy(pred[is_seen], labels[is_seen])
-    u = _per_class_accuracy(pred[is_unseen], labels[is_unseen])
+    correct = (pred == labels)[None, :]
+    s = float(_per_class_accuracy(correct[:, is_seen], labels[is_seen])[0])
+    u = float(_per_class_accuracy(correct[:, is_unseen], labels[is_unseen])[0])
     h = 0.0 if s + u == 0.0 else 2.0 * s * u / (s + u)
     return s, u, h
 

@@ -44,8 +44,7 @@ def synthesize_references(gen, class_ids, semantics, per_class, rng):
     """per_class generated feature rows for every class, with labels."""
     refs, labels = [], []
     for c, sem in zip(class_ids, semantics):
-        batch = np.repeat(sem[None, :], per_class, axis=0)
-        refs.append(generate(gen, batch, gen.sample_noise(rng, per_class)))
+        refs.append(generate(gen, sem[None, :], gen.sample_noise(rng, per_class)))
         labels.append(np.full(per_class, c, dtype=np.int64))
     return np.vstack(refs), np.concatenate(labels)
 

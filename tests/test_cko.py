@@ -159,6 +159,14 @@ def test_load_embeddings_bad_float_names_line(tmp_path):
     assert err.value.line == 2
 
 
+def test_load_embeddings_non_utf8_byte_names_path_and_line(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_bytes(b"crow 1.0 2.0\nwren 0.\xff 0.25\n")
+    with pytest.raises(ParseError) as err:
+        load_embeddings(str(path))
+    assert err.value.line == 2 and err.value.path == str(path)
+
+
 def test_load_embeddings_inconsistent_width(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("crow 1.0 2.0\nwren 0.5\n")

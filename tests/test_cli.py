@@ -178,6 +178,23 @@ def test_cko_pipeline(tmp_path):
     np.testing.assert_allclose(norms, 1.0)
 
 
+def test_cko_non_utf8_article_is_clean_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "crow.txt").write_text("black corvid bird")
+    (corpus / "raven.txt").write_bytes(b"large\ncorvid \xff bird\n")
+    emb = tmp_path / "emb.txt"
+    emb.write_text("crow 1.0 0.0\nraven 1.0 0.2\n")
+    cfg = {"cko": {"k": 1, "embeddings": str(emb)}, "io": {
+        "corpus_dir": str(corpus), "overlay_dir": str(tmp_path / "overlay"),
+        "similarity_matrix": str(tmp_path / "sm.txt"),
+        "semantic_vectors": str(tmp_path / "sem.txt"),
+    }}
+    cfg_path = write_config(tmp_path / "cko.yaml", cfg)
+    assert main(["--quiet", "--config", cfg_path, "cko"]) == 1
+    assert f"{corpus / 'raven.txt'}:2: not UTF-8" in capsys.readouterr().err
+
+
 def test_cko_k_zero_overlay_identical_to_input(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zsgen import data, evaluate, gan
-from zsgen.errors import ConfigError, ParseError
+from zsgen.errors import ConfigError, ParseError, ZsgenError
 
 
 def test_matrix_text_round_trip(tmp_path):
@@ -236,3 +236,30 @@ def test_truncated_binary_file_raises_parse_error_naming_path(tmp_path, save, lo
         with pytest.raises(ParseError) as info:
             load(str(cut))
         assert str(cut) in str(info.value), offset
+
+
+@pytest.mark.parametrize("bit", range(8))
+def test_checkpoint_bit_flips_raise_only_zsgen_errors(tmp_path, bit):
+    full = str(tmp_path / "full.ck")
+    _tiny_model_checkpoint(full)
+    blob = open(full, "rb").read()
+    flipped = tmp_path / "flipped.ck"
+    for offset in range(len(blob)):
+        corrupt = bytearray(blob)
+        corrupt[offset] ^= 1 << bit
+        flipped.write_bytes(bytes(corrupt))
+        try:
+            evaluate.load_model(str(flipped))
+        except ZsgenError:
+            pass
+
+
+def test_checkpoint_without_a_required_config_key_names_path(tmp_path):
+    path = str(tmp_path / "model.ck")
+    _tiny_model_checkpoint(path)
+    arrays, meta = data.load_checkpoint(path)
+    del meta["gen_cfg"]["semantic_dim"]
+    data.save_checkpoint(path, arrays, meta)
+    with pytest.raises(ParseError, match="semantic_dim") as info:
+        evaluate.load_model(path)
+    assert path in str(info.value)

@@ -380,6 +380,20 @@ def test_generate_rejects_mismatched_noise():
         generate(gen, rng.normal(size=(2, 6)), rng.normal(size=(2, 3)))
     with pytest.raises(UsageError):
         generate(gen, rng.normal(size=(2, 6)), gen.sample_noise(rng, 3))
+    with pytest.raises(UsageError):
+        generate(gen, rng.normal(size=(3, 6)), gen.sample_noise(rng, 2))
+
+
+@pytest.mark.parametrize("kw", [{}, {"noise_dim": 3, "noise_mode": "concat"}])
+def test_generate_broadcasts_one_semantic_row(kw):
+    rng = np.random.default_rng(7)
+    gen = make_gen(rng, **kw)
+    sem = rng.normal(size=(1, 6))
+    noise = gen.sample_noise(rng, 9)
+    # the reduce layer runs on one row instead of nine: equal up to rounding
+    np.testing.assert_allclose(generate(gen, sem, noise),
+                               generate(gen, np.repeat(sem, 9, axis=0), noise),
+                               rtol=0, atol=1e-12)
 
 
 def test_generate_rejects_non_finite_output():

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from zsgen.errors import ConfigError, UsageError
 from zsgen.metrics import (
-    CalibrationSweep, ScoreMatrix, ausuc, generalized_accuracy, gzsl_suh,
-    predict_labels, retrieval_precision, suc_curve, top1_per_class,
+    CalibrationSweep, ScoreMatrix, ausuc, calibrated_predictions, generalized_accuracy,
+    gzsl_suh, predict_labels, retrieval_precision, suc_curve, top1_per_class,
 )
 
 
@@ -223,3 +223,99 @@ def test_score_matrix_validation():
         ScoreMatrix(np.zeros((1, 3)), np.array([0, 1]), seen_count=1)
     with pytest.raises(ConfigError):
         ScoreMatrix(np.full((1, 2), np.inf), np.array([0, 1]), seen_count=1)
+
+
+# Oracle: the calibration sweep as one argmax over all columns per sweep
+# point, and per-class accuracy as one mean per class.
+
+def _loop_calibrated(sm, lam):
+    adjusted = sm.scores.copy()
+    adjusted[:, sm.seen_count:] += lam
+    return adjusted
+
+
+def _loop_per_class_accuracy(predicted, labels):
+    accs = [float((predicted[labels == c] == c).mean()) for c in np.unique(labels)]
+    return 100.0 * float(np.mean(accs))
+
+
+def _loop_generalized_accuracy(sm, labels, sweep):
+    total = 0.0
+    lams = sweep.values()
+    for lam in lams:
+        pred = predict_labels(_loop_calibrated(sm, lam), sm.class_ids)
+        total += float((pred == labels).mean())
+    return 100.0 * total / len(lams)
+
+
+def _loop_suc_curve(sm, labels, sweep):
+    is_seen = np.isin(labels, sm.seen_ids)
+    is_unseen = np.isin(labels, sm.unseen_ids)
+    points = set()
+    for lam in sweep.values():
+        pred = predict_labels(_loop_calibrated(sm, lam), sm.class_ids)
+        acc_u = _loop_per_class_accuracy(pred[is_unseen], labels[is_unseen]) / 100.0
+        acc_s = _loop_per_class_accuracy(pred[is_seen], labels[is_seen]) / 100.0
+        points.add((acc_u, acc_s))
+    return sorted(points)
+
+
+def _assert_sweep_matches_oracle(sm, labels, sweep=None):
+    sweep = sweep or CalibrationSweep()
+    assert generalized_accuracy(sm, labels, sweep) == _loop_generalized_accuracy(sm, labels, sweep)
+    assert suc_curve(sm, labels, sweep) == _loop_suc_curve(sm, labels, sweep)
+    pred = predict_labels(sm.scores, sm.class_ids)
+    is_seen = np.isin(labels, sm.seen_ids)
+    is_unseen = np.isin(labels, sm.unseen_ids)
+    assert gzsl_suh(sm, labels)[:2] == (
+        _loop_per_class_accuracy(pred[is_seen], labels[is_seen]),
+        _loop_per_class_accuracy(pred[is_unseen], labels[is_unseen]),
+    )
+    assert top1_per_class(sm.scores, sm.class_ids, labels) == (
+        _loop_per_class_accuracy(pred, labels))
+
+
+def test_sweep_matches_oracle_on_random_scores():
+    rng = np.random.default_rng(3)
+    # over 128 classes in the seen group: the per-class mean sums pairwise
+    class_ids = rng.permutation(300)  # unsorted within both blocks
+    scores = rng.normal(0.0, 0.7, size=(700, 300))
+    labels = class_ids[rng.integers(0, 300, size=700)]
+    _assert_sweep_matches_oracle(ScoreMatrix(scores, class_ids, seen_count=160), labels)
+
+
+@pytest.mark.parametrize("k", [1, 3, 20])
+def test_sweep_matches_oracle_on_vote_fractions(k):
+    # vote fractions on the 0.01 sweep grid: exact ties at many points
+    rng = np.random.default_rng(k)
+    class_ids = np.array([0, 2, 4, 6, 8, 1, 3, 5, 7])  # seen and unseen ids interleave
+    votes = rng.multinomial(k, np.full(9, 1.0 / 9), size=200)
+    labels = class_ids[rng.integers(0, 9, size=200)]
+    _assert_sweep_matches_oracle(ScoreMatrix(votes / k, class_ids, seen_count=5), labels)
+
+
+def test_sweep_matches_oracle_on_integer_scores():
+    rng = np.random.default_rng(4)
+    class_ids = np.array([9, 4, 7, 1, 8, 2])
+    scores = rng.integers(-2, 3, size=(150, 6)).astype(np.float64)
+    labels = class_ids[rng.integers(0, 6, size=150)]
+    _assert_sweep_matches_oracle(ScoreMatrix(scores, class_ids, seen_count=3), labels)
+
+
+def test_sweep_matches_oracle_when_adding_lambda_makes_unseen_ties():
+    lams = CalibrationSweep().values()
+    a = 0.1
+    b = np.nextafter(a, 1.0)
+    # a and b one ulp apart, rounded to one value for part of the sweep only
+    merged = (a + lams) == (b + lams)
+    assert merged.any() and not merged.all()
+    # unseen ids 1 (score a) and 3 (score b): b wins row 0 until the sum
+    # rounds both to one value, then the tie goes to the smaller id
+    rows = [[-10.0, a, b], [-10.0, b, a], [a, a, b], [b, b, a]]
+    sm = ScoreMatrix(np.array(rows), np.array([2, 1, 3]), seen_count=1)
+    labels = np.array([3, 1, 2, 3])
+    _assert_sweep_matches_oracle(sm, labels)
+    got = calibrated_predictions(sm, lams)
+    for i, lam in enumerate(lams):
+        assert np.array_equal(got[i], predict_labels(_loop_calibrated(sm, lam), sm.class_ids))
+    assert np.array_equal(got[:, 0], np.where(merged, 1, 3))

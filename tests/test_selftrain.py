@@ -4,7 +4,7 @@ import pytest
 from zsgen import data, evaluate, selftrain
 from zsgen.errors import UsageError
 from zsgen.gan import DiscriminatorConfig, GanTrainConfig, GeneratorConfig, generate
-from zsgen.knn import KnnClassifier, _neighbor_labels, knn_predict_proba, knn_scores
+from zsgen.knn import KnnClassifier, knn_predict_proba, knn_scores
 from zsgen.metrics import CalibrationSweep
 from zsgen.selftrain import (
     PseudoLabelSet, SslConfig, augment_training_set, expand_classifier_head,
@@ -64,6 +64,17 @@ def test_knn_scores_rows_sum_to_one_over_full_class_set():
     np.testing.assert_allclose(scores.sum(axis=1), 1.0)
 
 
+def _neighbor_labels(clf, queries):
+    """Oracle: labels of the k nearest references by a full stable sort."""
+    d2 = (
+        (queries * queries).sum(axis=1)[:, None]
+        - 2.0 * queries @ clf.references.T
+        + (clf.references * clf.references).sum(axis=1)[None, :]
+    )
+    order = np.argsort(d2, axis=1, kind="stable")[:, : clf.k]
+    return clf.labels[order]
+
+
 def _reference_knn_scores(clf, queries, class_ids):
     neigh = _neighbor_labels(clf, queries)
     scores = np.zeros((neigh.shape[0], len(class_ids)))
@@ -80,6 +91,15 @@ def _reference_knn_predict_proba(clf, queries):
     return classes[best], counts[np.arange(len(best)), best] / clf.k
 
 
+def _assert_knn_matches_oracle(clf, queries, class_ids):
+    assert np.array_equal(knn_scores(clf, queries, class_ids),
+                          _reference_knn_scores(clf, queries, class_ids))
+    got_labels, got_conf = knn_predict_proba(clf, queries)
+    want_labels, want_conf = _reference_knn_predict_proba(clf, queries)
+    assert np.array_equal(got_labels, want_labels)
+    assert np.array_equal(got_conf, want_conf)
+
+
 def test_knn_shared_vote_counter_matches_per_function_formulas():
     rng = np.random.default_rng(7)
     for _ in range(500):
@@ -90,12 +110,27 @@ def test_knn_shared_vote_counter_matches_per_function_formulas():
         queries = rng.integers(0, 3, size=(6, 2)).astype(np.float64)
         clf = KnnClassifier(refs, labels, k=int(rng.integers(1, n_refs + 1)))
         class_ids = rng.permutation([2, 5, 7, 11, 13])  # unsorted, 13 never voted
-        assert np.array_equal(knn_scores(clf, queries, class_ids),
-                              _reference_knn_scores(clf, queries, class_ids))
-        got_labels, got_conf = knn_predict_proba(clf, queries)
-        want_labels, want_conf = _reference_knn_predict_proba(clf, queries)
-        assert np.array_equal(got_labels, want_labels)
-        assert np.array_equal(got_conf, want_conf)
+        _assert_knn_matches_oracle(clf, queries, class_ids)
+
+
+def test_knn_partial_selection_matches_full_sort_on_random_points():
+    rng = np.random.default_rng(8)
+    for k in (1, 5, 40):
+        refs = rng.normal(size=(40, 6))
+        labels = rng.choice([3, 1, 9, 4], size=40)
+        clf = KnnClassifier(refs, labels, k=k)  # k == 40 takes every reference
+        _assert_knn_matches_oracle(clf, rng.normal(size=(25, 6)), [9, 1, 4, 3, 6])
+
+
+def test_knn_tie_at_kth_distance_keeps_lowest_reference_indices():
+    # six references at distance 1 from the query, three slots left after
+    # the one closer reference: indices 1, 2 and 3 win over 4, 5 and 6
+    refs = np.array([[0.0], [1.0], [-1.0], [1.0], [-1.0], [1.0], [-1.0], [3.0]])
+    labels = np.array([0, 1, 2, 3, 4, 5, 6, 7])
+    clf = KnnClassifier(refs, labels, k=4)
+    scores = knn_scores(clf, np.array([[0.0]]), labels)
+    assert scores[0].tolist() == [0.25, 0.25, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0]
+    _assert_knn_matches_oracle(clf, np.array([[0.0], [0.5], [2.0]]), [7, 6, 5, 4, 3, 2, 1, 0])
 
 
 def trained_setup(seed=0):
@@ -264,6 +299,8 @@ def test_evaluate_model_synthesizes_one_reference_set(monkeypatch):
     evaluate.evaluate_model(gen, work, CalibrationSweep(), [0.25, 0.5, 1.0],
                             5, 3, rng)
     assert len(calls) == len(work.split.seen) + len(work.split.unseen)
+    # one semantic row per class, shared by its noise rows
+    assert all(args[1].shape[0] == 1 and args[2].shape[0] == 5 for args in calls)
 
 
 def test_evaluate_model_scores_unseen_rows_of_one_reference_draw():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zsgen.errors import ConfigError
+from zsgen.errors import ConfigError, ParseError
 from zsgen.text import (
     encode_corpus, load_stopwords, preprocess, tfidf_fit, tfidf_transform,
 )
@@ -53,6 +53,14 @@ def test_preprocess_filters_stopwords_after_stemming():
 def test_default_stopword_list_loads():
     words = load_stopwords()
     assert "the" in words and "and" in words
+
+
+def test_stopword_file_non_utf8_byte_names_path_and_line(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_bytes(b"the\nan\xff\n")
+    with pytest.raises(ParseError) as err:
+        load_stopwords(str(path))
+    assert err.value.line == 2 and err.value.path == str(path)
 
 
 def test_idf_shared_term():
