@@ -15,6 +15,7 @@ from . import cko as cko_mod
 from . import data, evaluate, gan, metrics, selftrain, text
 from .config import config_hash, load_config
 from .errors import ConfigError, ZsgenError
+from .knn import check_k
 
 
 def _say(args, message):
@@ -106,6 +107,9 @@ def _model_configs(cfg, dataset):
 def cmd_train(args, cfg):
     dataset = _load_dataset(cfg)
     gen_cfg, disc_cfg, train_cfg, ssl_cfg = _model_configs(cfg, dataset)
+    # the unseen-only top-1 of a later evaluate searches the fewest references
+    e = cfg["eval"]
+    check_k("eval.knn_k", e["knn_k"], e["per_class_synthetic"], len(dataset.split.unseen))
     result = selftrain.run_ssl(
         dataset, gen_cfg, disc_cfg, train_cfg, ssl_cfg, cfg["seed"]
     )

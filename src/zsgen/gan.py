@@ -16,9 +16,10 @@ import numpy as np
 from . import metrics
 from .bounds import bounded, check_bounds
 from .errors import ConfigError, UsageError
-from .knn import KnnClassifier, knn_scores
+from .knn import KnnClassifier, check_k, knn_scores
 from .nn import (
     AdamState, activate_grad, adam_step, init_mlp, mlp_backward, mlp_forward,
+    pack, unflatten,
 )
 
 
@@ -108,6 +109,10 @@ class Generator:
     def params(self):
         return self.reduce.param_arrays() + self.decode.param_arrays()
 
+    def pack(self):
+        """Move the parameters into one flat vector (see nn.pack); returns it."""
+        return pack([self.reduce, self.decode])
+
     def copy(self):
         out = Generator.__new__(Generator)
         out.cfg = replace(self.cfg)
@@ -118,38 +123,57 @@ class Generator:
     def sample_noise(self, rng, n):
         return rng.normal(0.0, self.cfg.noise_sigma, size=(n, self.cfg.noise_dim))
 
-    def forward(self, semantics, noise):
+    def forward(self, semantics, noise, classes=None):
         """Generated rows, one per noise row.
 
-        semantics holds one row per noise row, or a single row that every
-        noise row shares; then the reduce layer runs once. backward needs
-        one semantic row per noise row.
+        Noise row i is generated from semantic row classes[i], so the reduce
+        layer runs once per semantic row, however many noise rows share it.
+        By default noise row i uses semantic row i, or the only one.
         """
         semantics = np.asarray(semantics, dtype=np.float64)
         noise = np.asarray(noise, dtype=np.float64)
-        if semantics.shape[0] not in (1, noise.shape[0]):
-            raise UsageError("semantics and noise batch sizes differ")
+        n_sem, n = semantics.shape[0], noise.shape[0]
+        if classes is None:
+            if n_sem not in (1, n):
+                raise UsageError("semantics and noise batch sizes differ")
+            classes = np.zeros(n, dtype=np.int64) if n_sem == 1 else np.arange(n)
+        else:
+            classes = np.asarray(classes, dtype=np.int64)
+            if classes.shape != (n,) or (n and not 0 <= classes.min() <= classes.max() < n_sem):
+                raise UsageError("need one semantic row index per noise row")
         if noise.shape[1] != self.cfg.noise_dim:
             raise UsageError(f"noise dim {noise.shape[1]} != {self.cfg.noise_dim}")
         reduced, reduce_cache = mlp_forward(self.reduce, semantics)
         if self.cfg.noise_mode == "add":
-            h = reduced + noise
+            h = reduced[classes]
+            h += noise
         else:
-            h = np.hstack([np.broadcast_to(reduced, (noise.shape[0], reduced.shape[1])), noise])
+            h = np.concatenate([reduced[classes], noise], axis=1)
         out, decode_cache = mlp_forward(self.decode, h)
-        return out, (reduce_cache, decode_cache)
+        return out, (reduce_cache, decode_cache, classes)
 
-    def backward(self, cache, d_out):
-        reduce_cache, decode_cache = cache
-        decode_grads, d_h = mlp_backward(self.decode, decode_cache, d_out)
-        d_reduced = d_h if self.cfg.noise_mode == "add" else d_h[:, : self.cfg.reduce_dim]
-        reduce_grads, d_sem = mlp_backward(self.reduce, reduce_cache, d_reduced)
-        return reduce_grads + decode_grads, d_sem
+    def backward(self, cache, d_out, grads=None):
+        """Parameter gradients in params() order, written into grads when given.
+
+        The reduce layer's upstream gradient is d_reduced summed per semantic
+        row; the gradient in the semantics is not formed.
+        """
+        reduce_cache, decode_cache, classes = cache
+        n_reduce = 2 * len(self.reduce.layers)
+        parts = (None, None) if grads is None else (grads[:n_reduce], grads[n_reduce:])
+        decode_grads, d_h = mlp_backward(self.decode, decode_cache, d_out, parts[1])
+        # d_reduced summed per semantic row, as a one-hot product
+        one_hot = np.zeros((reduce_cache[0][0].shape[0], classes.size))
+        one_hot[classes, np.arange(classes.size)] = 1.0
+        d_rows = one_hot @ d_h[:, :self.cfg.reduce_dim]
+        reduce_grads, _ = mlp_backward(self.reduce, reduce_cache, d_rows, parts[0],
+                                       input_grad=False)
+        return reduce_grads + decode_grads
 
 
-def generate(gen, semantics, noise):
+def generate(gen, semantics, noise, classes=None):
     """Synthesize visual features; plain forward pass, no cache."""
-    out, _ = gen.forward(semantics, noise)
+    out, _ = gen.forward(semantics, noise, classes)
     if not np.isfinite(out).all():
         raise UsageError("non-finite values in generated features")
     return out
@@ -165,6 +189,10 @@ class Discriminator:
     def params(self):
         return self.trunk.param_arrays() + self.critic.param_arrays() + self.head.param_arrays()
 
+    def pack(self):
+        """Move the parameters into one flat vector (see nn.pack); returns it."""
+        return pack([self.trunk, self.critic, self.head])
+
     def copy(self):
         out = Discriminator.__new__(Discriminator)
         out.cfg = replace(self.cfg)
@@ -179,12 +207,22 @@ class Discriminator:
         logits, head_cache = mlp_forward(self.head, h)
         return critic_out[:, 0], logits, (trunk_cache, critic_cache, head_cache)
 
-    def backward(self, cache, d_critic, d_logits):
+    def backward(self, cache, d_critic, d_logits, grads=None, param_grads=True,
+                 input_grad=True):
+        """(parameter gradients in params() order, d_x), as mlp_backward:
+        written into grads when given, and None for what is skipped."""
         trunk_cache, critic_cache, head_cache = cache
-        critic_grads, d_h1 = mlp_backward(self.critic, critic_cache, d_critic[:, None])
-        head_grads, d_h2 = mlp_backward(self.head, head_cache, d_logits)
-        trunk_grads, d_x = mlp_backward(self.trunk, trunk_cache, d_h1 + d_h2)
-        return trunk_grads + critic_grads + head_grads, d_x
+        n_trunk = 2 * len(self.trunk.layers)
+        parts = ((None,) * 3 if grads is None else
+                 (grads[:n_trunk], grads[n_trunk:n_trunk + 2], grads[n_trunk + 2:]))
+        critic_grads, d_h = mlp_backward(self.critic, critic_cache, d_critic[:, None],
+                                         parts[1], param_grads)
+        head_grads, d_head = mlp_backward(self.head, head_cache, d_logits,
+                                          parts[2], param_grads)
+        d_h += d_head
+        trunk_grads, d_x = mlp_backward(self.trunk, trunk_cache, d_h, parts[0],
+                                        param_grads, input_grad)
+        return (trunk_grads + critic_grads + head_grads if param_grads else None), d_x
 
 
 def _safe_unit(diff, dist):
@@ -301,8 +339,9 @@ def critic_input_gradient(disc, x):
     return t, stages  # t == d critic / d x, per row
 
 
-def gradient_penalty_grads(disc, x_hat):
-    """Value and discriminator-parameter gradients of the unit-gradient penalty.
+def gradient_penalty_grads(disc, x_hat, grads, scale=1.0):
+    """Value of the unit-gradient penalty; adds scale times its gradients in
+    the discriminator parameters to grads (aligned with disc.params()).
 
     Penalty = mean over interpolates of (||grad_x critic|| - 1)^2. With
     piecewise-linear trunk activations the activation masks carry no
@@ -312,20 +351,22 @@ def gradient_penalty_grads(disc, x_hat):
     n = x_hat.shape[0]
     norms = np.linalg.norm(g, axis=1)
     penalty = float(((norms - 1.0) ** 2).mean())
-    z = (2.0 / n) * _safe_unit(g, norms) * (norms - 1.0)[:, None]
+    d_t = (2.0 * scale / n) * _safe_unit(g, norms) * (norms - 1.0)[:, None]
 
-    grads = [np.zeros_like(p) for p in disc.params()]
-    trunk_n = len(disc.trunk.layers)
-    d_t = z
     # walk the chain back up: trunk layer 1 was applied last
     for i, (t_before, masked, mask, layer) in enumerate(reversed(stages)):
-        layer_idx = i  # trunk layer index, bottom-up
-        grads[2 * layer_idx] += d_t.T @ masked  # (in, out) weight gradient
+        grads[2 * i] += d_t.T @ masked  # (in, out) weight gradient, bottom-up
         d_masked = d_t @ layer.weight
         d_t = d_masked * mask
     # critic head weight: chain input was its weight column broadcast per row
-    grads[2 * trunk_n] += d_t.sum(axis=0)[:, None]
-    return penalty, grads
+    grads[2 * len(disc.trunk.layers)] += d_t.sum(axis=0)[:, None]
+    return penalty
+
+
+def _flat_grads(params, out):
+    """out (or a new vector) laid out like params, and its per-array views."""
+    flat = np.empty(sum(p.size for p in params)) if out is None else out
+    return flat, unflatten(flat, [p.shape for p in params])
 
 
 def discriminator_loss(disc, real_x, fake_x, labels, gp_weight, rng=None, eps=None):
@@ -334,27 +375,29 @@ def discriminator_loss(disc, real_x, fake_x, labels, gp_weight, rng=None, eps=No
     return loss
 
 
-def discriminator_loss_grads(disc, real_x, fake_x, labels, gp_weight, rng=None, eps=None):
+def discriminator_loss_grads(disc, real_x, fake_x, labels, gp_weight, rng=None, eps=None,
+                             out=None):
     """Critic gap + gradient penalty + averaged classification losses,
-    with gradients in the discriminator parameters."""
+    with gradients in the discriminator parameters.
+
+    The real and fake batches run as one stacked pass: the cross-entropy
+    over both is the mean of the two batch losses. Returns (loss, grads)
+    with grads one flat vector in the layout of disc.params(), written into
+    out when it is given.
+    """
     real_x = np.asarray(real_x, dtype=np.float64)
     fake_x = np.asarray(fake_x, dtype=np.float64)
     if real_x.shape != fake_x.shape:
         raise UsageError("real and fake batches must have identical shapes")
     n = real_x.shape[0]
 
-    critic_r, logits_r, cache_r = disc.forward(real_x)
-    critic_f, logits_f, cache_f = disc.forward(fake_x)
-    ce_real, d_logits_r = softmax_cross_entropy(logits_r, labels)
-    ce_fake, d_logits_f = softmax_cross_entropy(logits_f, labels)
-
-    loss = (
-        float(np.mean(critic_f)) - float(np.mean(critic_r))
-        + 0.5 * (ce_fake + ce_real)
-    )
-    grads_f, _ = disc.backward(cache_f, np.full(n, 1.0 / n), 0.5 * d_logits_f)
-    grads_r, _ = disc.backward(cache_r, np.full(n, -1.0 / n), 0.5 * d_logits_r)
-    grads = [a + b for a, b in zip(grads_f, grads_r)]
+    critic, logits, cache = disc.forward(np.concatenate([real_x, fake_x]))
+    ce, d_logits = softmax_cross_entropy(logits, np.tile(labels, 2))
+    loss = float(np.mean(critic[n:])) - float(np.mean(critic[:n])) + ce
+    d_critic = np.full(2 * n, 1.0 / n)
+    d_critic[:n] = -1.0 / n
+    flat, grads = _flat_grads(disc.params(), out)
+    disc.backward(cache, d_critic, d_logits, grads, input_grad=False)
 
     if gp_weight != 0.0:
         if eps is None:
@@ -362,32 +405,35 @@ def discriminator_loss_grads(disc, real_x, fake_x, labels, gp_weight, rng=None, 
                 raise UsageError("gradient penalty needs rng or explicit eps")
             eps = rng.uniform(0.0, 1.0, size=(n, 1))
         x_hat = eps * real_x + (1.0 - eps) * fake_x
-        penalty, gp_grads = gradient_penalty_grads(disc, x_hat)
-        loss += gp_weight * penalty
-        grads = [a + gp_weight * b for a, b in zip(grads, gp_grads)]
-    return loss, grads
+        loss += gp_weight * gradient_penalty_grads(disc, x_hat, grads, gp_weight)
+    return loss, flat
 
 
 def generator_loss_grads(gen, disc, semantics, noise, labels,
-                         pos_feats, neg_feats, cfg):
+                         pos_feats, neg_feats, cfg, classes=None, out=None):
     """Generator loss with its gradients in the generator parameters.
 
     The loss is the part that depends on the generator: the negated mean
     critic score of the generated batch, half its classification loss, and
-    the weighted triplet term. pos_feats / neg_feats are (m, n_pos, d) /
-    (m, n_neg, d) real samples matched to each batch row's class.
+    the weighted triplet term. semantics and classes are as in
+    Generator.forward; pos_feats / neg_feats are (m, n_pos, d) /
+    (m, n_neg, d) real samples matched to each batch row's class. Returns
+    (loss, triplet, grads) with grads one flat vector in the layout of
+    gen.params(), written into out when it is given.
     """
-    fake_x, gen_cache = gen.forward(semantics, noise)
+    fake_x, gen_cache = gen.forward(semantics, noise, classes)
     critic_f, logits_f, disc_cache = disc.forward(fake_x)
 
     n = fake_x.shape[0]
     ce_fake, d_logits_f = softmax_cross_entropy(logits_f, labels)
     trip, d_trip = triplet_loss_grad(fake_x, pos_feats, neg_feats, cfg.margin)
     loss = -float(np.mean(critic_f)) + 0.5 * ce_fake + cfg.lambda_t * trip
-    _, d_fake = disc.backward(disc_cache, np.full(n, -1.0 / n), 0.5 * d_logits_f)
+    _, d_fake = disc.backward(disc_cache, np.full(n, -1.0 / n), 0.5 * d_logits_f,
+                              param_grads=False)
     d_fake += cfg.lambda_t * d_trip
-    grads, _ = gen.backward(gen_cache, d_fake)
-    return loss, trip, grads
+    flat, grads = _flat_grads(gen.params(), out)
+    gen.backward(gen_cache, d_fake, grads)
+    return loss, trip, flat
 
 
 @dataclass
@@ -494,14 +540,19 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng,
     fit_idx = np.flatnonzero(fit_mask)
     fit_x, fit_y = train_x[fit_idx], train_y[fit_idx]
     val_x, val_y = train_x[val_idx], train_y[val_idx]
+    if cfg.eval_every and cfg.n_step >= cfg.eval_every and val_idx.size:
+        check_k("gan.knn_k", cfg.knn_k, cfg.probe_per_class,
+                len(dataset.split.seen) + len(dataset.split.unseen))
     sampler = TripletSampler(fit_y)
     # per class of the fit rows: its semantic vector and its logit column
     sem_of_class = dataset.semantics_for(sampler.classes)
     col_of_class = np.array([class_cols[int(c)] for c in sampler.classes])
 
+    gen_params, disc_params = gen.pack(), disc.pack()
+    gen_grads, disc_grads = np.empty_like(gen_params), np.empty_like(disc_params)
     rates = dict(alpha=cfg.alpha, beta1=cfg.beta1, beta2=cfg.beta2)
-    gen_adam = AdamState.for_params(gen.params(), **rates)
-    disc_adam = AdamState.for_params(disc.params(), **rates)
+    gen_adam = AdamState.for_params(gen_params, **rates)
+    disc_adam = AdamState.for_params(disc_params, **rates)
 
     best = TrainResult(gen.copy(), disc.copy(), [], [], float("-inf"))
     log_lines, history = [], []
@@ -512,24 +563,25 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng,
         for _ in range(cfg.n_d):
             idx = rng.integers(0, fit_x.shape[0], size=m)
             k = sampler.class_of_row[idx]
-            fake = generate(gen, sem_of_class[k], gen.sample_noise(rng, m))
-            last_ld, grads = discriminator_loss_grads(
-                disc, fit_x[idx], fake, col_of_class[k], cfg.gp_weight, rng=rng
+            fake = generate(gen, sem_of_class, gen.sample_noise(rng, m), k)
+            last_ld, _ = discriminator_loss_grads(
+                disc, fit_x[idx], fake, col_of_class[k], cfg.gp_weight, rng=rng,
+                out=disc_grads,
             )
             if not math.isfinite(last_ld):
                 raise UsageError(f"non-finite discriminator loss at step {step}")
-            adam_step(disc.params(), grads, disc_adam)
+            adam_step(disc_params, disc_grads, disc_adam)
 
         idx = rng.integers(0, fit_x.shape[0], size=m)
         k = sampler.class_of_row[idx]
         pos, neg = sampler.draw(rng, idx, cfg.n_pos, cfg.n_neg)
-        lg, trip, grads = generator_loss_grads(
-            gen, disc, sem_of_class[k], gen.sample_noise(rng, m), col_of_class[k],
-            fit_x[pos], fit_x[neg], cfg
+        lg, trip, _ = generator_loss_grads(
+            gen, disc, sem_of_class, gen.sample_noise(rng, m), col_of_class[k],
+            fit_x[pos], fit_x[neg], cfg, classes=k, out=gen_grads,
         )
         if not math.isfinite(lg):
             raise UsageError(f"non-finite generator loss at step {step}")
-        adam_step(gen.params(), grads, gen_adam)
+        adam_step(gen_params, gen_grads, gen_adam)
 
         if cfg.eval_every > 0 and step % cfg.eval_every == 0 and val_x.shape[0] > 0:
             gacc = _probe_gacc(gen, dataset, val_x, val_y, cfg, rng, sweep)

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import ConfigError, UsageError
 
 
 @dataclass
@@ -20,6 +20,16 @@ class KnnClassifier:
             raise UsageError(
                 f"need at least k={self.k} reference points, got {self.references.shape[0]}"
             )
+
+
+def check_k(key, k, per_class, n_classes):
+    """ConfigError naming config key `key` unless k fits the per_class x
+    n_classes synthetic references it will search."""
+    if k > per_class * n_classes:
+        raise ConfigError(
+            f"{key}={k} exceeds the {per_class * n_classes} reference points it "
+            f"searches ({per_class} per class x {n_classes} classes)"
+        )
 
 
 def _neighbors(clf, queries):

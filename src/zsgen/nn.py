@@ -1,12 +1,15 @@
 """Dense MLP substrate: layers, forward/backward, Adam, gradient checking.
 
 Everything is float64 numpy. Batches are row-major: one sample per row.
-The backward pass returns gradients shaped exactly like the parameters,
-so Adam and the finite-difference checker can treat a network as a flat
-list of arrays.
+The backward pass returns gradients shaped exactly like the parameters, in
+param_arrays order. `pack` moves a network's parameters into one contiguous
+vector that its layers view; a gradient vector of the same layout (views
+from `unflatten`) takes the backward's output, and Adam updates the whole
+vector at once.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,6 +102,37 @@ class Mlp:
         ])
 
 
+def unflatten(flat, shapes):
+    """Views of flat with the given shapes, laid end to end from its start."""
+    sizes = [math.prod(shape) for shape in shapes]
+    if sum(sizes) != flat.size:
+        raise UsageError(f"a flat vector of {flat.size} entries cannot hold {sum(sizes)}")
+    views, at = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(flat[at:at + size].reshape(shape))
+        at += size
+    return views
+
+
+def pack(mlps):
+    """Move every weight and bias of mlps into one new contiguous float64
+    vector, in param_arrays order, and leave views of it in the layers.
+
+    Returns the vector. Layers are copied one at a time, so no more than one
+    layer's parameters are held twice.
+    """
+    layers = [layer for mlp in mlps for layer in mlp.layers]
+    shapes = [s for l in layers for s in (l.weight.shape, l.bias.shape)]
+    flat = np.empty(sum(l.weight.size + l.bias.size for l in layers))
+    views = iter(unflatten(flat, shapes))
+    for layer in layers:
+        for name in ("weight", "bias"):
+            view = next(views)
+            view[...] = getattr(layer, name)
+            setattr(layer, name, view)
+    return flat
+
+
 def glorot_init(rng, fan_in, fan_out):
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -143,11 +177,14 @@ def mlp_forward(mlp, x):
     return h, cache
 
 
-def mlp_backward(mlp, cache, d_out):
+def mlp_backward(mlp, cache, d_out, grads=None, param_grads=True, input_grad=True):
     """Backpropagate an upstream gradient through the network.
 
-    Returns (grads, d_input) where grads is a flat list aligned with
-    mlp.param_arrays().
+    Returns (grads, d_input) where grads is a list aligned with
+    mlp.param_arrays(). The gradients are written into `grads` when it is
+    given (views of a flat gradient, say). param_grads=False skips them and
+    input_grad=False skips the first layer's input gradient; what is
+    skipped comes back as None.
     """
     if len(cache) != len(mlp.layers):
         raise UsageError("cache does not match network depth")
@@ -156,7 +193,10 @@ def mlp_backward(mlp, cache, d_out):
         raise UsageError(
             f"upstream gradient shape {d_out.shape} does not match output"
         )
-    grads = [None] * (2 * len(mlp.layers))
+    if not param_grads:
+        grads = None
+    elif grads is None:
+        grads = [np.empty_like(p) for p in mlp.param_arrays()]
     d_h = d_out
     for i in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[i]
@@ -164,9 +204,10 @@ def mlp_backward(mlp, cache, d_out):
         if h_in.shape[1] != layer.weight.shape[0]:
             raise UsageError("stale cache: layer input dim changed")
         d_z = d_h * activate_grad(layer.activation, z, layer.slope)
-        grads[2 * i] = h_in.T @ d_z
-        grads[2 * i + 1] = d_z.sum(axis=0)
-        d_h = d_z @ layer.weight.T
+        if param_grads:
+            np.matmul(h_in.T, d_z, out=grads[2 * i])
+            np.sum(d_z, axis=0, out=grads[2 * i + 1])
+        d_h = d_z @ layer.weight.T if i or input_grad else None
     return grads, d_h
 
 
@@ -177,37 +218,40 @@ class AdamState:
     beta2: float = bounded(0.9, ge=0, lt=1)
     epsilon: float = 1e-8
     t: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray = None   # moments, shaped like the flat parameter vector
+    v: np.ndarray = None
 
     __post_init__ = check_bounds
 
     @classmethod
     def for_params(cls, params, **settings):
-        """Zero moments for each parameter array; settings are the rates."""
-        return cls(**settings, m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+        """Zero moments for a flat parameter vector; settings are the rates."""
+        return cls(**settings, m=np.zeros_like(params), v=np.zeros_like(params))
+
+
+# entries per Adam work chunk: two 512 KiB buffers, whatever the network size
+ADAM_CHUNK = 1 << 16
 
 
 def adam_step(params, grads, state):
-    """One bias-corrected Adam update, in place on the parameter arrays.
+    """One bias-corrected Adam update, in place on a flat parameter vector.
 
     m_hat = m / (1 - b1^t), v_hat = v / (1 - b2^t) and
     p -= alpha * m_hat / (sqrt(v_hat) + epsilon), operation for operation.
-    Intermediates go to two work buffers as long as the largest parameter,
-    allocated once per call and not held between calls.
+    The vector is updated ADAM_CHUNK entries at a time, with intermediates
+    in two work buffers of one chunk, allocated once per call.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise UsageError("parameter/gradient/state lengths differ")
+    if params.ndim != 1 or grads.shape != params.shape or state.m.shape != params.shape:
+        raise UsageError(f"parameter {params.shape}, gradient {grads.shape} and "
+                         f"moment {state.m.shape} vectors differ")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
-    work = np.empty((2, max((p.size for p in params), default=0)))
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise UsageError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        a = work[0, :p.size].reshape(p.shape)
-        b = work[1, :p.size].reshape(p.shape)
+    work = np.empty((2, min(params.size, ADAM_CHUNK)))
+    for lo in range(0, params.size, ADAM_CHUNK):
+        p, g = params[lo:lo + ADAM_CHUNK], grads[lo:lo + ADAM_CHUNK]
+        m, v = state.m[lo:lo + ADAM_CHUNK], state.v[lo:lo + ADAM_CHUNK]
+        a, b = work[0, :p.size], work[1, :p.size]
         m *= b1
         m += np.multiply(g, 1.0 - b1, out=a)
         v *= b2

@@ -15,7 +15,7 @@ from .bounds import bounded, check_bounds
 from .data import TRAIN, ZslDataset
 from .errors import UsageError
 from .gan import Discriminator, FeatureScaler, Generator, generate, train_gan
-from .knn import KnnClassifier, knn_predict_proba, knn_scores
+from .knn import KnnClassifier, check_k, knn_predict_proba, knn_scores
 from .nn import glorot_init
 
 
@@ -175,6 +175,8 @@ def prepare_models(dataset, gen_cfg, disc_cfg, rng):
 
 def run_ssl(dataset, gen_cfg, disc_cfg, train_cfg, ssl_cfg, seed):
     """Full outer loop: (train -> pseudo-label -> augment -> widen head) x n_ssl."""
+    check_k("ssl.knn_k", ssl_cfg.knn_k, ssl_cfg.per_class_synthetic,
+            len(dataset.split.unseen))
     rng = np.random.default_rng(seed)
     work, scaler, gen, disc, class_cols = prepare_models(
         dataset, gen_cfg, disc_cfg, rng

@@ -58,10 +58,12 @@ def _toy_models(rng, n_classes=3, visual_dim=4):
 
 
 def check_generator_loss(rng):
-    """Full generator loss against central differences, fixed discriminator."""
+    """Full generator loss against central differences, fixed discriminator;
+    two batch rows share a semantic row, as a class does in training."""
     gen, disc = _toy_models(rng)
     m = 3
-    sem = rng.normal(size=(m, gen.cfg.semantic_dim))
+    sem = rng.normal(size=(m - 1, gen.cfg.semantic_dim))
+    classes = np.minimum(np.arange(m), m - 2)
     noise = gen.sample_noise(rng, m)
     labels = rng.integers(0, disc.cfg.num_classes, size=m)
     pos = rng.normal(size=(m, 2, gen.cfg.visual_dim))
@@ -70,11 +72,11 @@ def check_generator_loss(rng):
 
     def f():
         loss, _, grads = generator_loss_grads(
-            gen, disc, sem, noise, labels, pos, neg, cfg
+            gen, disc, sem, noise, labels, pos, neg, cfg, classes=classes
         )
-        return loss, grads
+        return loss, [grads]
 
-    return gradient_check(f, gen.params())
+    return gradient_check(f, [gen.pack()])
 
 
 def check_discriminator_loss(rng, gp_weight=0.0):
@@ -87,9 +89,10 @@ def check_discriminator_loss(rng, gp_weight=0.0):
     eps = rng.uniform(0.0, 1.0, size=(m, 1))
 
     def f():
-        return discriminator_loss_grads(disc, real, fake, labels, gp_weight, eps=eps)
+        loss, grads = discriminator_loss_grads(disc, real, fake, labels, gp_weight, eps=eps)
+        return loss, [grads]
 
-    return gradient_check(f, disc.params())
+    return gradient_check(f, [disc.pack()])
 
 
 def run_gradient_checks(seed=0, n_seeds=20):

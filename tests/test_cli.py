@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from zsgen import data
+from zsgen import data, gan
 from zsgen.cli import main
 from zsgen.config import config_hash, load_config
 from zsgen.errors import ConfigError
@@ -277,3 +277,18 @@ def test_malformed_config_file_names_path_and_line(tmp_path):
 def test_malformed_override_names_the_key():
     with pytest.raises(ConfigError, match=r"gan\.n_step=\[1.*malformed YAML"):
         load_config(None, ["gan.n_step=[1"])
+
+
+@pytest.mark.parametrize("setting", ["eval.knn_k=11", "ssl.knn_k=11", "gan.knn_k=26"])
+def test_train_rejects_k_above_reference_count_before_training(tmp_path, capsys,
+                                                               monkeypatch, setting):
+    # 5 refs x 2 unseen classes = 10 for ssl and eval; 5 x 5 classes = 25 for the probe
+    calls = []
+    monkeypatch.setattr(gan, "discriminator_loss_grads",
+                        lambda *a, **k: calls.append(1))
+    out = tmp_path / "ds"
+    assert main(synth_args(out)) == 0
+    cfg_path = write_config(tmp_path / "run.yaml", tiny_run_config(tmp_path, out))
+    assert main(["--quiet", "--config", cfg_path, "--set", setting, "train"]) == 1
+    assert setting.split("=")[0] in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "model.ck").exists()

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from zsgen.errors import ConfigError, UsageError
 from zsgen.gan import (
     Discriminator, DiscriminatorConfig, GanTrainConfig, Generator,
-    GeneratorConfig, TripletSampler, discriminator_loss, generate,
-    generator_loss_grads, softmax_cross_entropy, triplet_loss, triplet_loss_grad,
+    GeneratorConfig, TripletSampler, discriminator_loss, discriminator_loss_grads,
+    generate, generator_loss_grads, gradient_penalty_grads, softmax_cross_entropy,
+    triplet_loss, triplet_loss_grad,
 )
-from zsgen.nn import Layer, Mlp
+from zsgen.nn import Layer, Mlp, mlp_backward, mlp_forward
 
 
 def reference_triplet(synthetic, positives, negatives, margin):
@@ -415,3 +416,111 @@ def test_concat_noise_mode():
     gen = Generator(cfg, rng)
     out = generate(gen, rng.normal(size=(2, 6)), gen.sample_noise(rng, 2))
     assert out.shape == (2, 4)
+
+
+def two_pass_discriminator_loss_grads(disc, real_x, fake_x, labels, gp_weight, eps):
+    """The separate real and fake passes that the stacked critic pass replaced,
+    kept as its oracle: loss and gradients as a list aligned with disc.params()."""
+    n = real_x.shape[0]
+    critic_r, logits_r, cache_r = disc.forward(real_x)
+    critic_f, logits_f, cache_f = disc.forward(fake_x)
+    ce_real, d_logits_r = softmax_cross_entropy(logits_r, labels)
+    ce_fake, d_logits_f = softmax_cross_entropy(logits_f, labels)
+    loss = float(np.mean(critic_f)) - float(np.mean(critic_r)) + 0.5 * (ce_fake + ce_real)
+    grads_f, _ = disc.backward(cache_f, np.full(n, 1.0 / n), 0.5 * d_logits_f)
+    grads_r, _ = disc.backward(cache_r, np.full(n, -1.0 / n), 0.5 * d_logits_r)
+    grads = [a + b for a, b in zip(grads_f, grads_r)]
+    if gp_weight != 0.0:
+        gp_grads = [np.zeros_like(p) for p in disc.params()]
+        penalty = gradient_penalty_grads(disc, eps * real_x + (1.0 - eps) * fake_x, gp_grads)
+        loss += gp_weight * penalty
+        grads = [a + gp_weight * b for a, b in zip(grads, gp_grads)]
+    return loss, grads
+
+
+def assert_rel_close(got, ref, rel=1e-12):
+    """max |got - ref| within rel of max |ref|, over a flat vector or a list."""
+    got = np.concatenate([np.ravel(g) for g in got]) if isinstance(got, list) else got
+    ref = np.concatenate([np.ravel(r) for r in ref]) if isinstance(ref, list) else ref
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= rel * np.abs(ref).max(), np.abs(got - ref).max()
+
+
+@pytest.mark.parametrize("m", [1, 7])
+@pytest.mark.parametrize("gp_weight", [0.0, 10.0])
+def test_stacked_critic_pass_matches_two_pass_oracle(m, gp_weight):
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        disc = make_disc(rng, visual_dim=6, hidden=9, num_classes=4)
+        real = rng.uniform(-0.9, 0.9, size=(m, 6))
+        fake = rng.uniform(-0.9, 0.9, size=(m, 6))
+        labels = rng.integers(0, 4, size=m)
+        eps = rng.uniform(0.0, 1.0, size=(m, 1))
+        ref_loss, ref_grads = two_pass_discriminator_loss_grads(
+            disc, real, fake, labels, gp_weight, eps)
+        out = np.full(sum(p.size for p in disc.params()), np.nan)
+        loss, grads = discriminator_loss_grads(disc, real, fake, labels, gp_weight,
+                                               eps=eps, out=out)
+        assert grads is out
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert_rel_close(grads, ref_grads)
+
+
+def test_critic_backward_without_parameter_gradients_gives_same_input_gradient():
+    rng = np.random.default_rng(12)
+    disc = make_disc(rng, visual_dim=5, hidden=8, num_classes=3)
+    x = rng.normal(size=(6, 5))
+    _, logits, cache = disc.forward(x)
+    d_critic, d_logits = rng.normal(size=6), rng.normal(size=logits.shape)
+    grads, d_x = disc.backward(cache, d_critic, d_logits)
+    assert len(grads) == len(disc.params())
+    skipped, d_x_only = disc.backward(cache, d_critic, d_logits, param_grads=False)
+    assert skipped is None and d_x_only.tobytes() == d_x.tobytes()
+    _, no_input = disc.backward(cache, d_critic, d_logits, input_grad=False)
+    assert no_input is None
+
+
+def per_row_generator_pass(gen, semantics, noise, d_out):
+    """The per-row forward and backward that the per-class reduce replaced,
+    kept as its oracle: output and gradients in gen.params() order."""
+    reduced, reduce_cache = mlp_forward(gen.reduce, semantics)
+    h = reduced + noise if gen.cfg.noise_mode == "add" else np.hstack([reduced, noise])
+    out, decode_cache = mlp_forward(gen.decode, h)
+    decode_grads, d_h = mlp_backward(gen.decode, decode_cache, d_out)
+    reduce_grads, _ = mlp_backward(gen.reduce, reduce_cache, d_h[:, :gen.cfg.reduce_dim])
+    return out, reduce_grads + decode_grads
+
+
+@pytest.mark.parametrize("kw", [{}, {"noise_dim": 3, "noise_mode": "concat"}])
+def test_per_class_reduce_matches_per_row_semantics(kw):
+    rng = np.random.default_rng(13)
+    gen = make_gen(rng, **kw)
+    disc = make_disc(rng, visual_dim=4, hidden=5, num_classes=3)
+    table = rng.normal(size=(5, 6))
+    classes = rng.integers(0, 4, size=40)       # class 4 of the table is unused
+    noise = gen.sample_noise(rng, 40)
+    d_out = rng.normal(size=(40, 4))
+    ref, ref_grads = per_row_generator_pass(gen, table[classes], noise, d_out)
+    for sem, rows in [(table, classes), (table[classes], None)]:
+        out, cache = gen.forward(sem, noise, rows)
+        assert out.tobytes() == ref.tobytes()
+        assert_rel_close(gen.backward(cache, d_out), ref_grads)
+
+    labels = rng.integers(0, 3, size=40)
+    pos, neg = rng.normal(size=(40, 2, 4)), rng.normal(size=(40, 3, 4))
+    cfg = GanTrainConfig(margin=5.0, lambda_t=0.7)
+    loss, trip, grads = generator_loss_grads(gen, disc, table, noise, labels, pos, neg,
+                                             cfg, classes=classes)
+    ref_loss, ref_trip, ref_grads = generator_loss_grads(
+        gen, disc, table[classes], noise, labels, pos, neg, cfg)
+    assert (loss, trip) == (ref_loss, ref_trip)
+    assert_rel_close(grads, ref_grads)
+
+
+def test_generate_rejects_class_indices_outside_the_table():
+    rng = np.random.default_rng(14)
+    gen = make_gen(rng)
+    table, noise = rng.normal(size=(3, 6)), gen.sample_noise(rng, 4)
+    for bad in ([0, 1, 2, 3], [0, -1, 1, 2], [0, 1, 2]):
+        with pytest.raises(UsageError):
+            generate(gen, table, noise, np.array(bad))

@@ -1,10 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from zsgen import nn
 from zsgen.errors import ConfigError, UsageError
 from zsgen.nn import (
     AdamState, Layer, Mlp, activate, adam_step, glorot_init, gradient_check,
-    init_mlp, mlp_backward, mlp_forward,
+    init_mlp, mlp_backward, mlp_forward, pack, unflatten,
 )
 
 
@@ -89,28 +92,27 @@ def test_backward_rejects_stale_cache():
 def test_adam_zero_gradient_leaves_params_bit_identical():
     rng = np.random.default_rng(0)
     mlp = init_mlp([3, 2], ["identity"], rng)
-    params = mlp.param_arrays()
-    before = [p.copy() for p in params]
+    params = pack([mlp])
+    before = params.copy()
     state = AdamState.for_params(params)
-    adam_step(params, [np.zeros_like(p) for p in params], state)
-    for p, b in zip(params, before):
-        assert (p == b).all()
+    adam_step(params, np.zeros_like(params), state)
+    assert (params == before).all()
 
 
 def test_adam_single_step_hand_value():
     p = np.array([0.0])
-    state = AdamState.for_params([p], alpha=0.001, beta1=0.5, beta2=0.9)
-    adam_step([p], [np.array([1.0])], state)
+    state = AdamState.for_params(p, alpha=0.001, beta1=0.5, beta2=0.9)
+    adam_step(p, np.array([1.0]), state)
     # bias correction makes m_hat = v_hat = 1 exactly after one unit-gradient step
     np.testing.assert_allclose(p, [-0.001 / (1.0 + 1e-8)], rtol=0, atol=1e-18)
 
 
 def test_adam_two_steps_match_hand_recursion():
     p = np.array([0.2])
-    state = AdamState.for_params([p], alpha=0.01, beta1=0.5, beta2=0.9)
+    state = AdamState.for_params(p, alpha=0.01, beta1=0.5, beta2=0.9)
     g = np.array([0.7])
-    adam_step([p], [g.copy()], state)
-    adam_step([p], [g.copy()], state)
+    adam_step(p, g.copy(), state)
+    adam_step(p, g.copy(), state)
 
     ref, m, v = 0.2, 0.0, 0.0
     for t in (1, 2):
@@ -123,7 +125,8 @@ def test_adam_two_steps_match_hand_recursion():
 
 
 def reference_adam_step(params, grads, state):
-    """The allocating Adam update that adam_step replaced, kept as its oracle."""
+    """The allocating Adam update that adam_step replaced, kept as its oracle:
+    one update per array of a list, with per-array moment lists in state."""
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -139,33 +142,42 @@ def reference_adam_step(params, grads, state):
 def test_adam_in_place_bit_identical_to_reference():
     rng = np.random.default_rng(8)
     mlp = init_mlp([5, 7, 3], ["leaky_relu", "tanh"], rng)
-    params = mlp.param_arrays()
-    ref_params = [p.copy() for p in params]
+    ref_params = [p.copy() for p in mlp.param_arrays()]
+    params = pack([mlp])
     settings = dict(alpha=0.003, beta1=0.5, beta2=0.9)
     state = AdamState.for_params(params, **settings)
-    ref_state = AdamState.for_params(ref_params, **settings)
-    ids = [id(p) for p in params + state.m + state.v]
+    ref_state = SimpleNamespace(**settings, epsilon=state.epsilon, t=0,
+                                m=[np.zeros_like(p) for p in ref_params],
+                                v=[np.zeros_like(p) for p in ref_params])
+    ids = [id(a) for a in (params, state.m, state.v)]
     for step in range(50):
         # every scale, a zero gradient and a sparse one included
-        grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-8, 4) for p in params]
+        grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-8, 4) for p in ref_params]
         if step % 7 == 0:
             grads[0][:] = 0.0
-        grads_before = [g.copy() for g in grads]
-        adam_step(params, grads, state)
+        flat_grads = np.concatenate([g.ravel() for g in grads])
+        grads_before = flat_grads.copy()
+        adam_step(params, flat_grads, state)
         reference_adam_step(ref_params, grads, ref_state)
-        for g, before in zip(grads, grads_before):
-            assert (g == before).all()
-        for got, ref in zip(params + state.m + state.v,
-                            ref_params + ref_state.m + ref_state.v):
-            assert got.tobytes() == ref.tobytes()
-    assert [id(p) for p in params + state.m + state.v] == ids
+        assert (flat_grads == grads_before).all()
+        for got, ref in [(params, ref_params), (state.m, ref_state.m), (state.v, ref_state.v)]:
+            assert got.tobytes() == b"".join(r.tobytes() for r in ref)
+    assert [id(a) for a in (params, state.m, state.v)] == ids
+    # the layers still view the updated vector
+    assert all(np.shares_memory(p, params) for p in mlp.param_arrays())
+
+
+def test_adam_chunked_update_bit_identical_to_reference(monkeypatch):
+    # chunks that split layers and end mid-array give the same bytes
+    monkeypatch.setattr(nn, "ADAM_CHUNK", 7)
+    test_adam_in_place_bit_identical_to_reference()
 
 
 def test_adam_rejects_shape_mismatch():
     p = np.zeros(3)
-    state = AdamState.for_params([p])
+    state = AdamState.for_params(p)
     with pytest.raises(UsageError):
-        adam_step([p], [np.zeros(2)], state)
+        adam_step(p, np.zeros(2), state)
 
 
 def test_gradient_check_quadratic_loss_is_tight():
@@ -210,3 +222,37 @@ def test_layer_validation():
         Layer(np.zeros((2, 2)), np.zeros(2), "swish")
     with pytest.raises(ConfigError):
         Layer(np.full((2, 2), np.nan), np.zeros(2), "identity")
+
+
+def test_pack_moves_parameters_into_one_vector_of_views():
+    rng = np.random.default_rng(4)
+    a = init_mlp([3, 4, 2], ["relu", "tanh"], rng)
+    b = init_mlp([2, 5], ["identity"], rng)
+    before = [p.copy() for p in a.param_arrays() + b.param_arrays()]
+    flat = pack([a, b])
+    assert flat.flags.c_contiguous and flat.size == sum(p.size for p in before)
+    np.testing.assert_array_equal(flat, np.concatenate([p.ravel() for p in before]))
+    views = a.param_arrays() + b.param_arrays()
+    for got, ref in zip(views, before):
+        assert (got == ref).all() and np.shares_memory(got, flat)
+    flat[:] = np.arange(flat.size)
+    shapes = [p.shape for p in views]
+    for got, via in zip(views, unflatten(flat, shapes)):
+        assert got.shape == via.shape and (got == via).all()
+    with pytest.raises(UsageError):
+        unflatten(flat[1:], shapes)
+
+
+def test_backward_skips_what_is_not_asked_for():
+    rng = np.random.default_rng(6)
+    mlp = init_mlp([3, 4, 2], ["leaky_relu", "tanh"], rng)
+    out, cache = mlp_forward(mlp, rng.normal(size=(5, 3)))
+    d_out = rng.normal(size=out.shape)
+    grads, d_in = mlp_backward(mlp, cache, d_out)
+    into = [np.full_like(p, np.nan) for p in mlp.param_arrays()]
+    written, no_input = mlp_backward(mlp, cache, d_out, into, input_grad=False)
+    assert written is into and no_input is None
+    for g, w in zip(grads, into):
+        assert g.tobytes() == w.tobytes()
+    no_params, d_only = mlp_backward(mlp, cache, d_out, param_grads=False)
+    assert no_params is None and d_only.tobytes() == d_in.tobytes()

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from zsgen import data, evaluate, selftrain
-from zsgen.errors import UsageError
+from zsgen import data, evaluate, gan, selftrain
+from zsgen.errors import ConfigError, UsageError
 from zsgen.gan import DiscriminatorConfig, GanTrainConfig, GeneratorConfig, generate
 from zsgen.knn import KnnClassifier, knn_predict_proba, knn_scores
 from zsgen.metrics import CalibrationSweep
@@ -318,3 +320,42 @@ def test_evaluate_model_scores_unseen_rows_of_one_reference_draw():
     assert rep.map_at == evaluate.retrieval_map(
         refs[u], labels[u], work.features[rows], work.labels[rows], ratios
     )
+
+
+def counted_critic_steps(monkeypatch):
+    """A list that gains one entry per discriminator_loss_grads call."""
+    calls = []
+    original = gan.discriminator_loss_grads
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gan, "discriminator_loss_grads", counting)
+    return calls
+
+
+@pytest.mark.parametrize("train_cfg, ssl_cfg, key", [
+    # 5 refs x 2 unseen classes = 10 < 11
+    (TRAIN_CFG, SslConfig(knn_k=11, per_class_synthetic=5), "ssl.knn_k"),
+    # the probe searches 5 refs x 6 classes = 30 < 31
+    (replace(TRAIN_CFG, knn_k=31), SslConfig(knn_k=3, per_class_synthetic=5), "gan.knn_k"),
+])
+def test_k_above_reference_count_rejected_before_training(monkeypatch, train_cfg,
+                                                          ssl_cfg, key):
+    calls = counted_critic_steps(monkeypatch)
+    with pytest.raises(ConfigError, match=key):
+        run_ssl(data.make_synthetic(SPEC), GEN_CFG, DISC_CFG, train_cfg, ssl_cfg, seed=0)
+    assert calls == []
+    # at the limit both train
+    run_ssl(data.make_synthetic(SPEC), GEN_CFG, DISC_CFG,
+            replace(TRAIN_CFG, knn_k=30, n_step=10),
+            SslConfig(knn_k=10, per_class_synthetic=5), seed=0)
+    assert calls
+
+
+def test_probe_k_unchecked_when_the_probe_never_runs(monkeypatch):
+    # eval_every above n_step: no probe, so no k limit
+    cfg = replace(TRAIN_CFG, knn_k=31, n_step=5, eval_every=10)
+    run_ssl(data.make_synthetic(SPEC), GEN_CFG, DISC_CFG, cfg,
+            SslConfig(knn_k=3, per_class_synthetic=5), seed=0)
