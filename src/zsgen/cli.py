@@ -54,7 +54,7 @@ def cmd_cko(args, cfg):
     overlay_dir = _require(cfg, "io", "overlay_dir")
     os.makedirs(overlay_dir, exist_ok=True)
     for rec, fname in zip(records, filenames):
-        with open(os.path.join(overlay_dir, fname), "w", encoding="utf-8") as fh:
+        with data.atomic_write(os.path.join(overlay_dir, fname)) as fh:
             fh.write(rec.article_overlay)
     ids = np.array([r.class_id for r in records], dtype=np.int64)
     data.save_matrix(_require(cfg, "io", "similarity_matrix"), ids, sm)
@@ -68,7 +68,7 @@ def cmd_cko(args, cfg):
 
     classes_path = cfg["io"].get("classes")
     if classes_path:
-        with open(classes_path, "w", encoding="utf-8") as fh:
+        with data.atomic_write(classes_path) as fh:
             for rec in records:
                 fh.write(f"{rec.class_id}\t{rec.name}\n")
     _say(args, f"cko: {len(records)} classes, vocab {len(model.vocabulary)}")
@@ -120,7 +120,7 @@ def cmd_train(args, cfg):
     )
     log_path = cfg["io"].get("train_log")
     if log_path:
-        with open(log_path, "w", encoding="utf-8") as fh:
+        with data.atomic_write(log_path) as fh:
             fh.write("# step\tloss_d\tloss_g\ttriplet\tval_gacc\n")
             for i, lines in enumerate(result.train_logs, start=1):
                 fh.write(f"# iteration {i}\n")
@@ -128,7 +128,7 @@ def cmd_train(args, cfg):
                     fh.write(line + "\n")
     report_path = cfg["io"].get("ssl_report")
     if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
+        with data.atomic_write(report_path) as fh:
             fh.write("# iteration\tretained\tnew_classes\tunseen_top1\tval_gacc\n")
             for rep in result.reports:
                 fh.write(
@@ -190,7 +190,7 @@ def cmd_retrieve(args, cfg):
     lines = [f"mAP@{pct}: {value!r}" for pct, value in map_at.items()]
     out_path = cfg["io"].get("retrieval")
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with data.atomic_write(out_path) as fh:
             fh.write("\n".join(lines) + "\n")
     for line in lines:
         print(line)

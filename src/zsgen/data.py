@@ -6,12 +6,15 @@ Matrix files come in two bit-lossless flavors:
   * binary: magic ZSMX, version, int64 labels, float64 row-major values.
 Split files are two lines, `seen: ids...` and `unseen: ids...`.
 Checkpoints (magic ZSCK) hold named arrays plus a JSON metadata blob.
+Every file is written through atomic_write, so a failed write leaves the
+previous file as it was.
 """
 
 import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +28,29 @@ _FORMAT_VERSION = 1
 _CHECKPOINT_DTYPES = ("<f8", "<i8")
 
 
+@contextmanager
+def atomic_write(path, binary=False):
+    """A handle on a temporary file beside path (UTF-8 text, or bytes), moved
+    onto path with os.replace once the block ends. If the block raises, the
+    temporary file is removed and path is left as it was."""
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    fh = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def save_matrix(path, labels, values):
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if values.ndim != 2 or labels.shape[0] != values.shape[0]:
         raise ConfigError("labels must align with matrix rows")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"# dims: {values.shape[0]} {values.shape[1]}\n")
         for label, row in zip(labels, values):
             fh.write(str(int(label)))
@@ -44,7 +64,7 @@ def save_matrix_binary(path, labels, values):
     labels = np.asarray(labels, dtype=np.int64)
     if values.ndim != 2 or labels.shape[0] != values.shape[0]:
         raise ConfigError("labels must align with matrix rows")
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(_MATRIX_MAGIC)
         fh.write(struct.pack("<III", _FORMAT_VERSION, values.shape[0], values.shape[1]))
         fh.write(labels.tobytes())
@@ -148,7 +168,7 @@ class SplitSpec:
 
 
 def save_split(path, split):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         if split.scheme:
             fh.write(f"# scheme: {split.scheme}\n")
         fh.write("seen: " + " ".join(str(c) for c in split.seen) + "\n")
@@ -380,7 +400,7 @@ def save_dataset(dataset, train_path, test_path, semantics_path, split_path):
 def save_checkpoint(path, arrays, meta):
     """Write named float64/int64 arrays plus JSON metadata, deterministically."""
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(_CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", _FORMAT_VERSION, len(meta_bytes)))
         fh.write(meta_bytes)

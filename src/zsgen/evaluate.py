@@ -65,7 +65,8 @@ def _mlp_from(prefix, arrays, layer_meta, key, path):
 
 
 def _check_shapes(gen, disc, scaler):
-    """Raise ConfigError unless every network maps the widths its config names."""
+    """Raise ConfigError unless every network maps the widths its config names
+    and the discriminator has the layers Discriminator builds."""
     g, d = gen.cfg, disc.cfg
     decode_in = g.reduce_dim + (g.noise_dim if g.noise_mode == "concat" else 0)
     for name, mlp, dims in [
@@ -78,6 +79,11 @@ def _check_shapes(gen, disc, scaler):
         if (mlp.in_dim, mlp.out_dim) != dims:
             raise ConfigError(f"{name} maps {mlp.in_dim} -> {mlp.out_dim}, "
                               f"its config {dims[0]} -> {dims[1]}")
+    for part, activations in Discriminator.LAYERS.items():
+        found = tuple(layer.activation for layer in getattr(disc, part).layers)
+        if found != activations:
+            raise ConfigError(f"disc.{part} has layers {list(found)}, "
+                              f"a discriminator builds {list(activations)}")
     for bound in (scaler.lo, scaler.hi):
         if bound.shape != (g.visual_dim,) or not np.isfinite(bound).all():
             raise ConfigError(f"scaler bounds must be {g.visual_dim} finite values")
@@ -201,7 +207,7 @@ def evaluate_model(gen, dataset_scaled, sweep, ratios, per_class_synthetic,
 
 
 def write_report(path, report):
-    with open(path, "w", encoding="utf-8") as fh:
+    with data.atomic_write(path) as fh:
         fh.write(f"top1_unseen: {report.top1_unseen!r}\n")
         fh.write(f"S: {report.s!r}\n")
         fh.write(f"U: {report.u!r}\n")
@@ -216,7 +222,7 @@ def write_report(path, report):
 
 
 def write_suc_points(path, points):
-    with open(path, "w", encoding="utf-8") as fh:
+    with data.atomic_write(path) as fh:
         fh.write("acc_unseen\tacc_seen\n")
         for x, y in points:
             fh.write(f"{x!r}\t{y!r}\n")

@@ -18,7 +18,7 @@ from .bounds import bounded, check_bounds
 from .errors import ConfigError, UsageError
 from .knn import KnnClassifier, check_k, knn_scores
 from .nn import (
-    AdamState, activate_grad, adam_step, init_mlp, mlp_backward, mlp_forward,
+    AdamState, adam_step, init_mlp, mlp_backward, mlp_forward,
     pack, unflatten,
 )
 
@@ -180,11 +180,17 @@ def generate(gen, semantics, noise, classes=None):
 
 
 class Discriminator:
+    """A relu trunk shared by a scalar critic and a class-logit head, each
+    exactly one layer; gradient_penalty_grads relies on that shape."""
+
+    LAYERS = {"trunk": ("relu",), "critic": ("identity",), "head": ("identity",)}
+
     def __init__(self, cfg, rng):
         self.cfg = cfg
-        self.trunk = init_mlp([cfg.visual_dim, cfg.hidden_dim], ["relu"], rng)
-        self.critic = init_mlp([cfg.hidden_dim, 1], ["identity"], rng)
-        self.head = init_mlp([cfg.hidden_dim, cfg.num_classes], ["identity"], rng)
+        layers = self.LAYERS
+        self.trunk = init_mlp([cfg.visual_dim, cfg.hidden_dim], layers["trunk"], rng)
+        self.critic = init_mlp([cfg.hidden_dim, 1], layers["critic"], rng)
+        self.head = init_mlp([cfg.hidden_dim, cfg.num_classes], layers["head"], rng)
 
     def params(self):
         return self.trunk.param_arrays() + self.critic.param_arrays() + self.head.param_arrays()
@@ -320,46 +326,30 @@ def softmax_cross_entropy(logits, labels):
     return loss, d_logits
 
 
-def critic_input_gradient(disc, x):
-    """Gradient of the scalar critic in its input, plus the chain internals
-    needed to differentiate the gradient norm in the parameters."""
-    h, trunk_cache = mlp_forward(disc.trunk, x)
-    masks = [
-        activate_grad(layer.activation, z, layer.slope)
-        for layer, (_, z) in zip(disc.trunk.layers, trunk_cache)
-    ]
-    n = x.shape[0]
-    # backward chain, critic head first, recording stage inputs
-    t = np.broadcast_to(disc.critic.layers[0].weight[:, 0][None, :], (n, disc.trunk.out_dim)).copy()
-    stages = []  # per trunk layer, top-down: (t_before_mask, masked)
-    for layer, mask in zip(reversed(disc.trunk.layers), reversed(masks)):
-        masked = t * mask
-        stages.append((t, masked, mask, layer))
-        t = masked @ layer.weight.T
-    return t, stages  # t == d critic / d x, per row
-
-
-def gradient_penalty_grads(disc, x_hat, grads, scale=1.0):
+def gradient_penalty_grads(disc, z_hat, grads, scale=1.0):
     """Value of the unit-gradient penalty; adds scale times its gradients in
     the discriminator parameters to grads (aligned with disc.params()).
 
-    Penalty = mean over interpolates of (||grad_x critic|| - 1)^2. With
-    piecewise-linear trunk activations the activation masks carry no
-    derivative, so biases receive zero gradient from this term.
+    Penalty = mean over interpolates of (||grad_x critic|| - 1)^2. z_hat is
+    the interpolates' trunk pre-activation: the trunk is one affine layer and
+    a relu, so it is the same mix of the real and fake pre-activations. With
+    mask = (z_hat >= 0), W the trunk weight and c the critic weight, the
+    critic gradient is g = (mask * c) @ W.T, and P = d_g.T @ mask gives both
+    parameter gradients: P * c for W and the column sums of W * P for c.
+    The mask carries no derivative, so biases receive zero gradient.
     """
-    g, stages = critic_input_gradient(disc, x_hat)
-    n = x_hat.shape[0]
+    weight = disc.trunk.layers[0].weight
+    mask = (z_hat >= 0.0).astype(np.float64)
+    c = disc.critic.layers[0].weight[:, 0]
+    g = (mask * c) @ weight.T
     norms = np.linalg.norm(g, axis=1)
     penalty = float(((norms - 1.0) ** 2).mean())
-    d_t = (2.0 * scale / n) * _safe_unit(g, norms) * (norms - 1.0)[:, None]
-
-    # walk the chain back up: trunk layer 1 was applied last
-    for i, (t_before, masked, mask, layer) in enumerate(reversed(stages)):
-        grads[2 * i] += d_t.T @ masked  # (in, out) weight gradient, bottom-up
-        d_masked = d_t @ layer.weight
-        d_t = d_masked * mask
-    # critic head weight: chain input was its weight column broadcast per row
-    grads[2 * len(disc.trunk.layers)] += d_t.sum(axis=0)[:, None]
+    d_g = _safe_unit(g, norms)
+    d_g *= ((2.0 * scale / z_hat.shape[0]) * (norms - 1.0))[:, None]
+    prod = d_g.T @ mask
+    grads[2] += np.einsum("ij,ij->j", weight, prod)[:, None]
+    prod *= c
+    grads[0] += prod
     return penalty
 
 
@@ -404,8 +394,9 @@ def discriminator_loss_grads(disc, real_x, fake_x, labels, gp_weight, rng=None, 
             if rng is None:
                 raise UsageError("gradient penalty needs rng or explicit eps")
             eps = rng.uniform(0.0, 1.0, size=(n, 1))
-        x_hat = eps * real_x + (1.0 - eps) * fake_x
-        loss += gp_weight * gradient_penalty_grads(disc, x_hat, grads, gp_weight)
+        z = cache[0][0][1]  # the trunk pre-activation of the stacked batch
+        z_hat = eps * z[:n] + (1.0 - eps) * z[n:]
+        loss += gp_weight * gradient_penalty_grads(disc, z_hat, grads, gp_weight)
     return loss, flat
 
 
@@ -524,7 +515,9 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng,
 
     class_cols maps class id -> discriminator logit column. Every
     eval_every steps a kNN probe records validation generalized accuracy;
-    the best-scoring parameter snapshot is returned. Stops early after
+    a copy of the networks is kept at each new best probe, and the best
+    one is returned. When no probe scores (none ran, or all were NaN), the
+    passed-in networks themselves are returned, trained. Stops early after
     `patience` consecutive evaluations without improvement.
     """
     if train_x.shape[0] == 0:
@@ -538,7 +531,7 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng,
     fit_mask = np.ones(n_train, dtype=bool)
     fit_mask[val_idx] = False
     fit_idx = np.flatnonzero(fit_mask)
-    fit_x, fit_y = train_x[fit_idx], train_y[fit_idx]
+    fit_y = train_y[fit_idx]
     val_x, val_y = train_x[val_idx], train_y[val_idx]
     if cfg.eval_every and cfg.n_step >= cfg.eval_every and val_idx.size:
         check_k("gan.knn_k", cfg.knn_k, cfg.probe_per_class,
@@ -554,30 +547,31 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng,
     gen_adam = AdamState.for_params(gen_params, **rates)
     disc_adam = AdamState.for_params(disc_params, **rates)
 
-    best = TrainResult(gen.copy(), disc.copy(), [], [], float("-inf"))
+    best = None   # (gen, disc) snapshot of the best probe so far
+    best_gacc = float("-inf")
     log_lines, history = [], []
     p_count = 0
     last_ld = float("nan")
 
     for step in range(1, cfg.n_step + 1):
         for _ in range(cfg.n_d):
-            idx = rng.integers(0, fit_x.shape[0], size=m)
+            idx = rng.integers(0, fit_idx.size, size=m)
             k = sampler.class_of_row[idx]
             fake = generate(gen, sem_of_class, gen.sample_noise(rng, m), k)
             last_ld, _ = discriminator_loss_grads(
-                disc, fit_x[idx], fake, col_of_class[k], cfg.gp_weight, rng=rng,
-                out=disc_grads,
+                disc, train_x[fit_idx[idx]], fake, col_of_class[k], cfg.gp_weight,
+                rng=rng, out=disc_grads,
             )
             if not math.isfinite(last_ld):
                 raise UsageError(f"non-finite discriminator loss at step {step}")
             adam_step(disc_params, disc_grads, disc_adam)
 
-        idx = rng.integers(0, fit_x.shape[0], size=m)
+        idx = rng.integers(0, fit_idx.size, size=m)
         k = sampler.class_of_row[idx]
         pos, neg = sampler.draw(rng, idx, cfg.n_pos, cfg.n_neg)
         lg, trip, _ = generator_loss_grads(
             gen, disc, sem_of_class, gen.sample_noise(rng, m), col_of_class[k],
-            fit_x[pos], fit_x[neg], cfg, classes=k, out=gen_grads,
+            train_x[fit_idx[pos]], train_x[fit_idx[neg]], cfg, classes=k, out=gen_grads,
         )
         if not math.isfinite(lg):
             raise UsageError(f"non-finite generator loss at step {step}")
@@ -593,17 +587,15 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng,
                 "step": step, "loss_d": last_ld, "loss_g": lg,
                 "triplet": trip, "val_gacc": gacc,
             })
-            if gacc > best.best_gacc:
-                best = TrainResult(gen.copy(), disc.copy(), [], [], gacc)
+            if gacc > best_gacc:
+                best, best_gacc = (gen.copy(), disc.copy()), gacc
                 p_count = 0
             else:
                 p_count += 1
                 if p_count >= cfg.patience:
                     break
 
-    if best.best_gacc == float("-inf"):
-        # no evaluation happened; final parameters are the result
-        best = TrainResult(gen.copy(), disc.copy(), [], [], float("nan"))
-    best.log_lines = log_lines
-    best.history = history
-    return best
+    if best is None:
+        # no probe ran, or none scored above -inf: the trained networks are the result
+        return TrainResult(gen, disc, log_lines, history, float("nan"))
+    return TrainResult(*best, log_lines, history, best_gacc)

@@ -41,12 +41,18 @@ class PseudoLabelSet:
 
 
 def synthesize_references(gen, class_ids, semantics, per_class, rng):
-    """per_class generated feature rows for every class, with labels."""
-    refs, labels = [], []
-    for c, sem in zip(class_ids, semantics):
-        refs.append(generate(gen, sem[None, :], gen.sample_noise(rng, per_class)))
-        labels.append(np.full(per_class, c, dtype=np.int64))
-    return np.vstack(refs), np.concatenate(labels)
+    """per_class generated feature rows for every class, with labels.
+
+    One generate call per class fills its block of one preallocated array.
+    """
+    if len(semantics) != len(class_ids):
+        raise UsageError(f"{len(class_ids)} class ids but {len(semantics)} semantic rows")
+    labels = np.repeat(np.asarray(class_ids, dtype=np.int64), per_class)
+    refs = np.empty((labels.size, gen.cfg.visual_dim))
+    for i, sem in enumerate(semantics):
+        refs[i * per_class:(i + 1) * per_class] = generate(
+            gen, sem[None, :], gen.sample_noise(rng, per_class))
+    return refs, labels
 
 
 def unseen_test_rows(dataset):

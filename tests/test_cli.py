@@ -125,6 +125,40 @@ def test_command_artifacts_byte_identical_across_runs(tmp_path):
     assert artifacts["r1"] == artifacts["r2"]
 
 
+def test_every_artifact_is_written_through_atomic_write(tmp_path, monkeypatch):
+    written = []
+    atomic_write = data.atomic_write
+
+    def recording(path, *args, **kwargs):
+        written.append(os.path.relpath(path, tmp_path))
+        return atomic_write(path, *args, **kwargs)
+
+    monkeypatch.setattr(data, "atomic_write", recording)
+    out = tmp_path / "ds"
+    assert main(synth_args(out)) == 0
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name, article in [("crow", "black corvid bird"), ("finch", "small seed eater")]:
+        (corpus / f"{name}.txt").write_text(article)
+    (tmp_path / "emb.txt").write_text("crow 1.0 0.0\nfinch 0.0 1.0\n")
+    cfg = tiny_run_config(tmp_path, out)
+    cfg["cko"] = {"k": 1, "embeddings": str(tmp_path / "emb.txt")}
+    cfg["io"].update({
+        "corpus_dir": str(corpus), "overlay_dir": str(tmp_path / "overlay"),
+        "similarity_matrix": str(tmp_path / "sm.txt"),
+        "semantic_vectors": str(tmp_path / "sem.txt"),
+        "classes": str(tmp_path / "classes.txt"),
+    })
+    cfg_path = write_config(tmp_path / "run.yaml", cfg)
+    inputs = {"run.yaml", "emb.txt", "corpus/crow.txt", "corpus/finch.txt"}
+    for command in ("cko", "train", "evaluate", "retrieve"):
+        assert main(["--quiet", "--config", cfg_path, command]) == 0
+    on_disk = {os.path.relpath(os.path.join(d, f), tmp_path)
+               for d, _, files in os.walk(tmp_path) for f in files}
+    assert on_disk - inputs == set(written)
+    assert len(written) == len(set(written)) == 15
+
+
 def test_evaluate_rejects_dimension_mismatch(tmp_path):
     out = tmp_path / "ds"
     assert main(synth_args(out)) == 0

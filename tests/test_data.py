@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from zsgen import data, evaluate, gan
+from zsgen import data, evaluate, gan, metrics
 from zsgen.errors import ConfigError, ParseError, ZsgenError
 
 
@@ -254,6 +256,38 @@ def test_checkpoint_bit_flips_raise_only_zsgen_errors(tmp_path, bit):
             pass
 
 
+def _extra_layer(arrays, meta, part, width):
+    """Append an identity layer of width outputs to disc.<part>."""
+    specs = meta["disc_layers"][part]
+    last = arrays[f"disc.{part}.{len(specs) - 1}.weight"].shape[1]
+    arrays[f"disc.{part}.{len(specs)}.weight"] = np.ones((last, width))
+    arrays[f"disc.{part}.{len(specs)}.bias"] = np.zeros(width)
+    specs.append({"activation": "identity", "slope": 0.2})
+
+
+def _relabel(meta, part, activation):
+    meta["disc_layers"][part][0]["activation"] = activation
+
+
+@pytest.mark.parametrize("craft", [
+    lambda a, m: _relabel(m, "trunk", "leaky_relu"),
+    lambda a, m: _relabel(m, "critic", "relu"),
+    lambda a, m: _relabel(m, "head", "tanh"),
+    lambda a, m: _extra_layer(a, m, "trunk", 2),
+    lambda a, m: _extra_layer(a, m, "critic", 1),
+], ids=["trunk-activation", "critic-activation", "head-activation",
+        "two-trunk-layers", "two-critic-layers"])
+def test_discriminator_layers_other_than_built_ones_rejected(tmp_path, craft):
+    path = str(tmp_path / "model.ck")
+    _tiny_model_checkpoint(path)
+    arrays, meta = data.load_checkpoint(path)
+    craft(arrays, meta)
+    data.save_checkpoint(path, arrays, meta)
+    with pytest.raises(ParseError, match="a discriminator builds") as info:
+        evaluate.load_model(path)
+    assert path in str(info.value)
+
+
 def test_checkpoint_without_a_required_config_key_names_path(tmp_path):
     path = str(tmp_path / "model.ck")
     _tiny_model_checkpoint(path)
@@ -263,3 +297,66 @@ def test_checkpoint_without_a_required_config_key_names_path(tmp_path):
     with pytest.raises(ParseError, match="semantic_dim") as info:
         evaluate.load_model(path)
     assert path in str(info.value)
+
+
+class FailingFile:
+    """A file that takes one write, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, chunk):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError("no space left on device")
+        return self.fh.write(chunk)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _report(v):
+    return metrics.EvalReport(top1_unseen=v, s=v, u=v, h=v, g_acc=v, ausuc=v / 100,
+                              suc_points=[(v / 100, 0.5), (0.0, 1.0)], map_at={25: v})
+
+
+WRITERS = {
+    "matrix.txt": lambda p, v: data.save_matrix(p, [0, 1], np.full((2, 3), v)),
+    "matrix.bin": lambda p, v: data.save_matrix_binary(p, [0, 1], np.full((2, 3), v)),
+    "split.txt": lambda p, v: data.save_split(p, data.SplitSpec((v,), (v + 1,), "SCS")),
+    "model.ck": lambda p, v: data.save_checkpoint(p, {"w": np.full(3, v)}, {"v": v}),
+    "report.txt": lambda p, v: evaluate.write_report(p, _report(v)),
+    "suc.tsv": lambda p, v: evaluate.write_suc_points(p, _report(v).suc_points),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_failed_write_keeps_previous_file_and_leaves_no_temp_file(tmp_path, monkeypatch,
+                                                                  name):
+    path = str(tmp_path / name)
+    WRITERS[name](path, 1)
+    before = open(path, "rb").read()
+    real_open = open
+    monkeypatch.setattr(data, "open", lambda *a, **k: FailingFile(real_open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="no space"):
+        WRITERS[name](path, 2)
+    monkeypatch.undo()
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == [name]
+    WRITERS[name](path, 2)
+    assert open(path, "rb").read() != before and os.listdir(tmp_path) == [name]
+
+
+def test_checkpoint_rejected_mid_write_keeps_previous_file(tmp_path):
+    path = str(tmp_path / "ck.bin")
+    data.save_checkpoint(path, {"w": np.ones(2)}, {"k": 1})
+    before = open(path, "rb").read()
+    # "a" is written before "b" is found to have an unsupported dtype
+    with pytest.raises(ConfigError, match="'b'"):
+        data.save_checkpoint(path, {"a": np.zeros(4), "b": np.zeros(2, np.int32)}, {"k": 2})
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == ["ck.bin"]

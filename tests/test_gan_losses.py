@@ -11,7 +11,7 @@ from zsgen.gan import (
     generate, generator_loss_grads, gradient_penalty_grads, softmax_cross_entropy,
     triplet_loss, triplet_loss_grad,
 )
-from zsgen.nn import Layer, Mlp, mlp_backward, mlp_forward
+from zsgen.nn import Layer, Mlp, activate_grad, mlp_backward, mlp_forward
 
 
 def reference_triplet(synthetic, positives, negatives, margin):
@@ -418,6 +418,54 @@ def test_concat_noise_mode():
     assert out.shape == (2, 4)
 
 
+def critic_input_gradient(disc, x):
+    """Gradient of the scalar critic in its input, plus the chain internals
+    needed to differentiate the gradient norm in the parameters."""
+    h, trunk_cache = mlp_forward(disc.trunk, x)
+    masks = [
+        activate_grad(layer.activation, z, layer.slope)
+        for layer, (_, z) in zip(disc.trunk.layers, trunk_cache)
+    ]
+    n = x.shape[0]
+    # backward chain, critic head first, recording stage inputs
+    t = np.broadcast_to(disc.critic.layers[0].weight[:, 0][None, :], (n, disc.trunk.out_dim)).copy()
+    stages = []  # per trunk layer, top-down: (t_before_mask, masked)
+    for layer, mask in zip(reversed(disc.trunk.layers), reversed(masks)):
+        masked = t * mask
+        stages.append((t, masked, mask, layer))
+        t = masked @ layer.weight.T
+    return t, stages  # t == d critic / d x, per row
+
+
+def chain_gradient_penalty_grads(disc, x_hat, grads, scale=1.0):
+    """The penalty that reran the trunk on the interpolates x_hat and walked
+    the chain back up, kept as the oracle of gradient_penalty_grads."""
+    g, stages = critic_input_gradient(disc, x_hat)
+    n = x_hat.shape[0]
+    norms = np.linalg.norm(g, axis=1)
+    penalty = float(((norms - 1.0) ** 2).mean())
+    unit = np.zeros_like(g)
+    nz = norms > 0.0
+    unit[nz] = g[nz] / norms[nz][:, None]
+    d_t = (2.0 * scale / n) * unit * (norms - 1.0)[:, None]
+
+    # walk the chain back up: trunk layer 1 was applied last
+    for i, (t_before, masked, mask, layer) in enumerate(reversed(stages)):
+        grads[2 * i] += d_t.T @ masked  # (in, out) weight gradient, bottom-up
+        d_masked = d_t @ layer.weight
+        d_t = d_masked * mask
+    # critic head weight: chain input was its weight column broadcast per row
+    grads[2 * len(disc.trunk.layers)] += d_t.sum(axis=0)[:, None]
+    return penalty
+
+
+def mixed_preactivation(disc, real_x, fake_x, eps):
+    """eps * z_real + (1 - eps) * z_fake: the interpolates' trunk pre-activation."""
+    (_, z_real), = mlp_forward(disc.trunk, real_x)[1]
+    (_, z_fake), = mlp_forward(disc.trunk, fake_x)[1]
+    return eps * z_real + (1.0 - eps) * z_fake
+
+
 def two_pass_discriminator_loss_grads(disc, real_x, fake_x, labels, gp_weight, eps):
     """The separate real and fake passes that the stacked critic pass replaced,
     kept as its oracle: loss and gradients as a list aligned with disc.params()."""
@@ -432,7 +480,8 @@ def two_pass_discriminator_loss_grads(disc, real_x, fake_x, labels, gp_weight, e
     grads = [a + b for a, b in zip(grads_f, grads_r)]
     if gp_weight != 0.0:
         gp_grads = [np.zeros_like(p) for p in disc.params()]
-        penalty = gradient_penalty_grads(disc, eps * real_x + (1.0 - eps) * fake_x, gp_grads)
+        penalty = chain_gradient_penalty_grads(disc, eps * real_x + (1.0 - eps) * fake_x,
+                                               gp_grads)
         loss += gp_weight * penalty
         grads = [a + gp_weight * b for a, b in zip(grads, gp_grads)]
     return loss, grads
@@ -464,6 +513,59 @@ def test_stacked_critic_pass_matches_two_pass_oracle(m, gp_weight):
         assert grads is out
         assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
         assert_rel_close(grads, ref_grads)
+
+
+@pytest.mark.parametrize("scale", [1.0, 10.0])
+def test_penalty_from_mixed_preactivation_matches_chain_oracle(scale):
+    for seed in range(10):
+        rng = np.random.default_rng(100 + seed)
+        m = int(rng.integers(1, 9))
+        disc = make_disc(rng, visual_dim=6, hidden=9, num_classes=3)
+        disc.trunk.layers[0].bias[:] = rng.normal(size=9)
+        disc.critic.layers[0].bias[:] = rng.normal()
+        real = rng.uniform(-0.9, 0.9, size=(m, 6))
+        fake = rng.uniform(-0.9, 0.9, size=(m, 6))
+        eps = rng.uniform(0.0, 1.0, size=(m, 1))
+        ref_grads = [np.zeros_like(p) for p in disc.params()]
+        ref = chain_gradient_penalty_grads(disc, eps * real + (1.0 - eps) * fake,
+                                           ref_grads, scale)
+        grads = [np.zeros_like(p) for p in disc.params()]
+        penalty = gradient_penalty_grads(disc, mixed_preactivation(disc, real, fake, eps),
+                                         grads, scale)
+        assert abs(penalty - ref) <= 1e-12 * abs(ref)
+        assert_rel_close(grads, ref_grads)
+        # only the trunk and critic weights receive penalty gradients
+        assert not any(g.any() for i, g in enumerate(grads) if i not in (0, 2))
+
+
+def tie_disc():
+    """Integer critic whose trunk pre-activation has an exact 0 in row 0."""
+    disc = make_disc(np.random.default_rng(0), visual_dim=2, hidden=3, num_classes=2)
+    disc.trunk.layers[0].weight[:] = [[0.0, 5.0, 0.0], [1.0, 6.0, 1.0]]
+    disc.trunk.layers[0].bias[:] = [0.0, -1.0, 2.0]
+    disc.critic.layers[0].weight[:] = 1.0
+    return disc
+
+
+def test_penalty_counts_a_relu_tie_as_active_in_both_forms():
+    disc = tie_disc()
+    # row 0 interpolates to x = 0, so z_hat = bias = [0, -1, 2]: with the tie
+    # active the critic gradient is [0, 2] (norm 2), without it [0, 1] (norm 1);
+    # row 1 has z_hat = [-3, -19, -1], a zero gradient
+    real = np.array([[1.0, 0.0], [0.0, -3.0]])
+    fake = np.array([[-1.0, 0.0], [2.0, 9.0]])
+    eps = np.array([[0.5], [1.0]])
+    z_hat = mixed_preactivation(disc, real, fake, eps)
+    assert z_hat.tolist() == [[0.0, -1.0, 2.0], [-3.0, -19.0, -1.0]]
+    # penalty ((2 - 1)^2 + (0 - 1)^2) / 2; d_g = [[0, 1], [0, 0]]
+    want = [np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 1.0]]), np.zeros(3),
+            np.array([[1.0], [0.0], [1.0]]), np.zeros(1), np.zeros((3, 2)), np.zeros(2)]
+    for form, arg in [(gradient_penalty_grads, z_hat),
+                      (chain_gradient_penalty_grads, eps * real + (1.0 - eps) * fake)]:
+        grads = [np.zeros_like(p) for p in disc.params()]
+        assert form(disc, arg, grads) == 1.0
+        for got, ref in zip(grads, want):
+            assert got.tolist() == ref.tolist()
 
 
 def test_critic_backward_without_parameter_gradients_gives_same_input_gradient():

@@ -251,6 +251,21 @@ def test_synthesize_references_shapes_and_labels():
         assert (labels == c).sum() == 7
 
 
+def test_synthesize_references_matches_per_class_stack():
+    ds, work, gen, disc, cols, rng = trained_setup()
+    classes = sorted(work.split.seen) + sorted(work.split.unseen)
+    sem = work.semantics_for(classes)
+    refs, labels = synthesize_references(gen, classes, sem, 7,
+                                         np.random.default_rng(5))
+    # the list of per-class blocks and the stack it replaced
+    oracle_rng = np.random.default_rng(5)
+    blocks = [generate(gen, row[None, :], gen.sample_noise(oracle_rng, 7)) for row in sem]
+    assert refs.tobytes() == np.vstack(blocks).tobytes()
+    assert labels.dtype == np.int64 and labels.tolist() == np.repeat(classes, 7).tolist()
+    with pytest.raises(UsageError):
+        synthesize_references(gen, classes, sem[1:], 7, rng)
+
+
 def test_ssl_training_set_monotone():
     ds = data.make_synthetic(SPEC)
     cfg = SslConfig(psi=0.0, n_ssl=2, per_class_synthetic=5, knn_k=3)

@@ -1,6 +1,6 @@
 import numpy as np
 
-from zsgen import data, selftrain
+from zsgen import data, gan, selftrain
 from zsgen.gan import GanTrainConfig, train_gan
 from zsgen.verify import run_gradient_checks
 
@@ -35,6 +35,57 @@ def test_zero_steps_returns_initial_params():
     assert result.log_lines == []
     for a, b in zip(params_of(result.generator, result.discriminator), before):
         assert (a == b).all()
+
+
+def test_no_probe_returns_the_passed_in_networks_trained():
+    ds, work, scaler, gen, disc, cols, rng = setup()
+    before = params_of(gen, disc)
+    tr = work.train_indices()
+    cfg = GanTrainConfig(**{**TINY, "eval_every": 0})
+    result = train_gan(work, work.features[tr], work.labels[tr],
+                       gen, disc, cols, cfg, rng)
+    assert result.generator is gen and result.discriminator is disc
+    assert result.log_lines == [] and np.isnan(result.best_gacc)
+    after = params_of(gen, disc)
+    assert all(np.isfinite(a).all() for a in after)
+    assert any((a != b).any() for a, b in zip(after, before))
+
+
+def probe_returning(monkeypatch, scores, gen, disc):
+    """Replace the kNN probe with one that returns scores in turn and records
+    the networks' parameters at each call."""
+    seen = []
+
+    def probe(*args):
+        seen.append(params_of(gen, disc))
+        return scores[len(seen) - 1]
+
+    monkeypatch.setattr(gan, "_probe_gacc", probe)
+    return seen
+
+
+def test_probe_snapshot_is_not_changed_by_later_steps(monkeypatch):
+    ds, work, scaler, gen, disc, cols, rng = setup()
+    seen = probe_returning(monkeypatch, [3.0, 2.0, 1.0], gen, disc)
+    tr = work.train_indices()
+    result = train_gan(work, work.features[tr], work.labels[tr],
+                       gen, disc, cols, GanTrainConfig(**TINY), rng)
+    assert len(seen) == 3 and result.best_gacc == 3.0
+    assert result.generator is not gen and result.discriminator is not disc
+    for a, b in zip(params_of(result.generator, result.discriminator), seen[0]):
+        assert (a == b).all()
+    # the passed-in networks trained on past the first probe
+    assert any((a != b).any() for a, b in zip(params_of(gen, disc), seen[0]))
+
+
+def test_nan_probes_return_the_trained_networks(monkeypatch):
+    ds, work, scaler, gen, disc, cols, rng = setup()
+    probe_returning(monkeypatch, [float("nan")] * 3, gen, disc)
+    tr = work.train_indices()
+    result = train_gan(work, work.features[tr], work.labels[tr],
+                       gen, disc, cols, GanTrainConfig(**TINY), rng)
+    assert len(result.log_lines) == 3 and np.isnan(result.best_gacc)
+    assert result.generator is gen and result.discriminator is disc
 
 
 def test_training_reproducible_for_fixed_seed():
