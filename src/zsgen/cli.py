@@ -122,10 +122,11 @@ def cmd_train(args, cfg):
     if log_path:
         with data.atomic_write(log_path) as fh:
             fh.write("# step\tloss_d\tloss_g\ttriplet\tval_gacc\n")
-            for i, lines in enumerate(result.train_logs, start=1):
+            for i, history in enumerate(result.train_logs, start=1):
                 fh.write(f"# iteration {i}\n")
-                for line in lines:
-                    fh.write(line + "\n")
+                for h in history:
+                    fh.write(f"{h['step']}\t{h['loss_d']!r}\t{h['loss_g']!r}"
+                             f"\t{h['triplet']!r}\t{h['val_gacc']!r}\n")
     report_path = cfg["io"].get("ssl_report")
     if report_path:
         with data.atomic_write(report_path) as fh:

@@ -128,7 +128,12 @@ def _load_matrix_text(path):
     try:
         n, d = (int(x) for x in header[len("# dims:"):].split())
     except ValueError:
-        raise ParseError("malformed '# dims:' header", path=path, line=1)
+        raise ParseError("malformed '# dims:' header", path=path, line=1) from None
+    if min(n, d) < 0:
+        raise ParseError("negative size in '# dims:' header", path=path, line=1)
+    # a row is d + 1 fields of at least one byte, with a separator between each
+    if n * (2 * d + 1) > os.path.getsize(path):
+        raise ParseError(f"{n} rows of {d} values cannot fit in the file", path=path, line=1)
     labels = np.empty(n, dtype=np.int64)
     values = np.empty((n, d))
     row = 0

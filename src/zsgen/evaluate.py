@@ -23,16 +23,13 @@ from .selftrain import synthesize_references, unseen_test_rows, unseen_top1
 CHECKPOINT_KIND = "zsgen-model"
 
 
-def _mlp_arrays(prefix, mlp):
-    out = {}
-    for i, layer in enumerate(mlp.layers):
-        out[f"{prefix}.{i}.weight"] = layer.weight
-        out[f"{prefix}.{i}.bias"] = layer.bias
-    return out
+# checkpoint prefix, network class, config class
+_NETWORKS = (("gen", Generator, GeneratorConfig), ("disc", Discriminator, DiscriminatorConfig))
 
 
-def _mlp_meta(mlp):
-    return [{"activation": l.activation, "slope": l.slope} for l in mlp.layers]
+def _layer_meta(layout):
+    return {part: [{"activation": act, "slope": slope} for act in activations]
+            for part, (_, activations, slope) in layout.items()}
 
 
 def _meta_entry(node, key, kind, path):
@@ -43,101 +40,76 @@ def _meta_entry(node, key, kind, path):
     return node[key]
 
 
-def _array(arrays, name, path):
+def _take(arrays, name, shape, path):
+    """arrays.pop(name), which must be there and have the given shape."""
     if name not in arrays:
         raise ParseError(f"model checkpoint has no array {name!r}", path=path)
-    return arrays[name]
-
-
-def _mlp_from(prefix, arrays, layer_meta, key, path):
-    specs = _meta_entry(layer_meta, key, list, path)
-    if not specs:
-        raise ParseError(f"model metadata lists no {prefix} layers", path=path)
-    layers = []
-    for i, spec in enumerate(specs):
-        layers.append(Layer(
-            _array(arrays, f"{prefix}.{i}.weight", path),
-            _array(arrays, f"{prefix}.{i}.bias", path),
-            _meta_entry(spec, "activation", str, path),
-            _meta_entry(spec, "slope", (int, float), path),
-        ))
-    return Mlp(layers)
-
-
-def _check_shapes(gen, disc, scaler):
-    """Raise ConfigError unless every network maps the widths its config names
-    and the discriminator has the layers Discriminator builds."""
-    g, d = gen.cfg, disc.cfg
-    decode_in = g.reduce_dim + (g.noise_dim if g.noise_mode == "concat" else 0)
-    for name, mlp, dims in [
-        ("gen.reduce", gen.reduce, (g.semantic_dim, g.reduce_dim)),
-        ("gen.decode", gen.decode, (decode_in, g.visual_dim)),
-        ("disc.trunk", disc.trunk, (d.visual_dim, d.hidden_dim)),
-        ("disc.critic", disc.critic, (d.hidden_dim, 1)),
-        ("disc.head", disc.head, (d.hidden_dim, d.num_classes)),
-    ]:
-        if (mlp.in_dim, mlp.out_dim) != dims:
-            raise ConfigError(f"{name} maps {mlp.in_dim} -> {mlp.out_dim}, "
-                              f"its config {dims[0]} -> {dims[1]}")
-    for part, activations in Discriminator.LAYERS.items():
-        found = tuple(layer.activation for layer in getattr(disc, part).layers)
-        if found != activations:
-            raise ConfigError(f"disc.{part} has layers {list(found)}, "
-                              f"a discriminator builds {list(activations)}")
-    for bound in (scaler.lo, scaler.hi):
-        if bound.shape != (g.visual_dim,) or not np.isfinite(bound).all():
-            raise ConfigError(f"scaler bounds must be {g.visual_dim} finite values")
+    array = arrays.pop(name)
+    if array.shape != shape:
+        raise ParseError(f"array {name!r} has shape {array.shape}, its config makes {shape}",
+                         path=path)
+    return array
 
 
 def save_model(path, gen, disc, scaler, class_cols, config_hash=""):
-    arrays = {}
-    arrays.update(_mlp_arrays("gen.reduce", gen.reduce))
-    arrays.update(_mlp_arrays("gen.decode", gen.decode))
-    arrays.update(_mlp_arrays("disc.trunk", disc.trunk))
-    arrays.update(_mlp_arrays("disc.critic", disc.critic))
-    arrays.update(_mlp_arrays("disc.head", disc.head))
-    arrays["scaler.lo"] = scaler.lo
-    arrays["scaler.hi"] = scaler.hi
+    arrays = {"scaler.lo": scaler.lo, "scaler.hi": scaler.hi}
     meta = {
         "kind": CHECKPOINT_KIND,
         "config_hash": config_hash,
-        "gen_cfg": asdict(gen.cfg),
-        "disc_cfg": asdict(disc.cfg),
-        "gen_layers": {
-            "reduce": _mlp_meta(gen.reduce), "decode": _mlp_meta(gen.decode),
-        },
-        "disc_layers": {
-            "trunk": _mlp_meta(disc.trunk), "critic": _mlp_meta(disc.critic),
-            "head": _mlp_meta(disc.head),
-        },
         "class_cols": {str(k): v for k, v in class_cols.items()},
     }
+    for (prefix, _, _), net in zip(_NETWORKS, (gen, disc)):
+        layout = net.layout(net.cfg)
+        meta[f"{prefix}_cfg"] = asdict(net.cfg)
+        meta[f"{prefix}_layers"] = _layer_meta(layout)
+        for part in layout:
+            for i, layer in enumerate(getattr(net, part).layers):
+                arrays[f"{prefix}.{part}.{i}.weight"] = layer.weight
+                arrays[f"{prefix}.{part}.{i}.bias"] = layer.bias
     data.save_checkpoint(path, arrays, meta)
+
+
+def _load_network(prefix, cls, cfg_cls, arrays, meta, path):
+    """The network that the stored config builds, with its layers taken out of
+    arrays; the stored layer list must be the one that config builds."""
+    cfg = build_section(cfg_cls, _meta_entry(meta, f"{prefix}_cfg", dict, path),
+                        f"{prefix}_cfg")
+    layout = cls.layout(cfg)
+    stored = _meta_entry(meta, f"{prefix}_layers", dict, path)
+    built = _layer_meta(layout)
+    for part in [*built, *sorted(set(stored) - set(built))]:
+        if stored.get(part) != built.get(part):
+            raise ConfigError(f"{prefix}.{part} has layers {stored.get(part)}, "
+                              f"a {cls.__name__.lower()} builds {built.get(part)}")
+    parts = {}
+    for part, (widths, activations, slope) in layout.items():
+        parts[part] = Mlp([
+            Layer(_take(arrays, f"{prefix}.{part}.{i}.weight", (widths[i], widths[i + 1]), path),
+                  _take(arrays, f"{prefix}.{part}.{i}.bias", (widths[i + 1],), path),
+                  act, slope)
+            for i, act in enumerate(activations)
+        ])
+    return cls.from_parts(cfg, parts)
 
 
 def load_model(path):
     arrays, meta = data.load_checkpoint(path)
     if meta.get("kind") != CHECKPOINT_KIND:
         raise ConfigError(f"{path} is not a model checkpoint")
-    gen_layers = _meta_entry(meta, "gen_layers", dict, path)
-    disc_layers = _meta_entry(meta, "disc_layers", dict, path)
     try:
-        gen = Generator.__new__(Generator)
-        gen.cfg = build_section(GeneratorConfig, _meta_entry(meta, "gen_cfg", dict, path),
-                                "gen_cfg")
-        gen.reduce = _mlp_from("gen.reduce", arrays, gen_layers, "reduce", path)
-        gen.decode = _mlp_from("gen.decode", arrays, gen_layers, "decode", path)
-        disc = Discriminator.__new__(Discriminator)
-        disc.cfg = build_section(DiscriminatorConfig, _meta_entry(meta, "disc_cfg", dict, path),
-                                 "disc_cfg")
-        disc.trunk = _mlp_from("disc.trunk", arrays, disc_layers, "trunk", path)
-        disc.critic = _mlp_from("disc.critic", arrays, disc_layers, "critic", path)
-        disc.head = _mlp_from("disc.head", arrays, disc_layers, "head", path)
-        scaler = FeatureScaler(lo=_array(arrays, "scaler.lo", path),
-                               hi=_array(arrays, "scaler.hi", path))
-        _check_shapes(gen, disc, scaler)
+        gen, disc = (_load_network(*net, arrays, meta, path) for net in _NETWORKS)
+        dim = gen.cfg.visual_dim
+        if disc.cfg.visual_dim != dim:
+            raise ConfigError(f"disc_cfg.visual_dim {disc.cfg.visual_dim} != gen_cfg's {dim}")
+        scaler = FeatureScaler(lo=_take(arrays, "scaler.lo", (dim,), path),
+                               hi=_take(arrays, "scaler.hi", (dim,), path))
+        if not (np.isfinite(scaler.lo).all() and np.isfinite(scaler.hi).all()):
+            raise ConfigError("scaler bounds must be finite")
     except ConfigError as exc:
         raise ParseError(f"corrupt model checkpoint: {exc}", path=path) from None
+    if arrays:
+        raise ParseError(f"model checkpoint holds arrays no network names: {sorted(arrays)}",
+                         path=path)
     class_cols = {}
     for key, col in _meta_entry(meta, "class_cols", dict, path).items():
         try:

@@ -29,7 +29,7 @@ class GeneratorConfig:
     visual_dim: int = bounded(ge=1)
     reduce_dim: int = bounded(1000, ge=1)
     hidden_dim: int = bounded(2048, ge=1)
-    noise_dim: int = 0          # 0: same as reduce_dim (additive mode)
+    noise_dim: int = bounded(0, ge=0)   # 0: same as reduce_dim (additive mode)
     noise_sigma: float = bounded(1.0, ge=0)
     noise_mode: str = bounded("add", choices=("add", "concat"))
     slope: float = 0.2
@@ -96,29 +96,54 @@ class FeatureScaler:
         return np.where(span > 0.0, out, 0.0)
 
 
-class Generator:
+class Network:
+    """Named parts, each an Mlp, as the subclass's layout(cfg) declares them:
+    part -> (widths, activations, slope), layer i mapping widths[i] to
+    widths[i + 1] and then applying activations[i]. Each part is an attribute
+    of that name; parameters run in layout order, weight then bias per layer.
+    """
+
     def __init__(self, cfg, rng):
+        self._assemble(cfg, {part: init_mlp(widths, activations, rng, slope)
+                             for part, (widths, activations, slope)
+                             in self.layout(cfg).items()})
+
+    @classmethod
+    def from_parts(cls, cfg, parts):
+        """The network with the given part -> Mlp mapping, in layout order."""
+        net = cls.__new__(cls)
+        net._assemble(cfg, parts)
+        return net
+
+    def _assemble(self, cfg, parts):
         self.cfg = cfg
-        self.reduce = init_mlp([cfg.semantic_dim, cfg.reduce_dim], ["identity"], rng)
-        post_in = cfg.reduce_dim if cfg.noise_mode == "add" else cfg.reduce_dim + cfg.noise_dim
-        self.decode = init_mlp(
-            [post_in, cfg.hidden_dim, cfg.visual_dim],
-            ["leaky_relu", "tanh"], rng, slope=cfg.slope,
-        )
+        self.__dict__.update(parts)
+        self._mlps = tuple(parts.values())
 
     def params(self):
-        return self.reduce.param_arrays() + self.decode.param_arrays()
+        out = []
+        for mlp in self._mlps:
+            out += mlp.param_arrays()
+        return out
 
     def pack(self):
         """Move the parameters into one flat vector (see nn.pack); returns it."""
-        return pack([self.reduce, self.decode])
+        return pack(self._mlps)
 
     def copy(self):
-        out = Generator.__new__(Generator)
-        out.cfg = replace(self.cfg)
-        out.reduce = self.reduce.copy()
-        out.decode = self.decode.copy()
-        return out
+        return self.from_parts(replace(self.cfg), {
+            part: getattr(self, part).copy() for part in self.layout(self.cfg)})
+
+
+class Generator(Network):
+    @staticmethod
+    def layout(cfg):
+        decode_in = cfg.reduce_dim + (cfg.noise_dim if cfg.noise_mode == "concat" else 0)
+        return {
+            "reduce": ((cfg.semantic_dim, cfg.reduce_dim), ("identity",), cfg.slope),
+            "decode": ((decode_in, cfg.hidden_dim, cfg.visual_dim),
+                       ("leaky_relu", "tanh"), cfg.slope),
+        }
 
     def sample_noise(self, rng, n):
         return rng.normal(0.0, self.cfg.noise_sigma, size=(n, self.cfg.noise_dim))
@@ -179,33 +204,18 @@ def generate(gen, semantics, noise, classes=None):
     return out
 
 
-class Discriminator:
+class Discriminator(Network):
     """A relu trunk shared by a scalar critic and a class-logit head, each
     exactly one layer; gradient_penalty_grads relies on that shape."""
 
-    LAYERS = {"trunk": ("relu",), "critic": ("identity",), "head": ("identity",)}
-
-    def __init__(self, cfg, rng):
-        self.cfg = cfg
-        layers = self.LAYERS
-        self.trunk = init_mlp([cfg.visual_dim, cfg.hidden_dim], layers["trunk"], rng)
-        self.critic = init_mlp([cfg.hidden_dim, 1], layers["critic"], rng)
-        self.head = init_mlp([cfg.hidden_dim, cfg.num_classes], layers["head"], rng)
-
-    def params(self):
-        return self.trunk.param_arrays() + self.critic.param_arrays() + self.head.param_arrays()
-
-    def pack(self):
-        """Move the parameters into one flat vector (see nn.pack); returns it."""
-        return pack([self.trunk, self.critic, self.head])
-
-    def copy(self):
-        out = Discriminator.__new__(Discriminator)
-        out.cfg = replace(self.cfg)
-        out.trunk = self.trunk.copy()
-        out.critic = self.critic.copy()
-        out.head = self.head.copy()
-        return out
+    @staticmethod
+    def layout(cfg):
+        # relu and identity read no slope; checkpoints record 0.2
+        return {
+            "trunk": ((cfg.visual_dim, cfg.hidden_dim), ("relu",), 0.2),
+            "critic": ((cfg.hidden_dim, 1), ("identity",), 0.2),
+            "head": ((cfg.hidden_dim, cfg.num_classes), ("identity",), 0.2),
+        }
 
     def forward(self, x):
         h, trunk_cache = mlp_forward(self.trunk, x)
@@ -431,8 +441,7 @@ def generator_loss_grads(gen, disc, semantics, noise, labels,
 class TrainResult:
     generator: Generator
     discriminator: Discriminator
-    log_lines: list = field(default_factory=list)
-    history: list = field(default_factory=list)
+    history: list = field(default_factory=list)   # one dict per probe
     best_gacc: float = float("nan")
 
 
@@ -514,9 +523,11 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng,
     """Adversarial training on the (scaled) training split.
 
     class_cols maps class id -> discriminator logit column. Every
-    eval_every steps a kNN probe records validation generalized accuracy;
-    a copy of the networks is kept at each new best probe, and the best
-    one is returned. When no probe scores (none ran, or all were NaN), the
+    eval_every steps a kNN probe records the generalized accuracy of
+    val_fraction of each seen class's rows, held out from fitting; no rows
+    are held out when no step reaches eval_every or val_fraction is 0. A
+    copy of the networks is kept at each new best probe, and the best one
+    is returned. When no probe scores (none ran, or all were NaN), the
     passed-in networks themselves are returned, trained. Stops early after
     `patience` consecutive evaluations without improvement.
     """
@@ -526,16 +537,18 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng,
     n_train = train_x.shape[0]
     m = min(cfg.batch_size, n_train)
 
-    val_idx = _validation_split(train_y, sorted(dataset.split.seen),
-                                cfg.val_fraction, rng)
-    fit_mask = np.ones(n_train, dtype=bool)
-    fit_mask[val_idx] = False
-    fit_idx = np.flatnonzero(fit_mask)
-    fit_y = train_y[fit_idx]
-    val_x, val_y = train_x[val_idx], train_y[val_idx]
-    if cfg.eval_every and cfg.n_step >= cfg.eval_every and val_idx.size:
+    # rows are held out only for a probe that some step reaches
+    val_idx = np.empty(0, dtype=np.int64)
+    if cfg.eval_every and cfg.n_step >= cfg.eval_every and cfg.val_fraction > 0:
+        val_idx = _validation_split(train_y, sorted(dataset.split.seen),
+                                    cfg.val_fraction, rng)
+    probe = val_idx.size > 0
+    if probe:
         check_k("gan.knn_k", cfg.knn_k, cfg.probe_per_class,
                 len(dataset.split.seen) + len(dataset.split.unseen))
+    fit_idx = np.setdiff1d(np.arange(n_train), val_idx, assume_unique=True)
+    fit_y = train_y[fit_idx]
+    val_x, val_y = train_x[val_idx], train_y[val_idx]
     sampler = TripletSampler(fit_y)
     # per class of the fit rows: its semantic vector and its logit column
     sem_of_class = dataset.semantics_for(sampler.classes)
@@ -549,7 +562,7 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng,
 
     best = None   # (gen, disc) snapshot of the best probe so far
     best_gacc = float("-inf")
-    log_lines, history = [], []
+    history = []
     p_count = 0
     last_ld = float("nan")
 
@@ -577,15 +590,11 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng,
             raise UsageError(f"non-finite generator loss at step {step}")
         adam_step(gen_params, gen_grads, gen_adam)
 
-        if cfg.eval_every > 0 and step % cfg.eval_every == 0 and val_x.shape[0] > 0:
+        if probe and step % cfg.eval_every == 0:
             gacc = _probe_gacc(gen, dataset, val_x, val_y, cfg, rng, sweep)
-            log_lines.append(
-                f"{step}\t{float(last_ld)!r}\t{float(lg)!r}"
-                f"\t{float(trip)!r}\t{float(gacc)!r}"
-            )
             history.append({
-                "step": step, "loss_d": last_ld, "loss_g": lg,
-                "triplet": trip, "val_gacc": gacc,
+                "step": step, "loss_d": float(last_ld), "loss_g": float(lg),
+                "triplet": float(trip), "val_gacc": float(gacc),
             })
             if gacc > best_gacc:
                 best, best_gacc = (gen.copy(), disc.copy()), gacc
@@ -597,5 +606,5 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng,
 
     if best is None:
         # no probe ran, or none scored above -inf: the trained networks are the result
-        return TrainResult(gen, disc, log_lines, history, float("nan"))
-    return TrainResult(*best, log_lines, history, best_gacc)
+        return TrainResult(gen, disc, history, float("nan"))
+    return TrainResult(*best, history, best_gacc)

@@ -152,7 +152,7 @@ class SslResult:
     class_cols: dict          # class id -> discriminator logit column
     dataset: ZslDataset       # scaled working dataset after augmentation
     reports: list = field(default_factory=list)
-    train_logs: list = field(default_factory=list)  # one log-line list per iteration
+    train_logs: list = field(default_factory=list)  # one probe history per iteration
 
 
 def scaled_copy(dataset, scaler):
@@ -199,7 +199,7 @@ def run_ssl(dataset, gen_cfg, disc_cfg, train_cfg, ssl_cfg, seed):
             gen, disc, class_cols, train_cfg, rng,
         )
         gen, disc = result.generator, result.discriminator
-        train_logs.append(result.log_lines)
+        train_logs.append(result.history)
 
         open_rows = candidates[~frozen]
         pl = pseudo_label(

@@ -69,6 +69,24 @@ def test_text_matrix_bad_value_names_path_and_line(tmp_path, body, line):
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize("header", [
+    "# dims: -1 3", "# dims: 2 -1", "# dims: 99999999999 99999", "# dims: 1 99999999999",
+], ids=["negative-rows", "negative-width", "rows-beyond-file", "width-beyond-file"])
+def test_text_matrix_header_beyond_the_file_names_path_and_line(tmp_path, header):
+    path = tmp_path / "m.txt"
+    path.write_text(header + "\n0 1.0 2.0 3.0\n")
+    with pytest.raises(ParseError) as info:
+        data.load_matrix(str(path))
+    assert info.value.line == 1 and str(path) in str(info.value)
+
+
+def test_text_matrix_header_may_fill_the_file_exactly(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("# dims: 2 1\n0 1\n1 2")   # no final newline
+    labels, values = data.load_matrix(str(path))
+    assert labels.tolist() == [0, 1] and values.tolist() == [[1.0], [2.0]]
+
+
 def test_binary_matrix_non_finite_value_names_path(tmp_path):
     path = str(tmp_path / "m.bin")
     data.save_matrix_binary(path, np.arange(3), [[0.0, 1.0], [2.0, np.nan], [4.0, 5.0]])
@@ -284,6 +302,71 @@ def test_discriminator_layers_other_than_built_ones_rejected(tmp_path, craft):
     craft(arrays, meta)
     data.save_checkpoint(path, arrays, meta)
     with pytest.raises(ParseError, match="a discriminator builds") as info:
+        evaluate.load_model(path)
+    assert path in str(info.value)
+
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "tiny_model.ck")
+
+
+def test_stored_checkpoint_loads_and_saves_back_byte_for_byte(tmp_path):
+    # tiny_model.ck: a concat-noise generator and a three-class critic
+    gen, disc, scaler, class_cols, meta = evaluate.load_model(FIXTURE)
+    assert gen.cfg.noise_mode == "concat" and gen.decode.in_dim == 3
+    assert disc.cfg.num_classes == 3 and class_cols == {0: 0, 1: 1, 4: 2}
+    path = tmp_path / "again.ck"
+    evaluate.save_model(str(path), gen, disc, scaler, class_cols, meta["config_hash"])
+    assert path.read_bytes() == open(FIXTURE, "rb").read()
+
+
+def _gen_decode(arrays, meta, activations):
+    """Relist gen.decode with the given activations, adding square layers."""
+    width = arrays["gen.decode.1.weight"].shape[1]
+    for i in range(2, len(activations)):
+        arrays[f"gen.decode.{i}.weight"] = np.eye(width)
+        arrays[f"gen.decode.{i}.bias"] = np.zeros(width)
+    meta["gen_layers"]["decode"] = [{"activation": a, "slope": 0.2} for a in activations]
+
+
+@pytest.mark.parametrize("craft", [
+    lambda a, m: _gen_decode(a, m, ["relu", "tanh", "tanh"]),
+    lambda a, m: _gen_decode(a, m, ["relu", "tanh"]),
+    lambda a, m: m["gen_layers"]["reduce"][0].update(slope=0.5),
+    lambda a, m: m["gen_layers"].update(extra=[]),
+], ids=["three-decode-layers", "decode-activation", "reduce-slope", "extra-part"])
+def test_generator_layers_other_than_built_ones_rejected(tmp_path, craft):
+    path = str(tmp_path / "model.ck")
+    _tiny_model_checkpoint(path)
+    arrays, meta = data.load_checkpoint(path)
+    craft(arrays, meta)
+    data.save_checkpoint(path, arrays, meta)
+    with pytest.raises(ParseError, match="a generator builds") as info:
+        evaluate.load_model(path)
+    assert path in str(info.value)
+
+
+@pytest.mark.parametrize("name", ["gen.decode.2.weight", "notes"])
+def test_checkpoint_array_no_network_names_rejected(tmp_path, name):
+    path = str(tmp_path / "model.ck")
+    _tiny_model_checkpoint(path)
+    arrays, meta = data.load_checkpoint(path)
+    arrays[name] = np.ones((2, 2))
+    data.save_checkpoint(path, arrays, meta)
+    with pytest.raises(ParseError, match=name) as info:
+        evaluate.load_model(path)
+    assert path in str(info.value)
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("gen.reduce.0.weight", (2, 3)), ("disc.head.0.bias", (3,)), ("scaler.hi", (2, 1)),
+])
+def test_checkpoint_array_of_another_shape_rejected(tmp_path, name, shape):
+    path = str(tmp_path / "model.ck")
+    _tiny_model_checkpoint(path)
+    arrays, meta = data.load_checkpoint(path)
+    arrays[name] = np.zeros(shape)
+    data.save_checkpoint(path, arrays, meta)
+    with pytest.raises(ParseError, match=name) as info:
         evaluate.load_model(path)
     assert path in str(info.value)
 

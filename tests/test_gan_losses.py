@@ -314,9 +314,9 @@ def test_discriminator_hand_built_critic_value():
     trunk = Mlp([Layer(np.array([[1.0, -1.0]]), np.zeros(2), "relu")])
     critic = Mlp([Layer(np.array([[1.0], [-1.0]]), np.zeros(1), "identity")])
     head = Mlp([Layer(np.array([[1000.0, 0.0], [1000.0, 0.0]]), np.zeros(2), "identity")])
-    disc = Discriminator.__new__(Discriminator)
-    disc.cfg = DiscriminatorConfig(visual_dim=1, hidden_dim=2, num_classes=2)
-    disc.trunk, disc.critic, disc.head = trunk, critic, head
+    disc = Discriminator.from_parts(
+        DiscriminatorConfig(visual_dim=1, hidden_dim=2, num_classes=2),
+        {"trunk": trunk, "critic": critic, "head": head})
     real = np.full((3, 1), 1.0)
     fake = np.full((3, 1), -1.0)
     labels = np.zeros(3, dtype=np.int64)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from zsgen import data, gan, selftrain
 from zsgen.gan import GanTrainConfig, train_gan
@@ -32,7 +33,7 @@ def test_zero_steps_returns_initial_params():
     cfg = GanTrainConfig(**{**TINY, "n_step": 0})
     result = train_gan(work, work.features[tr], work.labels[tr],
                        gen, disc, cols, cfg, rng)
-    assert result.log_lines == []
+    assert result.history == []
     for a, b in zip(params_of(result.generator, result.discriminator), before):
         assert (a == b).all()
 
@@ -45,7 +46,7 @@ def test_no_probe_returns_the_passed_in_networks_trained():
     result = train_gan(work, work.features[tr], work.labels[tr],
                        gen, disc, cols, cfg, rng)
     assert result.generator is gen and result.discriminator is disc
-    assert result.log_lines == [] and np.isnan(result.best_gacc)
+    assert result.history == [] and np.isnan(result.best_gacc)
     after = params_of(gen, disc)
     assert all(np.isfinite(a).all() for a in after)
     assert any((a != b).any() for a, b in zip(after, before))
@@ -84,8 +85,38 @@ def test_nan_probes_return_the_trained_networks(monkeypatch):
     tr = work.train_indices()
     result = train_gan(work, work.features[tr], work.labels[tr],
                        gen, disc, cols, GanTrainConfig(**TINY), rng)
-    assert len(result.log_lines) == 3 and np.isnan(result.best_gacc)
+    assert len(result.history) == 3 and np.isnan(result.best_gacc)
     assert result.generator is gen and result.discriminator is disc
+
+
+def rows_fitted(monkeypatch):
+    """A set that gains the bytes of every real row a critic update sees."""
+    seen = set()
+    original = gan.discriminator_loss_grads
+
+    def recording(disc, real_x, *args, **kwargs):
+        seen.update(row.tobytes() for row in real_x)
+        return original(disc, real_x, *args, **kwargs)
+
+    monkeypatch.setattr(gan, "discriminator_loss_grads", recording)
+    return seen
+
+
+@pytest.mark.parametrize("settings, held_out", [
+    ({}, 8),                                  # 2 of each seen class's 15 rows
+    ({"eval_every": 0}, 0),                   # no probe
+    ({"n_step": 9}, 0),                       # no step reaches eval_every 10
+    ({"val_fraction": 0.0}, 0),               # nothing to probe on
+], ids=["probe", "eval-every-0", "no-step-reaches-probe", "val-fraction-0"])
+def test_rows_are_held_out_only_for_a_probe_that_runs(monkeypatch, settings, held_out):
+    ds, work, scaler, gen, disc, cols, rng = setup()
+    seen = rows_fitted(monkeypatch)
+    tr = work.train_indices()
+    result = train_gan(work, work.features[tr], work.labels[tr],
+                       gen, disc, cols, GanTrainConfig(**{**TINY, **settings}), rng)
+    assert bool(result.history) == bool(held_out)
+    assert seen <= {row.tobytes() for row in work.features[tr]}
+    assert len(seen) == tr.size - held_out
 
 
 def test_training_reproducible_for_fixed_seed():
@@ -96,7 +127,7 @@ def test_training_reproducible_for_fixed_seed():
         cfg = GanTrainConfig(**TINY)
         result = train_gan(work, work.features[tr], work.labels[tr],
                            gen, disc, cols, cfg, rng)
-        outputs.append((result.log_lines,
+        outputs.append((result.history,
                         params_of(result.generator, result.discriminator)))
     assert outputs[0][0] == outputs[1][0]
     for a, b in zip(outputs[0][1], outputs[1][1]):
@@ -109,10 +140,9 @@ def test_training_log_shape_and_finiteness():
     cfg = GanTrainConfig(**TINY)
     result = train_gan(work, work.features[tr], work.labels[tr],
                        gen, disc, cols, cfg, rng)
-    assert len(result.log_lines) == 3  # 30 steps / eval_every 10
-    for line in result.log_lines:
-        step, ld, lg, trip, gacc = line.split("\t")
-        assert np.isfinite([float(ld), float(lg), float(trip), float(gacc)]).all()
+    assert [h["step"] for h in result.history] == [10, 20, 30]  # eval_every 10
+    for h in result.history:
+        assert np.isfinite([h["loss_d"], h["loss_g"], h["triplet"], h["val_gacc"]]).all()
     assert np.isfinite(result.best_gacc)
 
 
