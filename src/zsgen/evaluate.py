@@ -1,9 +1,10 @@
 """Model persistence and the full evaluation protocol.
 
-Each evaluation synthesizes one reference set over the seen+unseen classes.
-All of it feeds the kNN probe over the combined space (calibrated/GZSL
-metrics); its unseen rows feed the unseen-only probe (zero-shot top-1), and
-their per-class centroids are the retrieval queries.
+Each evaluation synthesizes one reference set over the seen+unseen classes
+and forms the test rows' distances to it once. All of it feeds the kNN probe
+over the combined space (calibrated/GZSL metrics); its unseen rows feed the
+unseen-only probe (zero-shot top-1), which reads the unseen test rows' block
+of those distances, and their per-class centroids are the retrieval queries.
 """
 
 from dataclasses import asdict
@@ -16,9 +17,9 @@ from .errors import ConfigError, ParseError
 from .gan import (
     Discriminator, DiscriminatorConfig, FeatureScaler, Generator, GeneratorConfig,
 )
-from .knn import KnnClassifier, knn_scores
+from .knn import KnnClassifier, knn_scores, squared_distances
 from .nn import Layer, Mlp
-from .selftrain import synthesize_references, unseen_test_rows, unseen_top1
+from .selftrain import synthesize_references
 
 CHECKPOINT_KIND = "zsgen-model"
 
@@ -126,18 +127,16 @@ def retrieval_map(refs, ref_labels, features, labels, ratios):
     """Zero-shot retrieval mAP (%) per ratio, keyed by percent, with the
     per-class centroids of the references as queries."""
     queries = {int(c): refs[ref_labels == c].mean(axis=0) for c in np.unique(ref_labels)}
-    return {
-        int(round(100 * ratio)): metrics.retrieval_precision(queries, features, labels, ratio)
-        for ratio in ratios
-    }
+    maps = metrics.retrieval_precisions(queries, features, labels, ratios)
+    return {int(round(100 * ratio)): m for ratio, m in zip(ratios, maps)}
 
 
-def score_matrix(refs, ref_labels, dataset, queries, knn_k):
-    """kNN vote-fraction scores over the combined seen+unseen class space."""
+def score_matrix(clf, dataset, queries, distances):
+    """kNN vote-fraction scores over the combined seen+unseen class space,
+    from the queries' squared distances to clf's references."""
     seen = sorted(dataset.split.seen)
     class_ids = np.array(seen + sorted(dataset.split.unseen), dtype=np.int64)
-    clf = KnnClassifier(refs, ref_labels, k=knn_k)
-    scores = knn_scores(clf, queries, class_ids)
+    scores = knn_scores(clf, queries, class_ids, distances)
     return metrics.ScoreMatrix(scores, class_ids, seen_count=len(seen))
 
 
@@ -147,30 +146,35 @@ def evaluate_model(gen, dataset_scaled, sweep, ratios, per_class_synthetic,
     test_idx = dataset_scaled.test_indices()
     x_test = dataset_scaled.features[test_idx]
     y_test = dataset_scaled.labels[test_idx]
-    rows = unseen_test_rows(dataset_scaled)
-    if rows.size == 0:
+    seen = sorted(dataset_scaled.split.seen)
+    unseen = sorted(dataset_scaled.split.unseen)
+    is_unseen = np.isin(y_test, unseen)
+    if not is_unseen.any():
         raise ConfigError("test partition has no unseen-class samples")
 
-    seen = sorted(dataset_scaled.split.seen)
-    class_ids = seen + sorted(dataset_scaled.split.unseen)
     refs, ref_labels = synthesize_references(
-        gen, class_ids, dataset_scaled.semantics_for(class_ids),
+        gen, seen + unseen, dataset_scaled.semantics_for(seen + unseen),
         per_class_synthetic, rng,
     )
     unseen_refs = slice(len(seen) * per_class_synthetic, None)
-    top1_unseen = unseen_top1(
-        refs[unseen_refs], ref_labels[unseen_refs], dataset_scaled, knn_k
-    )
+    clf = KnnClassifier(refs, ref_labels, k=knn_k)
+    unseen_clf = KnnClassifier(refs[unseen_refs], ref_labels[unseen_refs], k=knn_k)
 
-    sm = score_matrix(refs, ref_labels, dataset_scaled, x_test, knn_k)
+    # one distance pass; the zero-shot probe searches its block of unseen
+    # test rows by unseen references
+    d2 = squared_distances(x_test, refs)
+    unseen_scores = knn_scores(unseen_clf, x_test[is_unseen], unseen, d2[is_unseen, unseen_refs])
+    top1_unseen = metrics.top1_per_class(unseen_scores, unseen, y_test[is_unseen])
+
+    sm = score_matrix(clf, dataset_scaled, x_test, d2)
+    del d2  # not held through the sweep, whose arrays set the peak memory
     s, u, h = metrics.gzsl_suh(sm, y_test)
     g_acc = metrics.generalized_accuracy(sm, y_test, sweep)
     points = metrics.suc_curve(sm, y_test, sweep)
     area = metrics.ausuc(points)
 
     map_at = retrieval_map(
-        refs[unseen_refs], ref_labels[unseen_refs],
-        dataset_scaled.features[rows], dataset_scaled.labels[rows], ratios,
+        refs[unseen_refs], ref_labels[unseen_refs], x_test[is_unseen], y_test[is_unseen], ratios,
     )
     return metrics.EvalReport(
         top1_unseen=top1_unseen, s=s, u=u, h=h, g_acc=g_acc,

@@ -32,23 +32,33 @@ def check_k(key, k, per_class, n_classes):
         )
 
 
-def _neighbors(clf, queries):
-    """Reference indices of the k nearest neighbors of each query, (n, k).
+def squared_distances(queries, references):
+    """(n_queries, n_refs) squared Euclidean distances, from one matrix product.
+
+    A block of the result is what those queries and references alone give,
+    up to the last bits where the BLAS forms the smaller product with
+    another kernel (OpenBLAS does for one row, and for products under about
+    a million multiply-adds when the whole one is not).
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.shape[1] != references.shape[1]:
+        raise UsageError(
+            f"query dim {queries.shape[1]} != reference dim {references.shape[1]}"
+        )
+    return (
+        (queries * queries).sum(axis=1)[:, None]
+        - 2.0 * queries @ references.T
+        + (references * references).sum(axis=1)[None, :]
+    )
+
+
+def _neighbors(d2, k):
+    """Column indices of the k nearest references of each row of d2, (n, k).
 
     Distance ties are broken by reference index: the set is that of a
     stable sort of the distances, in no particular order.
     """
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.shape[1] != clf.references.shape[1]:
-        raise UsageError(
-            f"query dim {queries.shape[1]} != reference dim {clf.references.shape[1]}"
-        )
-    d2 = (
-        (queries * queries).sum(axis=1)[:, None]
-        - 2.0 * queries @ clf.references.T
-        + (clf.references * clf.references).sum(axis=1)[None, :]
-    )
-    near = np.argpartition(d2, clf.k - 1, axis=1)[:, : clf.k]
+    near = np.argpartition(d2, k - 1, axis=1)[:, :k]
     near_d = np.take_along_axis(d2, near, axis=1)
     kth = near_d.max(axis=1, keepdims=True)
     # every reference closer than the k-th distance is in near; where more
@@ -59,28 +69,38 @@ def _neighbors(clf, queries):
     if tied.size:
         at = d2[tied] == kth[tied]
         keep = (d2[tied] < kth[tied]) | (at & (np.cumsum(at, axis=1) <= slots[tied, None]))
-        near[tied] = np.nonzero(keep)[1].reshape(tied.size, clf.k)
+        near[tied] = np.nonzero(keep)[1].reshape(tied.size, k)
     return near
 
 
-def _votes(clf, queries, class_ids):
-    """Neighbor votes per query for every class in class_ids, shape (n, n_cls)."""
+def _votes(clf, d2, class_ids):
+    """Neighbor votes per query for every class in class_ids, shape (n, n_cls),
+    from the queries' squared distances d2 to clf's references."""
     class_ids = np.asarray(class_ids, dtype=np.int64)
     n_cls = class_ids.size
     # column of each reference's class in class_ids; n_cls for a class not listed
     sorter = np.argsort(class_ids, kind="stable")
     pos = np.minimum(np.searchsorted(class_ids, clf.labels, sorter=sorter), n_cls - 1)
     ref_col = np.where(class_ids[sorter[pos]] == clf.labels, sorter[pos], n_cls)
-    cols = ref_col[_neighbors(clf, queries)]
+    cols = ref_col[_neighbors(d2, clf.k)]
     n = cols.shape[0]
     flat = (np.arange(n)[:, None] * (n_cls + 1) + cols).ravel()
     votes = np.bincount(flat, minlength=n * (n_cls + 1)).reshape(n, n_cls + 1)
     return votes[:, :n_cls]
 
 
-def knn_scores(clf, queries, class_ids):
-    """Per-query vote fraction for every class in class_ids, shape (n, n_cls)."""
-    return _votes(clf, queries, class_ids) / clf.k
+def knn_scores(clf, queries, class_ids, distances=None):
+    """Per-query vote fraction for every class in class_ids, shape (n, n_cls).
+
+    distances, when given, are the queries' squared_distances to clf's
+    references, and are not formed again.
+    """
+    if distances is None:
+        distances = squared_distances(queries, clf.references)
+    elif distances.shape != (len(queries), clf.references.shape[0]):
+        raise UsageError(f"distances of shape {distances.shape} for {len(queries)} "
+                         f"queries and {clf.references.shape[0]} references")
+    return _votes(clf, distances, class_ids) / clf.k
 
 
 def knn_predict_proba(clf, queries):
@@ -89,6 +109,6 @@ def knn_predict_proba(clf, queries):
     Vote ties go to the smallest class id.
     """
     classes = np.unique(clf.labels)  # sorted, so argmax tie -> smallest id
-    votes = _votes(clf, queries, classes)
+    votes = _votes(clf, squared_distances(queries, clf.references), classes)
     best = votes.argmax(axis=1)
     return classes[best], votes[np.arange(len(best)), best] / clf.k

@@ -40,6 +40,11 @@ class ScoreMatrix:
         return self.class_ids[self.seen_count:]
 
 
+# most steps a calibration sweep may take; the default sweep takes 400, and
+# the evaluation holds a (points x queries) array of predictions
+MAX_SWEEP_POINTS = 10_000
+
+
 @dataclass
 class CalibrationSweep:
     lambda_min: float = -2.0
@@ -48,6 +53,19 @@ class CalibrationSweep:
 
     def __post_init__(self):
         check_bounds(self)
+        try:
+            span = float(self.lambda_max) - float(self.lambda_min)
+            steps = span / float(self.step)
+        except OverflowError:  # an integer beyond the float range
+            raise ConfigError("lambda_min, lambda_max and step must be within the "
+                              "float range") from None
+        if not math.isfinite(span):
+            raise ConfigError(f"lambda_max - lambda_min must be finite, got "
+                              f"{self.lambda_max!r} - {self.lambda_min!r}")
+        if steps > MAX_SWEEP_POINTS:
+            raise ConfigError(f"step {self.step!r} takes {steps:.3g} sweep steps from "
+                              f"lambda_min {self.lambda_min!r} to lambda_max "
+                              f"{self.lambda_max!r}, more than {MAX_SWEEP_POINTS}")
         if len(self.values()) == 0:
             raise ConfigError(f"sweep from {self.lambda_min} to {self.lambda_max} "
                               f"by {self.step} has no points")
@@ -200,25 +218,34 @@ def gzsl_suh(sm, labels):
     return s, u, h
 
 
-def retrieval_precision(queries, features, labels, ratio):
-    """Mean per-class retrieval precision (%) for one retrieval ratio.
+def retrieval_precisions(queries, features, labels, ratios):
+    """Mean per-class retrieval precision (%) for each retrieval ratio.
 
-    queries maps class id -> query vector. All features are ranked by
-    ascending Euclidean distance to the query (ties by sample index) and
-    the top ceil(ratio * n_c) are retrieved for class c.
+    queries maps class id -> query vector. All features are ranked once per
+    class by ascending Euclidean distance to the query (ties by sample
+    index), and the top ceil(ratio * n_c) are retrieved for class c.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    precisions = []
-    for c, query in sorted(queries.items()):
+    ratios = list(ratios)
+    if any(not ratio > 0 for ratio in ratios):
+        raise UsageError(f"retrieval ratios must be positive, got {ratios}")
+    precisions = np.empty((len(ratios), len(queries)))  # ratio x class
+    for j, (c, query) in enumerate(sorted(queries.items())):
         n_c = int((labels == c).sum())
         if n_c == 0:
             raise ConfigError(f"retrieval class {c} has no images")
         d = np.linalg.norm(features - query[None, :], axis=1)
-        order = np.argsort(d, kind="stable")
-        take = math.ceil(ratio * n_c)
-        retrieved = labels[order[:take]]
-        precisions.append(float((retrieved == c).mean()))
-    return 100.0 * float(np.mean(precisions))
+        hits = np.cumsum(labels[np.argsort(d, kind="stable")] == c)
+        for i, ratio in enumerate(ratios):
+            take = min(math.ceil(ratio * n_c), hits.size)
+            precisions[i, j] = hits[take - 1] / take
+    return [100.0 * float(np.mean(row)) for row in precisions]
+
+
+def retrieval_precision(queries, features, labels, ratio):
+    """Mean per-class retrieval precision (%) for one retrieval ratio; see
+    retrieval_precisions."""
+    return retrieval_precisions(queries, features, labels, [ratio])[0]
 
 
 @dataclass

@@ -295,6 +295,18 @@ def test_value_that_fails_later_is_rejected_at_load(setting):
         load_config(None, [setting])
 
 
+@pytest.mark.parametrize("settings, key", [
+    (["eval.step=1.0e-300"], "step"),
+    (["eval.lambda_min=-1.0e+308", "eval.lambda_max=1.0e+308"], "lambda_max - lambda_min"),
+])
+def test_calibration_sweep_beyond_its_bounds_is_clean_error(capsys, settings, key):
+    argv = ["--quiet"]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv + ["grad-check"]) == 1
+    assert key in capsys.readouterr().err
+
+
 def test_missing_config_file_is_clean_error(tmp_path, capsys):
     path = str(tmp_path / "absent.yaml")
     assert main(["--quiet", "--config", path, "grad-check"]) == 1

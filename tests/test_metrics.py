@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from zsgen.errors import ConfigError, UsageError
 from zsgen.metrics import (
-    CalibrationSweep, ScoreMatrix, ausuc, calibrated_predictions, generalized_accuracy,
-    gzsl_suh, predict_labels, retrieval_precision, suc_curve, top1_per_class,
+    MAX_SWEEP_POINTS, CalibrationSweep, ScoreMatrix, ausuc, calibrated_predictions,
+    generalized_accuracy, gzsl_suh, predict_labels, retrieval_precision,
+    retrieval_precisions, suc_curve, top1_per_class,
 )
 
 
@@ -25,6 +26,23 @@ def test_sweep_grid_is_half_open_400_points():
 def test_sweep_without_points_is_rejected(sweep):
     with pytest.raises(ConfigError):
         CalibrationSweep(*sweep)
+
+
+@pytest.mark.parametrize("sweep, words", [
+    ((-2.0, 2.0, 1.0e-300), "step"),                # 4e300 steps
+    ((-2.0, 2.0, 1.0e-320), "step"),                # a subnormal step: inf steps
+    ((-2.0, 2.0, 4.0 / 10_001), "more than 10000"),
+    ((-1.0e308, 1.0e308, 0.01), "lambda_max - lambda_min"),
+    ((0, 10 ** 400, 1.0), "float range"),           # integers beyond a float
+    ((-2.0, 2.0, 10 ** 400), "float range"),
+])
+def test_sweep_beyond_its_bounds_is_rejected(sweep, words):
+    with pytest.raises(ConfigError, match=words):
+        CalibrationSweep(*sweep)
+
+
+def test_sweep_at_the_point_cap_is_accepted():
+    assert len(CalibrationSweep(-2.0, 2.0, 4.0 / MAX_SWEEP_POINTS).values()) == MAX_SWEEP_POINTS
 
 
 def test_predict_labels_tie_to_smallest_id():
@@ -208,6 +226,40 @@ def test_retrieval_matches_brute_force():
             hits = sum(labels[i] == c for _, i in d[:take])
             precisions.append(hits / take)
         np.testing.assert_allclose(got, 100.0 * np.mean(precisions))
+
+
+def _sorted_per_ratio_retrieval(queries, features, labels, ratio):
+    """Oracle: one stable sort per class and ratio, precision as a mean."""
+    precisions = []
+    for c, query in sorted(queries.items()):
+        d = np.linalg.norm(features - query[None, :], axis=1)
+        take = math.ceil(ratio * int((labels == c).sum()))
+        precisions.append(float((labels[np.argsort(d, kind="stable")[:take]] == c).mean()))
+    return 100.0 * float(np.mean(precisions))
+
+
+def test_retrieval_precisions_rank_once_and_match_the_per_ratio_oracle():
+    rng = np.random.default_rng(6)
+    for grid in (False, True):
+        if grid:  # a 3x3 grid: many features at one distance from a query
+            features = rng.integers(0, 3, size=(60, 2)).astype(np.float64)
+        else:
+            features = rng.normal(size=(60, 4))
+        labels = rng.choice([4, 0, 7, 2, 9], size=60)
+        labels[:5] = [4, 0, 7, 2, 9]
+        queries = {c: features[rng.integers(60)] + (0 if grid else 0.1)
+                   for c in (9, 0, 4, 7, 2)}
+        ratios = [0.25, 0.5, 1.0, 0.3, 0.01, 10.0]  # 10.0 retrieves every feature
+        got = retrieval_precisions(queries, features, labels, ratios)
+        want = [_sorted_per_ratio_retrieval(queries, features, labels, r) for r in ratios]
+        assert got == want
+        assert [retrieval_precision(queries, features, labels, r) for r in ratios] == want
+
+
+@pytest.mark.parametrize("ratio", [0.0, -0.5, float("nan")])
+def test_retrieval_rejects_non_positive_ratio(ratio):
+    with pytest.raises(UsageError):
+        retrieval_precision({0: np.zeros(2)}, np.ones((3, 2)), np.array([0, 0, 1]), ratio)
 
 
 def test_retrieval_rejects_empty_class():

@@ -6,7 +6,7 @@ import pytest
 from zsgen import data, evaluate, gan, selftrain
 from zsgen.errors import ConfigError, UsageError
 from zsgen.gan import DiscriminatorConfig, GanTrainConfig, GeneratorConfig, generate
-from zsgen.knn import KnnClassifier, knn_predict_proba, knn_scores
+from zsgen.knn import KnnClassifier, knn_predict_proba, knn_scores, squared_distances
 from zsgen.metrics import CalibrationSweep
 from zsgen.selftrain import (
     PseudoLabelSet, SslConfig, augment_training_set, expand_classifier_head,
@@ -135,6 +135,29 @@ def test_knn_tie_at_kth_distance_keeps_lowest_reference_indices():
     _assert_knn_matches_oracle(clf, np.array([[0.0], [0.5], [2.0]]), [7, 6, 5, 4, 3, 2, 1, 0])
 
 
+def test_knn_scores_from_a_block_of_shared_distances_match_their_own_pass():
+    rng = np.random.default_rng(9)
+    for grid in (False, True):
+        if grid:  # a 3x3x3 grid: distance ties and vote ties
+            refs = rng.integers(0, 3, size=(40, 3)).astype(np.float64)
+            queries = rng.integers(0, 3, size=(30, 3)).astype(np.float64)
+        else:
+            refs, queries = rng.normal(size=(40, 6)), rng.normal(size=(30, 6))
+            refs[1::4] = refs[::4]  # duplicated references tie at every distance
+        labels = rng.choice([3, 1, 9, 4], size=40)
+        d2 = squared_distances(queries, refs)
+        rows = rng.random(30) < 0.5  # scattered rows
+        for cols in (slice(0, 17), slice(17, None), slice(None)):
+            clf = KnnClassifier(refs[cols], labels[cols], k=4)
+            class_ids = np.unique(labels[cols])
+            for r in (rows, slice(3, 20)):
+                shared = knn_scores(clf, queries[r], class_ids, d2[r, cols])
+                assert np.array_equal(shared, knn_scores(clf, queries[r], class_ids))
+                assert np.array_equal(shared, _reference_knn_scores(clf, queries[r], class_ids))
+    with pytest.raises(UsageError):
+        knn_scores(clf, queries[:2], class_ids, d2[:3])
+
+
 def trained_setup(seed=0):
     ds = data.make_synthetic(SPEC)
     rng = np.random.default_rng(seed)
@@ -251,19 +274,56 @@ def test_synthesize_references_shapes_and_labels():
         assert (labels == c).sum() == 7
 
 
+def unblocked_references(gen, sem, per_class, seed):
+    """Every class's references from one generate call, on the noise stream
+    of per-class draws."""
+    noise = gen.sample_noise(np.random.default_rng(seed), len(sem) * per_class)
+    return generate(gen, sem, noise, np.repeat(np.arange(len(sem)), per_class))
+
+
+def per_class_stack(gen, sem, per_class, seed):
+    """The references as one generate call per class would synthesize them."""
+    rng = np.random.default_rng(seed)
+    return np.vstack([generate(gen, row[None, :], gen.sample_noise(rng, per_class))
+                      for row in sem])
+
+
 def test_synthesize_references_matches_per_class_stack():
     ds, work, gen, disc, cols, rng = trained_setup()
     classes = sorted(work.split.seen) + sorted(work.split.unseen)
     sem = work.semantics_for(classes)
     refs, labels = synthesize_references(gen, classes, sem, 7,
                                          np.random.default_rng(5))
-    # the list of per-class blocks and the stack it replaced
-    oracle_rng = np.random.default_rng(5)
-    blocks = [generate(gen, row[None, :], gen.sample_noise(oracle_rng, 7)) for row in sem]
-    assert refs.tobytes() == np.vstack(blocks).tobytes()
+    assert refs.tobytes() == unblocked_references(gen, sem, 7, 5).tobytes()
+    # the reduce layer runs over a block of classes, not one class at a time
+    np.testing.assert_allclose(refs, per_class_stack(gen, sem, 7, 5), rtol=0, atol=1e-14)
     assert labels.dtype == np.int64 and labels.tolist() == np.repeat(classes, 7).tolist()
     with pytest.raises(UsageError):
         synthesize_references(gen, classes, sem[1:], 7, rng)
+
+
+@pytest.mark.parametrize("noise_mode", ["add", "concat"])
+def test_synthesize_references_partial_last_block(monkeypatch, noise_mode):
+    cfg = replace(GEN_CFG, noise_mode=noise_mode, noise_dim=0 if noise_mode == "add" else 3)
+    gen = gan.Generator(cfg, np.random.default_rng(1))
+    sem = np.random.default_rng(2).normal(size=(6, 16))
+    # blocks of 4 classes and then 2
+    monkeypatch.setattr(selftrain, "SYNTH_BLOCK_ROWS", 4 * 7 + 3)
+    refs, labels = synthesize_references(gen, list(range(10, 16)), sem, 7,
+                                         np.random.default_rng(5))
+    assert refs.tobytes() == unblocked_references(gen, sem, 7, 5).tobytes()
+    np.testing.assert_allclose(refs, per_class_stack(gen, sem, 7, 5), rtol=0, atol=1e-14)
+    assert labels.tolist() == np.repeat(np.arange(10, 16), 7).tolist()
+
+
+def test_synthesize_references_per_class_above_block_is_one_class_per_call(monkeypatch):
+    ds, work, gen, disc, cols, rng = trained_setup()
+    classes = sorted(work.split.unseen)
+    sem = work.semantics_for(classes)
+    monkeypatch.setattr(selftrain, "SYNTH_BLOCK_ROWS", 4)
+    refs, _ = synthesize_references(gen, classes, sem, 7, np.random.default_rng(5))
+    assert refs.tobytes() == per_class_stack(gen, sem, 7, 5).tobytes()
+    np.testing.assert_allclose(refs, unblocked_references(gen, sem, 7, 5), rtol=0, atol=1e-14)
 
 
 def test_ssl_training_set_monotone():
@@ -306,6 +366,7 @@ def test_unseen_test_rows_are_the_unseen_test_partition():
 
 def test_evaluate_model_synthesizes_one_reference_set(monkeypatch):
     ds, work, gen, disc, cols, rng = trained_setup()
+    class_ids = sorted(work.split.seen) + sorted(work.split.unseen)
     calls = []
 
     def counting_generate(*args):
@@ -313,11 +374,22 @@ def test_evaluate_model_synthesizes_one_reference_set(monkeypatch):
         return generate(*args)
 
     monkeypatch.setattr(selftrain, "generate", counting_generate)
-    evaluate.evaluate_model(gen, work, CalibrationSweep(), [0.25, 0.5, 1.0],
-                            5, 3, rng)
-    assert len(calls) == len(work.split.seen) + len(work.split.unseen)
-    # one semantic row per class, shared by its noise rows
-    assert all(args[1].shape[0] == 1 and args[2].shape[0] == 5 for args in calls)
+    # 6 classes of 5 rows: one block, blocks of 2 classes, blocks of 4 and
+    # then 2 classes, and one class per block when a class outgrows the block
+    for block_rows, blocks in [(selftrain.SYNTH_BLOCK_ROWS, 1), (12, 3), (20, 2), (4, 6)]:
+        calls.clear()
+        monkeypatch.setattr(selftrain, "SYNTH_BLOCK_ROWS", block_rows)
+        evaluate.evaluate_model(gen, work, CalibrationSweep(), [0.25, 0.5, 1.0],
+                                5, 3, rng)
+        # one call per block of whole classes, one semantic row per class
+        # shared by its 5 noise rows; together the blocks cover every class
+        # once, seen then unseen, in order
+        assert len(calls) == blocks
+        for _, sem, noise, classes in calls:
+            assert noise.shape[0] == 5 * sem.shape[0] <= max(block_rows, 5)
+            assert classes.tolist() == np.repeat(np.arange(sem.shape[0]), 5).tolist()
+        assert np.vstack([args[1] for args in calls]).tobytes() == \
+            work.semantics_for(class_ids).tobytes()
 
 
 def test_evaluate_model_scores_unseen_rows_of_one_reference_draw():
@@ -335,6 +407,36 @@ def test_evaluate_model_scores_unseen_rows_of_one_reference_draw():
     assert rep.map_at == evaluate.retrieval_map(
         refs[u], labels[u], work.features[rows], work.labels[rows], ratios
     )
+
+
+def test_evaluate_model_unseen_top1_matches_two_classifier_oracle(monkeypatch):
+    ds, work, gen, disc, cols, rng = trained_setup()
+    # features and references on an integer grid, a reference of each class
+    # repeated and a seen reference equal to an unseen one: distance ties at
+    # the k-th neighbor and vote ties, which the oracle must break the same way
+    work = replace(work, features=np.round(2.0 * work.features))
+    class_ids = sorted(work.split.seen) + sorted(work.split.unseen)
+    grid = np.random.default_rng(4)
+    refs = grid.integers(-2, 3, size=(5 * len(class_ids), 8)).astype(np.float64)
+    refs[1::5] = refs[::5]
+    refs[10] = refs[25]
+    # five unseen references on the first unseen test row, two of one class
+    # and three of the other: five tie for its four neighbor slots
+    rows = unseen_test_rows(work)
+    first, second = 5 * (len(class_ids) - 2), 5 * (len(class_ids) - 1)
+    refs[[first, first + 1, second, second + 1, second + 2]] = work.features[rows[0]]
+    labels = np.repeat(np.array(class_ids, dtype=np.int64), 5)
+    monkeypatch.setattr(evaluate, "synthesize_references", lambda *a: (refs, labels))
+
+    rep = evaluate.evaluate_model(gen, work, CalibrationSweep(), [0.5, 1.0], 5, 4, rng)
+
+    u = np.isin(labels, list(work.split.unseen))
+    assert rep.top1_unseen == unseen_top1(refs[u], labels[u], work, 4)
+    unseen = sorted(work.split.unseen)
+    scores = knn_scores(KnnClassifier(refs[u], labels[u], k=4), work.features[rows], unseen)
+    assert ((scores == scores.max(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+    d2 = np.sort(squared_distances(work.features[rows], refs[u]), axis=1)
+    assert (d2[:, 3] == d2[:, 4]).any()
 
 
 def counted_critic_steps(monkeypatch):
