@@ -12,7 +12,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import cko as cko_mod
-from . import data, evaluate, gan, metrics, selftrain, text
+from . import data, evaluate, gan, selftrain, text
 from .config import config_hash, load_config
 from .errors import ConfigError, ZsgenError
 from .knn import check_k
@@ -24,7 +24,7 @@ def _say(args, message):
 
 
 def _require(cfg, section, key):
-    value = cfg[section].get(key)
+    value = getattr(getattr(cfg, section), key)
     if not value:
         raise ConfigError(f"config needs {section}.{key}")
     return value
@@ -46,10 +46,8 @@ def cmd_cko(args, cfg):
     corpus_dir = _require(cfg, "io", "corpus_dir")
     table = cko_mod.load_embeddings(_require(cfg, "cko", "embeddings"))
     records, filenames = _read_corpus(corpus_dir)
-    sm = cko_mod.similarity_matrix(
-        table, [r.name for r in records], cfg["cko"]["similarity"]
-    )
-    records = cko_mod.overlay(records, sm, cfg["cko"]["k"])
+    sm = cko_mod.similarity_matrix(table, [r.name for r in records], cfg.cko.similarity)
+    records = cko_mod.overlay(records, sm, cfg.cko.k)
 
     overlay_dir = _require(cfg, "io", "overlay_dir")
     os.makedirs(overlay_dir, exist_ok=True)
@@ -59,16 +57,15 @@ def cmd_cko(args, cfg):
     ids = np.array([r.class_id for r in records], dtype=np.int64)
     data.save_matrix(_require(cfg, "io", "similarity_matrix"), ids, sm)
 
-    stopwords = text.load_stopwords(cfg["text"]["stopwords"])
-    source = "article_overlay" if cfg["text"]["fit_on"] == "overlay" else "article"
+    stopwords = text.load_stopwords(cfg.text.stopwords)
+    source = "article_overlay" if cfg.text.fit_on == "overlay" else "article"
     docs = [text.preprocess(getattr(r, source), stopwords) for r in records]
     model = text.tfidf_fit(docs)
     vectors = text.encode_corpus(model, docs)
     data.save_matrix(_require(cfg, "io", "semantic_vectors"), ids, vectors)
 
-    classes_path = cfg["io"].get("classes")
-    if classes_path:
-        with data.atomic_write(classes_path) as fh:
+    if cfg.io.classes:
+        with data.atomic_write(cfg.io.classes) as fh:
             for rec in records:
                 fh.write(f"{rec.class_id}\t{rec.name}\n")
     _say(args, f"cko: {len(records)} classes, vocab {len(model.vocabulary)}")
@@ -84,52 +81,43 @@ def _load_dataset(cfg):
     )
 
 
-def _from_section(cls, section):
-    return cls(**{f.name: section[f.name] for f in fields(cls)})
-
-
 def _model_configs(cfg, dataset):
-    g = cfg["gan"]
+    g = cfg.gan
     gen_cfg = gan.GeneratorConfig(
         semantic_dim=dataset.semantic_dim, visual_dim=dataset.visual_dim,
-        reduce_dim=g["reduce_dim"], hidden_dim=g["hidden_dim"],
-        noise_sigma=g["noise_sigma"], noise_mode=g["noise_mode"],
+        reduce_dim=g.reduce_dim, hidden_dim=g.hidden_dim,
+        noise_sigma=g.noise_sigma, noise_mode=g.noise_mode,
     )
     disc_cfg = gan.DiscriminatorConfig(
-        visual_dim=dataset.visual_dim, hidden_dim=g["disc_hidden_dim"],
+        visual_dim=dataset.visual_dim, hidden_dim=g.disc_hidden_dim,
         num_classes=len(dataset.split.seen),
     )
-    train_cfg = _from_section(gan.GanTrainConfig, g)
-    ssl_cfg = _from_section(selftrain.SslConfig, cfg["ssl"])
-    return gen_cfg, disc_cfg, train_cfg, ssl_cfg
+    return gen_cfg, disc_cfg
 
 
 def cmd_train(args, cfg):
     dataset = _load_dataset(cfg)
-    gen_cfg, disc_cfg, train_cfg, ssl_cfg = _model_configs(cfg, dataset)
+    gen_cfg, disc_cfg = _model_configs(cfg, dataset)
     # the unseen-only top-1 of a later evaluate searches the fewest references
-    e = cfg["eval"]
-    check_k("eval.knn_k", e["knn_k"], e["per_class_synthetic"], len(dataset.split.unseen))
-    result = selftrain.run_ssl(
-        dataset, gen_cfg, disc_cfg, train_cfg, ssl_cfg, cfg["seed"]
-    )
+    check_k("eval.knn_k", cfg.eval.knn_k, cfg.eval.per_class_synthetic,
+            len(dataset.split.unseen))
+    # the gan section is a GanTrainConfig, with the network widths besides
+    result = selftrain.run_ssl(dataset, gen_cfg, disc_cfg, cfg.gan, cfg.ssl, cfg.seed)
     evaluate.save_model(
         _require(cfg, "io", "checkpoint"),
         result.generator, result.discriminator, result.scaler,
         result.class_cols, config_hash(cfg),
     )
-    log_path = cfg["io"].get("train_log")
-    if log_path:
-        with data.atomic_write(log_path) as fh:
+    if cfg.io.train_log:
+        with data.atomic_write(cfg.io.train_log) as fh:
             fh.write("# step\tloss_d\tloss_g\ttriplet\tval_gacc\n")
             for i, history in enumerate(result.train_logs, start=1):
                 fh.write(f"# iteration {i}\n")
                 for h in history:
                     fh.write(f"{h['step']}\t{h['loss_d']!r}\t{h['loss_g']!r}"
                              f"\t{h['triplet']!r}\t{h['val_gacc']!r}\n")
-    report_path = cfg["io"].get("ssl_report")
-    if report_path:
-        with data.atomic_write(report_path) as fh:
+    if cfg.io.ssl_report:
+        with data.atomic_write(cfg.io.ssl_report) as fh:
             fh.write("# iteration\tretained\tnew_classes\tunseen_top1\tval_gacc\n")
             for rep in result.reports:
                 fh.write(
@@ -142,8 +130,10 @@ def cmd_train(args, cfg):
     return 0
 
 
-def _load_scaled(cfg, checkpoint_path):
-    gen, disc, scaler, class_cols, meta = evaluate.load_model(checkpoint_path)
+def _evaluate(args, cfg):
+    """The evaluation report of the checkpoint on the config's test partition."""
+    checkpoint = args.checkpoint or _require(cfg, "io", "checkpoint")
+    gen, _, scaler, _, _ = evaluate.load_model(checkpoint)
     dataset = _load_dataset(cfg)
     if dataset.visual_dim != gen.cfg.visual_dim:
         raise ConfigError(
@@ -153,45 +143,28 @@ def _load_scaled(cfg, checkpoint_path):
         raise ConfigError(
             f"checkpoint semantic dim {gen.cfg.semantic_dim} != data {dataset.semantic_dim}"
         )
-    return gen, selftrain.scaled_copy(dataset, scaler)
+    # the eval section is the CalibrationSweep, with the reference and retrieval settings
+    e = cfg.eval
+    return evaluate.evaluate_model(
+        gen, selftrain.scaled_copy(dataset, scaler), e, e.ratios,
+        e.per_class_synthetic, e.knn_k, np.random.default_rng(cfg.seed),
+    )
 
 
 def cmd_evaluate(args, cfg):
-    checkpoint = args.checkpoint or _require(cfg, "io", "checkpoint")
-    gen, scaled = _load_scaled(cfg, checkpoint)
-    e = cfg["eval"]
-    sweep = _from_section(metrics.CalibrationSweep, e)
-    rng = np.random.default_rng(cfg["seed"])
-    report = evaluate.evaluate_model(
-        gen, scaled, sweep, e["ratios"], e["per_class_synthetic"],
-        e["knn_k"], rng,
-    )
+    report = _evaluate(args, cfg)
     evaluate.write_report(_require(cfg, "io", "report"), report)
-    points_path = cfg["io"].get("suc_points")
-    if points_path:
-        evaluate.write_suc_points(points_path, report.suc_points)
+    if cfg.io.suc_points:
+        evaluate.write_suc_points(cfg.io.suc_points, report.suc_points)
     _say(args, f"unseen top-1 {report.top1_unseen:.2f}%  AUSUC {report.ausuc:.4f}  "
                f"H {report.h:.2f}%")
     return 0
 
 
 def cmd_retrieve(args, cfg):
-    checkpoint = args.checkpoint or _require(cfg, "io", "checkpoint")
-    gen, scaled = _load_scaled(cfg, checkpoint)
-    e = cfg["eval"]
-    rng = np.random.default_rng(cfg["seed"])
-    unseen = sorted(scaled.split.unseen)
-    refs, ref_labels = selftrain.synthesize_references(
-        gen, unseen, scaled.semantics_for(unseen), e["per_class_synthetic"], rng
-    )
-    rows = selftrain.unseen_test_rows(scaled)
-    map_at = evaluate.retrieval_map(
-        refs, ref_labels, scaled.features[rows], scaled.labels[rows], e["ratios"]
-    )
-    lines = [f"mAP@{pct}: {value!r}" for pct, value in map_at.items()]
-    out_path = cfg["io"].get("retrieval")
-    if out_path:
-        with data.atomic_write(out_path) as fh:
+    lines = evaluate.map_lines(_evaluate(args, cfg).map_at)
+    if cfg.io.retrieval:
+        with data.atomic_write(cfg.io.retrieval) as fh:
             fh.write("\n".join(lines) + "\n")
     for line in lines:
         print(line)
@@ -199,12 +172,10 @@ def cmd_retrieve(args, cfg):
 
 
 def cmd_synth(args, cfg):
-    spec = data.SyntheticSpec(
-        num_seen=args.num_seen, num_unseen=args.num_unseen,
-        samples_per_class=args.samples_per_class,
-        semantic_dim=args.semantic_dim, visual_dim=args.visual_dim,
-        sigma=args.sigma, seed=args.seed if args.seed is not None else cfg["seed"],
-    )
+    # an unset flag takes SyntheticSpec's default, and an unset seed the config's
+    given = {f.name: getattr(args, f.name) for f in fields(data.SyntheticSpec)
+             if getattr(args, f.name, None) is not None}
+    spec = data.SyntheticSpec(**{"seed": cfg.seed, **given})
     dataset = data.make_synthetic(spec)
     os.makedirs(args.out_dir, exist_ok=True)
     data.save_dataset(
@@ -221,7 +192,7 @@ def cmd_synth(args, cfg):
 
 def cmd_grad_check(args, cfg):
     from .verify import run_gradient_checks
-    results = run_gradient_checks(seed=cfg["seed"])
+    results = run_gradient_checks(seed=cfg.seed)
     failed = False
     for name, err in results:
         status = "ok" if err < 1e-4 else "FAIL"
@@ -252,13 +223,10 @@ def build_parser():
     p.add_argument("--checkpoint", help="model checkpoint (default from config)")
     p = sub.add_parser("synth", help="generate the synthetic dataset")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--num-seen", type=int, default=10)
-    p.add_argument("--num-unseen", type=int, default=5)
-    p.add_argument("--samples-per-class", type=int, default=100)
-    p.add_argument("--semantic-dim", type=int, default=50)
-    p.add_argument("--visual-dim", type=int, default=64)
-    p.add_argument("--sigma", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=None)
+    for flag in ("num-seen", "num-unseen", "samples-per-class", "semantic-dim", "visual-dim"):
+        p.add_argument(f"--{flag}", type=int)
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--seed", type=int)
     sub.add_parser("grad-check", help="finite-difference gradient verification")
     return parser
 

@@ -65,7 +65,7 @@ class EvalConfig(CalibrationSweep):
                                   f"and {self.ratios[i]!r} both round to {p}%")
 
 
-# file paths; an unset path stays out of the loaded config
+# file paths; an unset path is None, and stays out of the config hash
 IoPaths = make_dataclass("IoPaths", [(name, str, None) for name in (
     "corpus_dir", "overlay_dir", "similarity_matrix", "semantic_vectors",
     "classes", "features_train", "features_test", "semantics", "split",
@@ -145,7 +145,7 @@ def apply_override(cfg, setting):
 
 
 def load_config(path=None, overrides=()):
-    """Load, override, check and default-fill a run configuration."""
+    """Load, override, check and default-fill a run configuration: the RunConfig."""
     document = {}
     if path is not None:
         try:
@@ -158,12 +158,12 @@ def load_config(path=None, overrides=()):
             raise ConfigError(f"{path} must contain a mapping")
     for setting in overrides:
         apply_override(document, setting)
-    cfg = asdict(build_section(RunConfig, document, ""))
-    cfg["io"] = {key: p for key, p in cfg["io"].items() if p is not None}
-    return cfg
+    return build_section(RunConfig, document, "")
 
 
 def config_hash(cfg):
-    """Stable content hash of a loaded config document."""
-    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    """Stable content hash of a RunConfig, with its unset io paths left out."""
+    document = asdict(cfg)
+    document["io"] = {key: p for key, p in document["io"].items() if p is not None}
+    canon = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()

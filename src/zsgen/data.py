@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import bounded, check_bounds
 from .errors import ConfigError, ParseError
 
 _MATRIX_MAGIC = b"ZSMX"
@@ -302,21 +303,16 @@ def assemble_dataset(train_features_path, test_features_path, semantics_path, sp
 
 @dataclass
 class SyntheticSpec:
-    num_seen: int = 10
-    num_unseen: int = 5
-    samples_per_class: int = 100
-    semantic_dim: int = 50
-    visual_dim: int = 64
-    sigma: float = 0.05
-    seed: int = 0
-    test_fraction: float = 0.25  # held-out fraction of each seen class
+    num_seen: int = bounded(10, ge=1)
+    num_unseen: int = bounded(5, ge=1)
+    samples_per_class: int = bounded(100, ge=1)
+    semantic_dim: int = bounded(50, ge=1)
+    visual_dim: int = bounded(64, ge=1)
+    sigma: float = bounded(0.05, ge=0)
+    seed: int = bounded(0, ge=0)
+    test_fraction: float = bounded(0.25, gt=0, lt=1)  # held-out fraction of each seen class
 
-    def __post_init__(self):
-        if min(self.num_seen, self.num_unseen, self.samples_per_class,
-               self.semantic_dim, self.visual_dim) < 1:
-            raise ConfigError("all synthetic dataset counts must be >= 1")
-        if self.sigma < 0.0:
-            raise ConfigError("sigma must be >= 0")
+    __post_init__ = check_bounds
 
 
 def make_synthetic(spec):

@@ -19,7 +19,7 @@ from .gan import (
 )
 from .knn import KnnClassifier, knn_scores, squared_distances
 from .nn import Layer, Mlp
-from .selftrain import synthesize_references
+from .selftrain import synthesize_references, unseen_top1
 
 CHECKPOINT_KIND = "zsgen-model"
 
@@ -158,13 +158,12 @@ def evaluate_model(gen, dataset_scaled, sweep, ratios, per_class_synthetic,
     )
     unseen_refs = slice(len(seen) * per_class_synthetic, None)
     clf = KnnClassifier(refs, ref_labels, k=knn_k)
-    unseen_clf = KnnClassifier(refs[unseen_refs], ref_labels[unseen_refs], k=knn_k)
 
     # one distance pass; the zero-shot probe searches its block of unseen
     # test rows by unseen references
     d2 = squared_distances(x_test, refs)
-    unseen_scores = knn_scores(unseen_clf, x_test[is_unseen], unseen, d2[is_unseen, unseen_refs])
-    top1_unseen = metrics.top1_per_class(unseen_scores, unseen, y_test[is_unseen])
+    top1_unseen = unseen_top1(refs[unseen_refs], ref_labels[unseen_refs], dataset_scaled,
+                              knn_k, d2[is_unseen, unseen_refs])
 
     sm = score_matrix(clf, dataset_scaled, x_test, d2)
     del d2  # not held through the sweep, whose arrays set the peak memory
@@ -182,6 +181,11 @@ def evaluate_model(gen, dataset_scaled, sweep, ratios, per_class_synthetic,
     )
 
 
+def map_lines(map_at):
+    """The `mAP@<percent>: <value>` lines of a report, by ratio."""
+    return [f"mAP@{pct}: {map_at[pct]!r}" for pct in sorted(map_at)]
+
+
 def write_report(path, report):
     with data.atomic_write(path) as fh:
         fh.write(f"top1_unseen: {report.top1_unseen!r}\n")
@@ -190,8 +194,8 @@ def write_report(path, report):
         fh.write(f"H: {report.h!r}\n")
         fh.write(f"G_acc: {report.g_acc!r}\n")
         fh.write(f"AUSUC: {report.ausuc!r}\n")
-        for pct in sorted(report.map_at):
-            fh.write(f"mAP@{pct}: {report.map_at[pct]!r}\n")
+        for line in map_lines(report.map_at):
+            fh.write(line + "\n")
         fh.write("suc_points:\n")
         for x, y in report.suc_points:
             fh.write(f"  {x!r} {y!r}\n")

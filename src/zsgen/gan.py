@@ -501,9 +501,10 @@ def _validation_split(train_y, seen_ids, frac, rng):
     return np.array(sorted(val), dtype=np.int64)
 
 
-def _probe_gacc(gen, dataset, val_x, val_y, cfg, rng, sweep):
-    """kNN probe on synthetic features; generalized accuracy of validation
-    seen-class queries over the full seen+unseen class space."""
+def _probe_gacc(gen, dataset, val_x, val_y, cfg, rng):
+    """kNN probe on synthetic features; generalized accuracy, over the default
+    calibration sweep, of validation seen-class queries over the full
+    seen+unseen class space."""
     seen = sorted(dataset.split.seen)
     unseen = sorted(dataset.split.unseen)
     class_ids = np.array(seen + unseen, dtype=np.int64)
@@ -515,11 +516,10 @@ def _probe_gacc(gen, dataset, val_x, val_y, cfg, rng, sweep):
     clf = KnnClassifier(np.vstack(refs), np.concatenate(ref_labels), k=cfg.knn_k)
     scores = knn_scores(clf, val_x, class_ids)
     sm = metrics.ScoreMatrix(scores, class_ids, seen_count=len(seen))
-    return metrics.generalized_accuracy(sm, val_y, sweep)
+    return metrics.generalized_accuracy(sm, val_y)
 
 
-def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng,
-              sweep=None):
+def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng):
     """Adversarial training on the (scaled) training split.
 
     class_cols maps class id -> discriminator logit column. Every
@@ -533,7 +533,6 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng,
     """
     if train_x.shape[0] == 0:
         raise ConfigError("empty training split")
-    sweep = sweep or metrics.CalibrationSweep()
     n_train = train_x.shape[0]
     m = min(cfg.batch_size, n_train)
 
@@ -591,7 +590,7 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng,
         adam_step(gen_params, gen_grads, gen_adam)
 
         if probe and step % cfg.eval_every == 0:
-            gacc = _probe_gacc(gen, dataset, val_x, val_y, cfg, rng, sweep)
+            gacc = _probe_gacc(gen, dataset, val_x, val_y, cfg, rng)
             history.append({
                 "step": step, "loss_d": float(last_ld), "loss_g": float(lg),
                 "triplet": float(trip), "val_gacc": float(gacc),

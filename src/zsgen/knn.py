@@ -11,7 +11,7 @@ from .errors import ConfigError, UsageError
 class KnnClassifier:
     references: np.ndarray  # (n_refs, d)
     labels: np.ndarray      # (n_refs,) int64
-    k: int = 20
+    k: int
 
     def __post_init__(self):
         self.references = np.asarray(self.references, dtype=np.float64)

@@ -72,12 +72,15 @@ def unseen_test_rows(dataset):
     return test_idx[np.isin(dataset.labels[test_idx], list(dataset.split.unseen))]
 
 
-def unseen_top1(refs, ref_labels, dataset, knn_k):
-    """Zero-shot top-1 (%) of the unseen test rows, searched over unseen refs only."""
+def unseen_top1(refs, ref_labels, dataset, knn_k, distances=None):
+    """Zero-shot top-1 (%) of the unseen test rows, searched over unseen refs only.
+
+    distances, when given, are those rows' squared distances to refs.
+    """
     unseen = sorted(dataset.split.unseen)
     rows = unseen_test_rows(dataset)
     clf = KnnClassifier(refs, ref_labels, k=knn_k)
-    scores = knn_scores(clf, dataset.features[rows], unseen)
+    scores = knn_scores(clf, dataset.features[rows], unseen, distances)
     return metrics.top1_per_class(scores, unseen, dataset.labels[rows])
 
 

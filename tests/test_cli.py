@@ -8,6 +8,8 @@ from zsgen import data, gan
 from zsgen.cli import main
 from zsgen.config import config_hash, load_config
 from zsgen.errors import ConfigError
+from zsgen.metrics import CalibrationSweep
+from zsgen.selftrain import SslConfig
 
 
 def write_config(path, cfg):
@@ -81,6 +83,40 @@ def test_synth_deterministic(tmp_path):
     for name in ("train_features.txt", "test_features.txt",
                  "semantics.txt", "split.txt"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--seed", "-1", "seed"), ("--sigma", "nan", "sigma"), ("--sigma", "inf", "sigma"),
+    ("--num-seen", "0", "num_seen"),
+])
+def test_synth_rejects_bad_value_naming_the_field(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "ds"
+    assert main(["--quiet", "synth", "--out-dir", str(out), flag, value]) == 1
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_unset_flags_take_the_spec_defaults_and_config_seed(tmp_path):
+    out = tmp_path / "ds"
+    assert main(["--quiet", "--set", "seed=3", "synth", "--out-dir", str(out)]) == 0
+    expected = data.make_synthetic(data.SyntheticSpec(seed=3))
+    labels, values = data.load_matrix(str(out / "train_features.txt"))
+    train = expected.train_indices()
+    assert labels.tolist() == expected.labels[train].tolist()
+    assert values.tobytes() == expected.features[train].tobytes()
+
+
+def test_retrieve_prints_the_evaluation_map_lines(tmp_path, capsys):
+    out = tmp_path / "ds"
+    assert main(synth_args(out, sigma=0.6)) == 0
+    cfg_path = write_config(tmp_path / "run.yaml", tiny_run_config(tmp_path, out))
+    for command in ("train", "evaluate", "retrieve"):
+        assert main(["--quiet", "--config", cfg_path, command]) == 0
+    report = [line for line in (tmp_path / "report.txt").read_text().splitlines()
+              if line.startswith("mAP@")]
+    assert len(report) == 3
+    assert (tmp_path / "retrieval.txt").read_text().splitlines() == report
+    assert capsys.readouterr().out.splitlines() == report
 
 
 def test_train_evaluate_retrieve_round_trip(tmp_path):
@@ -270,10 +306,17 @@ def test_config_schema_rejects_unknown_keys(tmp_path):
 def test_config_overrides_and_hash():
     base = load_config(None, [])
     tweaked = load_config(None, ["gan.n_step=123", "seed=9"])
-    assert tweaked["gan"]["n_step"] == 123 and tweaked["seed"] == 9
+    assert tweaked.gan.n_step == 123 and tweaked.seed == 9
     assert config_hash(base) != config_hash(tweaked)
     with pytest.raises(ConfigError):
         load_config(None, ["gan.nope=1"])
+
+
+def test_loaded_config_sections_are_the_library_types():
+    cfg = load_config(None, [])
+    assert isinstance(cfg.gan, gan.GanTrainConfig)
+    assert isinstance(cfg.ssl, SslConfig)
+    assert isinstance(cfg.eval, CalibrationSweep)
 
 
 def test_float_for_integer_key_is_clean_error(tmp_path, capsys):

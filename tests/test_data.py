@@ -145,6 +145,15 @@ def test_make_synthetic_sigma_zero_collapses_to_centers():
         assert rows.shape[0] == 4
 
 
+@pytest.mark.parametrize("field, value", [
+    ("test_fraction", 0.0), ("test_fraction", 1.0), ("sigma", -0.1), ("sigma", float("nan")),
+    ("visual_dim", 0), ("seed", -1),
+])
+def test_synthetic_spec_rejects_out_of_bounds_field(field, value):
+    with pytest.raises(ConfigError, match=field):
+        data.SyntheticSpec(**{field: value})
+
+
 def test_make_synthetic_deterministic():
     spec = data.SyntheticSpec(num_seen=3, num_unseen=2, samples_per_class=4,
                               semantic_dim=10, visual_dim=6, seed=11)
