@@ -6,13 +6,18 @@ Matrix files come in two bit-lossless flavors:
   * binary: magic ZSMX, version, int64 labels, float64 row-major values.
 Split files are two lines, `seen: ids...` and `unseen: ids...`.
 Checkpoints (magic ZSCK) hold named arrays plus a JSON metadata blob.
-Every file is written through atomic_write, so a failed write leaves the
-previous file as it was.
+Text matrices are written one row at a time, and binary payloads straight
+from the array's buffer and read straight into a new array, so no writer
+or reader holds a second copy of the matrix; the bytes are those of the
+plain per-value writer. Every file is written through atomic_write, so a
+failed write leaves the previous file as it was, and a finished one is
+fsync'd before it replaces the old file and keeps that file's mode.
 """
 
 import json
 import math
 import os
+import stat
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -32,14 +37,23 @@ _CHECKPOINT_DTYPES = ("<f8", "<i8")
 @contextmanager
 def atomic_write(path, binary=False):
     """A handle on a temporary file beside path (UTF-8 text, or bytes), moved
-    onto path with os.replace once the block ends. If the block raises, the
-    temporary file is removed and path is left as it was."""
+    onto path with os.replace once the block ends. The temporary file is
+    flushed and fsync'd first, so a crash leaves the old file or the whole
+    new one, never an empty one. A file that replaces another keeps its
+    permission bits; a new file gets the umask default. If the block
+    raises, the temporary file is removed and path is left as it was."""
     head, name = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     fh = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")
     try:
         with fh:
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        except FileNotFoundError:
+            pass
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
@@ -53,11 +67,10 @@ def save_matrix(path, labels, values):
         raise ConfigError("labels must align with matrix rows")
     with atomic_write(path) as fh:
         fh.write(f"# dims: {values.shape[0]} {values.shape[1]}\n")
-        for label, row in zip(labels, values):
-            fh.write(str(int(label)))
-            for v in row:
-                fh.write(" " + repr(float(v)))
-            fh.write("\n")
+        # one row's Python floats at a time: a whole-matrix tolist() would
+        # hold about 32 bytes of objects per value
+        for label, row in zip(labels.tolist(), values):
+            fh.write(" ".join([str(label), *map(repr, row.tolist())]) + "\n")
 
 
 def save_matrix_binary(path, labels, values):
@@ -68,8 +81,8 @@ def save_matrix_binary(path, labels, values):
     with atomic_write(path, binary=True) as fh:
         fh.write(_MATRIX_MAGIC)
         fh.write(struct.pack("<III", _FORMAT_VERSION, values.shape[0], values.shape[1]))
-        fh.write(labels.tobytes())
-        fh.write(values.tobytes())
+        fh.write(np.ascontiguousarray(labels).data)
+        fh.write(np.ascontiguousarray(values).data)
 
 
 def load_matrix(path):
@@ -81,12 +94,29 @@ def load_matrix(path):
     return _load_matrix_text(path)
 
 
-def _read_exact(fh, size, path):
-    """Exactly size bytes from fh; a file with fewer left is truncated."""
+def _check_left(fh, size, path):
+    """A file with fewer than size bytes left after fh's position is truncated."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if size > left:
         raise ParseError(f"truncated: expected {size} more bytes, found {left}", path=path)
+
+
+def _read_exact(fh, size, path):
+    """Exactly size bytes from fh."""
+    _check_left(fh, size, path)
     return fh.read(size)
+
+
+def _read_array(fh, dtype, count, path):
+    """A new flat array of count dtype items, read from fh into its buffer
+    with no intermediate bytes object."""
+    size = count * dtype.itemsize
+    _check_left(fh, size, path)
+    arr = np.empty(count, dtype=dtype)
+    got = fh.readinto(arr.data)
+    if got != size:
+        raise ParseError(f"truncated: expected {size} more bytes, found {got}", path=path)
+    return arr
 
 
 def _unpack(fh, fmt, path):
@@ -99,8 +129,8 @@ def _load_matrix_binary(path):
         version, n, d = _unpack(fh, "<III", path)
         if version != _FORMAT_VERSION:
             raise ParseError(f"unsupported matrix format version {version}", path=path)
-        labels = np.frombuffer(_read_exact(fh, 8 * n, path), dtype=np.int64).copy()
-        values = np.frombuffer(_read_exact(fh, 8 * n * d, path), dtype=np.float64).copy()
+        labels = _read_array(fh, np.dtype(np.int64), n, path)
+        values = _read_array(fh, np.dtype(np.float64), n * d, path)
     values = values.reshape(n, d)
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
@@ -417,7 +447,7 @@ def save_checkpoint(path, arrays, meta):
             fh.write(struct.pack("<H", len(dtype_b)) + dtype_b)
             fh.write(struct.pack("<I", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(arr.tobytes())
+            fh.write(arr.data)
 
 
 def _utf8(raw, what, path):
@@ -454,9 +484,7 @@ def load_checkpoint(path):
             dtype = np.dtype(dtype_str)
             (ndim,) = _unpack(fh, "<I", path)
             shape = _unpack(fh, f"<{ndim}Q", path)
-            flat = np.frombuffer(
-                _read_exact(fh, math.prod(shape) * dtype.itemsize, path), dtype=dtype
-            ).copy()
+            flat = _read_array(fh, dtype, math.prod(shape), path)
             try:
                 arrays[name] = flat.reshape(shape)
             except ValueError:  # too many dimensions, or an index-overflowing empty shape

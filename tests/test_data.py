@@ -1,4 +1,8 @@
+import json
 import os
+import stat
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -452,3 +456,172 @@ def test_checkpoint_rejected_mid_write_keeps_previous_file(tmp_path):
         data.save_checkpoint(path, {"a": np.zeros(4), "b": np.zeros(2, np.int32)}, {"k": 2})
     assert open(path, "rb").read() == before
     assert os.listdir(tmp_path) == ["ck.bin"]
+
+
+def test_atomic_write_fsyncs_the_whole_file_before_replacing(tmp_path, monkeypatch):
+    path = str(tmp_path / "m.txt")
+    synced = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        synced.append((os.fstat(fd).st_size, os.path.exists(path)))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    data.save_matrix(path, [0, 1], np.ones((2, 3)))
+    assert synced == [(os.path.getsize(path), False)]
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_rewritten_file_keeps_its_mode(tmp_path, name):
+    path = str(tmp_path / name)
+    WRITERS[name](path, 1)
+    os.chmod(path, 0o600)
+    WRITERS[name](path, 2)
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+
+
+def test_new_file_takes_the_umask_default_mode(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        path = str(tmp_path / "m.txt")
+        data.save_matrix(path, [0], [[1.0]])
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+
+
+def _save_matrix_per_value(path, labels, values):
+    """The per-value text writer that save_matrix replaced: its byte oracle."""
+    values = np.asarray(values, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# dims: {values.shape[0]} {values.shape[1]}\n")
+        for label, row in zip(labels, values):
+            fh.write(str(int(label)))
+            for v in row:
+                fh.write(" " + repr(float(v)))
+            fh.write("\n")
+
+
+_I64 = np.iinfo(np.int64)
+TEXT_MATRICES = {
+    "awkward-floats": ([0, 1, 2], [[-0.0, 5e-324, 1e16], [1e22, 0.1, 1 / 3],
+                                   [-1e-300, 1.7976931348623157e308, -2.5]]),
+    "negative-labels": ([-1, -7, -123456789], np.arange(6.0).reshape(3, 2) - 2.5),
+    "int64-extreme-labels": ([_I64.min, _I64.max, 0], np.ones((3, 2))),
+    "no-rows": (np.empty(0, np.int64), np.empty((0, 4))),
+    "no-columns": ([3, 1, 2], np.empty((3, 0))),
+    "wide-row": ([5, 6], np.random.default_rng(7).normal(size=(2, 5000))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_MATRICES))
+def test_save_matrix_bytes_equal_the_per_value_writer(tmp_path, name):
+    labels, values = TEXT_MATRICES[name]
+    data.save_matrix(str(tmp_path / "new.txt"), labels, values)
+    _save_matrix_per_value(str(tmp_path / "old.txt"), labels, values)
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+
+def _layouts():
+    """One 4 x 6 matrix of values in four memory layouts."""
+    c = np.random.default_rng(8).normal(size=(4, 6))
+    strided = np.zeros((8, 18))
+    strided[::2, ::3] = c
+    return {"c-order": c, "fortran-order": np.asfortranarray(c),
+            "strided": strided[::2, ::3], "big-endian": c.astype(">f8")}
+
+
+@pytest.mark.parametrize("layout", sorted(_layouts()))
+def test_save_matrix_binary_bytes_equal_the_tobytes_layout(tmp_path, layout):
+    values = _layouts()[layout]
+    labels = np.array([9, -1, _I64.max, _I64.min])
+    path = tmp_path / "m.bin"
+    data.save_matrix_binary(str(path), labels, values)
+    expected = (b"ZSMX" + struct.pack("<III", 1, 4, 6) + labels.astype(np.int64).tobytes()
+                + np.asarray(values, dtype=np.float64).tobytes())
+    assert path.read_bytes() == expected
+
+
+def _checkpoint_tobytes(arrays, meta):
+    """save_checkpoint's layout, each array payload from tobytes()."""
+    meta_b = json.dumps(meta, sort_keys=True).encode("utf-8")
+    out = [b"ZSCK", struct.pack("<II", 1, len(meta_b)), meta_b, struct.pack("<I", len(arrays))]
+    for name in sorted(arrays):
+        arr = arrays[name]
+        out += [struct.pack("<H", len(name)), name.encode("utf-8"),
+                struct.pack("<H", 3), arr.dtype.str.encode("ascii"),
+                struct.pack("<I", arr.ndim), struct.pack(f"<{arr.ndim}Q", *arr.shape),
+                arr.tobytes()]
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("layout", ["c-order", "fortran-order", "strided"])
+def test_save_checkpoint_bytes_equal_the_tobytes_layout(tmp_path, layout):
+    arrays = {"w": _layouts()[layout], "ids": np.arange(10, dtype=np.int64)[::3]}
+    path = tmp_path / "ck.bin"
+    data.save_checkpoint(str(path), arrays, {"k": layout})
+    assert path.read_bytes() == _checkpoint_tobytes(arrays, {"k": layout})
+    got, _ = data.load_checkpoint(str(path))
+    assert all(np.array_equal(got[name], arrays[name]) for name in arrays)
+
+
+def test_big_endian_checkpoint_array_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="'w'"):
+        data.save_checkpoint(str(tmp_path / "ck.bin"), {"w": _layouts()["big-endian"]}, {})
+    assert os.listdir(tmp_path) == []
+
+
+def test_binary_read_that_comes_up_short_raises_parse_error(tmp_path):
+    path = tmp_path / "m.bin"
+    path.write_bytes(bytes(16))
+
+    class ShortReads:   # a file that shrinks after its size was checked
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def readinto(self, buf):
+            return self.fh.readinto(memoryview(buf).cast("B")[:8])
+
+    with open(path, "rb") as fh, pytest.raises(ParseError, match="truncated") as info:
+        data._read_array(ShortReads(fh), np.dtype(np.float64), 2, str(path))
+    assert str(path) in str(info.value)
+
+
+def _peak_traced_bytes(fn):
+    """Peak bytes that fn allocates, Python objects and numpy buffers both."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_matrix_holds_one_row_of_python_floats(tmp_path):
+    values = np.random.default_rng(9).normal(size=(2000, 512))
+    peak = _peak_traced_bytes(
+        lambda: data.save_matrix(str(tmp_path / "m.txt"), np.arange(2000), values))
+    assert peak < 1_000_000   # a whole-matrix tolist() would be about 32 MB
+
+
+PAYLOAD = np.random.default_rng(10).normal(size=(1000, 1000))   # 8 MB
+
+
+def test_binary_writers_copy_no_payload(tmp_path):
+    for save in (lambda: data.save_matrix_binary(str(tmp_path / "m.bin"),
+                                                 np.arange(1000), PAYLOAD),
+                 lambda: data.save_checkpoint(str(tmp_path / "ck.bin"), {"w": PAYLOAD}, {})):
+        assert _peak_traced_bytes(save) < PAYLOAD.nbytes / 4
+
+
+def test_binary_readers_read_the_payload_in_place(tmp_path):
+    data.save_matrix_binary(str(tmp_path / "m.bin"), np.arange(1000), PAYLOAD)
+    data.save_checkpoint(str(tmp_path / "ck.bin"), {"w": PAYLOAD}, {})
+    for load in (lambda: data.load_matrix(str(tmp_path / "m.bin")),
+                 lambda: data.load_checkpoint(str(tmp_path / "ck.bin"))):
+        assert _peak_traced_bytes(load) < 1.25 * PAYLOAD.nbytes
