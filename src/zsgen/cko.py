@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _text_lines
-from .errors import ConfigError, MissingEmbeddingError, ParseError
+from .data import text_lines, text_rows
+from .errors import ConfigError, MissingEmbeddingError
 
 
 @dataclass
@@ -28,31 +28,13 @@ class ClassRecord:
 
 
 def load_embeddings(path):
-    """Load a plain-text `word v1 v2 ... vd` embedding table."""
-    vectors = {}
-    dim = None
-    for lineno, line in _text_lines(path):
-        parts = line.split()
-        if not parts:
-            continue
-        word = parts[0].lower()
-        try:
-            vec = np.array([float(v) for v in parts[1:]])
-        except ValueError as exc:
-            raise ParseError(str(exc), path=path, line=lineno)
-        if dim is None:
-            dim = vec.shape[0]
-        elif vec.shape[0] != dim:
-            raise ParseError(
-                f"expected {dim} components, got {vec.shape[0]}",
-                path=path, line=lineno,
-            )
-        if not np.isfinite(vec).all():
-            raise ParseError("non-finite embedding entry", path=path, line=lineno)
-        vectors[word] = vec
+    """Load a plain-text `word v1 v2 ... vd` embedding table. Rows follow the
+    matrix row rule (data.text_rows): every row has the first row's width
+    and only finite float values; words are lowercased."""
+    vectors = {word.lower(): values for _, word, values in text_rows(path, text_lines(path))}
     if not vectors:
         raise ConfigError(f"embedding table {path} is empty")
-    return EmbeddingTable(vectors=vectors, dim=dim)
+    return EmbeddingTable(vectors=vectors, dim=next(iter(vectors.values())).shape[0])
 
 
 def name_tokens(name):

@@ -37,7 +37,7 @@ def _read_corpus(corpus_dir):
     records = []
     for i, fname in enumerate(names):
         path = os.path.join(corpus_dir, fname)
-        article = "".join(line for _, line in data._text_lines(path))
+        article = "".join(line for _, line in data.text_lines(path))
         records.append(cko_mod.ClassRecord(i, fname[:-4], article))
     return records, names
 

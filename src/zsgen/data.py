@@ -6,6 +6,7 @@ Matrix files come in two bit-lossless flavors:
   * binary: magic ZSMX, version, int64 labels, float64 row-major values.
 Split files are two lines, `seen: ids...` and `unseen: ids...`.
 Checkpoints (magic ZSCK) hold named arrays plus a JSON metadata blob.
+Every `key v1 ... vd` text row, matrix or embedding table, parses in text_rows.
 Text matrices are written one row at a time, and binary payloads straight
 from the array's buffer and read straight into a new array, so no writer
 or reader holds a second copy of the matrix; the bytes are those of the
@@ -132,13 +133,15 @@ def _load_matrix_binary(path):
         labels = _read_array(fh, np.dtype(np.int64), n, path)
         values = _read_array(fh, np.dtype(np.float64), n * d, path)
     values = values.reshape(n, d)
-    bad = ~np.isfinite(values).all(axis=1)
-    if bad.any():
-        raise ParseError(f"non-finite value in data row {int(np.argmax(bad)) + 1}", path=path)
+    if d:  # NaN propagates through min and max, which hold no n x d temporary
+        bad = ~(np.isfinite(values.min(axis=1)) & np.isfinite(values.max(axis=1)))
+        if bad.any():
+            raise ParseError(f"non-finite value in data row {int(np.argmax(bad)) + 1}",
+                             path=path)
     return labels, values
 
 
-def _text_lines(path):
+def text_lines(path):
     """(line number, line) pairs of a UTF-8 text file. A line that is not
     UTF-8 is a ParseError naming it, not a UnicodeDecodeError."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -151,8 +154,31 @@ def _text_lines(path):
             yield lineno, line
 
 
+def text_rows(path, lines, width=None):
+    """(line number, key, float64 values) per non-blank `key v1 ... vd` line of
+    path's (line number, line) pairs; every row has width values, or the first
+    row's count when width is None. A wrong field count, a value that is not a
+    float and a non-finite value are ParseErrors naming path and the line."""
+    for lineno, line in lines:
+        parts = line.split()
+        if not parts:
+            continue
+        if width is None:
+            width = len(parts) - 1
+        if len(parts) != width + 1:
+            raise ParseError(f"expected {width + 1} fields, got {len(parts)}",
+                             path=path, line=lineno)
+        try:
+            values = np.array([float(v) for v in parts[1:]])
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path, line=lineno) from None
+        if not np.isfinite(values).all():
+            raise ParseError("non-finite value", path=path, line=lineno)
+        yield lineno, parts[0], values
+
+
 def _load_matrix_text(path):
-    lines = _text_lines(path)
+    lines = text_lines(path)
     _, header = next(lines, (1, ""))
     if not header.startswith("# dims:"):
         raise ParseError("missing '# dims:' header", path=path, line=1)
@@ -168,23 +194,14 @@ def _load_matrix_text(path):
     labels = np.empty(n, dtype=np.int64)
     values = np.empty((n, d))
     row = 0
-    for lineno, line in lines:
-        if not line.strip():
-            continue
+    for lineno, label, row_values in text_rows(path, lines, d):
         if row >= n:
             raise ParseError(f"more than {n} data rows", path=path, line=lineno)
-        parts = line.split()
-        if len(parts) != d + 1:
-            raise ParseError(
-                f"expected {d + 1} fields, got {len(parts)}", path=path, line=lineno
-            )
         try:
-            labels[row] = int(parts[0])
-            values[row] = [float(v) for v in parts[1:]]
-        except ValueError as exc:
-            raise ParseError(str(exc), path=path, line=lineno)
-        if not np.isfinite(values[row]).all():
-            raise ParseError("non-finite value", path=path, line=lineno)
+            labels[row] = int(label)
+        except (ValueError, OverflowError) as exc:   # not an integer, or not an int64
+            raise ParseError(str(exc), path=path, line=lineno) from None
+        values[row] = row_values
         row += 1
     if row != n:
         raise ParseError(f"expected {n} data rows, found {row}", path=path)
@@ -221,7 +238,7 @@ def _class_ids(text, path, lineno):
 def load_split(path):
     seen = unseen = None
     scheme = ""
-    for lineno, line in _text_lines(path):
+    for lineno, line in text_lines(path):
         line = line.strip()
         if not line:
             continue

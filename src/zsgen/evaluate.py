@@ -131,9 +131,10 @@ def retrieval_map(refs, ref_labels, features, labels, ratios):
     return {int(round(100 * ratio)): m for ratio, m in zip(ratios, maps)}
 
 
-def score_matrix(clf, dataset, queries, distances):
+def score_matrix(clf, dataset, queries, distances=None):
     """kNN vote-fraction scores over the combined seen+unseen class space,
-    from the queries' squared distances to clf's references."""
+    seen classes first, from the queries' squared distances to clf's
+    references (formed here when not given)."""
     seen = sorted(dataset.split.seen)
     class_ids = np.array(seen + sorted(dataset.split.unseen), dtype=np.int64)
     scores = knn_scores(clf, queries, class_ids, distances)

@@ -16,7 +16,7 @@ import numpy as np
 from . import metrics
 from .bounds import bounded, check_bounds
 from .errors import ConfigError, UsageError
-from .knn import KnnClassifier, check_k, knn_scores
+from .knn import KnnClassifier, check_k
 from .nn import (
     AdamState, adam_step, init_mlp, mlp_backward, mlp_forward,
     pack, unflatten,
@@ -504,19 +504,17 @@ def _validation_split(train_y, seen_ids, frac, rng):
 def _probe_gacc(gen, dataset, val_x, val_y, cfg, rng):
     """kNN probe on synthetic features; generalized accuracy, over the default
     calibration sweep, of validation seen-class queries over the full
-    seen+unseen class space."""
-    seen = sorted(dataset.split.seen)
-    unseen = sorted(dataset.split.unseen)
-    class_ids = np.array(seen + unseen, dtype=np.int64)
+    seen+unseen class space, scored by evaluate.score_matrix. The references
+    are generated one class at a time, seen classes first."""
+    from .evaluate import score_matrix  # evaluate imports this module
+
     refs, ref_labels = [], []
-    for c in class_ids:
+    for c in sorted(dataset.split.seen) + sorted(dataset.split.unseen):
         sem = dataset.semantics_for([c])
         refs.append(generate(gen, sem, gen.sample_noise(rng, cfg.probe_per_class)))
         ref_labels.append(np.full(cfg.probe_per_class, c, dtype=np.int64))
     clf = KnnClassifier(np.vstack(refs), np.concatenate(ref_labels), k=cfg.knn_k)
-    scores = knn_scores(clf, val_x, class_ids)
-    sm = metrics.ScoreMatrix(scores, class_ids, seen_count=len(seen))
-    return metrics.generalized_accuracy(sm, val_y)
+    return metrics.generalized_accuracy(score_matrix(clf, dataset, val_x), val_y)
 
 
 def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng):

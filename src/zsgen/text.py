@@ -13,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 
-from .data import _text_lines
+from .data import text_lines
 from .errors import ConfigError
 from .porter import stem
 
@@ -25,7 +25,7 @@ def load_stopwords(path=None):
     if path is None:
         data = resources.files("zsgen").joinpath("stopwords.txt").read_text("utf-8")
     else:
-        data = "".join(line for _, line in _text_lines(path))
+        data = "".join(line for _, line in text_lines(path))
     return frozenset(w.strip().lower() for w in data.splitlines() if w.strip())
 
 

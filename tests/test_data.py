@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zsgen import data, evaluate, gan, metrics
+from zsgen import cko, data, evaluate, gan, metrics
 from zsgen.errors import ConfigError, ParseError, ZsgenError
 
 
@@ -97,6 +97,71 @@ def test_binary_matrix_non_finite_value_names_path(tmp_path):
     with pytest.raises(ParseError, match="row 2") as info:
         data.load_matrix(path)
     assert path in str(info.value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("row, col", [(0, 0), (3, 2), (4, 1)])
+def test_binary_matrix_first_non_finite_row_is_named(tmp_path, value, row, col):
+    path = str(tmp_path / "m.bin")
+    values = np.arange(15.0).reshape(5, 3)
+    values[row, col] = value
+    values[4, 0] = -value   # a later bad row is not the one named
+    data.save_matrix_binary(path, np.arange(5), values)
+    with pytest.raises(ParseError, match=f"data row {row + 1}$"):
+        data.load_matrix(path)
+
+
+ROW_RULE_CASES = {
+    "wrong-width": b"3.0",
+    "word": b"x 4.0",
+    "nan": b"nan 4.0",
+    "-inf": b"3.0 -inf",
+    "overflow": b"1e999 4.0",
+    "cut-sequence": b"\xe2\x82 4.0",
+}
+
+
+@pytest.mark.parametrize("reader", ["matrix", "embeddings"])
+@pytest.mark.parametrize("bad", ROW_RULE_CASES.values(), ids=ROW_RULE_CASES.keys())
+def test_both_text_readers_reject_a_malformed_row_naming_path_and_line(tmp_path, reader, bad):
+    path = tmp_path / "rows.txt"
+    if reader == "matrix":
+        path.write_bytes(b"# dims: 2 2\n0 1.0 2.0\n1 " + bad + b"\n")
+        load, line = data.load_matrix, 3
+    else:
+        path.write_bytes(b"crow 1.0 2.0\nwren " + bad + b"\n")
+        load, line = cko.load_embeddings, 2
+    with pytest.raises(ParseError) as info:
+        load(str(path))
+    assert info.value.line == line and info.value.path == str(path)
+
+
+# values Python's float() reads, in the spellings a hand-made file may use
+VALID_TOKENS = ["-0.0", "5e-324", "+1.5", "1E3", "1_000.5", ".5", "-7", "1.7976931348623157e308"]
+
+
+def test_both_text_readers_read_valid_rows_as_float_does(tmp_path):
+    expected = np.array([[float(v) for v in VALID_TOKENS]] * 2)
+    row = " \t".join(VALID_TOKENS)
+    path = tmp_path / "m.txt"
+    path.write_text(f"# dims: 2 {len(VALID_TOKENS)}\n\n-3 {row}\n  \n+4\t{row}")
+    labels, values = data.load_matrix(str(path))
+    assert labels.tolist() == [-3, 4]
+    assert values.tobytes() == expected.tobytes()
+    path.write_text(f"\nCrow {row}\n \nwren\t{row}\n")
+    table = cko.load_embeddings(str(path))
+    assert sorted(table.vectors) == ["crow", "wren"] and table.dim == len(VALID_TOKENS)
+    for vec, want in zip(table.vectors.values(), expected):
+        assert vec.dtype == np.float64 and vec.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("label", ["99999999999999999999", "-9223372036854775809", "1.0"])
+def test_text_matrix_label_that_is_no_int64_names_path_and_line(tmp_path, label):
+    path = tmp_path / "m.txt"
+    path.write_text(f"# dims: 2 1\n0 1.0\n{label} 2.0\n")
+    with pytest.raises(ParseError) as info:
+        data.load_matrix(str(path))
+    assert info.value.line == 3 and info.value.path == str(path)
 
 
 @pytest.mark.parametrize("body, line", [
@@ -524,6 +589,17 @@ def test_save_matrix_bytes_equal_the_per_value_writer(tmp_path, name):
     assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
 
 
+@pytest.mark.parametrize("save", [data.save_matrix, data.save_matrix_binary],
+                         ids=["text", "binary"])
+@pytest.mark.parametrize("name", sorted(TEXT_MATRICES))
+def test_matrix_of_any_shape_loads_back_bit_for_bit(tmp_path, name, save):
+    labels, values = (np.asarray(a) for a in TEXT_MATRICES[name])
+    save(str(tmp_path / "m"), labels, values)
+    got_labels, got_values = data.load_matrix(str(tmp_path / "m"))
+    assert got_labels.tolist() == labels.tolist()
+    assert got_values.shape == values.shape and got_values.tobytes() == values.tobytes()
+
+
 def _layouts():
     """One 4 x 6 matrix of values in four memory layouts."""
     c = np.random.default_rng(8).normal(size=(4, 6))
@@ -617,6 +693,12 @@ def test_binary_writers_copy_no_payload(tmp_path):
                                                  np.arange(1000), PAYLOAD),
                  lambda: data.save_checkpoint(str(tmp_path / "ck.bin"), {"w": PAYLOAD}, {})):
         assert _peak_traced_bytes(save) < PAYLOAD.nbytes / 4
+
+
+def test_binary_matrix_finiteness_check_holds_no_payload_sized_temporary(tmp_path):
+    data.save_matrix_binary(str(tmp_path / "m.bin"), np.arange(1000), PAYLOAD)
+    assert _peak_traced_bytes(lambda: data.load_matrix(str(tmp_path / "m.bin"))) \
+        < 1.05 * PAYLOAD.nbytes
 
 
 def test_binary_readers_read_the_payload_in_place(tmp_path):

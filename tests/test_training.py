@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from zsgen import data, gan, selftrain
+from zsgen import data, gan, metrics, selftrain
+from zsgen.evaluate import score_matrix
 from zsgen.gan import GanTrainConfig, train_gan
+from zsgen.knn import KnnClassifier, knn_scores, squared_distances
 from zsgen.verify import run_gradient_checks
 
 SPEC = data.SyntheticSpec(num_seen=4, num_unseen=2, samples_per_class=20,
@@ -12,11 +14,11 @@ TINY = dict(n_step=30, batch_size=16, eval_every=10, patience=100,
             knn_k=3, probe_per_class=5, margin=0.5)
 
 
-def setup(seed=0):
+def setup(seed=0, noise_sigma=0.1):
     ds = data.make_synthetic(SPEC)
     from zsgen.gan import DiscriminatorConfig, GeneratorConfig
     gen_cfg = GeneratorConfig(semantic_dim=16, visual_dim=8, reduce_dim=6,
-                              hidden_dim=10, noise_sigma=0.1)
+                              hidden_dim=10, noise_sigma=noise_sigma)
     disc_cfg = DiscriminatorConfig(visual_dim=8, hidden_dim=10)
     rng = np.random.default_rng(seed)
     return (ds,) + selftrain.prepare_models(ds, gen_cfg, disc_cfg, rng) + (rng,)
@@ -87,6 +89,48 @@ def test_nan_probes_return_the_trained_networks(monkeypatch):
                        gen, disc, cols, GanTrainConfig(**TINY), rng)
     assert len(result.history) == 3 and np.isnan(result.best_gacc)
     assert result.generator is gen and result.discriminator is disc
+
+
+def reference_probe_gacc(gen, dataset, val_x, val_y, cfg, rng):
+    """The probe with its own class list, kNN scores and score matrix."""
+    seen = sorted(dataset.split.seen)
+    unseen = sorted(dataset.split.unseen)
+    class_ids = np.array(seen + unseen, dtype=np.int64)
+    refs, ref_labels = [], []
+    for c in class_ids:
+        sem = dataset.semantics_for([c])
+        refs.append(gan.generate(gen, sem, gen.sample_noise(rng, cfg.probe_per_class)))
+        ref_labels.append(np.full(cfg.probe_per_class, c, dtype=np.int64))
+    clf = KnnClassifier(np.vstack(refs), np.concatenate(ref_labels), k=cfg.knn_k)
+    scores = knn_scores(clf, val_x, class_ids)
+    sm = metrics.ScoreMatrix(scores, class_ids, seen_count=len(seen))
+    return metrics.generalized_accuracy(sm, val_y)
+
+
+# at noise_sigma 0 a class's references coincide, so the k-th distance is tied
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_probe_equals_its_own_scoring_oracle(seed, noise_sigma):
+    ds, work, scaler, gen, disc, cols, rng = setup(seed, noise_sigma)
+    tr = work.train_indices()
+    cfg = GanTrainConfig(**TINY)
+    probe_rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
+    val_x, val_y = work.features[tr], work.labels[tr]
+    assert (gan._probe_gacc(gen, work, val_x, val_y, cfg, probe_rng)
+            == reference_probe_gacc(gen, work, val_x, val_y, cfg, oracle_rng))
+    assert probe_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_score_matrix_forms_the_distances_it_is_not_given():
+    ds, work, scaler, gen, disc, cols, rng = setup()
+    refs = rng.normal(size=(30, work.visual_dim))
+    clf = KnnClassifier(refs, np.repeat(work.class_ids, 5), k=3)
+    q = work.features[work.test_indices()]
+    formed = score_matrix(clf, work, q)
+    given = score_matrix(clf, work, q, squared_distances(q, refs))
+    assert np.array_equal(formed.scores, given.scores)
+    assert np.array_equal(formed.class_ids, given.class_ids)
+    assert formed.seen_count == given.seen_count
 
 
 def rows_fitted(monkeypatch):
