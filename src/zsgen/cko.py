@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import text_lines, text_rows
-from .errors import ConfigError, MissingEmbeddingError
+from .errors import ConfigError, MissingEmbeddingError, ParseError
 
 
 @dataclass
@@ -30,8 +30,15 @@ class ClassRecord:
 def load_embeddings(path):
     """Load a plain-text `word v1 v2 ... vd` embedding table. Rows follow the
     matrix row rule (data.text_rows): every row has the first row's width
-    and only finite float values; words are lowercased."""
-    vectors = {word.lower(): values for _, word, values in text_rows(path, text_lines(path))}
+    and only finite float values. Words are lowercased. A word listed twice
+    is a ParseError; of words that differ only in case the first row is
+    kept, as frequency-ordered tables list the common form first."""
+    vectors, words = {}, set()
+    for lineno, word, values in text_rows(path, text_lines(path)):
+        if word in words:
+            raise ParseError(f"word {word!r} is listed twice", path=path, line=lineno)
+        words.add(word)
+        vectors.setdefault(word.lower(), values)
     if not vectors:
         raise ConfigError(f"embedding table {path} is empty")
     return EmbeddingTable(vectors=vectors, dim=next(iter(vectors.values())).shape[0])

@@ -236,6 +236,7 @@ class Discriminator(Network):
         head_grads, d_head = mlp_backward(self.head, head_cache, d_logits,
                                           parts[2], param_grads)
         d_h += d_head
+        del d_head
         trunk_grads, d_x = mlp_backward(self.trunk, trunk_cache, d_h, parts[0],
                                         param_grads, input_grad)
         return (trunk_grads + critic_grads + head_grads if param_grads else None), d_x
@@ -250,73 +251,102 @@ def _safe_unit(diff, dist):
     return diff
 
 
-def triplet_loss(synthetic, positives, negatives, margin):
-    loss, _ = triplet_loss_grad(synthetic, positives, negatives, margin)
+def triplet_loss(synthetic, features, positives, negatives, margin):
+    loss, _ = triplet_loss_grad(synthetic, features, positives, negatives, margin)
     return loss
 
 
-def _stack_sets(sets, n_rows, dim):
-    """Per-row sample sets as one (total, dim) stack plus the per-row counts.
+# gathered sample values per triplet block: a block takes as many batch rows
+# as keep their samples within it (at least one row), whatever the batch size
+TRIPLET_BLOCK_VALUES = 1 << 20
 
-    An (n_rows, n, dim) array is reshaped without a copy; a ragged list of
-    (n_c, dim) arrays is concatenated.
+
+def _index_sets(sets, n_rows, n_features):
+    """Per-row index sets as one flat index vector plus the per-row counts.
+
+    An (n_rows, n) integer array is flattened without a copy; a ragged list
+    of 1-d integer arrays is concatenated.
     """
     if len(sets) != n_rows:
         raise UsageError("need one positive and one negative set per class")
-    if isinstance(sets, np.ndarray) and sets.ndim == 3:
-        sets = np.asarray(sets, dtype=np.float64)
-        return sets.reshape(-1, dim), np.full(n_rows, sets.shape[1])
-    rows = [np.asarray(s, dtype=np.float64).reshape(-1, dim) for s in sets]
-    return np.concatenate(rows), np.array([r.shape[0] for r in rows])
-
-
-def _distances(synthetic, sets):
-    """Differences synthetic[c] - sample for every sample of every row c, as
-    one flat stack, with their lengths and each row's start and count."""
-    n_rows, dim = synthetic.shape
-    flat, counts = _stack_sets(sets, n_rows, dim)
+    if isinstance(sets, np.ndarray) and sets.ndim == 2:
+        flat, counts = sets.reshape(-1), np.full(n_rows, sets.shape[1])
+    else:
+        rows = [np.asarray(s).reshape(-1) for s in sets]
+        counts = np.array([r.size for r in rows], dtype=np.int64)
+        flat = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
     if not counts.all():
         c = int(np.argmin(counts))
         raise UsageError(f"class {c} needs at least one positive and one negative")
-    diff = np.repeat(synthetic, counts, axis=0)
-    diff -= flat
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return diff, dist, np.cumsum(counts) - counts, counts
+    if flat.dtype.kind not in "iu" or (flat.size and not
+                                        0 <= flat.min() <= flat.max() < n_features):
+        raise UsageError(f"sample sets must be row indices into the {n_features} "
+                         "feature rows")
+    return flat, counts
 
 
-def _mean_distance(synthetic, sets):
-    """Per row: the mean distance from synthetic[c] to its samples."""
-    _, dist, starts, counts = _distances(synthetic, sets)
-    return np.add.reduceat(dist, starts) / counts
+def _block_means(synthetic, features, sets, directions):
+    """Per block of batch rows: (rows, per row c of the block the mean
+    distance from synthetic[c] to its samples or, with directions, the mean
+    unit vector from its samples to synthetic[c]); a sample at distance 0
+    adds a zero vector. sets is (flat row indices, per-row counts).
+
+    Samples are gathered a block at a time, so no more than
+    TRIPLET_BLOCK_VALUES of them (and their differences) are alive at once.
+    """
+    flat, counts = sets
+    n_rows, dim = synthetic.shape
+    ends = np.cumsum(counts)
+    per_block = max(1, TRIPLET_BLOCK_VALUES // dim)
+    lo = 0
+    while lo < n_rows:
+        first = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, first + per_block, side="right")))
+        block = counts[lo:hi]
+        diff = np.repeat(synthetic[lo:hi], block, axis=0)
+        diff -= features[flat[first:ends[hi - 1]]]
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        starts = np.cumsum(block) - block
+        if directions:
+            yield slice(lo, hi), (np.add.reduceat(_safe_unit(diff, dist), starts, axis=0)
+                                  / block[:, None])
+        else:
+            yield slice(lo, hi), np.add.reduceat(dist, starts) / block
+        lo = hi
 
 
-def _mean_direction(synthetic, sets):
-    """Per row: the mean unit vector from its samples to synthetic[c]; a
-    sample at distance 0 adds a zero vector."""
-    diff, dist, starts, counts = _distances(synthetic, sets)
-    return np.add.reduceat(_safe_unit(diff, dist), starts, axis=0) / counts[:, None]
+def _positive_minus_negative(synthetic, features, positives, negatives, directions):
+    """Per row: the positives' block mean less the negatives' (_block_means)."""
+    out = np.empty_like(synthetic) if directions else np.empty(synthetic.shape[0])
+    for rows, mean in _block_means(synthetic, features, positives, directions):
+        out[rows] = mean
+    for rows, mean in _block_means(synthetic, features, negatives, directions):
+        out[rows] -= mean
+    return out
 
 
-def triplet_loss_grad(synthetic, positives, negatives, margin):
+def triplet_loss_grad(synthetic, features, positives, negatives, margin):
     """Hinged inter/intra-class distance gap, plus its gradient in x-tilde.
 
     synthetic is one generated row per class; positives[c] / negatives[c]
-    are the real same-class / other-class samples for class c, either as
-    (m, n_pos, d) / (m, n_neg, d) arrays or as lists of (n_c, d) arrays.
-    Euclidean distances, class-averaged, margin added inside the outer hinge.
-    Each pass over a sample set recomputes its differences, so one
-    (samples, d) stack is alive at a time, and an inactive hinge skips the
-    gradient passes.
+    are the row indices into features of the real same-class / other-class
+    samples for class c, either as (m, n_pos) / (m, n_neg) integer arrays
+    or as lists of 1-d index arrays. Euclidean distances, class-averaged,
+    margin added inside the outer hinge. The samples are gathered in blocks
+    of batch rows (see _block_means); the gradient pass gathers them again,
+    and an inactive hinge skips it.
     """
     synthetic = np.asarray(synthetic, dtype=np.float64)
+    features = np.asarray(features, dtype=np.float64)
     n_classes = synthetic.shape[0]
-    gap = _mean_distance(synthetic, positives) - _mean_distance(synthetic, negatives)
+    sets = [_index_sets(s, n_classes, features.shape[0]) for s in (positives, negatives)]
+    gap = _positive_minus_negative(synthetic, features, *sets, directions=False)
     loss = float(np.sum(gap)) / n_classes + margin
     if loss <= 0.0:
         return 0.0, np.zeros_like(synthetic)
-    grad = _mean_direction(synthetic, positives)
-    grad -= _mean_direction(synthetic, negatives)
-    return loss, grad / n_classes
+    grad = _positive_minus_negative(synthetic, features, *sets, directions=True)
+    grad /= n_classes
+    return loss, grad
 
 
 def softmax_cross_entropy(logits, labels):
@@ -398,39 +428,46 @@ def discriminator_loss_grads(disc, real_x, fake_x, labels, gp_weight, rng=None, 
     d_critic[:n] = -1.0 / n
     flat, grads = _flat_grads(disc.params(), out)
     disc.backward(cache, d_critic, d_logits, grads, input_grad=False)
+    # the penalty reads only the trunk pre-activation of the stacked batch;
+    # the stacked input and the relu output go before it runs
+    z = cache[0][0][1]
+    del cache
 
     if gp_weight != 0.0:
         if eps is None:
             if rng is None:
                 raise UsageError("gradient penalty needs rng or explicit eps")
             eps = rng.uniform(0.0, 1.0, size=(n, 1))
-        z = cache[0][0][1]  # the trunk pre-activation of the stacked batch
-        z_hat = eps * z[:n] + (1.0 - eps) * z[n:]
+        z_hat = eps * z[:n]
+        z_hat += (1.0 - eps) * z[n:]
+        del z
         loss += gp_weight * gradient_penalty_grads(disc, z_hat, grads, gp_weight)
     return loss, flat
 
 
-def generator_loss_grads(gen, disc, semantics, noise, labels,
-                         pos_feats, neg_feats, cfg, classes=None, out=None):
+def generator_loss_grads(gen, disc, semantics, noise, labels, features,
+                         pos_rows, neg_rows, cfg, classes=None, out=None):
     """Generator loss with its gradients in the generator parameters.
 
     The loss is the part that depends on the generator: the negated mean
     critic score of the generated batch, half its classification loss, and
     the weighted triplet term. semantics and classes are as in
-    Generator.forward; pos_feats / neg_feats are (m, n_pos, d) /
-    (m, n_neg, d) real samples matched to each batch row's class. Returns
-    (loss, triplet, grads) with grads one flat vector in the layout of
-    gen.params(), written into out when it is given.
+    Generator.forward; pos_rows / neg_rows are the row indices into
+    features of the real samples matched to each batch row's class, as
+    triplet_loss_grad takes them. Returns (loss, triplet, grads) with grads
+    one flat vector in the layout of gen.params(), written into out when it
+    is given.
     """
     fake_x, gen_cache = gen.forward(semantics, noise, classes)
     critic_f, logits_f, disc_cache = disc.forward(fake_x)
 
     n = fake_x.shape[0]
     ce_fake, d_logits_f = softmax_cross_entropy(logits_f, labels)
-    trip, d_trip = triplet_loss_grad(fake_x, pos_feats, neg_feats, cfg.margin)
+    trip, d_trip = triplet_loss_grad(fake_x, features, pos_rows, neg_rows, cfg.margin)
     loss = -float(np.mean(critic_f)) + 0.5 * ce_fake + cfg.lambda_t * trip
     _, d_fake = disc.backward(disc_cache, np.full(n, -1.0 / n), 0.5 * d_logits_f,
                               param_grads=False)
+    del disc_cache, fake_x   # the generator's backward reads neither
     d_fake += cfg.lambda_t * d_trip
     flat, grads = _flat_grads(gen.params(), out)
     gen.backward(gen_cache, d_fake, grads)
@@ -552,7 +589,10 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng):
     col_of_class = np.array([class_cols[int(c)] for c in sampler.classes])
 
     gen_params, disc_params = gen.pack(), disc.pack()
-    gen_grads, disc_grads = np.empty_like(gen_params), np.empty_like(disc_params)
+    # the critic's and the generator's gradients are never live together, so
+    # both are views of the head of one vector
+    grads = np.empty(max(gen_params.size, disc_params.size))
+    gen_grads, disc_grads = grads[:gen_params.size], grads[:disc_params.size]
     rates = dict(alpha=cfg.alpha, beta1=cfg.beta1, beta2=cfg.beta2)
     gen_adam = AdamState.for_params(gen_params, **rates)
     disc_adam = AdamState.for_params(disc_params, **rates)
@@ -581,7 +621,7 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng):
         pos, neg = sampler.draw(rng, idx, cfg.n_pos, cfg.n_neg)
         lg, trip, _ = generator_loss_grads(
             gen, disc, sem_of_class, gen.sample_noise(rng, m), col_of_class[k],
-            train_x[fit_idx[pos]], train_x[fit_idx[neg]], cfg, classes=k, out=gen_grads,
+            train_x, fit_idx[pos], fit_idx[neg], cfg, classes=k, out=gen_grads,
         )
         if not math.isfinite(lg):
             raise UsageError(f"non-finite generator loss at step {step}")

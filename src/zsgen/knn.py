@@ -32,24 +32,40 @@ def check_k(key, k, per_class, n_classes):
         )
 
 
+# values per block of rows whose squared norms are summed at once
+NORM_BLOCK_VALUES = 1 << 16
+
+
+def _squared_norms(x):
+    """Per row of x, the sum of its squared entries, a block of rows at a
+    time: no temporary the size of x is formed."""
+    out = np.empty(x.shape[0])
+    step = max(1, NORM_BLOCK_VALUES // max(1, x.shape[1]))
+    for lo in range(0, x.shape[0], step):
+        block = x[lo:lo + step]
+        np.sum(block * block, axis=1, out=out[lo:lo + step])
+    return out
+
+
 def squared_distances(queries, references):
     """(n_queries, n_refs) squared Euclidean distances, from one matrix product.
 
-    A block of the result is what those queries and references alone give,
-    up to the last bits where the BLAS forms the smaller product with
-    another kernel (OpenBLAS does for one row, and for products under about
-    a million multiply-adds when the whole one is not).
+    The norms are combined in place into the product's output, so the
+    result is the only (n_queries, n_refs) array formed. A block of the
+    result is what those queries and references alone give, up to the last
+    bits where the BLAS forms the smaller product with another kernel
+    (OpenBLAS does for one row, and for products under about a million
+    multiply-adds when the whole one is not).
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.shape[1] != references.shape[1]:
         raise UsageError(
             f"query dim {queries.shape[1]} != reference dim {references.shape[1]}"
         )
-    return (
-        (queries * queries).sum(axis=1)[:, None]
-        - 2.0 * queries @ references.T
-        + (references * references).sum(axis=1)[None, :]
-    )
+    d2 = (2.0 * queries) @ references.T
+    np.subtract(_squared_norms(queries)[:, None], d2, out=d2)
+    d2 += _squared_norms(references)
+    return d2
 
 
 def _neighbors(d2, k):

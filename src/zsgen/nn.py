@@ -171,7 +171,8 @@ def mlp_forward(mlp, x):
     cache = []
     h = x
     for layer in mlp.layers:
-        z = h @ layer.weight + layer.bias
+        z = h @ layer.weight
+        z += layer.bias
         cache.append((h, z))
         h = activate(layer.activation, z, layer.slope)
     return h, cache
@@ -203,7 +204,12 @@ def mlp_backward(mlp, cache, d_out, grads=None, param_grads=True, input_grad=Tru
         h_in, z = cache[i]
         if h_in.shape[1] != layer.weight.shape[0]:
             raise UsageError("stale cache: layer input dim changed")
-        d_z = d_h * activate_grad(layer.activation, z, layer.slope)
+        if layer.activation == "identity":
+            d_z = d_h
+        elif layer.activation == "relu":
+            d_z = d_h * (z >= 0.0)   # a bool mask, not a float copy
+        else:
+            d_z = d_h * activate_grad(layer.activation, z, layer.slope)
         if param_grads:
             np.matmul(h_in.T, d_z, out=grads[2 * i])
             np.sum(d_z, axis=0, out=grads[2 * i + 1])

@@ -5,6 +5,8 @@ unchanged. The rules are grouped into the classic five steps; within a
 step the longest matching suffix wins.
 """
 
+import functools
+
 _VOWELS = "aeiou"
 
 
@@ -156,6 +158,8 @@ def _step5b(word):
     return word
 
 
+# an article repeats its words: each distinct word is stemmed once
+@functools.lru_cache(maxsize=1 << 16)
 def stem(word):
     """Stem a single lowercase word."""
     if len(word) <= 2:

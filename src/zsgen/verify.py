@@ -31,16 +31,22 @@ def check_mlp_backward(rng):
 
 
 def check_triplet(rng, n_classes=3, dim=4):
-    """Triplet loss gradients in the synthetic rows, at an active hinge."""
+    """Triplet loss gradients in the synthetic rows, at an active hinge, with
+    ragged index sets into one feature table: row 0 is a positive of class 0
+    and a negative of every other class."""
     synth = rng.normal(size=(n_classes, dim))
-    pos = [rng.normal(size=(2, dim)) for _ in range(n_classes)]
     # negatives close to the synthetic rows keep the hinge active
-    neg = [synth[c] + 0.1 * rng.normal(size=(2, dim)) for c in range(n_classes)]
+    near = [synth[c] + 0.1 * rng.normal(size=(2, dim)) for c in range(n_classes)]
+    features = np.vstack([rng.normal(size=(n_classes + 1, dim))] + near)
+    near_row = n_classes + 1   # the table's first near row
+    pos = [np.array([c, n_classes] if c % 2 else [c]) for c in range(n_classes)]
+    neg = [np.array([near_row + 2 * c, near_row + 2 * c + 1] + ([0] if c else []))
+           for c in range(n_classes)]
 
     params = [synth]
 
     def f():
-        loss, d_synth = triplet_loss_grad(synth, pos, neg, margin=5.0)
+        loss, d_synth = triplet_loss_grad(synth, features, pos, neg, margin=5.0)
         return loss, [d_synth]
 
     return gradient_check(f, params)
@@ -66,13 +72,13 @@ def check_generator_loss(rng):
     classes = np.minimum(np.arange(m), m - 2)
     noise = gen.sample_noise(rng, m)
     labels = rng.integers(0, disc.cfg.num_classes, size=m)
-    pos = rng.normal(size=(m, 2, gen.cfg.visual_dim))
-    neg = rng.normal(size=(m, 2, gen.cfg.visual_dim))
+    features = rng.normal(size=(4 * m, gen.cfg.visual_dim))
+    pos, neg = np.arange(2 * m).reshape(m, 2), np.arange(2 * m, 4 * m).reshape(m, 2)
     cfg = GanTrainConfig(margin=5.0, lambda_t=0.7, batch_size=m)
 
     def f():
         loss, _, grads = generator_loss_grads(
-            gen, disc, sem, noise, labels, pos, neg, cfg, classes=classes
+            gen, disc, sem, noise, labels, features, pos, neg, cfg, classes=classes
         )
         return loss, [grads]
 

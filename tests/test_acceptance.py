@@ -51,7 +51,10 @@ def test_primary_triplet_loss_oracle():
         pos = [rng.normal(size=(int(rng.integers(1, 4)), d)) for _ in range(c)]
         neg = [rng.normal(size=(int(rng.integers(1, 4)), d)) for _ in range(c)]
         margin = float(rng.uniform(0.0, 2.0))
-        got = triplet_loss(x, pos, neg, margin)
+        # the sets as row indices into one feature table
+        ends = np.cumsum([len(s) for s in pos + neg])
+        rows = [np.arange(e - len(s), e) for s, e in zip(pos + neg, ends)]
+        got = triplet_loss(x, np.vstack(pos + neg), rows[:c], rows[c:], margin)
         gap = 0.0
         for i in range(c):
             pd = np.mean([np.linalg.norm(x[i] - p) for p in pos[i]])

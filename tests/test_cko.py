@@ -151,6 +151,24 @@ def test_load_embeddings_round_trip(tmp_path):
     np.testing.assert_array_equal(t.vectors["wren"], [-0.5, 0.25])
 
 
+def test_load_embeddings_repeated_word_names_path_and_line(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("crow 1.0 2.0\nwren 0.5 0.5\n\ncrow 3.0 4.0\n")
+    with pytest.raises(ParseError) as err:
+        load_embeddings(str(path))
+    assert err.value.line == 4 and err.value.path == str(path)
+    assert "'crow'" in str(err.value)
+
+
+def test_load_embeddings_keeps_the_first_of_words_equal_after_lowercasing(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("Crow 1.0 2.0\ncrow 3.0 4.0\nwren 5.0 6.0\nWREN 7.0 8.0\n")
+    t = load_embeddings(str(path))
+    assert sorted(t.vectors) == ["crow", "wren"]
+    assert t.vectors["crow"].tolist() == [1.0, 2.0]
+    assert t.vectors["wren"].tolist() == [5.0, 6.0]
+
+
 def test_load_embeddings_bad_float_names_line(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("crow 1.0 2.0\nwren x 0.25\n")

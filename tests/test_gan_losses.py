@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zsgen import gan
 from zsgen.errors import ConfigError, UsageError
 from zsgen.gan import (
     Discriminator, DiscriminatorConfig, GanTrainConfig, Generator,
@@ -23,6 +24,59 @@ def reference_triplet(synthetic, positives, negatives, margin):
         nd = np.mean([np.linalg.norm(synthetic[i] - q) for q in negatives[i]])
         gap += pd - nd
     return max(gap / c + margin, 0.0)
+
+
+def as_rows(*set_lists):
+    """One feature table holding every sample of the given per-row sample
+    sets, then each set list as row indices into it: an (m, n, d) array
+    becomes an (m, n) index array, a list of (n_c, d) arrays a list of
+    index arrays."""
+    tables, out, at = [], [], 0
+    for sets in set_lists:
+        if isinstance(sets, np.ndarray) and sets.ndim == 3:
+            m, n, d = sets.shape
+            tables.append(sets.reshape(m * n, d))
+            out.append(at + np.arange(m * n).reshape(m, n))
+            at += m * n
+            continue
+        rows = []
+        for s in sets:
+            s = np.asarray(s, dtype=np.float64)
+            tables.append(s)
+            rows.append(at + np.arange(s.shape[0]))
+            at += s.shape[0]
+        out.append(rows)
+    return (np.vstack(tables), *out)
+
+
+def stacked_triplet_loss_grad(synthetic, positives, negatives, margin):
+    """The whole-batch form that the blocked, row-indexed triplet_loss_grad
+    replaced, kept as its bit-for-bit oracle: every sample set is stacked at
+    once, (m, n, d) arrays reshaped and ragged lists concatenated."""
+    synthetic = np.asarray(synthetic, dtype=np.float64)
+    n_classes, dim = synthetic.shape
+
+    def passes(sets):
+        if isinstance(sets, np.ndarray) and sets.ndim == 3:
+            flat, counts = sets.reshape(-1, dim), np.full(n_classes, sets.shape[1])
+        else:
+            rows = [np.asarray(s, dtype=np.float64).reshape(-1, dim) for s in sets]
+            flat, counts = np.concatenate(rows), np.array([r.shape[0] for r in rows])
+        diff = np.repeat(synthetic, counts, axis=0)
+        diff -= flat
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        starts = np.cumsum(counts) - counts
+        nz = dist > 0.0
+        np.divide(diff, np.where(nz, dist, 1.0)[:, None], out=diff)
+        diff[~nz] = 0.0
+        return (np.add.reduceat(dist, starts) / counts,
+                np.add.reduceat(diff, starts, axis=0) / counts[:, None])
+
+    (pos_dist, pos_dir), (neg_dist, neg_dir) = passes(positives), passes(negatives)
+    loss = float(np.sum(pos_dist - neg_dist)) / n_classes + margin
+    if loss <= 0.0:
+        return 0.0, np.zeros_like(synthetic)
+    return loss, (pos_dir - neg_dir) / n_classes
 
 
 def loop_triplet_loss_grad(synthetic, positives, negatives, margin):
@@ -78,7 +132,7 @@ def test_triplet_matches_loop_oracle_on_lists_and_arrays():
     worst, active, inactive, zero_rows = 0.0, 0, 0, 0
     for x, pos, neg, margin in _triplet_cases(rng):
         ref_loss, ref_grad = loop_triplet_loss_grad(x, pos, neg, margin)
-        loss, grad = triplet_loss_grad(x, pos, neg, margin)
+        loss, grad = triplet_loss_grad(x, *as_rows(pos, neg), margin)
         worst = max(worst, abs(loss - ref_loss), float(np.abs(grad - ref_grad).max()))
         active += ref_loss > 0.0
         inactive += ref_loss == 0.0
@@ -90,17 +144,58 @@ def test_triplet_matches_loop_oracle_on_lists_and_arrays():
         pos3 = np.stack([p[:n] for p in pos])
         neg3 = np.stack([q[:n] for q in neg])
         ref_loss, ref_grad = loop_triplet_loss_grad(x, pos3, neg3, margin)
-        loss, grad = triplet_loss_grad(x, pos3, neg3, margin)
+        loss, grad = triplet_loss_grad(x, *as_rows(pos3, neg3), margin)
         worst = max(worst, abs(loss - ref_loss), float(np.abs(grad - ref_grad).max()))
     assert active > 100 and inactive > 300 and zero_rows > 50
     assert worst < 1e-12, worst
 
 
+@pytest.mark.parametrize("block_values", [1, 40, gan.TRIPLET_BLOCK_VALUES])
+def test_triplet_blocks_equal_the_stacked_form_bit_for_bit(monkeypatch, block_values):
+    # 1: one batch row per block; 40: a few rows of the 1-8 wide sets per
+    # block, so blocks split the batch at ragged and uniform set sizes
+    monkeypatch.setattr(gan, "TRIPLET_BLOCK_VALUES", block_values)
+    rng = np.random.default_rng(12)
+    active = inactive = 0
+    for x, pos, neg, margin in _triplet_cases(rng):
+        n = min(len(p) for p in pos + neg)
+        for p, q in [(pos, neg), (np.stack([s[:n] for s in pos]),
+                                  np.stack([s[:n] for s in neg]))]:
+            ref_loss, ref_grad = stacked_triplet_loss_grad(x, p, q, margin)
+            loss, grad = triplet_loss_grad(x, *as_rows(p, q), margin)
+            assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
+            active += loss > 0.0
+            inactive += loss == 0.0
+    assert active > 200 and inactive > 600
+
+
+@pytest.mark.parametrize("block_values", [3, gan.TRIPLET_BLOCK_VALUES])
+def test_triplet_samples_shared_between_classes(monkeypatch, block_values):
+    # one table row is a positive of row 0 and a negative of row 1; at 3
+    # values per block a block boundary falls between the two rows
+    monkeypatch.setattr(gan, "TRIPLET_BLOCK_VALUES", block_values)
+    rng = np.random.default_rng(13)
+    features, x = rng.normal(size=(6, 3)), rng.normal(size=(2, 3))
+    pos, neg = [np.array([0, 1]), np.array([2])], [np.array([3, 4, 5]), np.array([0, 5])]
+    ref_loss, ref_grad = stacked_triplet_loss_grad(
+        x, [features[p] for p in pos], [features[q] for q in neg], 4.0)
+    loss, grad = triplet_loss_grad(x, features, pos, neg, 4.0)
+    assert loss == ref_loss > 0.0 and grad.tobytes() == ref_grad.tobytes()
+
+
+@pytest.mark.parametrize("pos", [np.array([[0.0], [1.0]]), np.array([[0], [6]]),
+                                 np.array([[0], [-1]]), [[0], [1.5]]])
+def test_triplet_rejects_sets_that_are_not_row_indices(pos):
+    features = np.zeros((6, 3))
+    with pytest.raises(UsageError):
+        triplet_loss(np.zeros((2, 3)), features, pos, np.array([[1], [2]]), 0.0)
+
+
 def test_triplet_empty_array_set_rejected():
     with pytest.raises(UsageError):
-        triplet_loss(np.zeros((2, 3)), np.ones((2, 0, 3)), np.ones((2, 1, 3)), 0.0)
+        triplet_loss(np.zeros((2, 3)), *as_rows(np.ones((2, 0, 3)), np.ones((2, 1, 3))), 0.0)
     with pytest.raises(UsageError):
-        triplet_loss(np.zeros((2, 3)), np.ones((3, 1, 3)), np.ones((2, 1, 3)), 0.0)
+        triplet_loss(np.zeros((2, 3)), *as_rows(np.ones((3, 1, 3)), np.ones((2, 1, 3))), 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -151,18 +246,19 @@ def test_triplet_sampler_needs_two_classes():
 
 def test_triplet_equal_distances_zero_margin():
     x = np.array([[0.0, 0.0]])
-    assert triplet_loss(x, [np.array([[1.0, 0.0]])], [np.array([[0.0, 1.0]])], 0.0) == 0.0
+    assert triplet_loss(x, *as_rows([np.array([[1.0, 0.0]])], [np.array([[0.0, 1.0]])]),
+                        0.0) == 0.0
 
 
 def test_triplet_inactive_hinge():
     x = np.array([[0.0, 0.0]])
-    loss = triplet_loss(x, [np.array([[1.0, 0.0]])], [np.array([[3.0, 0.0]])], 0.5)
+    loss = triplet_loss(x, *as_rows([np.array([[1.0, 0.0]])], [np.array([[3.0, 0.0]])]), 0.5)
     assert loss == 0.0
 
 
 def test_triplet_active_hinge_hand_value():
     x = np.array([[0.0, 0.0]])
-    loss = triplet_loss(x, [np.array([[2.0, 0.0]])], [np.array([[1.0, 0.0]])], 0.5)
+    loss = triplet_loss(x, *as_rows([np.array([[2.0, 0.0]])], [np.array([[1.0, 0.0]])]), 0.5)
     np.testing.assert_allclose(loss, 1.5)
 
 
@@ -175,7 +271,7 @@ def test_triplet_nonnegative_and_matches_reference():
         pos = [rng.normal(size=(rng.integers(1, 4), d)) for _ in range(c)]
         neg = [rng.normal(size=(rng.integers(1, 4), d)) for _ in range(c)]
         margin = float(rng.uniform(0.0, 2.0))
-        loss = triplet_loss(x, pos, neg, margin)
+        loss = triplet_loss(x, *as_rows(pos, neg), margin)
         assert loss >= 0.0
         np.testing.assert_allclose(loss, reference_triplet(x, pos, neg, margin),
                                    rtol=0, atol=1e-12)
@@ -183,13 +279,13 @@ def test_triplet_nonnegative_and_matches_reference():
 
 def test_triplet_empty_class_rejected():
     with pytest.raises(UsageError):
-        triplet_loss(np.zeros((1, 2)), [np.zeros((0, 2))], [np.ones((1, 2))], 0.0)
+        triplet_loss(np.zeros((1, 2)), *as_rows([np.zeros((0, 2))], [np.ones((1, 2))]), 0.0)
 
 
 def test_triplet_zero_grad_when_hinge_inactive():
     x = np.array([[0.0, 0.0]])
     loss, grad = triplet_loss_grad(
-        x, [np.array([[1.0, 0.0]])], [np.array([[5.0, 0.0]])], 0.1
+        x, *as_rows([np.array([[1.0, 0.0]])], [np.array([[5.0, 0.0]])]), 0.1
     )
     assert loss == 0.0 and not grad.any()
 
@@ -213,7 +309,7 @@ def generator_step(disc, labels, pos, neg, margin=0.0, lambda_t=1.0, seed=0):
     cfg = GanTrainConfig(margin=margin, lambda_t=lambda_t)
     return generator_loss_grads(gen, disc, rng.normal(size=(n, 6)),
                                 gen.sample_noise(rng, n), np.asarray(labels),
-                                pos, neg, cfg)
+                                *as_rows(pos, neg), cfg)
 
 
 def sets(rng, n, k=2, shift=0.0):
@@ -611,10 +707,10 @@ def test_per_class_reduce_matches_per_row_semantics(kw):
     labels = rng.integers(0, 3, size=40)
     pos, neg = rng.normal(size=(40, 2, 4)), rng.normal(size=(40, 3, 4))
     cfg = GanTrainConfig(margin=5.0, lambda_t=0.7)
-    loss, trip, grads = generator_loss_grads(gen, disc, table, noise, labels, pos, neg,
-                                             cfg, classes=classes)
+    loss, trip, grads = generator_loss_grads(gen, disc, table, noise, labels,
+                                             *as_rows(pos, neg), cfg, classes=classes)
     ref_loss, ref_trip, ref_grads = generator_loss_grads(
-        gen, disc, table[classes], noise, labels, pos, neg, cfg)
+        gen, disc, table[classes], noise, labels, *as_rows(pos, neg), cfg)
     assert (loss, trip) == (ref_loss, ref_trip)
     assert_rel_close(grads, ref_grads)
 

@@ -1,9 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from zsgen import data, evaluate, gan, selftrain
+from zsgen import data, evaluate, gan, knn, selftrain
 from zsgen.errors import ConfigError, UsageError
 from zsgen.gan import DiscriminatorConfig, GanTrainConfig, GeneratorConfig, generate
 from zsgen.knn import KnnClassifier, knn_predict_proba, knn_scores, squared_distances
@@ -133,6 +134,37 @@ def test_knn_tie_at_kth_distance_keeps_lowest_reference_indices():
     scores = knn_scores(clf, np.array([[0.0]]), labels)
     assert scores[0].tolist() == [0.25, 0.25, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0]
     _assert_knn_matches_oracle(clf, np.array([[0.0], [0.5], [2.0]]), [7, 6, 5, 4, 3, 2, 1, 0])
+
+
+def three_term_squared_distances(queries, references):
+    """The formula that the blocked, in-place squared_distances replaced,
+    kept as its bit-for-bit oracle."""
+    return ((queries * queries).sum(axis=1)[:, None] - 2.0 * queries @ references.T
+            + (references * references).sum(axis=1)[None, :])
+
+
+@pytest.mark.parametrize("block_values", [1, 100, knn.NORM_BLOCK_VALUES])
+def test_squared_distances_equal_the_three_term_formula(monkeypatch, block_values):
+    # 1: a row per norm block; 100: blocks of a few rows, one ending mid-matrix
+    monkeypatch.setattr(knn, "NORM_BLOCK_VALUES", block_values)
+    rng = np.random.default_rng(21)
+    for nq, nr, d in [(1, 1, 1), (7, 13, 9), (40, 301, 33), (3, 50, 2048)]:
+        queries, refs = rng.normal(size=(nq, d)), rng.uniform(-1.0, 1.0, size=(nr, d))
+        got = squared_distances(queries, refs)
+        assert got.tobytes() == three_term_squared_distances(queries, refs).tobytes()
+
+
+def test_squared_distances_form_no_reference_sized_temporary():
+    rng = np.random.default_rng(22)
+    queries, refs = rng.normal(size=(10, 64)), rng.normal(size=(40000, 64))
+    tracemalloc.start()
+    try:
+        d2 = squared_distances(queries, refs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result, the norms and one block of squares: far below a copy of refs
+    assert peak < d2.nbytes + refs.nbytes // 4, peak
 
 
 def test_knn_scores_from_a_block_of_shared_distances_match_their_own_pass():

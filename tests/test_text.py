@@ -1,10 +1,12 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zsgen import porter, text
 from zsgen.errors import ConfigError, ParseError
 from zsgen.text import (
     encode_corpus, load_stopwords, preprocess, tfidf_fit, tfidf_transform,
@@ -48,6 +50,24 @@ def test_preprocess_drops_digits():
 def test_preprocess_filters_stopwords_after_stemming():
     # "doing" stems to "do"; with "do" stop-listed the stem must vanish too
     assert preprocess("doing", frozenset(["do"])) == []
+
+
+def test_preprocess_with_the_stem_cache_equals_it_without(monkeypatch):
+    fixture = os.path.join(os.path.dirname(__file__), "fixtures", "porter_words.txt")
+    with open(fixture, encoding="utf-8") as fh:
+        words = fh.read().split()
+    rng = np.random.default_rng(0)
+    # a corpus: the fixture words and their stems, repeated, capitalized and
+    # punctuated, among stop words
+    picks = rng.choice(words + ["the", "and", "of"], size=(20, 300))
+    corpus = [" ".join(w.capitalize() + "," if i % 7 == 0 else w
+                       for i, w in enumerate(doc)) for doc in picks]
+    stopwords = load_stopwords()
+    docs = [" ".join(words)] + corpus
+    cached = [preprocess(doc, stopwords) for doc in docs]
+    assert porter.stem.cache_info().hits > 0
+    monkeypatch.setattr(text, "stem", porter.stem.__wrapped__)
+    assert [preprocess(doc, stopwords) for doc in docs] == cached
 
 
 def test_default_stopword_list_loads():

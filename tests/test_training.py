@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,32 @@ def test_no_probe_returns_the_passed_in_networks_trained():
     after = params_of(gen, disc)
     assert all(np.isfinite(a).all() for a in after)
     assert any((a != b).any() for a, b in zip(after, before))
+
+
+def test_a_training_step_holds_no_whole_triplet_sample_stack():
+    # 200 batch rows with 100 positives and 100 negatives of width 256: one
+    # (m, n_pos, d) sample stack (41 MB) outweighs everything else a step holds
+    from zsgen.gan import DiscriminatorConfig, GeneratorConfig
+    spec = data.SyntheticSpec(num_seen=4, num_unseen=2, samples_per_class=100,
+                              semantic_dim=16, visual_dim=256, seed=0)
+    rng = np.random.default_rng(0)
+    work, _, gen, disc, cols = selftrain.prepare_models(
+        data.make_synthetic(spec),
+        GeneratorConfig(semantic_dim=16, visual_dim=256, reduce_dim=6, hidden_dim=10),
+        DiscriminatorConfig(visual_dim=256, hidden_dim=10), rng)
+    tr = work.train_indices()
+    cfg = GanTrainConfig(n_step=1, n_d=1, batch_size=200, n_pos=100, n_neg=100,
+                         eval_every=0)
+    assert tr.size >= cfg.batch_size
+    stack = cfg.batch_size * cfg.n_pos * spec.visual_dim * 8
+    x, y = work.features[tr], work.labels[tr]
+    tracemalloc.start()
+    try:
+        train_gan(work, x, y, gen, disc, cols, cfg, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack, (peak, stack)
 
 
 def probe_returning(monkeypatch, scores, gen, disc):
