@@ -32,7 +32,7 @@ class GeneratorConfig:
     noise_dim: int = bounded(0, ge=0)   # 0: same as reduce_dim (additive mode)
     noise_sigma: float = bounded(1.0, ge=0)
     noise_mode: str = bounded("add", choices=("add", "concat"))
-    slope: float = 0.2
+    slope: float = bounded(0.2, gt=0, le=1)   # the decoder's leaky relu slope
 
     def __post_init__(self):
         check_bounds(self)
@@ -148,12 +148,14 @@ class Generator(Network):
     def sample_noise(self, rng, n):
         return rng.normal(0.0, self.cfg.noise_sigma, size=(n, self.cfg.noise_dim))
 
-    def forward(self, semantics, noise, classes=None):
-        """Generated rows, one per noise row.
+    def forward(self, semantics, noise, classes=None, keep_cache=True, out=None):
+        """Generated rows, one per noise row, and the cache for backward.
 
         Noise row i is generated from semantic row classes[i], so the reduce
         layer runs once per semantic row, however many noise rows share it.
         By default noise row i uses semantic row i, or the only one.
+        keep_cache and out are as in mlp_forward: without a cache (None is
+        returned for it) the rows can be written into out.
         """
         semantics = np.asarray(semantics, dtype=np.float64)
         noise = np.asarray(noise, dtype=np.float64)
@@ -168,14 +170,14 @@ class Generator(Network):
                 raise UsageError("need one semantic row index per noise row")
         if noise.shape[1] != self.cfg.noise_dim:
             raise UsageError(f"noise dim {noise.shape[1]} != {self.cfg.noise_dim}")
-        reduced, reduce_cache = mlp_forward(self.reduce, semantics)
+        reduced, reduce_cache = mlp_forward(self.reduce, semantics, keep_cache)
         if self.cfg.noise_mode == "add":
             h = reduced[classes]
             h += noise
         else:
             h = np.concatenate([reduced[classes], noise], axis=1)
-        out, decode_cache = mlp_forward(self.decode, h)
-        return out, (reduce_cache, decode_cache, classes)
+        out, decode_cache = mlp_forward(self.decode, h, keep_cache, out)
+        return out, (reduce_cache, decode_cache, classes) if keep_cache else None
 
     def backward(self, cache, d_out, grads=None):
         """Parameter gradients in params() order, written into grads when given.
@@ -196,9 +198,19 @@ class Generator(Network):
         return reduce_grads + decode_grads
 
 
-def generate(gen, semantics, noise, classes=None):
-    """Synthesize visual features; plain forward pass, no cache."""
-    out, _ = gen.forward(semantics, noise, classes)
+def generate(gen, semantics, noise, classes=None, out=None):
+    """Synthesize visual features with the forward that keeps no cache.
+
+    The rows are written into out when it is given, a C-contiguous float64
+    (noise rows, visual_dim) array, and out is returned.
+    """
+    noise = np.asarray(noise, dtype=np.float64)
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                                and out.flags.c_contiguous
+                                and out.shape == (noise.shape[0], gen.cfg.visual_dim)):
+        raise UsageError(f"out must be a C-contiguous float64 ({noise.shape[0]}, "
+                         f"{gen.cfg.visual_dim}) array")
+    out, _ = gen.forward(semantics, noise, classes, keep_cache=False, out=out)
     if not np.isfinite(out).all():
         raise UsageError("non-finite values in generated features")
     return out
@@ -286,16 +298,18 @@ def _index_sets(sets, n_rows, n_features):
 
 
 def _block_means(synthetic, features, sets, directions):
-    """Per block of batch rows: (rows, per row c of the block the mean
-    distance from synthetic[c] to its samples or, with directions, the mean
-    unit vector from its samples to synthetic[c]); a sample at distance 0
-    adds a zero vector. sets is (flat row indices, per-row counts).
+    """Per block of set rows: (rows, per row r of the block the mean
+    distance from synthetic[r % len(synthetic)] to its samples or, with
+    directions, the mean unit vector from its samples to that row); a sample
+    at distance 0 adds a zero vector. sets is (flat row indices, per-row
+    counts), so one pass can serve several sets of every synthetic row.
 
     Samples are gathered a block at a time, so no more than
     TRIPLET_BLOCK_VALUES of them (and their differences) are alive at once.
     """
     flat, counts = sets
-    n_rows, dim = synthetic.shape
+    n_syn, dim = synthetic.shape
+    n_rows = counts.size
     ends = np.cumsum(counts)
     per_block = max(1, TRIPLET_BLOCK_VALUES // dim)
     lo = 0
@@ -303,7 +317,7 @@ def _block_means(synthetic, features, sets, directions):
         first = int(ends[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, first + per_block, side="right")))
         block = counts[lo:hi]
-        diff = np.repeat(synthetic[lo:hi], block, axis=0)
+        diff = synthetic[np.repeat(np.arange(lo, hi) % n_syn, block)]
         diff -= features[flat[first:ends[hi - 1]]]
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         starts = np.cumsum(block) - block
@@ -315,14 +329,15 @@ def _block_means(synthetic, features, sets, directions):
         lo = hi
 
 
-def _positive_minus_negative(synthetic, features, positives, negatives, directions):
-    """Per row: the positives' block mean less the negatives' (_block_means)."""
-    out = np.empty_like(synthetic) if directions else np.empty(synthetic.shape[0])
-    for rows, mean in _block_means(synthetic, features, positives, directions):
-        out[rows] = mean
-    for rows, mean in _block_means(synthetic, features, negatives, directions):
-        out[rows] -= mean
-    return out
+def _positive_minus_negative(synthetic, features, sets, directions):
+    """Per row: the positives' block mean less the negatives' (_block_means),
+    from one pass over sets, the positive sets stacked over the negative."""
+    n = synthetic.shape[0]
+    means = np.empty((2 * n, synthetic.shape[1]) if directions else 2 * n)
+    for rows, mean in _block_means(synthetic, features, sets, directions):
+        means[rows] = mean
+    means[:n] -= means[n:]
+    return means[:n]
 
 
 def triplet_loss_grad(synthetic, features, positives, negatives, margin):
@@ -332,19 +347,21 @@ def triplet_loss_grad(synthetic, features, positives, negatives, margin):
     are the row indices into features of the real same-class / other-class
     samples for class c, either as (m, n_pos) / (m, n_neg) integer arrays
     or as lists of 1-d index arrays. Euclidean distances, class-averaged,
-    margin added inside the outer hinge. The samples are gathered in blocks
-    of batch rows (see _block_means); the gradient pass gathers them again,
-    and an inactive hinge skips it.
+    margin added inside the outer hinge. The positive and the negative
+    samples are gathered in one pass, in blocks of set rows (see
+    _block_means); the gradient pass gathers them again, and an inactive
+    hinge skips it.
     """
     synthetic = np.asarray(synthetic, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
     n_classes = synthetic.shape[0]
-    sets = [_index_sets(s, n_classes, features.shape[0]) for s in (positives, negatives)]
-    gap = _positive_minus_negative(synthetic, features, *sets, directions=False)
+    pos, neg = (_index_sets(s, n_classes, features.shape[0]) for s in (positives, negatives))
+    sets = (np.concatenate([pos[0], neg[0]]), np.concatenate([pos[1], neg[1]]))
+    gap = _positive_minus_negative(synthetic, features, sets, directions=False)
     loss = float(np.sum(gap)) / n_classes + margin
     if loss <= 0.0:
         return 0.0, np.zeros_like(synthetic)
-    grad = _positive_minus_negative(synthetic, features, *sets, directions=True)
+    grad = _positive_minus_negative(synthetic, features, sets, directions=True)
     grad /= n_classes
     return loss, grad
 
@@ -356,14 +373,16 @@ def softmax_cross_entropy(logits, labels):
     n, n_cls = logits.shape
     if labels.min() < 0 or labels.max() >= n_cls:
         raise UsageError("label out of class range")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    loss = float(-np.log(probs[np.arange(n), labels] + 1e-300).mean())
-    d_logits = probs
-    d_logits[np.arange(n), labels] -= 1.0
-    d_logits /= n
-    return loss, d_logits
+    # one buffer: shifted logits, then their exponentials, then the softmax,
+    # then its gradient
+    probs = logits - logits.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    rows = np.arange(n)
+    loss = -float(np.log(probs[rows, labels] + 1e-300).sum() / n)
+    probs[rows, labels] -= 1.0
+    probs /= n
+    return loss, probs
 
 
 def gradient_penalty_grads(disc, z_hat, grads, scale=1.0):

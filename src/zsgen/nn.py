@@ -5,7 +5,8 @@ The backward pass returns gradients shaped exactly like the parameters, in
 param_arrays order. `pack` moves a network's parameters into one contiguous
 vector that its layers view; a gradient vector of the same layout (views
 from `unflatten`) takes the backward's output, and Adam updates the whole
-vector at once.
+vector at once. A forward that keeps no cache, as generation runs it, applies
+each activation in place and can write its last layer into the caller's array.
 """
 
 import math
@@ -19,15 +20,25 @@ from .errors import ConfigError, UsageError
 ACTIVATIONS = ("identity", "relu", "leaky_relu", "tanh")
 
 
-def activate(name, z, slope=0.2):
+def _check_slope(slope):
+    """A leaky relu slope must lie in (0, 1]: there max(z, slope * z) is z for
+    z >= 0 and slope * z below, and at 0 it would make +inf a NaN."""
+    if not 0.0 < slope <= 1.0:
+        raise ConfigError(f"leaky relu slope must be in (0, 1], got {slope!r}")
+
+
+def activate(name, z, slope=0.2, in_place=False):
+    """The activation of pre-activation z; in_place writes it into z."""
+    out = z if in_place else None
     if name == "identity":
         return z
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if name == "leaky_relu":
-        return np.where(z >= 0.0, z, slope * z)
+        _check_slope(slope)
+        return np.maximum(z, slope * z, out=out)
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     raise ConfigError(f"unknown activation {name!r}")
 
 
@@ -64,6 +75,8 @@ class Layer:
             )
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
+        if self.activation == "leaky_relu":
+            _check_slope(self.slope)
         if not (np.isfinite(self.weight).all() and np.isfinite(self.bias).all()):
             raise ConfigError("layer parameters must be finite")
 
@@ -154,12 +167,16 @@ def init_mlp(dims, activations, rng, slope=0.2):
     return Mlp(layers)
 
 
-def mlp_forward(mlp, x):
+def mlp_forward(mlp, x, keep_cache=True, out=None):
     """Run the network on a batch. Returns (output, cache).
 
     cache holds per-layer (input, pre-activation) pairs and is consumed
-    by mlp_backward. The output is not checked for non-finite values; the
-    callers check what leaves the networks (losses, generated features).
+    by mlp_backward. With keep_cache=False the cache is None, each layer's
+    activation overwrites its fresh pre-activation, and the last layer is
+    written into out when it is given (a C-contiguous float64 array of the
+    output's shape); x itself is never written. The output is not checked
+    for non-finite values; the callers check what leaves the networks
+    (losses, generated features).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -168,13 +185,16 @@ def mlp_forward(mlp, x):
         raise ConfigError(
             f"input dim {x.shape[1]} does not match network input dim {mlp.in_dim}"
         )
-    cache = []
+    if keep_cache and out is not None:
+        raise UsageError("out= is for the forward that keeps no cache")
+    cache = [] if keep_cache else None
     h = x
-    for layer in mlp.layers:
-        z = h @ layer.weight
+    for i, layer in enumerate(mlp.layers):
+        z = np.matmul(h, layer.weight, out=out if i == len(mlp.layers) - 1 else None)
         z += layer.bias
-        cache.append((h, z))
-        h = activate(layer.activation, z, layer.slope)
+        if keep_cache:
+            cache.append((h, z))
+        h = activate(layer.activation, z, layer.slope, in_place=not keep_cache)
     return h, cache
 
 

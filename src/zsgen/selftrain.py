@@ -42,16 +42,17 @@ class PseudoLabelSet:
 
 # generated rows per generate call when synthesizing references: as many
 # whole classes as fit, and at least one; at the paper widths (17 classes,
-# 1020 rows) a block's temporaries peak near 85 MB
+# 1020 rows) a block's temporaries peak near 50 MB: the noise, the decoder
+# input and two hidden-width arrays
 SYNTH_BLOCK_ROWS = 1 << 10
 
 
 def synthesize_references(gen, class_ids, semantics, per_class, rng):
     """per_class generated feature rows for every class, with labels.
 
-    One generate call per block of whole classes fills its rows of one
-    preallocated array. The noise is drawn per block, in class order, so it
-    is the stream that per-class draws would give.
+    One generate call per block of whole classes writes its rows straight
+    into one preallocated array. The noise is drawn per block, in class
+    order, so it is the stream that per-class draws would give.
     """
     if len(semantics) != len(class_ids):
         raise UsageError(f"{len(class_ids)} class ids but {len(semantics)} semantic rows")
@@ -60,9 +61,9 @@ def synthesize_references(gen, class_ids, semantics, per_class, rng):
     step = max(1, SYNTH_BLOCK_ROWS // per_class)
     classes = np.repeat(np.arange(step), per_class)
     for c0 in range(0, len(class_ids), step):
-        n = (min(c0 + step, len(class_ids)) - c0) * per_class
-        refs[c0 * per_class:c0 * per_class + n] = generate(
-            gen, semantics[c0:c0 + step], gen.sample_noise(rng, n), classes[:n])
+        lo, n = c0 * per_class, (min(c0 + step, len(class_ids)) - c0) * per_class
+        generate(gen, semantics[c0:c0 + step], gen.sample_noise(rng, n), classes[:n],
+                 out=refs[lo:lo + n])
     return refs, labels
 
 

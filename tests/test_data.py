@@ -423,6 +423,22 @@ def test_generator_layers_other_than_built_ones_rejected(tmp_path, craft):
     assert path in str(info.value)
 
 
+@pytest.mark.parametrize("slope", [1.5, 0.0, -0.2])
+def test_checkpoint_generator_slope_outside_unit_interval_rejected(tmp_path, slope):
+    # the stored layers carry the same slope, so only the bound can catch it
+    path = str(tmp_path / "model.ck")
+    _tiny_model_checkpoint(path)
+    arrays, meta = data.load_checkpoint(path)
+    meta["gen_cfg"]["slope"] = slope
+    for specs in meta["gen_layers"].values():
+        for spec in specs:
+            spec["slope"] = slope
+    data.save_checkpoint(path, arrays, meta)
+    with pytest.raises(ParseError, match="slope") as info:
+        evaluate.load_model(path)
+    assert path in str(info.value)
+
+
 @pytest.mark.parametrize("name", ["gen.decode.2.weight", "notes"])
 def test_checkpoint_array_no_network_names_rejected(tmp_path, name):
     path = str(tmp_path / "model.ck")

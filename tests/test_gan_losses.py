@@ -393,6 +393,34 @@ def test_discriminator_constant_critic_pays_full_penalty():
     np.testing.assert_allclose(with_gp - base, 5.0, atol=1e-12)
 
 
+def reference_softmax_cross_entropy(logits, labels):
+    """Softmax cross-entropy with its shifted logits, exponentials and
+    probabilities in three arrays."""
+    n = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    loss = float(-np.log(probs[np.arange(n), labels] + 1e-300).mean())
+    probs[np.arange(n), labels] -= 1.0
+    return loss, probs / n
+
+
+def test_softmax_cross_entropy_is_bitwise_the_three_array_form():
+    rng = np.random.default_rng(14)
+    for n, n_cls, scale in [(1, 1, 1.0), (5, 3, 1.0), (64, 7, 10.0), (300, 40, 1e3)]:
+        logits = rng.normal(scale=scale, size=(n, n_cls))
+        labels = rng.integers(0, n_cls, size=n)
+        before = logits.copy()
+        loss, d_logits = softmax_cross_entropy(logits, labels)
+        ref_loss, ref_d = reference_softmax_cross_entropy(logits, labels)
+        assert loss == ref_loss and d_logits.tobytes() == ref_d.tobytes()
+        assert logits.tobytes() == before.tobytes()
+    for bad in (n_cls, -1):
+        labels[0] = bad
+        with pytest.raises(UsageError, match="label"):
+            softmax_cross_entropy(logits, labels)
+
+
 def test_discriminator_identical_batches_reduce_to_classification():
     rng = np.random.default_rng(1)
     disc = make_disc(rng)
@@ -503,6 +531,42 @@ def test_generate_rejects_non_finite_output():
     gen.decode.layers[-1].bias[0] = np.nan
     with pytest.raises(UsageError):
         generate(gen, rng.normal(size=(3, 6)), gen.sample_noise(rng, 3))
+
+
+@pytest.mark.parametrize("kw", [{}, {"noise_dim": 3, "noise_mode": "concat"}])
+def test_generate_into_out_is_bitwise_the_new_array(kw):
+    rng = np.random.default_rng(8)
+    gen = make_gen(rng, **kw)
+    sem = rng.normal(size=(3, 6))
+    noise = gen.sample_noise(rng, 7)
+    classes = np.array([2, 0, 1, 1, 2, 0, 2])
+    fresh = generate(gen, sem, noise, classes)
+    block = np.full((9, 4), np.nan)
+    got = generate(gen, sem, noise, classes, out=block[1:8])
+    assert np.shares_memory(got, block) and got.base is block
+    assert block[1:8].tobytes() == fresh.tobytes()
+    assert np.isnan(block[[0, 8]]).all()
+    # the cached training forward gives the same rows
+    cached, _ = gen.forward(sem, noise, classes)
+    assert cached.tobytes() == fresh.tobytes()
+
+
+def test_generate_rejects_an_out_it_cannot_write_in_place():
+    rng = np.random.default_rng(9)
+    gen = make_gen(rng)
+    sem, noise = rng.normal(size=(1, 6)), gen.sample_noise(rng, 5)
+    for out in (np.empty((5, 3)), np.empty((4, 4)), np.empty((5, 4), dtype=np.float32),
+                np.empty((4, 5)).T[:, :4][:5], np.empty((5, 8))[:, ::2],
+                np.empty((5, 4)).tolist()):
+        with pytest.raises(UsageError, match="out"):
+            generate(gen, sem, noise, out=out)
+
+
+@pytest.mark.parametrize("slope", [0.0, -0.1, 1.5])
+def test_generator_slope_outside_unit_interval_rejected(slope):
+    with pytest.raises(ConfigError, match="slope"):
+        GeneratorConfig(semantic_dim=6, visual_dim=4, slope=slope)
+    assert GeneratorConfig(semantic_dim=6, visual_dim=4, slope=1.0).slope == 1.0
 
 
 def test_concat_noise_mode():

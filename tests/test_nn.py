@@ -200,6 +200,79 @@ def test_activation_ranges():
     assert ((t > -1.0) & (t < 1.0)).all()
 
 
+# random values and the edge cases of every activation, one per row
+EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308]
+ACTIVATION_CASES = [("identity", 0.2), ("relu", 0.2), ("leaky_relu", 0.2),
+                    ("leaky_relu", 0.5), ("leaky_relu", 1.0), ("tanh", 0.2)]
+
+
+def edge_values():
+    rng = np.random.default_rng(12)
+    return np.concatenate([rng.normal(scale=3.0, size=40), EDGES])[:, None]
+
+
+def where_leaky_relu(z, slope):
+    """The leaky relu as it used to be written: z where z >= 0, else slope * z."""
+    return np.where(z >= 0.0, z, slope * z)
+
+
+@pytest.mark.parametrize("slope", [0.2, 0.5, 1.0])
+def test_leaky_relu_is_bitwise_the_where_form(slope):
+    z = edge_values()
+    assert activate("leaky_relu", z, slope).tobytes() == where_leaky_relu(z, slope).tobytes()
+
+
+@pytest.mark.parametrize("name, slope", ACTIVATION_CASES)
+def test_activation_in_place_is_bitwise_the_new_array(name, slope):
+    z = edge_values()
+    fresh = activate(name, z, slope)
+    written = z.copy()
+    assert activate(name, written, slope, in_place=True) is written
+    assert written.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("name, slope", ACTIVATION_CASES)
+def test_cacheless_forward_is_bitwise_the_cached_one(name, slope):
+    # a unit weight passes ±inf and NaN through to the activation
+    mlp = Mlp([Layer(np.ones((1, 1)), np.zeros(1), name, slope)])
+    x = edge_values()
+    before = x.copy()
+    cached, cache = mlp_forward(mlp, x)
+    bare, none = mlp_forward(mlp, x, keep_cache=False)
+    assert none is None and cache
+    assert bare.tobytes() == cached.tobytes()
+    assert x.tobytes() == before.tobytes()
+
+
+def test_cacheless_forward_writes_its_last_layer_into_out():
+    rng = np.random.default_rng(13)
+    mlp = init_mlp([3, 6, 5, 4], ["relu", "leaky_relu", "tanh"], rng, slope=0.3)
+    x = rng.normal(size=(9, 3))
+    before = x.copy()
+    cached, _ = mlp_forward(mlp, x)
+    out = np.full((9, 4), np.nan)
+    got, cache = mlp_forward(mlp, x, keep_cache=False, out=out)
+    assert got is out and cache is None
+    assert out.tobytes() == cached.tobytes()
+    assert x.tobytes() == before.tobytes()
+    # an identity network returns its input's product, never the input
+    ident = init_mlp([3, 3], ["identity"], rng)
+    assert not np.shares_memory(mlp_forward(ident, x, keep_cache=False)[0], x)
+    assert x.tobytes() == before.tobytes()
+    with pytest.raises(UsageError):
+        mlp_forward(mlp, x, out=out)
+
+
+@pytest.mark.parametrize("slope", [0.0, -0.2, 1.5, np.nan, np.inf])
+def test_leaky_relu_slope_outside_unit_interval_rejected(slope):
+    with pytest.raises(ConfigError, match="slope"):
+        Layer(np.eye(2), np.zeros(2), "leaky_relu", slope)
+    with pytest.raises(ConfigError, match="slope"):
+        activate("leaky_relu", np.ones(3), slope)
+    # activations that read no slope do not check it
+    Layer(np.eye(2), np.zeros(2), "relu", slope)
+
+
 def test_glorot_bounds():
     rng = np.random.default_rng(0)
     w = glorot_init(rng, 30, 50)

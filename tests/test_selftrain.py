@@ -358,6 +358,53 @@ def test_synthesize_references_per_class_above_block_is_one_class_per_call(monke
     np.testing.assert_allclose(refs, unblocked_references(gen, sem, 7, 5), rtol=0, atol=1e-14)
 
 
+def vstacked_blocks(gen, sem, per_class, seed, classes_per_block):
+    """The references as new arrays of per-block generate calls, stacked."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for c0 in range(0, len(sem), classes_per_block):
+        block = sem[c0:c0 + classes_per_block]
+        blocks.append(generate(gen, block, gen.sample_noise(rng, len(block) * per_class),
+                               np.repeat(np.arange(len(block)), per_class)))
+    return np.vstack(blocks)
+
+
+@pytest.mark.parametrize("noise_mode", ["add", "concat"])
+@pytest.mark.parametrize("classes_per_block", [1, 2, 7])
+def test_synthesize_references_in_place_equal_the_stacked_blocks(
+        monkeypatch, noise_mode, classes_per_block):
+    cfg = replace(GEN_CFG, noise_mode=noise_mode, noise_dim=0 if noise_mode == "add" else 3)
+    gen = gan.Generator(cfg, np.random.default_rng(3))
+    sem = np.random.default_rng(4).normal(size=(7, 16))
+    monkeypatch.setattr(selftrain, "SYNTH_BLOCK_ROWS", classes_per_block * 5)
+    refs, _ = synthesize_references(gen, list(range(7)), sem, 5, np.random.default_rng(6))
+    assert refs.tobytes() == vstacked_blocks(gen, sem, 5, 6, classes_per_block).tobytes()
+
+
+def test_generate_into_out_holds_only_the_decoder_input_and_two_hidden_arrays():
+    # paper-like proportions: a wide hidden layer, a narrower decoder input
+    cfg = GeneratorConfig(semantic_dim=16, visual_dim=512, reduce_dim=64, hidden_dim=512)
+    gen = gan.Generator(cfg, np.random.default_rng(7))
+    rng = np.random.default_rng(8)
+    n = 256
+    sem, noise = rng.normal(size=(4, 16)), gen.sample_noise(rng, n)
+    classes = np.repeat(np.arange(4), n // 4)
+    out = np.empty((n, cfg.visual_dim))
+    expected = generate(gen, sem, noise, classes)
+    tracemalloc.start()
+    try:
+        generate(gen, sem, noise, classes, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    hidden = n * cfg.hidden_dim * 8
+    decoder_input = n * cfg.reduce_dim * 8
+    # the cached forward also holds the activation beside its pre-activation,
+    # and the output: two more hidden-sized arrays
+    assert peak < decoder_input + 2 * hidden + (64 << 10), (peak, hidden)
+    assert out.tobytes() == expected.tobytes()
+
+
 def test_ssl_training_set_monotone():
     ds = data.make_synthetic(SPEC)
     cfg = SslConfig(psi=0.0, n_ssl=2, per_class_synthetic=5, knn_k=3)
@@ -399,29 +446,40 @@ def test_unseen_test_rows_are_the_unseen_test_partition():
 def test_evaluate_model_synthesizes_one_reference_set(monkeypatch):
     ds, work, gen, disc, cols, rng = trained_setup()
     class_ids = sorted(work.split.seen) + sorted(work.split.unseen)
-    calls = []
+    calls, synthesized = [], []
 
-    def counting_generate(*args):
-        calls.append(args)
-        return generate(*args)
+    def counting_generate(*args, **kwargs):
+        calls.append((args, kwargs))
+        return generate(*args, **kwargs)
+
+    def recording_synthesize(*args):
+        synthesized.append(synthesize_references(*args))
+        return synthesized[-1]
 
     monkeypatch.setattr(selftrain, "generate", counting_generate)
+    monkeypatch.setattr(evaluate, "synthesize_references", recording_synthesize)
     # 6 classes of 5 rows: one block, blocks of 2 classes, blocks of 4 and
     # then 2 classes, and one class per block when a class outgrows the block
     for block_rows, blocks in [(selftrain.SYNTH_BLOCK_ROWS, 1), (12, 3), (20, 2), (4, 6)]:
         calls.clear()
+        synthesized.clear()
         monkeypatch.setattr(selftrain, "SYNTH_BLOCK_ROWS", block_rows)
         evaluate.evaluate_model(gen, work, CalibrationSweep(), [0.25, 0.5, 1.0],
                                 5, 3, rng)
         # one call per block of whole classes, one semantic row per class
         # shared by its 5 noise rows; together the blocks cover every class
         # once, seen then unseen, in order
-        assert len(calls) == blocks
-        for _, sem, noise, classes in calls:
+        assert len(calls) == blocks and len(synthesized) == 1
+        refs = synthesized[0][0]
+        for (_, sem, noise, classes), kwargs in calls:
             assert noise.shape[0] == 5 * sem.shape[0] <= max(block_rows, 5)
             assert classes.tolist() == np.repeat(np.arange(sem.shape[0]), 5).tolist()
-        assert np.vstack([args[1] for args in calls]).tobytes() == \
+            # each block is generated straight into its rows of the references
+            assert np.shares_memory(kwargs["out"], refs)
+        assert np.vstack([args[1] for args, _ in calls]).tobytes() == \
             work.semantics_for(class_ids).tobytes()
+        assert np.vstack([kwargs["out"] for _, kwargs in calls]).tobytes() == \
+            refs.tobytes()
 
 
 def test_evaluate_model_scores_unseen_rows_of_one_reference_draw():
