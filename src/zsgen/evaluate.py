@@ -169,8 +169,10 @@ def evaluate_model(gen, dataset_scaled, sweep, ratios, per_class_synthetic,
     sm = score_matrix(clf, dataset_scaled, x_test, d2)
     del d2  # not held through the sweep, whose arrays set the peak memory
     s, u, h = metrics.gzsl_suh(sm, y_test)
-    g_acc = metrics.generalized_accuracy(sm, y_test, sweep)
-    points = metrics.suc_curve(sm, y_test, sweep)
+    predictions = metrics.calibrated_predictions(sm, sweep.values())
+    g_acc = metrics.generalized_accuracy(sm, y_test, predictions=predictions)
+    points = metrics.suc_curve(sm, y_test, predictions=predictions)
+    del predictions  # not held through retrieval
     area = metrics.ausuc(points)
 
     map_at = retrieval_map(

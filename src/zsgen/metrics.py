@@ -95,11 +95,19 @@ def _per_class_accuracy(correct, labels):
     return 100.0 * (hits / sizes).mean(axis=1)
 
 
-def top1_per_class(scores, class_ids, labels):
-    """Average per-class top-1 accuracy (%), argmax over the given columns."""
+def _labels(labels, rows):
+    """labels as int64, which must hold one label per score row."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise ConfigError("no samples to evaluate")
+    if labels.shape != (rows,):
+        raise UsageError(f"{labels.size} labels for {rows} score rows")
+    return labels
+
+
+def top1_per_class(scores, class_ids, labels):
+    """Average per-class top-1 accuracy (%), argmax over the given columns."""
+    labels = _labels(labels, len(scores))
     missing = set(labels.tolist()) - set(np.asarray(class_ids).tolist())
     if missing:
         raise ConfigError(f"labels outside the class set: {sorted(missing)}")
@@ -107,16 +115,11 @@ def top1_per_class(scores, class_ids, labels):
     return float(_per_class_accuracy(correct[None, :], labels)[0])
 
 
-# cap on the temporaries of one chunk of sweep points; a whole evaluation at
-# the acceptance shapes holds about 7 MB of arrays at its peak (the kNN), and
-# the sweep stays under that so it does not raise the peak
+# cap on the temporaries of one chunk of sweep points, which share it with
+# the vectors of one value per row that the sweep holds; a whole evaluation
+# at the acceptance shapes holds about 7 MB of arrays at its peak (the kNN),
+# and the sweep stays under that so it does not raise the peak
 _SWEEP_CHUNK_BYTES = 1 << 20
-
-
-def _by_id(scores, ids):
-    """A column block and its class ids, columns in ascending id order."""
-    order = np.argsort(ids, kind="stable")
-    return scores[:, order], ids[order]
 
 
 def calibrated_predictions(sm, lams):
@@ -124,61 +127,105 @@ def calibrated_predictions(sm, lams):
 
     Row i at point l is predict_labels of the scores with lams[l] added to
     every unseen column. The seen block does not move, so its maximum and
-    smallest tied id are taken once; only the unseen sums are formed, as
-    adding lambda can round distinct unseen scores to one value and so
-    make ties the plain scores do not have. With columns in id order, the
-    first maximum is the smallest tied id.
+    smallest tied id are taken once. Rounding is monotone, so fl(x + lam)
+    is monotone in x, and the largest shifted unseen score is fl(m + lam)
+    for the row's unseen maximum m: one add per row and point, O(L*N) in
+    all, and the winner there is the smallest id tied at m. Adding lam can
+    still round a smaller score onto that sum, a tie the plain scores do
+    not have, and a column with a smaller id would then win it. Two sums
+    of magnitude at most B = |m| + max|lam| round to one value only if the
+    scores lie within spacing(B) of each other, so a row with such a
+    column that close to m, or whose B is not finite, takes the argmax of
+    its shifted unseen scores at every point instead.
     """
     lams = np.asarray(lams, dtype=np.float64)
     s = sm.seen_count
-    seen, seen_ids = _by_id(sm.scores[:, :s], sm.seen_ids)
-    j = seen.argmax(axis=1)
-    seen_max, seen_pred = seen[np.arange(seen.shape[0]), j], seen_ids[j]
-    unseen, unseen_ids = _by_id(sm.scores[:, s:], sm.unseen_ids)
+    seen, unseen = sm.scores[:, :s], sm.scores[:, s:]
     n, u = unseen.shape
+    seen_max, seen_pred = seen.max(axis=1), predict_labels(seen, sm.seen_ids)
+    top, top_ids = unseen.max(axis=1), predict_labels(unseen, sm.unseen_ids)
+    with np.errstate(over="ignore"):  # a bound or gap past the float range
+        bound = np.spacing(np.abs(top) + np.abs(lams).max(initial=0.0))
+        near = (top[:, None] - unseen <= bound[:, None]) & (sm.unseen_ids < top_ids[:, None])
+    slow = np.flatnonzero(near.any(axis=1) | ~np.isfinite(bound))
+    del near  # not held through the chunks
+    # the unseen maximum wins past the seen one, and at a tie when its id
+    # is the smaller: where fl(top + lam) >= thresh
+    thresh = np.where(top_ids < seen_pred, seen_max, np.nextafter(seen_max, np.inf))
     pred = np.empty((lams.size, n), dtype=np.int64)
-    # per sweep point: the n * u sums and four length-n arrays
-    step = max(1, _SWEEP_CHUNK_BYTES // (8 * max(1, n * (u + 4))))
+    # held until the end: seven vectors of one value per row, and numpy's
+    # buffers for a broadcast operation (under 128 KB)
+    spare = _SWEEP_CHUNK_BYTES - 8 * 7 * n - (1 << 17)
+    # per sweep point: n sums and n flags
+    step = max(1, spare // (9 * max(1, n)))
     for a in range(0, lams.size, step):
-        shifted = unseen[None, :, :] + lams[a:a + step, None, None]
-        j = shifted.argmax(axis=2)
-        best = np.take_along_axis(shifted, j[:, :, None], axis=2)[:, :, 0]
-        ids = unseen_ids[j]
-        pred[a:a + step] = np.where(
-            best > seen_max, ids,
-            np.where(best < seen_max, seen_pred, np.minimum(ids, seen_pred)),
-        )
+        out = pred[a:a + step]
+        np.copyto(out, seen_pred)
+        np.copyto(out, top_ids, where=top + lams[a:a + step, None] >= thresh)
+    if slow.size == 0:
+        return pred
+    order = np.argsort(sm.unseen_ids, kind="stable")
+    unseen = unseen[np.ix_(slow, order)]  # the slow rows, columns in id order
+    seen_max, seen_pred = seen_max[slow], seen_pred[slow]
+    spare -= unseen.nbytes + seen_max.nbytes + seen_pred.nbytes
+    # per sweep point: the slow rows' u sums and at most seven arrays of
+    # one value per slow row
+    step = max(1, spare // (8 * slow.size * (u + 7)))
+    for a in range(0, lams.size, step):
+        pred[a:a + step, slow] = _argmax_calibrated(
+            unseen, sm.unseen_ids[order], seen_max, seen_pred, lams[a:a + step])
     return pred
 
 
-def generalized_accuracy(sm, labels, sweep=None):
+def _argmax_calibrated(unseen, unseen_ids, seen_max, seen_pred, lams):
+    """calibrated_predictions at the points lams from the first argmax of
+    every row's shifted unseen scores, columns in id order; the arrays go
+    when it returns, before the next chunk's are made."""
+    shifted = unseen[None, :, :] + lams[:, None, None]
+    j = shifted.argmax(axis=2)
+    best = np.take_along_axis(shifted, j[:, :, None], axis=2)[:, :, 0]
+    ids = unseen_ids[j]
+    return np.where(
+        best > seen_max, ids,
+        np.where(best < seen_max, seen_pred, np.minimum(ids, seen_pred)),
+    )
+
+
+def _sweep_hits(sm, labels, sweep, predictions):
+    """(L, N) mask of the calibrated predictions that hit their labels; the
+    predictions are formed here, and dropped at once, when not given."""
+    if predictions is None:
+        return calibrated_predictions(sm, (sweep or CalibrationSweep()).values()) == labels
+    return predictions == labels
+
+
+def generalized_accuracy(sm, labels, sweep=None, predictions=None):
     """Mean over the calibration sweep of plain sample accuracy (%).
 
     Each sweep point adds lambda to every unseen-class column before the
-    argmax over all classes.
+    argmax over all classes. predictions, when given, is
+    calibrated_predictions(sm, sweep.values()), formed once for both this
+    and suc_curve.
     """
-    sweep = sweep or CalibrationSweep()
-    labels = np.asarray(labels, dtype=np.int64)
-    lams = sweep.values()
-    hits = (calibrated_predictions(sm, lams) == labels).sum(axis=1)
+    labels = _labels(labels, sm.scores.shape[0])
+    hits = _sweep_hits(sm, labels, sweep, predictions).sum(axis=1)
     # running sum in sweep order: the same float total as adding point by point
     total = float(np.add.accumulate(hits / labels.size)[-1])
-    return 100.0 * total / len(lams)
+    return 100.0 * total / hits.size
 
 
-def suc_curve(sm, labels, sweep=None):
+def suc_curve(sm, labels, sweep=None, predictions=None):
     """Seen-unseen accuracy curve over the calibration sweep.
 
     Returns deduplicated (acc_unseen, acc_seen) fraction pairs sorted by
-    acc_unseen ascending.
+    acc_unseen ascending. predictions is as in generalized_accuracy.
     """
-    sweep = sweep or CalibrationSweep()
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _labels(labels, sm.scores.shape[0])
     is_seen = np.isin(labels, sm.seen_ids)
     is_unseen = np.isin(labels, sm.unseen_ids)
     if not is_seen.any() or not is_unseen.any():
         raise ConfigError("SUC curve needs both seen and unseen test samples")
-    correct = calibrated_predictions(sm, sweep.values()) == labels
+    correct = _sweep_hits(sm, labels, sweep, predictions)
     acc_u = _per_class_accuracy(correct[:, is_unseen], labels[is_unseen]) / 100.0
     acc_s = _per_class_accuracy(correct[:, is_seen], labels[is_seen]) / 100.0
     return sorted(set(zip(acc_u.tolist(), acc_s.tolist())))
@@ -205,7 +252,7 @@ def ausuc(points):
 
 def gzsl_suh(sm, labels):
     """Uncalibrated GZSL seen/unseen per-class top-1 and their harmonic mean."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _labels(labels, sm.scores.shape[0])
     pred = predict_labels(sm.scores, sm.class_ids)
     is_seen = np.isin(labels, sm.seen_ids)
     is_unseen = np.isin(labels, sm.unseen_ids)

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zsgen import metrics
 from zsgen.errors import ConfigError, UsageError
 from zsgen.metrics import (
     MAX_SWEEP_POINTS, CalibrationSweep, ScoreMatrix, ausuc, calibrated_predictions,
@@ -277,8 +279,45 @@ def test_score_matrix_validation():
         ScoreMatrix(np.full((1, 2), np.inf), np.array([0, 1]), seen_count=1)
 
 
-# Oracle: the calibration sweep as one argmax over all columns per sweep
+# Oracles: the calibration sweep as one argmax over all columns per sweep
 # point, and per-class accuracy as one mean per class.
+
+def _argmax_sweep(sm, lams):
+    """calibrated_predictions as the argmax of every shifted unseen score,
+    formed in chunks of sweep points: the sweep calibrated_predictions must
+    match bit for bit."""
+    lams = np.asarray(lams, dtype=np.float64)
+    s = sm.seen_count
+
+    def by_id(block, ids):
+        order = np.argsort(ids, kind="stable")
+        return block[:, order], ids[order]
+
+    seen, seen_ids = by_id(sm.scores[:, :s], sm.seen_ids)
+    j = seen.argmax(axis=1)
+    seen_max, seen_pred = seen[np.arange(seen.shape[0]), j], seen_ids[j]
+    unseen, unseen_ids = by_id(sm.scores[:, s:], sm.unseen_ids)
+    n, u = unseen.shape
+    pred = np.empty((lams.size, n), dtype=np.int64)
+    step = max(1, (1 << 20) // (8 * max(1, n * (u + 4))))
+    for a in range(0, lams.size, step):
+        shifted = unseen[None, :, :] + lams[a:a + step, None, None]
+        j = shifted.argmax(axis=2)
+        best = np.take_along_axis(shifted, j[:, :, None], axis=2)[:, :, 0]
+        ids = unseen_ids[j]
+        pred[a:a + step] = np.where(
+            best > seen_max, ids,
+            np.where(best < seen_max, seen_pred, np.minimum(ids, seen_pred)),
+        )
+    return pred
+
+
+def _assert_predictions_match_oracle(sm, lams):
+    got = calibrated_predictions(sm, lams)
+    assert got.dtype == np.int64 and got.shape == (len(lams), sm.scores.shape[0])
+    assert np.array_equal(got, _argmax_sweep(sm, lams))
+    return got
+
 
 def _loop_calibrated(sm, lam):
     adjusted = sm.scores.copy()
@@ -314,8 +353,14 @@ def _loop_suc_curve(sm, labels, sweep):
 
 def _assert_sweep_matches_oracle(sm, labels, sweep=None):
     sweep = sweep or CalibrationSweep()
-    assert generalized_accuracy(sm, labels, sweep) == _loop_generalized_accuracy(sm, labels, sweep)
-    assert suc_curve(sm, labels, sweep) == _loop_suc_curve(sm, labels, sweep)
+    g_acc = _loop_generalized_accuracy(sm, labels, sweep)
+    points = _loop_suc_curve(sm, labels, sweep)
+    assert generalized_accuracy(sm, labels, sweep) == g_acc
+    assert suc_curve(sm, labels, sweep) == points
+    # the predictions formed once serve both, as evaluate_model passes them
+    pred = _assert_predictions_match_oracle(sm, sweep.values())
+    assert generalized_accuracy(sm, labels, predictions=pred) == g_acc
+    assert suc_curve(sm, labels, predictions=pred) == points
     pred = predict_labels(sm.scores, sm.class_ids)
     is_seen = np.isin(labels, sm.seen_ids)
     is_unseen = np.isin(labels, sm.unseen_ids)
@@ -371,3 +416,150 @@ def test_sweep_matches_oracle_when_adding_lambda_makes_unseen_ties():
     for i, lam in enumerate(lams):
         assert np.array_equal(got[i], predict_labels(_loop_calibrated(sm, lam), sm.class_ids))
     assert np.array_equal(got[:, 0], np.where(merged, 1, 3))
+
+
+
+def _near_tie_scores(rng, n, u, spread):
+    """n rows of u unseen scores within a few ulps of one base value each,
+    a base drawn from several binades, a quarter of the rows all equal."""
+    base = rng.choice([0.1, 0.3, 1.0, 1.5, 2.0, 3.7, -0.7, 1e-3, 100.0, 0.0], size=(n, 1))
+    steps = rng.integers(-spread, spread + 1, size=(n, u))
+    steps[: n // 4] = 0
+    scores = np.repeat(base, u, axis=1)
+    for _ in range(spread):
+        up, down = steps > 0, steps < 0
+        scores[up] = np.nextafter(scores[up], np.inf)
+        scores[down] = np.nextafter(scores[down], -np.inf)
+        steps = steps - np.sign(steps)
+    return scores
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_predictions_match_oracle_on_near_ties(seed):
+    # unseen scores a few ulps apart, before and after each row's first
+    # maximum in id order, that adding lambda rounds together at some points
+    rng = np.random.default_rng(seed)
+    unseen = _near_tie_scores(rng, 400, 6, 2)
+    seen = rng.choice([-5.0, 0.0, 0.1, 1.0, 1.5, 2.0], size=(400, 3))
+    class_ids = rng.permutation(9)  # unsorted within both blocks
+    sm = ScoreMatrix(np.hstack([seen, unseen]), class_ids, seen_count=3)
+    _assert_predictions_match_oracle(sm, CalibrationSweep().values())
+    labels = class_ids[rng.integers(0, 9, size=400)]
+    _assert_sweep_matches_oracle(sm, labels)
+
+
+def test_predictions_match_oracle_on_rows_of_equal_unseen_scores():
+    # every unseen score of a row equal: the smallest unseen id, at any point
+    scores = np.array([[0.5, 0.1, 0.1, 0.1], [0.0, 0.3, 0.3, 0.3], [0.2, 0.2, 0.2, 0.2]])
+    sm = ScoreMatrix(scores, np.array([3, 7, 1, 5]), seen_count=1)
+    pred = _assert_predictions_match_oracle(sm, CalibrationSweep().values())
+    assert set(pred[:, 1].tolist()) == {3, 1}
+
+
+def test_predictions_match_oracle_near_the_float_range():
+    # a bound of inf and sums that overflow to +-inf, where columns merge
+    big = np.finfo(np.float64).max
+    rng = np.random.default_rng(8)
+    values = np.array([-big, -1e308, -1.0, 0.0, 1e-300, 1.0, 1e308, np.nextafter(1e308, 0.0), big])
+    scores = rng.choice(values, size=(300, 7))
+    sm = ScoreMatrix(scores, np.array([4, 0, 6, 2, 5, 1, 3]), seen_count=3)
+    wide = np.concatenate([1.5e308 * np.linspace(-1.0, 1.0, 31), [-big, big, 0.0]])
+    with np.errstate(over="ignore"):
+        _assert_predictions_match_oracle(sm, wide)
+        _assert_predictions_match_oracle(sm, rng.permutation(wide))
+
+
+@pytest.mark.parametrize("lams", [
+    "unsorted", "repeated", "one", "none",
+])
+def test_predictions_match_oracle_for_any_sweep_order(lams):
+    rng = np.random.default_rng(10)
+    grid = CalibrationSweep(-1.0, 1.0, 0.05).values()
+    lams = {
+        "unsorted": rng.permutation(grid),
+        "repeated": np.repeat(grid, 3)[rng.permutation(3 * grid.size)],
+        "one": np.array([0.3]),
+        "none": np.array([]),
+    }[lams]
+    votes = rng.multinomial(4, np.full(7, 1.0 / 7), size=120) / 4
+    unseen = _near_tie_scores(rng, 120, 3, 1)
+    sm = ScoreMatrix(np.hstack([votes, unseen]), rng.permutation(10), seen_count=7)
+    _assert_predictions_match_oracle(sm, lams)
+
+
+def test_predictions_of_no_rows():
+    sm = ScoreMatrix(np.zeros((0, 5)), np.arange(5), seen_count=2)
+    pred = _assert_predictions_match_oracle(sm, CalibrationSweep().values())
+    assert pred.shape == (400, 0)
+
+
+@pytest.mark.parametrize("metric", [
+    lambda sm, labels: generalized_accuracy(sm, labels),
+    lambda sm, labels: suc_curve(sm, labels),
+    lambda sm, labels: gzsl_suh(sm, labels),
+    lambda sm, labels: top1_per_class(sm.scores, sm.class_ids, labels),
+])
+def test_metrics_need_one_label_per_score_row(metric):
+    sm = ScoreMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]), seen_count=1)
+    # one label is not spread over every row
+    for labels in ([0], [0, 1, 1]):
+        with pytest.raises(UsageError, match=f"{len(labels)} labels for 2 score rows"):
+            metric(sm, np.array(labels))
+    with pytest.raises(ConfigError, match="no samples to evaluate"):
+        metric(sm, np.array([], dtype=np.int64))
+
+
+def _vote_shape(n, seen, unseen, k):
+    rng = np.random.default_rng(0)
+    c = seen + unseen
+    votes = rng.multinomial(k, np.full(c, 1.0 / c), size=n) / k
+    return ScoreMatrix(votes, np.arange(c), seen_count=seen), rng.integers(0, c, size=n)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        tracemalloc.stop()
+
+
+# tracemalloc peaks (bytes) of generalized_accuracy and suc_curve when the
+# sweep took the argmax of every shifted unseen score (_argmax_sweep) in
+# chunks of 1 MB, at the desk shape (750 queries, 10 seen + 5 unseen
+# classes, k 5) and the paper shape (600 queries, 150 + 50 classes, k 20)
+ARGMAX_SWEEP_PEAKS = {(750, 10, 5, 5): (4_107_240, 4_105_969),
+                      (600, 150, 50, 20): (4_893_832, 4_895_472)}
+
+
+@pytest.mark.parametrize("shape", sorted(ARGMAX_SWEEP_PEAKS))
+def test_sweep_peak_memory_is_no_more_than_the_argmax_sweep(shape):
+    sm, labels = _vote_shape(*shape)
+    g_acc_peak, suc_peak = ARGMAX_SWEEP_PEAKS[shape]
+    assert _traced_peak(generalized_accuracy, sm, labels)[0] <= g_acc_peak
+    assert _traced_peak(suc_curve, sm, labels)[0] <= suc_peak
+
+
+def test_rows_that_all_take_the_argmax_stay_under_the_chunk_cap(monkeypatch):
+    # each row's first unseen maximum has an unseen column one ulp below it
+    # with a smaller id, so every row takes the per-point argmax
+    rng = np.random.default_rng(11)
+    top = rng.normal(size=(1500, 1))
+    scores = np.hstack([rng.normal(size=(1500, 4)), np.nextafter(top, -np.inf), top,
+                        rng.normal(-5.0, 1.0, size=(1500, 2))])
+    sm = ScoreMatrix(scores, np.arange(8), seen_count=4)
+    argmax_rows = []
+
+    def recording(unseen, *args):
+        argmax_rows.append(unseen.shape[0])
+        return argmax_calibrated(unseen, *args)
+
+    argmax_calibrated = metrics._argmax_calibrated
+    monkeypatch.setattr(metrics, "_argmax_calibrated", recording)
+    lams = CalibrationSweep().values()
+    peak, pred = _traced_peak(calibrated_predictions, sm, lams)
+    assert set(argmax_rows) == {1500} and len(argmax_rows) > 1
+    assert peak <= metrics._SWEEP_CHUNK_BYTES + pred.nbytes
+    assert np.array_equal(pred, _argmax_sweep(sm, lams))

@@ -4,11 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from zsgen import data, evaluate, gan, knn, selftrain
+from zsgen import data, evaluate, gan, knn, metrics, selftrain
 from zsgen.errors import ConfigError, UsageError
 from zsgen.gan import DiscriminatorConfig, GanTrainConfig, GeneratorConfig, generate
 from zsgen.knn import KnnClassifier, knn_predict_proba, knn_scores, squared_distances
-from zsgen.metrics import CalibrationSweep
+from zsgen.metrics import CalibrationSweep, calibrated_predictions
 from zsgen.selftrain import (
     PseudoLabelSet, SslConfig, augment_training_set, expand_classifier_head,
     pseudo_label, run_ssl, synthesize_references, unseen_test_rows, unseen_top1,
@@ -480,6 +480,25 @@ def test_evaluate_model_synthesizes_one_reference_set(monkeypatch):
             work.semantics_for(class_ids).tobytes()
         assert np.vstack([kwargs["out"] for _, kwargs in calls]).tobytes() == \
             refs.tobytes()
+
+
+def test_evaluate_model_forms_the_calibration_sweep_once(monkeypatch):
+    ds, work, gen, disc, cols, rng = trained_setup()
+    formed = []
+
+    def recording(sm, lams):
+        formed.append(sm)
+        return calibrated_predictions(sm, lams)
+
+    monkeypatch.setattr(metrics, "calibrated_predictions", recording)
+    sweep = CalibrationSweep(-1.0, 1.0, 0.05)
+    rep = evaluate.evaluate_model(gen, work, sweep, [0.5, 1.0], 5, 3, rng)
+    monkeypatch.undo()
+    # G_acc and the SUC curve both read the one (L, N) prediction matrix
+    assert len(formed) == 1
+    labels = work.labels[work.test_indices()]
+    assert rep.g_acc == metrics.generalized_accuracy(formed[0], labels, sweep)
+    assert rep.suc_points == metrics.suc_curve(formed[0], labels, sweep)
 
 
 def test_evaluate_model_scores_unseen_rows_of_one_reference_draw():
