@@ -116,9 +116,11 @@ def top1_per_class(scores, class_ids, labels):
 
 
 # cap on the temporaries of one chunk of sweep points, which share it with
-# the vectors of one value per row that the sweep holds; a whole evaluation
-# at the acceptance shapes holds about 7 MB of arrays at its peak (the kNN),
-# and the sweep stays under that so it does not raise the peak
+# the vectors of one value per row that the sweep holds through its chunks;
+# the set-up before the chunks (the block maxima, the near-tie test and the
+# fallback rows' copy) is not capped and scales with N*(s + u). A whole
+# evaluation at the acceptance shapes holds about 7 MB of arrays at its peak
+# (the kNN), and the sweep stays under that so it does not raise the peak
 _SWEEP_CHUNK_BYTES = 1 << 20
 
 
@@ -191,30 +193,25 @@ def _argmax_calibrated(unseen, unseen_ids, seen_max, seen_pred, lams):
     )
 
 
-def _sweep_hits(sm, labels, sweep, predictions):
-    """(L, N) mask of the calibrated predictions that hit their labels; the
-    predictions are formed here, and dropped at once, when not given."""
-    if predictions is None:
-        return calibrated_predictions(sm, (sweep or CalibrationSweep()).values()) == labels
-    return predictions == labels
-
-
-def generalized_accuracy(sm, labels, sweep=None, predictions=None):
+def generalized_accuracy(sm, labels, *, predictions=None):
     """Mean over the calibration sweep of plain sample accuracy (%).
 
     Each sweep point adds lambda to every unseen-class column before the
-    argmax over all classes. predictions, when given, is
-    calibrated_predictions(sm, sweep.values()), formed once for both this
-    and suc_curve.
+    argmax over all classes. predictions is calibrated_predictions(sm,
+    sweep.values()) for the sweep to average over, which evaluate_model
+    forms once for both this and suc_curve; without it, the default
+    CalibrationSweep's are formed here.
     """
     labels = _labels(labels, sm.scores.shape[0])
-    hits = _sweep_hits(sm, labels, sweep, predictions).sum(axis=1)
+    if predictions is None:
+        predictions = calibrated_predictions(sm, CalibrationSweep().values())
+    hits = (predictions == labels).sum(axis=1)
     # running sum in sweep order: the same float total as adding point by point
     total = float(np.add.accumulate(hits / labels.size)[-1])
     return 100.0 * total / hits.size
 
 
-def suc_curve(sm, labels, sweep=None, predictions=None):
+def suc_curve(sm, labels, *, predictions=None):
     """Seen-unseen accuracy curve over the calibration sweep.
 
     Returns deduplicated (acc_unseen, acc_seen) fraction pairs sorted by
@@ -225,7 +222,10 @@ def suc_curve(sm, labels, sweep=None, predictions=None):
     is_unseen = np.isin(labels, sm.unseen_ids)
     if not is_seen.any() or not is_unseen.any():
         raise ConfigError("SUC curve needs both seen and unseen test samples")
-    correct = _sweep_hits(sm, labels, sweep, predictions)
+    if predictions is None:
+        predictions = calibrated_predictions(sm, CalibrationSweep().values())
+    correct = predictions == labels
+    del predictions  # when formed here, not held through the per-class means
     acc_u = _per_class_accuracy(correct[:, is_unseen], labels[is_unseen]) / 100.0
     acc_s = _per_class_accuracy(correct[:, is_seen], labels[is_seen]) / 100.0
     return sorted(set(zip(acc_u.tolist(), acc_s.tolist())))

@@ -116,14 +116,16 @@ def test_generalized_accuracy_counts_match_brute_force():
         pred = predict_labels(adj, class_ids)
         total += (pred == labels).mean()
     np.testing.assert_allclose(
-        generalized_accuracy(sm, labels, sweep), 100.0 * total / 4.0
+        generalized_accuracy(sm, labels, predictions=calibrated_predictions(sm, sweep.values())),
+        100.0 * total / 4.0,
     )
 
 
 def test_suc_curve_hits_both_extremes_on_separable_scores():
     scores = np.array([[5.0, 0.0], [0.0, 5.0]])
     sm = ScoreMatrix(scores, np.array([0, 1]), seen_count=1)
-    points = suc_curve(sm, np.array([0, 1]), CalibrationSweep(-10.0, 10.0, 0.5))
+    pred = calibrated_predictions(sm, CalibrationSweep(-10.0, 10.0, 0.5).values())
+    points = suc_curve(sm, np.array([0, 1]), predictions=pred)
     assert (0.0, 1.0) in points  # huge negative lambda: everything seen
     assert (1.0, 0.0) in points  # huge positive lambda: everything unseen
     assert (1.0, 1.0) in points  # balanced region classifies both
@@ -351,12 +353,12 @@ def _loop_suc_curve(sm, labels, sweep):
     return sorted(points)
 
 
-def _assert_sweep_matches_oracle(sm, labels, sweep=None):
-    sweep = sweep or CalibrationSweep()
+def _assert_sweep_matches_oracle(sm, labels):
+    sweep = CalibrationSweep()
     g_acc = _loop_generalized_accuracy(sm, labels, sweep)
     points = _loop_suc_curve(sm, labels, sweep)
-    assert generalized_accuracy(sm, labels, sweep) == g_acc
-    assert suc_curve(sm, labels, sweep) == points
+    assert generalized_accuracy(sm, labels) == g_acc
+    assert suc_curve(sm, labels) == points
     # the predictions formed once serve both, as evaluate_model passes them
     pred = _assert_predictions_match_oracle(sm, sweep.values())
     assert generalized_accuracy(sm, labels, predictions=pred) == g_acc

@@ -497,8 +497,9 @@ def test_evaluate_model_forms_the_calibration_sweep_once(monkeypatch):
     # G_acc and the SUC curve both read the one (L, N) prediction matrix
     assert len(formed) == 1
     labels = work.labels[work.test_indices()]
-    assert rep.g_acc == metrics.generalized_accuracy(formed[0], labels, sweep)
-    assert rep.suc_points == metrics.suc_curve(formed[0], labels, sweep)
+    pred = calibrated_predictions(formed[0], sweep.values())
+    assert rep.g_acc == metrics.generalized_accuracy(formed[0], labels, predictions=pred)
+    assert rep.suc_points == metrics.suc_curve(formed[0], labels, predictions=pred)
 
 
 def test_evaluate_model_scores_unseen_rows_of_one_reference_draw():
