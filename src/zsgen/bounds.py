@@ -1,5 +1,6 @@
 """Dataclass fields that carry their own bounds (`n_d: int = bounded(5, ge=1)`),
-checked by `check_bounds` from `__post_init__`."""
+checked by `check_bounds` from `__post_init__`, and the repeated-id check
+that class-id lists share."""
 
 import math
 import operator
@@ -40,3 +41,13 @@ def check_bounds(obj):
     """Raise ConfigError naming the first field of obj that breaks its rules."""
     for f in fields(obj):
         check_value(f.name, getattr(obj, f.name), f)
+
+
+def check_distinct(ids, what, error=ConfigError, **where):
+    """Raise error(f"class {id} {what}", **where) for the first id of ids
+    equal to an earlier one."""
+    seen = set()
+    for i in ids:
+        if i in seen:
+            raise error(f"class {i} {what}", **where)
+        seen.add(i)

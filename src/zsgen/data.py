@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import bounded, check_bounds
+from .bounds import bounded, check_bounds, check_distinct
 from .errors import ConfigError, ParseError
 
 _MATRIX_MAGIC = b"ZSMX"
@@ -218,6 +218,7 @@ class SplitSpec:
         overlap = set(self.seen) & set(self.unseen)
         if overlap:
             raise ConfigError(f"seen/unseen classes overlap: {sorted(overlap)}")
+        check_distinct([*self.seen, *self.unseen], "is listed twice in the split")
 
 
 def save_split(path, split):
@@ -230,9 +231,11 @@ def save_split(path, split):
 
 def _class_ids(text, path, lineno):
     try:
-        return tuple(int(c) for c in text.split())
+        ids = tuple(int(c) for c in text.split())
     except ValueError as exc:
         raise ParseError(f"class id is not an integer: {exc}", path=path, line=lineno) from None
+    check_distinct(ids, "is listed twice", ParseError, path=path, line=lineno)
+    return ids
 
 
 def load_split(path):
@@ -275,8 +278,7 @@ TRAIN, TEST = 0, 1
 class ZslDataset:
     """Visual features with labels, per-class semantics, and a seen/unseen split.
 
-    partition marks each sample TRAIN or TEST; pseudo marks rows added by
-    the self-training loop rather than present in the original data.
+    partition marks each sample TRAIN or TEST.
     """
 
     features: np.ndarray      # (N, visual_dim)
@@ -285,18 +287,15 @@ class ZslDataset:
     semantics: np.ndarray     # (n_cls, semantic_dim), aligned with class_ids
     split: SplitSpec
     partition: np.ndarray     # (N,) TRAIN or TEST
-    pseudo: np.ndarray = None  # (N,) bool
 
     def __post_init__(self):
-        if self.pseudo is None:
-            self.pseudo = np.zeros(self.labels.shape[0], dtype=bool)
+        check_distinct(self.class_ids.tolist(), "has more than one semantic row")
         validate_split(self.split, self.class_ids.tolist())
         known = set(self.class_ids.tolist())
         unknown = set(self.labels.tolist()) - known
         if unknown:
             raise ConfigError(f"samples with labels lacking semantics: {sorted(unknown)}")
-        genuine_train = (self.partition == TRAIN) & ~self.pseudo
-        bad = set(self.split.unseen) & set(self.labels[genuine_train].tolist())
+        bad = set(self.split.unseen) & set(self.labels[self.partition == TRAIN].tolist())
         if bad:
             raise ConfigError(
                 f"unseen classes appear in the training partition: {sorted(bad)}"
@@ -331,6 +330,8 @@ def assemble_dataset(train_features_path, test_features_path, semantics_path, sp
             f"train/test feature dims differ: {tr_feats.shape[1]} vs {te_feats.shape[1]}"
         )
     sem_labels, sem = load_matrix(semantics_path)
+    check_distinct(sem_labels.tolist(), "has more than one semantic row", ParseError,
+                   path=semantics_path)
     order = np.argsort(sem_labels, kind="stable")
     split = load_split(split_path)
     features = np.vstack([tr_feats, te_feats])

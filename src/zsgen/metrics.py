@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import bounded, check_bounds
+from .bounds import bounded, check_bounds, check_distinct
 from .errors import ConfigError, UsageError
 
 
@@ -28,6 +28,7 @@ class ScoreMatrix:
             raise ConfigError("need at least one seen and one unseen class column")
         if self.scores.shape[1] != self.class_ids.shape[0]:
             raise ConfigError("score columns do not match class ids")
+        check_distinct(self.class_ids.tolist(), "has more than one score column")
         if not np.isfinite(self.scores).all():
             raise ConfigError("scores must be finite")
 

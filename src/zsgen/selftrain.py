@@ -1,9 +1,11 @@
 """Semi-supervised outer loop: pseudo-label unseen samples with a kNN over
-synthetic features, augment the training set, and widen the class head.
+synthetic features, add them to the training set, and widen the class head.
 
 Each iteration trains the adversarial model, labels confident unseen
 samples, and freezes those labels; a sample added once is never
-re-labeled in later iterations.
+re-labeled in later iterations. The training set is a list of row indices
+into the one scaled dataset, with a label per row: the true labels of the
+TRAIN rows, then the pseudo-labels of the rows added.
 """
 
 from dataclasses import dataclass, field, replace
@@ -12,7 +14,7 @@ import numpy as np
 
 from . import metrics
 from .bounds import bounded, check_bounds
-from .data import TRAIN, ZslDataset
+from .data import ZslDataset
 from .errors import UsageError
 from .gan import Discriminator, FeatureScaler, Generator, generate, train_gan
 from .knn import KnnClassifier, check_k, knn_predict_proba, knn_scores
@@ -31,10 +33,9 @@ class SslConfig:
 
 @dataclass
 class PseudoLabelSet:
-    samples: np.ndarray       # (n, visual_dim) real unseen features
-    labels: np.ndarray        # (n,) pseudo class ids, all unseen
-    confidences: np.ndarray   # (n,) vote fractions, all >= the psi used
-    source_indices: np.ndarray = None  # rows of the x_u passed to pseudo_label
+    labels: np.ndarray          # (n,) pseudo class ids, all unseen
+    confidences: np.ndarray     # (n,) vote fractions, all >= the psi used
+    source_indices: np.ndarray  # (n,) rows of the x_u passed to pseudo_label
 
     def __len__(self):
         return self.labels.shape[0]
@@ -94,45 +95,14 @@ def pseudo_label(gen, unseen_class_ids, unseen_semantics, x_u, cfg, rng):
     x_u = np.asarray(x_u, dtype=np.float64)
     if x_u.shape[0] == 0:
         empty = np.empty(0, dtype=np.int64)
-        return PseudoLabelSet(x_u, empty, np.empty(0), empty)
+        return PseudoLabelSet(empty, np.empty(0), empty)
     refs, ref_labels = synthesize_references(
         gen, unseen_class_ids, unseen_semantics, cfg.per_class_synthetic, rng
     )
     clf = KnnClassifier(refs, ref_labels, k=cfg.knn_k)
     labels, conf = knn_predict_proba(clf, x_u)
     keep = np.flatnonzero(conf >= cfg.psi)
-    return PseudoLabelSet(
-        samples=x_u[keep], labels=labels[keep], confidences=conf[keep],
-        source_indices=keep,
-    )
-
-
-def augment_training_set(dataset, pl):
-    """Union the training split with a pseudo-labeled sample set.
-
-    Rows identical to an existing training row are not re-added; new rows
-    join the TRAIN partition with the pseudo flag set.
-    """
-    if len(pl) == 0:
-        return dataset
-    train_rows = {
-        dataset.features[i].tobytes() for i in dataset.train_indices()
-    }
-    keep = [
-        i for i, row in enumerate(pl.samples) if row.tobytes() not in train_rows
-    ]
-    if not keep:
-        return dataset
-    return ZslDataset(
-        features=np.vstack([dataset.features, pl.samples[keep]]),
-        labels=np.concatenate([dataset.labels, pl.labels[keep]]),
-        class_ids=dataset.class_ids,
-        semantics=dataset.semantics,
-        split=dataset.split,
-        partition=np.concatenate([dataset.partition,
-                                  np.full(len(keep), TRAIN)]),
-        pseudo=np.concatenate([dataset.pseudo, np.ones(len(keep), dtype=bool)]),
-    )
+    return PseudoLabelSet(labels=labels[keep], confidences=conf[keep], source_indices=keep)
 
 
 def expand_classifier_head(disc, new_class_count, rng):
@@ -165,7 +135,9 @@ class SslResult:
     discriminator: Discriminator
     scaler: FeatureScaler
     class_cols: dict          # class id -> discriminator logit column
-    dataset: ZslDataset       # scaled working dataset after augmentation
+    dataset: ZslDataset       # the scaled dataset trained on
+    train_rows: np.ndarray    # dataset rows of the last round's training set
+    train_labels: np.ndarray  # their labels: true for TRAIN rows, then pseudo
     reports: list = field(default_factory=list)
     train_logs: list = field(default_factory=list)  # one probe history per iteration
 
@@ -178,7 +150,6 @@ def scaled_copy(dataset, scaler):
         semantics=dataset.semantics,
         split=dataset.split,
         partition=dataset.partition.copy(),
-        pseudo=dataset.pseudo.copy(),
     )
 
 
@@ -195,7 +166,11 @@ def prepare_models(dataset, gen_cfg, disc_cfg, rng):
 
 
 def run_ssl(dataset, gen_cfg, disc_cfg, train_cfg, ssl_cfg, seed):
-    """Full outer loop: (train -> pseudo-label -> augment -> widen head) x n_ssl."""
+    """Full outer loop: (train -> pseudo-label -> add rows -> widen head) x n_ssl.
+
+    A pseudo-labeled row whose features equal a row already trained on is
+    not added again, though it is frozen and counted as retained.
+    """
     check_k("ssl.knn_k", ssl_cfg.knn_k, ssl_cfg.per_class_synthetic,
             len(dataset.split.unseen))
     rng = np.random.default_rng(seed)
@@ -205,29 +180,37 @@ def run_ssl(dataset, gen_cfg, disc_cfg, train_cfg, ssl_cfg, seed):
     unseen = sorted(work.split.unseen)
     candidates = unseen_test_rows(work)
     frozen = np.zeros(candidates.shape[0], dtype=bool)
+    rows = work.train_indices()
+    labels = work.labels[rows]
+    trained = {work.features[i].tobytes() for i in rows}
 
     reports, train_logs = [], []
     for iteration in range(1, ssl_cfg.n_ssl + 1):
-        tr_idx = work.train_indices()
         result = train_gan(
-            work, work.features[tr_idx], work.labels[tr_idx],
+            work, work.features[rows], labels,
             gen, disc, class_cols, train_cfg, rng,
         )
         gen, disc = result.generator, result.discriminator
         train_logs.append(result.history)
 
-        open_rows = candidates[~frozen]
+        open_idx = np.flatnonzero(~frozen)
         pl = pseudo_label(
             gen, unseen, work.semantics_for(unseen),
-            work.features[open_rows], ssl_cfg, rng,
+            work.features[candidates[open_idx]], ssl_cfg, rng,
         )
-        frozen[np.flatnonzero(~frozen)[pl.source_indices]] = True
+        picked = open_idx[pl.source_indices]
+        frozen[picked] = True
 
         new_classes = sorted(set(pl.labels.tolist()) - set(class_cols))
         for c in new_classes:
             class_cols[c] = len(class_cols)
         expand_classifier_head(disc, len(class_cols), rng)
-        work = augment_training_set(work, pl)
+        retained = candidates[picked]
+        fresh = np.array([work.features[i].tobytes() not in trained for i in retained],
+                         dtype=bool)
+        trained.update(work.features[i].tobytes() for i in retained[fresh])
+        rows = np.concatenate([rows, retained[fresh]])
+        labels = np.concatenate([labels, pl.labels[fresh]])
 
         refs, ref_labels = synthesize_references(
             gen, unseen, work.semantics_for(unseen), ssl_cfg.per_class_synthetic, rng
@@ -239,4 +222,4 @@ def run_ssl(dataset, gen_cfg, disc_cfg, train_cfg, ssl_cfg, seed):
             "unseen_top1": unseen_top1(refs, ref_labels, work, ssl_cfg.knn_k),
             "val_gacc": result.best_gacc,
         })
-    return SslResult(gen, disc, scaler, class_cols, work, reports, train_logs)
+    return SslResult(gen, disc, scaler, class_cols, work, rows, labels, reports, train_logs)

@@ -244,7 +244,7 @@ def test_primary_ssl_invariants():
     )
     added = sum(r["retained"] for r in grow.reports)
     checks["monotone training set"] = (
-        grow.dataset.train_indices().size == ds.train_indices().size + added
+        grow.train_rows.size == ds.train_indices().size + added
     )
 
     noop = selftrain.run_ssl(

@@ -178,6 +178,19 @@ def test_split_bad_id_names_path_and_line(tmp_path, body, line):
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize("body, line, repeat", [
+    ("seen: 0 0 1 2\nunseen: 3 4\n", 1, 0),
+    ("seen: 0 1 2\nunseen: 3 4 4\n", 2, 4),
+])
+def test_split_file_listing_a_class_twice_names_path_and_line(tmp_path, body, line, repeat):
+    path = tmp_path / "split.txt"
+    path.write_text(body)
+    with pytest.raises(ParseError, match=f"class {repeat} ") as info:
+        data.load_split(str(path))
+    assert info.value.line == line
+    assert str(path) in str(info.value)
+
+
 def test_split_round_trip(tmp_path):
     path = str(tmp_path / "split.txt")
     split = data.SplitSpec(seen=(0, 1), unseen=(2,), scheme="SCS")
@@ -189,6 +202,11 @@ def test_split_round_trip(tmp_path):
 def test_split_overlap_rejected():
     with pytest.raises(ConfigError):
         data.SplitSpec(seen=(0,), unseen=(0,))
+
+
+def test_split_repeated_id_rejected():
+    with pytest.raises(ConfigError, match="class 1 "):
+        data.SplitSpec(seen=(0, 1, 1), unseen=(2,))
 
 
 def test_split_coverage_validation():
@@ -267,6 +285,32 @@ def test_dataset_round_trip_through_files(tmp_path):
     assert (np.sort(back.labels) == np.sort(ds.labels)).all()
     assert back.split == ds.split
     assert (back.semantics == ds.semantics).all()
+
+
+def test_semantics_file_listing_a_class_twice_names_file_and_id(tmp_path):
+    ds = data.make_synthetic(data.SyntheticSpec(
+        num_seen=3, num_unseen=2, samples_per_class=5,
+        semantic_dim=8, visual_dim=4,
+    ))
+    paths = [str(tmp_path / n) for n in
+             ("train.txt", "test.txt", "sem.txt", "split.txt")]
+    data.save_dataset(ds, *paths)
+    rows = [0, 1, 1, 2, 3, 4]
+    data.save_matrix(paths[2], ds.class_ids[rows], ds.semantics[rows])
+    with pytest.raises(ZsgenError, match="class 1 ") as info:
+        data.assemble_dataset(*paths)
+    assert paths[2] in str(info.value)
+
+
+def test_dataset_rejects_repeated_class_ids():
+    ds = data.make_synthetic(data.SyntheticSpec(
+        num_seen=2, num_unseen=1, samples_per_class=4,
+        semantic_dim=8, visual_dim=4,
+    ))
+    rows = [0, 1, 1, 2]
+    with pytest.raises(ConfigError, match="class 1 "):
+        data.ZslDataset(ds.features, ds.labels, ds.class_ids[rows], ds.semantics[rows],
+                        ds.split, ds.partition)
 
 
 def test_dataset_rejects_unseen_in_train():

@@ -77,6 +77,11 @@ def test_top1_rejects_foreign_labels():
         top1_per_class(np.zeros((1, 2)), [0, 1], [5])
 
 
+def test_score_matrix_repeated_class_id_rejected():
+    with pytest.raises(ConfigError, match="class 0 "):
+        ScoreMatrix([[0.9, 0.1, 0.0], [0.1, 0.9, 0.0]], [0, 1, 0], seen_count=2)
+
+
 def test_top1_argmax_shift_invariance():
     rng = np.random.default_rng(0)
     scores = rng.normal(size=(20, 4))

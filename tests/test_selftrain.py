@@ -10,8 +10,8 @@ from zsgen.gan import DiscriminatorConfig, GanTrainConfig, GeneratorConfig, gene
 from zsgen.knn import KnnClassifier, knn_predict_proba, knn_scores, squared_distances
 from zsgen.metrics import CalibrationSweep, calibrated_predictions
 from zsgen.selftrain import (
-    PseudoLabelSet, SslConfig, augment_training_set, expand_classifier_head,
-    pseudo_label, run_ssl, synthesize_references, unseen_test_rows, unseen_top1,
+    SslConfig, expand_classifier_head, pseudo_label, run_ssl, synthesize_references,
+    unseen_test_rows, unseen_top1,
 )
 
 SPEC = data.SyntheticSpec(num_seen=4, num_unseen=2, samples_per_class=20,
@@ -229,37 +229,6 @@ def test_pseudo_label_confidences_on_vote_grid():
     assert (pl.confidences >= 0.0).all()
 
 
-def test_augment_empty_set_is_identity():
-    ds, work, gen, disc, cols, rng = trained_setup()
-    empty = PseudoLabelSet(np.empty((0, 8)), np.empty(0, dtype=np.int64),
-                           np.empty(0), np.empty(0, dtype=np.int64))
-    assert augment_training_set(work, empty) is work
-
-
-def test_augment_adds_new_class_samples():
-    ds, work, gen, disc, cols, rng = trained_setup()
-    unseen_class = sorted(work.split.unseen)[0]
-    rows = rng.normal(size=(3, 8))
-    pl = PseudoLabelSet(rows, np.full(3, unseen_class, dtype=np.int64),
-                        np.ones(3), np.arange(3))
-    before = work.train_indices().size
-    out = augment_training_set(work, pl)
-    assert out.train_indices().size == before + 3
-    assert out.pseudo.sum() == 3
-    assert unseen_class in out.labels[out.train_indices()]
-
-
-def test_augment_deduplicates_identical_rows():
-    ds, work, gen, disc, cols, rng = trained_setup()
-    unseen_class = sorted(work.split.unseen)[0]
-    rows = rng.normal(size=(2, 8))
-    pl = PseudoLabelSet(rows, np.full(2, unseen_class, dtype=np.int64),
-                        np.ones(2), np.arange(2))
-    once = augment_training_set(work, pl)
-    twice = augment_training_set(once, pl)
-    assert twice.train_indices().size == once.train_indices().size
-
-
 def test_expand_head_same_count_is_identity():
     ds, work, gen, disc, cols, rng = trained_setup()
     before = [p.copy() for p in disc.params()]
@@ -411,9 +380,38 @@ def test_ssl_training_set_monotone():
     result = run_ssl(ds, GEN_CFG, DISC_CFG, TRAIN_CFG, cfg, seed=0)
     sizes = [r["retained"] for r in result.reports]
     assert len(result.reports) == 2
-    base_train = ds.train_indices().size
-    assert result.dataset.train_indices().size == base_train + sum(sizes)
-    assert (result.dataset.pseudo.sum()) == sum(sizes)
+    assert result.train_rows.size == ds.train_indices().size + sum(sizes)
+    assert result.train_labels.size == result.train_rows.size
+
+
+def test_ssl_training_set_is_train_rows_then_unseen_test_rows():
+    ds = data.make_synthetic(SPEC)
+    cfg = SslConfig(psi=0.5, n_ssl=2, per_class_synthetic=5, knn_k=4)
+    result = run_ssl(ds, GEN_CFG, DISC_CFG, TRAIN_CFG, cfg, seed=1)
+    train = ds.train_indices()
+    n0 = train.size
+    added = result.train_rows[n0:]
+    assert added.size == sum(r["retained"] for r in result.reports) > 0
+    assert (result.train_rows[:n0] == train).all()
+    assert (result.train_labels[:n0] == ds.labels[train]).all()
+    assert np.isin(added, unseen_test_rows(ds)).all()
+    assert np.unique(added).size == added.size
+    assert not np.isin(added, train).any()
+    assert set(result.train_labels[n0:].tolist()) <= set(ds.split.unseen)
+    assert result.dataset.features.shape == ds.features.shape
+
+
+def test_ssl_row_equal_to_a_train_row_is_retained_but_not_added():
+    ds = data.make_synthetic(SPEC)
+    candidates = unseen_test_rows(ds)
+    copied = candidates[3]
+    ds.features[copied] = ds.features[ds.train_indices()[0]]
+    cfg = SslConfig(psi=0.0, n_ssl=2, per_class_synthetic=5, knn_k=3)
+    result = run_ssl(ds, GEN_CFG, DISC_CFG, TRAIN_CFG, cfg, seed=0)
+    # psi=0 retains, and so freezes, every candidate in the first round
+    assert [r["retained"] for r in result.reports] == [candidates.size, 0]
+    assert copied not in result.train_rows
+    assert result.train_rows.size == ds.train_indices().size + candidates.size - 1
 
 
 def test_ssl_unreachable_threshold_matches_plain_training():
