@@ -169,7 +169,7 @@ def text_rows(path, lines, width=None):
             raise ParseError(f"expected {width + 1} fields, got {len(parts)}",
                              path=path, line=lineno)
         try:
-            values = np.array([float(v) for v in parts[1:]])
+            values = np.array(parts[1:], dtype=np.float64)   # float()'s syntax
         except ValueError as exc:
             raise ParseError(str(exc), path=path, line=lineno) from None
         if not np.isfinite(values).all():

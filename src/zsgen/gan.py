@@ -159,6 +159,8 @@ class Generator(Network):
         """
         semantics = np.asarray(semantics, dtype=np.float64)
         noise = np.asarray(noise, dtype=np.float64)
+        if noise.ndim != 2 or noise.shape[1] != self.cfg.noise_dim:
+            raise UsageError(f"noise must be (rows, {self.cfg.noise_dim}), got {noise.shape}")
         n_sem, n = semantics.shape[0], noise.shape[0]
         if classes is None:
             if n_sem not in (1, n):
@@ -168,8 +170,6 @@ class Generator(Network):
             classes = np.asarray(classes, dtype=np.int64)
             if classes.shape != (n,) or (n and not 0 <= classes.min() <= classes.max() < n_sem):
                 raise UsageError("need one semantic row index per noise row")
-        if noise.shape[1] != self.cfg.noise_dim:
-            raise UsageError(f"noise dim {noise.shape[1]} != {self.cfg.noise_dim}")
         reduced, reduce_cache = mlp_forward(self.reduce, semantics, keep_cache)
         if self.cfg.noise_mode == "add":
             h = reduced[classes]
@@ -355,6 +355,8 @@ def triplet_loss_grad(synthetic, features, positives, negatives, margin):
     synthetic = np.asarray(synthetic, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
     n_classes = synthetic.shape[0]
+    if not n_classes:
+        raise UsageError("synthetic needs at least one row")
     pos, neg = (_index_sets(s, n_classes, features.shape[0]) for s in (positives, negatives))
     sets = (np.concatenate([pos[0], neg[0]]), np.concatenate([pos[1], neg[1]]))
     gap = _positive_minus_negative(synthetic, features, sets, directions=False)
@@ -369,8 +371,12 @@ def triplet_loss_grad(synthetic, features, positives, negatives, margin):
 def softmax_cross_entropy(logits, labels):
     """Mean cross-entropy over softmax logits, with gradient in the logits."""
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     n, n_cls = logits.shape
+    if not n:
+        raise UsageError("logits: empty batch")
+    if labels.dtype.kind not in "iu" or labels.shape != (n,):
+        raise UsageError(f"labels must be {n} integers, got {labels.dtype} {labels.shape}")
     if labels.min() < 0 or labels.max() >= n_cls:
         raise UsageError("label out of class range")
     # one buffer: shifted logits, then their exponentials, then the softmax,
@@ -439,6 +445,8 @@ def discriminator_loss_grads(disc, real_x, fake_x, labels, gp_weight, rng=None, 
     if real_x.shape != fake_x.shape:
         raise UsageError("real and fake batches must have identical shapes")
     n = real_x.shape[0]
+    if eps is not None and np.shape(eps) != (n, 1):
+        raise UsageError(f"eps must be ({n}, 1), got {np.shape(eps)}")
 
     critic, logits, cache = disc.forward(np.concatenate([real_x, fake_x]))
     ce, d_logits = softmax_cross_entropy(logits, np.tile(labels, 2))

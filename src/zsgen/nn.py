@@ -251,8 +251,12 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params, **settings):
-        """Zero moments for a flat parameter vector; settings are the rates."""
-        return cls(**settings, m=np.zeros_like(params), v=np.zeros_like(params))
+        """Zero moments for a flat parameter vector; settings are the rates.
+
+        np.zeros maps zero pages that become resident at the first write, so
+        the moments cost no memory until the first adam_step.
+        """
+        return cls(**settings, m=np.zeros(params.shape), v=np.zeros(params.shape))
 
 
 # entries per Adam work chunk: two 512 KiB buffers, whatever the network size

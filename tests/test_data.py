@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 import struct
@@ -153,6 +154,32 @@ def test_both_text_readers_read_valid_rows_as_float_does(tmp_path):
     assert sorted(table.vectors) == ["crow", "wren"] and table.dim == len(VALID_TOKENS)
     for vec, want in zip(table.vectors.values(), expected):
         assert vec.dtype == np.float64 and vec.tobytes() == want.tobytes()
+
+
+# tokens at the edge of float()'s syntax: digit grouping, non-ASCII digits,
+# spelled-out and overflowing non-finite values, and spellings it rejects
+EDGE_TOKENS = ["1_000.5", "١٢", "１２", "1e999", "infinity", "-nan",
+               "0x10", "nan(1)", "1.5j", "1__0", "_1", "1,5"]
+
+
+@pytest.mark.parametrize("token", EDGE_TOKENS)
+def test_text_row_parses_a_token_as_float_does(tmp_path, token):
+    path = tmp_path / "m.txt"
+    path.write_text(f"# dims: 2 2\n0 1.0 2.0\n1 -3.5 {token}\n", encoding="utf-8")
+    try:
+        want = float(token)
+    except ValueError as exc:
+        message = str(exc)
+    else:
+        message = None if math.isfinite(want) else "non-finite value"
+    if message is None:
+        _, values = data.load_matrix(str(path))
+        assert values[1].tobytes() == np.array([-3.5, want]).tobytes()
+    else:
+        with pytest.raises(ParseError) as info:
+            data.load_matrix(str(path))
+        assert str(info.value) == f"{path}:3: {message}"
+        assert (info.value.path, info.value.line) == (str(path), 3)
 
 
 @pytest.mark.parametrize("label", ["99999999999999999999", "-9223372036854775809", "1.0"])

@@ -786,3 +786,35 @@ def test_generate_rejects_class_indices_outside_the_table():
     for bad in ([0, 1, 2, 3], [0, -1, 1, 2], [0, 1, 2]):
         with pytest.raises(UsageError):
             generate(gen, table, noise, np.array(bad))
+
+
+def _bad_loss_inputs():
+    """name -> (argument the error must name, call that passes a bad input)."""
+    rng = np.random.default_rng(15)
+    disc, gen = make_disc(rng, hidden=4), make_gen(rng)
+    real, fake = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    labels = np.array([0, 1, 0, 1])
+    return {
+        # (n,) with n equal to the hidden width broadcasts across hidden units
+        "eps-flat": ("eps", lambda: discriminator_loss_grads(
+            disc, real, fake, labels, 10.0, eps=np.full(4, 0.5))),
+        "eps-short": ("eps", lambda: discriminator_loss_grads(
+            disc, real, fake, labels, 10.0, eps=np.full((3, 1), 0.5))),
+        "ce-empty": ("logits", lambda: softmax_cross_entropy(
+            np.zeros((0, 3)), np.zeros(0, dtype=np.int64))),
+        "ce-float-labels": ("labels", lambda: softmax_cross_entropy(
+            np.zeros((2, 3)), np.array([0.5, 1.7]))),
+        "ce-label-count": ("labels", lambda: softmax_cross_entropy(
+            np.zeros((2, 3)), np.array([0, 1, 2]))),
+        "noise-1d": ("noise", lambda: generate(gen, rng.normal(size=(1, 6)), np.zeros(5))),
+        "triplet-no-rows": ("synthetic", lambda: triplet_loss_grad(
+            np.zeros((0, 3)), real, np.zeros((0, 2), dtype=np.int64),
+            np.zeros((0, 2), dtype=np.int64), 0.1)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bad_loss_inputs()))
+def test_bad_loss_input_is_a_usage_error_naming_the_argument(case):
+    name, call = _bad_loss_inputs()[case]
+    with pytest.raises(UsageError, match=name):
+        call()

@@ -1,3 +1,4 @@
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -329,3 +330,20 @@ def test_backward_skips_what_is_not_asked_for():
         assert g.tobytes() == w.tobytes()
     no_params, d_only = mlp_backward(mlp, cache, d_out, param_grads=False)
     assert no_params is None and d_only.tobytes() == d_in.tobytes()
+
+
+def _rss_kb():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:"))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_adam_moments_take_no_memory_before_the_first_step():
+    params = np.zeros(1 << 22)   # 32 MiB, itself never written
+    before = _rss_kb()
+    state = AdamState.for_params(params)
+    grown_kb = _rss_kb() - before
+    assert grown_kb < 4 * 1024, f"VmRSS grew {grown_kb} kB"
+    for moment in (state.m, state.v):
+        assert moment.dtype == np.float64 and moment.shape == params.shape
+        assert not moment.any()
