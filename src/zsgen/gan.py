@@ -167,9 +167,11 @@ class Generator(Network):
                 raise UsageError("semantics and noise batch sizes differ")
             classes = np.zeros(n, dtype=np.int64) if n_sem == 1 else np.arange(n)
         else:
-            classes = np.asarray(classes, dtype=np.int64)
-            if classes.shape != (n,) or (n and not 0 <= classes.min() <= classes.max() < n_sem):
-                raise UsageError("need one semantic row index per noise row")
+            classes = np.asarray(classes)
+            if classes.shape != (n,) or n and (classes.dtype.kind not in "iu" or not
+                                               0 <= classes.min() <= classes.max() < n_sem):
+                raise UsageError("classes must be one integer semantic row index per noise row")
+            classes = classes.astype(np.int64, copy=False)
         reduced, reduce_cache = mlp_forward(self.reduce, semantics, keep_cache)
         if self.cfg.noise_mode == "add":
             h = reduced[classes]
@@ -263,107 +265,79 @@ def _safe_unit(diff, dist):
     return diff
 
 
-def triplet_loss(synthetic, features, positives, negatives, margin):
-    loss, _ = triplet_loss_grad(synthetic, features, positives, negatives, margin)
-    return loss
-
-
 # gathered sample values per triplet block: a block takes as many batch rows
 # as keep their samples within it (at least one row), whatever the batch size
 TRIPLET_BLOCK_VALUES = 1 << 20
 
 
-def _index_sets(sets, n_rows, n_features):
-    """Per-row index sets as one flat index vector plus the per-row counts.
+def _sample_table(table, name, n_rows, n_features):
+    """table as an (n_rows, n) integer array of row indices into the
+    n_features feature rows, n >= 1; a UsageError naming it otherwise."""
+    try:
+        table = np.asarray(table)
+    except ValueError:   # NumPy's error for a ragged list
+        raise UsageError(f"{name} must be one ({n_rows}, n) table, not a ragged list") from None
+    if table.ndim != 2 or table.shape[0] != n_rows or not table.shape[1]:
+        raise UsageError(f"{name} must be ({n_rows}, n >= 1), got {table.shape}")
+    if table.dtype.kind not in "iu" or not 0 <= table.min() <= table.max() < n_features:
+        raise UsageError(f"{name} must be row indices into the {n_features} feature rows")
+    return table
 
-    An (n_rows, n) integer array is flattened without a copy; a ragged list
-    of 1-d integer arrays is concatenated.
+
+def _positive_minus_negative(synthetic, features, table, n_pos, directions):
+    """(rows, 1) or, with directions, (rows, d): per row r, the mean over its
+    positives table[r, :n_pos] less the mean over its negatives
+    table[r, n_pos:] of the distance from synthetic[r] to each sample or of
+    the unit vector from each sample to synthetic[r]; a sample at distance 0
+    adds a zero vector.
+
+    Samples are gathered as one (rows, n, d) block at a time, so no more
+    than TRIPLET_BLOCK_VALUES of them are alive at once (at least one row's).
     """
-    if len(sets) != n_rows:
-        raise UsageError("need one positive and one negative set per class")
-    if isinstance(sets, np.ndarray) and sets.ndim == 2:
-        flat, counts = sets.reshape(-1), np.full(n_rows, sets.shape[1])
-    else:
-        rows = [np.asarray(s).reshape(-1) for s in sets]
-        counts = np.array([r.size for r in rows], dtype=np.int64)
-        flat = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-    if not counts.all():
-        c = int(np.argmin(counts))
-        raise UsageError(f"class {c} needs at least one positive and one negative")
-    if flat.dtype.kind not in "iu" or (flat.size and not
-                                        0 <= flat.min() <= flat.max() < n_features):
-        raise UsageError(f"sample sets must be row indices into the {n_features} "
-                         "feature rows")
-    return flat, counts
-
-
-def _block_means(synthetic, features, sets, directions):
-    """Per block of set rows: (rows, per row r of the block the mean
-    distance from synthetic[r % len(synthetic)] to its samples or, with
-    directions, the mean unit vector from its samples to that row); a sample
-    at distance 0 adds a zero vector. sets is (flat row indices, per-row
-    counts), so one pass can serve several sets of every synthetic row.
-
-    Samples are gathered a block at a time, so no more than
-    TRIPLET_BLOCK_VALUES of them (and their differences) are alive at once.
-    """
-    flat, counts = sets
-    n_syn, dim = synthetic.shape
-    n_rows = counts.size
-    ends = np.cumsum(counts)
-    per_block = max(1, TRIPLET_BLOCK_VALUES // dim)
-    lo = 0
-    while lo < n_rows:
-        first = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, first + per_block, side="right")))
-        block = counts[lo:hi]
-        diff = synthetic[np.repeat(np.arange(lo, hi) % n_syn, block)]
-        diff -= features[flat[first:ends[hi - 1]]]
+    (n_rows, n), dim = table.shape, synthetic.shape[1]
+    counts = np.array([n_pos, n - n_pos])
+    out = np.empty((n_rows, dim if directions else 1))
+    step = max(1, TRIPLET_BLOCK_VALUES // (n * dim))
+    for lo in range(0, n_rows, step):
+        diff = features[table[lo:lo + step]]
+        b = diff.shape[0]
+        np.subtract(synthetic[lo:lo + b, None], diff, out=diff)
+        diff = diff.reshape(b * n, dim)
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        starts = np.cumsum(block) - block
-        if directions:
-            yield slice(lo, hi), (np.add.reduceat(_safe_unit(diff, dist), starts, axis=0)
-                                  / block[:, None])
-        else:
-            yield slice(lo, hi), np.add.reduceat(dist, starts) / block
-        lo = hi
-
-
-def _positive_minus_negative(synthetic, features, sets, directions):
-    """Per row: the positives' block mean less the negatives' (_block_means),
-    from one pass over sets, the positive sets stacked over the negative."""
-    n = synthetic.shape[0]
-    means = np.empty((2 * n, synthetic.shape[1]) if directions else 2 * n)
-    for rows, mean in _block_means(synthetic, features, sets, directions):
-        means[rows] = mean
-    means[:n] -= means[n:]
-    return means[:n]
+        # the positives' and the negatives' sums per row; reduceat keeps
+        # each sum's order of additions whatever the block
+        starts = (np.arange(b)[:, None] * n + (0, n_pos)).ravel()
+        sums = (np.add.reduceat(_safe_unit(diff, dist), starts, axis=0) if directions
+                else np.add.reduceat(dist, starts)[:, None])
+        means = sums.reshape(b, 2, -1) / counts[:, None]
+        np.subtract(means[:, 0], means[:, 1], out=out[lo:lo + b])
+    return out
 
 
 def triplet_loss_grad(synthetic, features, positives, negatives, margin):
     """Hinged inter/intra-class distance gap, plus its gradient in x-tilde.
 
-    synthetic is one generated row per class; positives[c] / negatives[c]
-    are the row indices into features of the real same-class / other-class
-    samples for class c, either as (m, n_pos) / (m, n_neg) integer arrays
-    or as lists of 1-d index arrays. Euclidean distances, class-averaged,
-    margin added inside the outer hinge. The positive and the negative
-    samples are gathered in one pass, in blocks of set rows (see
-    _block_means); the gradient pass gathers them again, and an inactive
-    hinge skips it.
+    synthetic is one generated row per class; positives / negatives are
+    (m, n_pos) / (m, n_neg) integer tables, row c holding the row indices
+    into features of the real same-class / other-class samples for class c.
+    Euclidean distances, class-averaged, margin added inside the outer
+    hinge. The two tables are joined into one, whose samples are gathered
+    in blocks of rows (see _positive_minus_negative); the gradient pass
+    gathers them again, and an inactive hinge skips it.
     """
     synthetic = np.asarray(synthetic, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
     n_classes = synthetic.shape[0]
     if not n_classes:
         raise UsageError("synthetic needs at least one row")
-    pos, neg = (_index_sets(s, n_classes, features.shape[0]) for s in (positives, negatives))
-    sets = (np.concatenate([pos[0], neg[0]]), np.concatenate([pos[1], neg[1]]))
-    gap = _positive_minus_negative(synthetic, features, sets, directions=False)
+    pos, neg = (_sample_table(t, name, n_classes, features.shape[0])
+                for t, name in ((positives, "positives"), (negatives, "negatives")))
+    table, n_pos = np.hstack([pos, neg], dtype=np.intp), pos.shape[1]
+    gap = _positive_minus_negative(synthetic, features, table, n_pos, directions=False)
     loss = float(np.sum(gap)) / n_classes + margin
     if loss <= 0.0:
         return 0.0, np.zeros_like(synthetic)
-    grad = _positive_minus_negative(synthetic, features, sets, directions=True)
+    grad = _positive_minus_negative(synthetic, features, table, n_pos, directions=True)
     grad /= n_classes
     return loss, grad
 
@@ -422,12 +396,6 @@ def _flat_grads(params, out):
     """out (or a new vector) laid out like params, and its per-array views."""
     flat = np.empty(sum(p.size for p in params)) if out is None else out
     return flat, unflatten(flat, [p.shape for p in params])
-
-
-def discriminator_loss(disc, real_x, fake_x, labels, gp_weight, rng=None, eps=None):
-    loss, _ = discriminator_loss_grads(disc, real_x, fake_x, labels, gp_weight,
-                                       rng=rng, eps=eps)
-    return loss
 
 
 def discriminator_loss_grads(disc, real_x, fake_x, labels, gp_weight, rng=None, eps=None,

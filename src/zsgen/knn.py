@@ -15,7 +15,10 @@ class KnnClassifier:
 
     def __post_init__(self):
         self.references = np.asarray(self.references, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = np.asarray(self.labels)
+        if self.labels.size and self.labels.dtype.kind not in "iu":
+            raise UsageError(f"labels must be integer class ids, got {self.labels.dtype}")
+        self.labels = self.labels.astype(np.int64, copy=False)
         if self.references.shape[0] < self.k:
             raise UsageError(
                 f"need at least k={self.k} reference points, got {self.references.shape[0]}"

@@ -8,6 +8,7 @@ into the one scaled dataset, with a label per row: the true labels of the
 TRAIN rows, then the pseudo-labels of the rows added.
 """
 
+import hashlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -182,7 +183,10 @@ def run_ssl(dataset, gen_cfg, disc_cfg, train_cfg, ssl_cfg, seed):
     frozen = np.zeros(candidates.shape[0], dtype=bool)
     rows = work.train_indices()
     labels = work.labels[rows]
-    trained = {work.features[i].tobytes() for i in rows}
+
+    def key(i):   # a digest of the row's bytes: 32 bytes whatever the width
+        return hashlib.sha256(work.features[i].tobytes()).digest()
+    trained = set(map(key, rows))
 
     reports, train_logs = [], []
     for iteration in range(1, ssl_cfg.n_ssl + 1):
@@ -206,9 +210,8 @@ def run_ssl(dataset, gen_cfg, disc_cfg, train_cfg, ssl_cfg, seed):
             class_cols[c] = len(class_cols)
         expand_classifier_head(disc, len(class_cols), rng)
         retained = candidates[picked]
-        fresh = np.array([work.features[i].tobytes() not in trained for i in retained],
-                         dtype=bool)
-        trained.update(work.features[i].tobytes() for i in retained[fresh])
+        fresh = np.array([key(i) not in trained for i in retained], dtype=bool)
+        trained.update(map(key, retained[fresh]))
         rows = np.concatenate([rows, retained[fresh]])
         labels = np.concatenate([labels, pl.labels[fresh]])
 

@@ -44,7 +44,6 @@ def preprocess(raw_text, stopwords):
 class TfIdfModel:
     vocabulary: dict  # term -> column index, lexicographic
     idf: np.ndarray   # per-column idf weights
-    doc_count: int
 
 
 def tfidf_fit(corpus):
@@ -60,7 +59,7 @@ def tfidf_fit(corpus):
     idf = np.empty(len(vocab))
     for term, i in vocab.items():
         idf[i] = math.log((1.0 + n) / (1.0 + df[term])) + 1.0
-    return TfIdfModel(vocabulary=vocab, idf=idf, doc_count=n)
+    return TfIdfModel(vocabulary=vocab, idf=idf)
 
 
 def tfidf_transform(model, doc):

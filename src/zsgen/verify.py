@@ -10,13 +10,9 @@ from .gan import (
 from .nn import gradient_check, init_mlp, mlp_backward, mlp_forward
 
 
-def small_mlp(rng, dims=(4, 5, 3), activations=("leaky_relu", "tanh")):
-    return init_mlp(list(dims), list(activations), rng)
-
-
 def check_mlp_backward(rng):
     """Quadratic loss on a small MLP against central differences."""
-    mlp = small_mlp(rng)
+    mlp = init_mlp([4, 5, 3], ["leaky_relu", "tanh"], rng)
     x = rng.normal(size=(3, mlp.in_dim))
     target = rng.normal(size=(3, mlp.out_dim))
 
@@ -32,16 +28,15 @@ def check_mlp_backward(rng):
 
 def check_triplet(rng, n_classes=3, dim=4):
     """Triplet loss gradients in the synthetic rows, at an active hinge, with
-    ragged index sets into one feature table: row 0 is a positive of class 0
-    and a negative of every other class."""
+    (n_classes, 2) positive and (n_classes, 3) negative index tables into one
+    feature table: row 0 is a positive of class 0 and a negative of every
+    other class, and row 2 a positive of class 1 and a negative of class 0."""
     synth = rng.normal(size=(n_classes, dim))
     # negatives close to the synthetic rows keep the hinge active
     near = [synth[c] + 0.1 * rng.normal(size=(2, dim)) for c in range(n_classes)]
-    features = np.vstack([rng.normal(size=(n_classes + 1, dim))] + near)
-    near_row = n_classes + 1   # the table's first near row
-    pos = [np.array([c, n_classes] if c % 2 else [c]) for c in range(n_classes)]
-    neg = [np.array([near_row + 2 * c, near_row + 2 * c + 1] + ([0] if c else []))
-           for c in range(n_classes)]
+    features = np.vstack([rng.normal(size=(2 * n_classes, dim))] + near)
+    pos = np.arange(2 * n_classes).reshape(n_classes, 2)
+    neg = np.column_stack([pos + 2 * n_classes, np.where(np.arange(n_classes), 0, 2)])
 
     params = [synth]
 

@@ -16,7 +16,7 @@ from zsgen.cko import top_k_similar
 from zsgen.cli import main
 from zsgen.gan import (
     DiscriminatorConfig, GanTrainConfig, GeneratorConfig, train_gan,
-    triplet_loss,
+    triplet_loss_grad,
 )
 from zsgen.metrics import CalibrationSweep, ScoreMatrix
 from zsgen.porter import stem
@@ -48,13 +48,15 @@ def test_primary_triplet_loss_oracle():
         c = int(rng.integers(1, 5))
         d = int(rng.integers(1, 9))
         x = rng.normal(size=(c, d))
-        pos = [rng.normal(size=(int(rng.integers(1, 4)), d)) for _ in range(c)]
-        neg = [rng.normal(size=(int(rng.integers(1, 4)), d)) for _ in range(c)]
+        pos = rng.normal(size=(c, int(rng.integers(1, 4)), d))
+        neg = rng.normal(size=(c, int(rng.integers(1, 4)), d))
         margin = float(rng.uniform(0.0, 2.0))
-        # the sets as row indices into one feature table
-        ends = np.cumsum([len(s) for s in pos + neg])
-        rows = [np.arange(e - len(s), e) for s, e in zip(pos + neg, ends)]
-        got = triplet_loss(x, np.vstack(pos + neg), rows[:c], rows[c:], margin)
+        # the sets as (c, n) tables of row indices into one feature table
+        n_pos, n_neg = pos.shape[1], neg.shape[1]
+        features = np.vstack([pos.reshape(-1, d), neg.reshape(-1, d)])
+        pos_rows = np.arange(c * n_pos).reshape(c, n_pos)
+        neg_rows = c * n_pos + np.arange(c * n_neg).reshape(c, n_neg)
+        got, _ = triplet_loss_grad(x, features, pos_rows, neg_rows, margin)
         gap = 0.0
         for i in range(c):
             pd = np.mean([np.linalg.norm(x[i] - p) for p in pos[i]])

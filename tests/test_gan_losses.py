@@ -8,10 +8,11 @@ from zsgen import gan
 from zsgen.errors import ConfigError, UsageError
 from zsgen.gan import (
     Discriminator, DiscriminatorConfig, GanTrainConfig, Generator,
-    GeneratorConfig, TripletSampler, discriminator_loss, discriminator_loss_grads,
+    GeneratorConfig, TripletSampler, discriminator_loss_grads,
     generate, generator_loss_grads, gradient_penalty_grads, softmax_cross_entropy,
-    triplet_loss, triplet_loss_grad,
+    triplet_loss_grad,
 )
+from zsgen.knn import KnnClassifier
 from zsgen.nn import Layer, Mlp, activate_grad, mlp_backward, mlp_forward
 
 
@@ -26,42 +27,28 @@ def reference_triplet(synthetic, positives, negatives, margin):
     return max(gap / c + margin, 0.0)
 
 
-def as_rows(*set_lists):
-    """One feature table holding every sample of the given per-row sample
-    sets, then each set list as row indices into it: an (m, n, d) array
-    becomes an (m, n) index array, a list of (n_c, d) arrays a list of
-    index arrays."""
+def as_rows(*sample_stacks):
+    """One feature table holding every sample of the given (m, n, d) sample
+    stacks, each sample in its own row, then each stack as an (m, n) table
+    of row indices into it."""
     tables, out, at = [], [], 0
-    for sets in set_lists:
-        if isinstance(sets, np.ndarray) and sets.ndim == 3:
-            m, n, d = sets.shape
-            tables.append(sets.reshape(m * n, d))
-            out.append(at + np.arange(m * n).reshape(m, n))
-            at += m * n
-            continue
-        rows = []
-        for s in sets:
-            s = np.asarray(s, dtype=np.float64)
-            tables.append(s)
-            rows.append(at + np.arange(s.shape[0]))
-            at += s.shape[0]
-        out.append(rows)
+    for sets in sample_stacks:
+        m, n, d = sets.shape
+        tables.append(sets.reshape(m * n, d))
+        out.append(at + np.arange(m * n).reshape(m, n))
+        at += m * n
     return (np.vstack(tables), *out)
 
 
 def stacked_triplet_loss_grad(synthetic, positives, negatives, margin):
     """The whole-batch form that the blocked, row-indexed triplet_loss_grad
-    replaced, kept as its bit-for-bit oracle: every sample set is stacked at
-    once, (m, n, d) arrays reshaped and ragged lists concatenated."""
+    replaced, kept as its bit-for-bit oracle: each (m, n, d) sample stack is
+    flattened to one row per sample, with per-row counts."""
     synthetic = np.asarray(synthetic, dtype=np.float64)
     n_classes, dim = synthetic.shape
 
     def passes(sets):
-        if isinstance(sets, np.ndarray) and sets.ndim == 3:
-            flat, counts = sets.reshape(-1, dim), np.full(n_classes, sets.shape[1])
-        else:
-            rows = [np.asarray(s, dtype=np.float64).reshape(-1, dim) for s in sets]
-            flat, counts = np.concatenate(rows), np.array([r.shape[0] for r in rows])
+        flat, counts = sets.reshape(-1, dim), np.full(n_classes, sets.shape[1])
         diff = np.repeat(synthetic, counts, axis=0)
         diff -= flat
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
@@ -109,42 +96,43 @@ def loop_triplet_loss_grad(synthetic, positives, negatives, margin):
 
 
 def _triplet_cases(rng):
-    """Ragged random sets, rows at zero distance from their samples, and
-    hinges on both sides, as (synthetic, positives, negatives, margin)."""
+    """(synthetic, features, positives, negatives, margin): index tables of
+    one width per case, 1 to 10 each, into a pool small enough that rows
+    share samples; rows at zero distance from a sample; hinges on both sides."""
     for _ in range(300):
         c, d = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        n_pos, n_neg = (int(w) for w in rng.integers(1, 11, size=2))
         x = rng.normal(size=(c, d))
-        pos = [rng.normal(size=(int(rng.integers(1, 5)), d)) for _ in range(c)]
-        neg = [rng.normal(size=(int(rng.integers(1, 5)), d)) for _ in range(c)]
+        # the pool, then a copy of every synthetic row
+        pool = int(rng.integers(1, 3 * c + 1))
+        features = np.vstack([rng.normal(size=(pool, d)), x])
+        pos = rng.integers(0, pool, size=(c, n_pos))
+        neg = rng.integers(0, pool, size=(c, n_neg))
         for i in range(c):
             # a sample equal to its synthetic row has distance 0
             if rng.random() < 0.3:
-                pos[i][0] = x[i]
+                pos[i, 0] = pool + i
             if rng.random() < 0.3:
-                neg[i][-1] = x[i]
-        yield x, pos, neg, float(rng.uniform(0.0, 2.0))
+                neg[i, -1] = pool + i
+        yield x, features, pos, neg, float(rng.uniform(0.0, 2.0))
         # equal sets at margin 0: the gap is exactly 0 and the hinge inactive
-        yield x, pos, pos, 0.0
+        yield x, features, pos, pos, 0.0
 
 
-def test_triplet_matches_loop_oracle_on_lists_and_arrays():
+def test_triplet_matches_loop_oracle_on_shared_and_own_rows():
     rng = np.random.default_rng(11)
     worst, active, inactive, zero_rows = 0.0, 0, 0, 0
-    for x, pos, neg, margin in _triplet_cases(rng):
-        ref_loss, ref_grad = loop_triplet_loss_grad(x, pos, neg, margin)
-        loss, grad = triplet_loss_grad(x, *as_rows(pos, neg), margin)
+    for x, features, pos, neg, margin in _triplet_cases(rng):
+        ref_loss, ref_grad = loop_triplet_loss_grad(x, features[pos], features[neg], margin)
+        loss, grad = triplet_loss_grad(x, features, pos, neg, margin)
         worst = max(worst, abs(loss - ref_loss), float(np.abs(grad - ref_grad).max()))
         active += ref_loss > 0.0
         inactive += ref_loss == 0.0
-        zero_rows += any((p == x[i]).all(axis=1).any() for i, p in enumerate(pos))
+        zero_rows += any((features[p] == x[i]).all(axis=1).any() for i, p in enumerate(pos))
         if ref_loss == 0.0:
             assert loss == 0.0 and not grad.any()
-        # the same sets as (m, n, d) arrays take the same path
-        n = min(len(p) for p in pos + neg)
-        pos3 = np.stack([p[:n] for p in pos])
-        neg3 = np.stack([q[:n] for q in neg])
-        ref_loss, ref_grad = loop_triplet_loss_grad(x, pos3, neg3, margin)
-        loss, grad = triplet_loss_grad(x, *as_rows(pos3, neg3), margin)
+        # the same samples, each in its own feature row, take the same path
+        loss, grad = triplet_loss_grad(x, *as_rows(features[pos], features[neg]), margin)
         worst = max(worst, abs(loss - ref_loss), float(np.abs(grad - ref_grad).max()))
     assert active > 100 and inactive > 300 and zero_rows > 50
     assert worst < 1e-12, worst
@@ -152,33 +140,34 @@ def test_triplet_matches_loop_oracle_on_lists_and_arrays():
 
 @pytest.mark.parametrize("block_values", [1, 40, gan.TRIPLET_BLOCK_VALUES])
 def test_triplet_blocks_equal_the_stacked_form_bit_for_bit(monkeypatch, block_values):
-    # 1: one batch row per block; 40: a few rows of the 1-8 wide sets per
-    # block, so blocks split the batch at ragged and uniform set sizes
+    # 1: one batch row per block; 40: a few rows of the 2-20 samples per row
+    # in a block, or one row where its samples alone pass 40 values
     monkeypatch.setattr(gan, "TRIPLET_BLOCK_VALUES", block_values)
     rng = np.random.default_rng(12)
-    active = inactive = 0
-    for x, pos, neg, margin in _triplet_cases(rng):
-        n = min(len(p) for p in pos + neg)
-        for p, q in [(pos, neg), (np.stack([s[:n] for s in pos]),
-                                  np.stack([s[:n] for s in neg]))]:
-            ref_loss, ref_grad = stacked_triplet_loss_grad(x, p, q, margin)
-            loss, grad = triplet_loss_grad(x, *as_rows(p, q), margin)
+    active = inactive = narrow = wide = 0
+    for x, features, pos, neg, margin in _triplet_cases(rng):
+        ref_loss, ref_grad = stacked_triplet_loss_grad(x, features[pos], features[neg],
+                                                       margin)
+        narrow += min(pos.shape[1], neg.shape[1]) == 1
+        wide += max(pos.shape[1], neg.shape[1]) >= 8
+        for args in [(features, pos, neg), as_rows(features[pos], features[neg])]:
+            loss, grad = triplet_loss_grad(x, *args, margin)
             assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
             active += loss > 0.0
             inactive += loss == 0.0
-    assert active > 200 and inactive > 600
+    assert active > 200 and inactive > 600 and narrow > 50 and wide > 100
 
 
 @pytest.mark.parametrize("block_values", [3, gan.TRIPLET_BLOCK_VALUES])
 def test_triplet_samples_shared_between_classes(monkeypatch, block_values):
-    # one table row is a positive of row 0 and a negative of row 1; at 3
-    # values per block a block boundary falls between the two rows
+    # table row 0 is a positive of row 0 and a negative of row 1, table row 4
+    # a negative of row 0 and a positive of row 1; at 3 values per block each
+    # block holds one row, so a block boundary falls between the two rows
     monkeypatch.setattr(gan, "TRIPLET_BLOCK_VALUES", block_values)
     rng = np.random.default_rng(13)
     features, x = rng.normal(size=(6, 3)), rng.normal(size=(2, 3))
-    pos, neg = [np.array([0, 1]), np.array([2])], [np.array([3, 4, 5]), np.array([0, 5])]
-    ref_loss, ref_grad = stacked_triplet_loss_grad(
-        x, [features[p] for p in pos], [features[q] for q in neg], 4.0)
+    pos, neg = np.array([[0, 1], [2, 4]]), np.array([[3, 4, 5], [0, 5, 1]])
+    ref_loss, ref_grad = stacked_triplet_loss_grad(x, features[pos], features[neg], 4.0)
     loss, grad = triplet_loss_grad(x, features, pos, neg, 4.0)
     assert loss == ref_loss > 0.0 and grad.tobytes() == ref_grad.tobytes()
 
@@ -188,14 +177,32 @@ def test_triplet_samples_shared_between_classes(monkeypatch, block_values):
 def test_triplet_rejects_sets_that_are_not_row_indices(pos):
     features = np.zeros((6, 3))
     with pytest.raises(UsageError):
-        triplet_loss(np.zeros((2, 3)), features, pos, np.array([[1], [2]]), 0.0)
+        triplet_loss_grad(np.zeros((2, 3)), features, pos, np.array([[1], [2]]), 0.0)
+
+
+@pytest.mark.parametrize("name", ["positives", "negatives"])
+@pytest.mark.parametrize("table", [
+    [np.array([0, 1]), np.array([2])],        # ragged list
+    np.array([0, 1]),                         # 1-d
+    np.zeros((2, 1, 1), dtype=np.int64),      # 3-d
+    np.zeros((2, 0), dtype=np.int64),         # zero width
+    np.array([[0.0, 1.0], [2.0, 3.0]]),       # float
+], ids=["ragged", "1d", "3d", "zero-width", "float"])
+def test_triplet_table_that_is_not_one_integer_table_names_it(name, table):
+    tables = {"positives": np.array([[1, 2], [3, 4]]), "negatives": np.array([[5], [0]])}
+    tables[name] = table
+    with pytest.raises(UsageError, match=name):
+        triplet_loss_grad(np.zeros((2, 3)), np.zeros((6, 3)), tables["positives"],
+                          tables["negatives"], 0.1)
 
 
 def test_triplet_empty_array_set_rejected():
     with pytest.raises(UsageError):
-        triplet_loss(np.zeros((2, 3)), *as_rows(np.ones((2, 0, 3)), np.ones((2, 1, 3))), 0.0)
+        triplet_loss_grad(np.zeros((2, 3)),
+                          *as_rows(np.ones((2, 0, 3)), np.ones((2, 1, 3))), 0.0)
     with pytest.raises(UsageError):
-        triplet_loss(np.zeros((2, 3)), *as_rows(np.ones((3, 1, 3)), np.ones((2, 1, 3))), 0.0)
+        triplet_loss_grad(np.zeros((2, 3)),
+                          *as_rows(np.ones((3, 1, 3)), np.ones((2, 1, 3))), 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -244,21 +251,29 @@ def test_triplet_sampler_needs_two_classes():
         sampler.draw(np.random.default_rng(0), np.arange(5), 2, 2)
 
 
+def one_sample(*point):
+    """A one-row batch's single sample, as a (1, 1, d) stack."""
+    return np.array([[point]], dtype=np.float64)
+
+
 def test_triplet_equal_distances_zero_margin():
     x = np.array([[0.0, 0.0]])
-    assert triplet_loss(x, *as_rows([np.array([[1.0, 0.0]])], [np.array([[0.0, 1.0]])]),
-                        0.0) == 0.0
+    loss, _ = triplet_loss_grad(x, *as_rows(one_sample(1.0, 0.0), one_sample(0.0, 1.0)),
+                                0.0)
+    assert loss == 0.0
 
 
 def test_triplet_inactive_hinge():
     x = np.array([[0.0, 0.0]])
-    loss = triplet_loss(x, *as_rows([np.array([[1.0, 0.0]])], [np.array([[3.0, 0.0]])]), 0.5)
+    loss, _ = triplet_loss_grad(x, *as_rows(one_sample(1.0, 0.0), one_sample(3.0, 0.0)),
+                                0.5)
     assert loss == 0.0
 
 
 def test_triplet_active_hinge_hand_value():
     x = np.array([[0.0, 0.0]])
-    loss = triplet_loss(x, *as_rows([np.array([[2.0, 0.0]])], [np.array([[1.0, 0.0]])]), 0.5)
+    loss, _ = triplet_loss_grad(x, *as_rows(one_sample(2.0, 0.0), one_sample(1.0, 0.0)),
+                                0.5)
     np.testing.assert_allclose(loss, 1.5)
 
 
@@ -268,10 +283,10 @@ def test_triplet_nonnegative_and_matches_reference():
         c = rng.integers(1, 5)
         d = rng.integers(1, 9)
         x = rng.normal(size=(c, d))
-        pos = [rng.normal(size=(rng.integers(1, 4), d)) for _ in range(c)]
-        neg = [rng.normal(size=(rng.integers(1, 4), d)) for _ in range(c)]
+        pos = rng.normal(size=(c, rng.integers(1, 4), d))
+        neg = rng.normal(size=(c, rng.integers(1, 4), d))
         margin = float(rng.uniform(0.0, 2.0))
-        loss = triplet_loss(x, *as_rows(pos, neg), margin)
+        loss, _ = triplet_loss_grad(x, *as_rows(pos, neg), margin)
         assert loss >= 0.0
         np.testing.assert_allclose(loss, reference_triplet(x, pos, neg, margin),
                                    rtol=0, atol=1e-12)
@@ -279,13 +294,14 @@ def test_triplet_nonnegative_and_matches_reference():
 
 def test_triplet_empty_class_rejected():
     with pytest.raises(UsageError):
-        triplet_loss(np.zeros((1, 2)), *as_rows([np.zeros((0, 2))], [np.ones((1, 2))]), 0.0)
+        triplet_loss_grad(np.zeros((1, 2)),
+                          *as_rows(np.zeros((1, 0, 2)), np.ones((1, 1, 2))), 0.0)
 
 
 def test_triplet_zero_grad_when_hinge_inactive():
     x = np.array([[0.0, 0.0]])
     loss, grad = triplet_loss_grad(
-        x, *as_rows([np.array([[1.0, 0.0]])], [np.array([[5.0, 0.0]])]), 0.1
+        x, *as_rows(one_sample(1.0, 0.0), one_sample(5.0, 0.0)), 0.1
     )
     assert loss == 0.0 and not grad.any()
 
@@ -387,8 +403,8 @@ def test_discriminator_constant_critic_pays_full_penalty():
     fake = rng.uniform(-0.9, 0.9, size=(4, 3))
     labels = rng.integers(0, 2, size=4)
     eps = rng.uniform(0.0, 1.0, size=(4, 1))
-    base = discriminator_loss(disc, real, fake, labels, 0.0, eps=eps)
-    with_gp = discriminator_loss(disc, real, fake, labels, 5.0, eps=eps)
+    base = discriminator_loss_grads(disc, real, fake, labels, 0.0, eps=eps)[0]
+    with_gp = discriminator_loss_grads(disc, real, fake, labels, 5.0, eps=eps)[0]
     # zero critic gradient everywhere: penalty (0 - 1)^2 = 1 per interpolate
     np.testing.assert_allclose(with_gp - base, 5.0, atol=1e-12)
 
@@ -426,7 +442,7 @@ def test_discriminator_identical_batches_reduce_to_classification():
     disc = make_disc(rng)
     x = rng.uniform(-0.9, 0.9, size=(5, 3))
     labels = rng.integers(0, 2, size=5)
-    loss = discriminator_loss(disc, x, x, labels, 0.0)
+    loss = discriminator_loss_grads(disc, x, x, labels, 0.0)[0]
     _, logits, _ = disc.forward(x)
     ce, _ = softmax_cross_entropy(logits, labels)
     np.testing.assert_allclose(loss, ce, atol=1e-12)
@@ -444,7 +460,7 @@ def test_discriminator_hand_built_critic_value():
     real = np.full((3, 1), 1.0)
     fake = np.full((3, 1), -1.0)
     labels = np.zeros(3, dtype=np.int64)
-    loss = discriminator_loss(disc, real, fake, labels, 0.0)
+    loss = discriminator_loss_grads(disc, real, fake, labels, 0.0)[0]
     # mean critic(fake) - mean critic(real) = -1 - 1 = -2, CE terms ~ 0
     np.testing.assert_allclose(loss, -2.0, atol=1e-9)
 
@@ -454,7 +470,7 @@ def test_discriminator_needs_rng_or_eps_for_penalty():
     disc = make_disc(rng)
     x = rng.normal(size=(2, 3))
     with pytest.raises(UsageError):
-        discriminator_loss(disc, x, x, np.zeros(2, dtype=np.int64), 10.0)
+        discriminator_loss_grads(disc, x, x, np.zeros(2, dtype=np.int64), 10.0)
 
 
 def make_gen(rng, **kw):
@@ -786,6 +802,20 @@ def test_generate_rejects_class_indices_outside_the_table():
     for bad in ([0, 1, 2, 3], [0, -1, 1, 2], [0, 1, 2]):
         with pytest.raises(UsageError):
             generate(gen, table, noise, np.array(bad))
+
+
+@pytest.mark.parametrize("name", ["classes", "labels"])
+def test_float_indices_are_a_usage_error_naming_the_argument(name):
+    rng = np.random.default_rng(16)
+    gen = make_gen(rng)
+    call = {
+        "classes": lambda: generate(gen, rng.normal(size=(2, 6)), gen.sample_noise(rng, 2),
+                                    np.array([0.7, 1.9])),
+        "labels": lambda: KnnClassifier(rng.normal(size=(3, 4)), np.array([0.5, 1.5, 2.5]),
+                                        k=1),
+    }[name]
+    with pytest.raises(UsageError, match=name):
+        call()
 
 
 def _bad_loss_inputs():

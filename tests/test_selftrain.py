@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -412,6 +413,29 @@ def test_ssl_row_equal_to_a_train_row_is_retained_but_not_added():
     assert [r["retained"] for r in result.reports] == [candidates.size, 0]
     assert copied not in result.train_rows
     assert result.train_rows.size == ds.train_indices().size + candidates.size - 1
+
+
+def test_ssl_rows_trained_on_are_kept_in_memory_that_does_not_grow_with_the_width(
+        monkeypatch):
+    # at each train_gan call, the bytes held by the sets among run_ssl's locals:
+    # the set of rows trained on, before and after a round adds every candidate
+    train, held = selftrain.train_gan, {}
+
+    def spy(*args):
+        sets = [v for v in sys._getframe(1).f_locals.values() if isinstance(v, set)]
+        held[width].append(sum(sys.getsizeof(s) + sum(map(sys.getsizeof, s))
+                               for s in sets))
+        return train(*args)
+
+    monkeypatch.setattr(selftrain, "train_gan", spy)
+    cfg = SslConfig(psi=0.0, n_ssl=2, per_class_synthetic=5, knn_k=3)
+    for width in (8, 512):
+        held[width] = []
+        run_ssl(data.make_synthetic(replace(SPEC, visual_dim=width)),
+                replace(GEN_CFG, visual_dim=width), replace(DISC_CFG, visual_dim=width),
+                replace(TRAIN_CFG, n_step=2, eval_every=0), cfg, seed=0)
+    assert len(held[8]) == 2 and 0 < held[8][0] < held[8][1]
+    assert held[512] == held[8], held
 
 
 def test_ssl_unreachable_threshold_matches_plain_training():
