@@ -168,8 +168,9 @@ class Generator(Network):
             classes = np.zeros(n, dtype=np.int64) if n_sem == 1 else np.arange(n)
         else:
             classes = np.asarray(classes)
-            if classes.shape != (n,) or n and (classes.dtype.kind not in "iu" or not
-                                               0 <= classes.min() <= classes.max() < n_sem):
+            if classes.shape != (n,) or n and (
+                    classes.dtype.kind not in "iu"
+                    or not 0 <= np.minimum.reduce(classes) <= np.maximum.reduce(classes) < n_sem):
                 raise UsageError("classes must be one integer semantic row index per noise row")
             classes = classes.astype(np.int64, copy=False)
         reduced, reduce_cache = mlp_forward(self.reduce, semantics, keep_cache)
@@ -220,7 +221,15 @@ def generate(gen, semantics, noise, classes=None, out=None):
 
 class Discriminator(Network):
     """A relu trunk shared by a scalar critic and a class-logit head, each
-    exactly one layer; gradient_penalty_grads relies on that shape."""
+    exactly one layer, run as the few products that shape is.
+
+    forward forms z = x @ W + b and h = max(z, 0), then both heads from h.
+    backward forms d_h from the critic column and the head's logit gradient,
+    masks it by z >= 0 in place, then forms d_x and the parameter gradients.
+    They raise what mlp_forward and mlp_backward raise on the same parts and
+    give their results to the bit. gradient_penalty_grads relies on the
+    same shape.
+    """
 
     @staticmethod
     def layout(cfg):
@@ -231,29 +240,54 @@ class Discriminator(Network):
             "head": ((cfg.hidden_dim, cfg.num_classes), ("identity",), 0.2),
         }
 
+    def _layers(self):
+        return self.trunk.layers[0], self.critic.layers[0], self.head.layers[0]
+
     def forward(self, x):
-        h, trunk_cache = mlp_forward(self.trunk, x)
-        critic_out, critic_cache = mlp_forward(self.critic, h)
-        logits, head_cache = mlp_forward(self.head, h)
-        return critic_out[:, 0], logits, (trunk_cache, critic_cache, head_cache)
+        """(critic scores (n,), logits (n, classes), cache (x, z, h))."""
+        trunk, critic, head = self._layers()
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2:
+            raise ConfigError("input must be a 2-d batch")
+        if x.shape[1] != trunk.weight.shape[0]:
+            raise ConfigError(f"input dim {x.shape[1]} does not match network input "
+                              f"dim {trunk.weight.shape[0]}")
+        z = x @ trunk.weight
+        z += trunk.bias
+        h = np.maximum(z, 0.0)
+        scores = h @ critic.weight
+        scores += critic.bias
+        logits = h @ head.weight
+        logits += head.bias
+        return scores[:, 0], logits, (x, z, h)
 
     def backward(self, cache, d_critic, d_logits, grads=None, param_grads=True,
                  input_grad=True):
         """(parameter gradients in params() order, d_x), as mlp_backward:
         written into grads when given, and None for what is skipped."""
-        trunk_cache, critic_cache, head_cache = cache
-        n_trunk = 2 * len(self.trunk.layers)
-        parts = ((None,) * 3 if grads is None else
-                 (grads[:n_trunk], grads[n_trunk:n_trunk + 2], grads[n_trunk + 2:]))
-        critic_grads, d_h = mlp_backward(self.critic, critic_cache, d_critic[:, None],
-                                         parts[1], param_grads)
-        head_grads, d_head = mlp_backward(self.head, head_cache, d_logits,
-                                          parts[2], param_grads)
-        d_h += d_head
-        del d_head
-        trunk_grads, d_x = mlp_backward(self.trunk, trunk_cache, d_h, parts[0],
-                                        param_grads, input_grad)
-        return (trunk_grads + critic_grads + head_grads if param_grads else None), d_x
+        trunk, critic, head = self._layers()
+        x, z, h = cache
+        if x.shape[1] != trunk.weight.shape[0]:
+            raise UsageError("stale cache: layer input dim changed")
+        d_critic = np.asarray(d_critic, dtype=np.float64)
+        d_logits = np.asarray(d_logits, dtype=np.float64)
+        if d_critic.shape != (z.shape[0],) or d_logits.shape != (z.shape[0],
+                                                                  head.weight.shape[1]):
+            raise UsageError(f"upstream gradient shapes {d_critic.shape} and "
+                             f"{d_logits.shape} do not match output")
+        d_h = d_critic[:, None] * critic.weight[:, 0]
+        d_h += d_logits @ head.weight.T
+        d_h *= z >= 0.0
+        d_x = d_h @ trunk.weight.T if input_grad else None
+        if not param_grads:
+            return None, d_x
+        if grads is None:
+            grads = [np.empty_like(p) for p in self.params()]
+        # (layer input, pre-activation gradient) per layer, in params() order
+        for i, (a, d_z) in enumerate(((x, d_h), (h, d_critic[:, None]), (h, d_logits))):
+            np.matmul(a.T, d_z, out=grads[2 * i])
+            np.add.reduce(d_z, axis=0, out=grads[2 * i + 1])
+        return grads, d_x
 
 
 def _safe_unit(diff, dist):
@@ -351,16 +385,18 @@ def softmax_cross_entropy(logits, labels):
         raise UsageError("logits: empty batch")
     if labels.dtype.kind not in "iu" or labels.shape != (n,):
         raise UsageError(f"labels must be {n} integers, got {labels.dtype} {labels.shape}")
-    if labels.min() < 0 or labels.max() >= n_cls:
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= n_cls:
         raise UsageError("label out of class range")
     # one buffer: shifted logits, then their exponentials, then the softmax,
-    # then its gradient
-    probs = logits - logits.max(axis=1, keepdims=True)
+    # then its gradient. A maximum is exact in any order, so the row maxima
+    # are reduced down a transposed copy, one vector operation per class
+    # rather than one short reduction per row.
+    probs = logits - np.maximum.reduce(logits.T.copy(), axis=0)[:, None]
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
-    rows = np.arange(n)
-    loss = -float(np.log(probs[rows, labels] + 1e-300).sum() / n)
-    probs[rows, labels] -= 1.0
+    probs /= np.add.reduce(probs, axis=1, keepdims=True)
+    flat, at = probs.reshape(-1), np.arange(0, n * n_cls, n_cls) + labels
+    loss = -float(np.add.reduce(np.log(flat[at] + 1e-300)) / n)
+    flat[at] -= 1.0
     probs /= n
     return loss, probs
 
@@ -381,10 +417,11 @@ def gradient_penalty_grads(disc, z_hat, grads, scale=1.0):
     mask = (z_hat >= 0.0).astype(np.float64)
     c = disc.critic.layers[0].weight[:, 0]
     g = (mask * c) @ weight.T
-    norms = np.linalg.norm(g, axis=1)
-    penalty = float(((norms - 1.0) ** 2).mean())
+    norms = np.sqrt(np.add.reduce(g * g, axis=1))
+    excess = norms - 1.0
+    penalty = float(np.add.reduce(excess ** 2) / z_hat.shape[0])
     d_g = _safe_unit(g, norms)
-    d_g *= ((2.0 * scale / z_hat.shape[0]) * (norms - 1.0))[:, None]
+    d_g *= ((2.0 * scale / z_hat.shape[0]) * excess)[:, None]
     prod = d_g.T @ mask
     grads[2] += np.einsum("ij,ij->j", weight, prod)[:, None]
     prod *= c
@@ -413,19 +450,22 @@ def discriminator_loss_grads(disc, real_x, fake_x, labels, gp_weight, rng=None, 
     if real_x.shape != fake_x.shape:
         raise UsageError("real and fake batches must have identical shapes")
     n = real_x.shape[0]
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu" or labels.shape != (n,):
+        raise UsageError(f"labels must be {n} integers, got {labels.dtype} {labels.shape}")
     if eps is not None and np.shape(eps) != (n, 1):
         raise UsageError(f"eps must be ({n}, 1), got {np.shape(eps)}")
 
     critic, logits, cache = disc.forward(np.concatenate([real_x, fake_x]))
-    ce, d_logits = softmax_cross_entropy(logits, np.tile(labels, 2))
-    loss = float(np.mean(critic[n:])) - float(np.mean(critic[:n])) + ce
+    ce, d_logits = softmax_cross_entropy(logits, np.concatenate([labels, labels]))
+    loss = float(critic[n:].sum() / n) - float(critic[:n].sum() / n) + ce
     d_critic = np.full(2 * n, 1.0 / n)
     d_critic[:n] = -1.0 / n
     flat, grads = _flat_grads(disc.params(), out)
     disc.backward(cache, d_critic, d_logits, grads, input_grad=False)
     # the penalty reads only the trunk pre-activation of the stacked batch;
     # the stacked input and the relu output go before it runs
-    z = cache[0][0][1]
+    z = cache[1]
     del cache
 
     if gp_weight != 0.0:
@@ -459,7 +499,7 @@ def generator_loss_grads(gen, disc, semantics, noise, labels, features,
     n = fake_x.shape[0]
     ce_fake, d_logits_f = softmax_cross_entropy(logits_f, labels)
     trip, d_trip = triplet_loss_grad(fake_x, features, pos_rows, neg_rows, cfg.margin)
-    loss = -float(np.mean(critic_f)) + 0.5 * ce_fake + cfg.lambda_t * trip
+    loss = -float(critic_f.sum() / n) + 0.5 * ce_fake + cfg.lambda_t * trip
     _, d_fake = disc.backward(disc_cache, np.full(n, -1.0 / n), 0.5 * d_logits_f,
                               param_grads=False)
     del disc_cache, fake_x   # the generator's backward reads neither
@@ -481,15 +521,18 @@ def _subset_offsets(rng, pool, n):
     """n offsets into [0, pool[i]) for each row i: distinct where pool[i] >= n
     (Floyd's subset sampling, vectorized over rows), drawn with replacement
     where the pool is smaller."""
-    short = (pool < n)[:, None]
+    short = pool < n
     # Floyd's step k draws t in [0, j] with j = pool - n + k; a repeat takes j
-    top = np.where(short, pool[:, None] - 1, (pool - n)[:, None] + np.arange(n))
+    top = np.where(short[:, None], pool[:, None] - 1, (pool - n)[:, None] + np.arange(n))
     picks = (rng.random(top.shape) * (top + 1)).astype(np.int64)
+    # the steps run down the rows of a transposed copy: each is a few
+    # operations on whole rows, not a short reduction per row
+    picks, top, distinct = picks.T.copy(), top.T, ~short
     for k in range(1, n):
-        t = picks[:, k:k + 1]
-        repeat = (picks[:, :k] == t).any(axis=1, keepdims=True) & ~short
-        picks[:, k:k + 1] = np.where(repeat, top[:, k:k + 1], t)
-    return picks
+        repeat = (picks[:k] == picks[k]).any(axis=0)
+        repeat &= distinct
+        np.copyto(picks[k], top[k], where=repeat)
+    return picks.T
 
 
 class TripletSampler:

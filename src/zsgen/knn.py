@@ -18,6 +18,9 @@ class KnnClassifier:
         self.labels = np.asarray(self.labels)
         if self.labels.size and self.labels.dtype.kind not in "iu":
             raise UsageError(f"labels must be integer class ids, got {self.labels.dtype}")
+        if self.labels.shape != self.references.shape[:1]:
+            raise UsageError(f"labels must be one class id per reference row: "
+                             f"{self.references.shape[0]} rows, labels {self.labels.shape}")
         self.labels = self.labels.astype(np.int64, copy=False)
         if self.references.shape[0] < self.k:
             raise UsageError(

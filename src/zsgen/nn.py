@@ -232,7 +232,7 @@ def mlp_backward(mlp, cache, d_out, grads=None, param_grads=True, input_grad=Tru
             d_z = d_h * activate_grad(layer.activation, z, layer.slope)
         if param_grads:
             np.matmul(h_in.T, d_z, out=grads[2 * i])
-            np.sum(d_z, axis=0, out=grads[2 * i + 1])
+            np.add.reduce(d_z, axis=0, out=grads[2 * i + 1])
         d_h = d_z @ layer.weight.T if i or input_grad else None
     return grads, d_h
 

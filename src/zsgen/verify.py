@@ -96,6 +96,24 @@ def check_discriminator_loss(rng, gp_weight=0.0):
     return gradient_check(f, [disc.pack()])
 
 
+def check_discriminator_input_grad(rng, n=3):
+    """The critic's input gradient, as the generator step takes it, under a
+    quadratic loss on both heads, against central differences in the input."""
+    _, disc = _toy_models(rng)
+    x = rng.uniform(-0.9, 0.9, size=(n, disc.cfg.visual_dim))
+    target_critic = rng.normal(size=n)
+    target_logits = rng.normal(size=(n, disc.cfg.num_classes))
+
+    def f():
+        critic, logits, cache = disc.forward(x)
+        d_critic, d_logits = critic - target_critic, logits - target_logits
+        loss = float((d_critic * d_critic).sum() + (d_logits * d_logits).sum())
+        _, d_x = disc.backward(cache, 2.0 * d_critic, 2.0 * d_logits, param_grads=False)
+        return loss, [d_x]
+
+    return gradient_check(f, [x])
+
+
 def run_gradient_checks(seed=0, n_seeds=20):
     """(name, max relative error) for every check, worst case over seeds."""
     results = []
@@ -105,6 +123,7 @@ def run_gradient_checks(seed=0, n_seeds=20):
         ("generator_loss", check_generator_loss),
         ("discriminator_loss[gp=0]", lambda r: check_discriminator_loss(r, 0.0)),
         ("discriminator_loss[gp=10]", lambda r: check_discriminator_loss(r, 10.0)),
+        ("discriminator_input_grad", check_discriminator_input_grad),
     ]:
         worst = 0.0
         for s in range(n_seeds):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zsgen import gan
+from zsgen import data, gan, selftrain
 from zsgen.errors import ConfigError, UsageError
 from zsgen.gan import (
     Discriminator, DiscriminatorConfig, GanTrainConfig, Generator,
@@ -13,7 +13,7 @@ from zsgen.gan import (
     triplet_loss_grad,
 )
 from zsgen.knn import KnnClassifier
-from zsgen.nn import Layer, Mlp, activate_grad, mlp_backward, mlp_forward
+from zsgen.nn import Layer, Mlp, activate_grad, mlp_backward, mlp_forward, unflatten
 
 
 def reference_triplet(synthetic, positives, negatives, margin):
@@ -205,6 +205,19 @@ def test_triplet_empty_array_set_rejected():
                           *as_rows(np.ones((3, 1, 3)), np.ones((2, 1, 3))), 0.0)
 
 
+def row_loop_subset_offsets(rng, pool, n):
+    """The Floyd steps as _subset_offsets took them on the (rows, n) picks,
+    one short reduction per row, kept as its oracle."""
+    short = (pool < n)[:, None]
+    top = np.where(short, pool[:, None] - 1, (pool - n)[:, None] + np.arange(n))
+    picks = (rng.random(top.shape) * (top + 1)).astype(np.int64)
+    for k in range(1, n):
+        t = picks[:, k:k + 1]
+        repeat = (picks[:, :k] == t).any(axis=1, keepdims=True) & ~short
+        picks[:, k:k + 1] = np.where(repeat, top[:, k:k + 1], t)
+    return picks
+
+
 @settings(max_examples=60, deadline=None)
 @given(sizes=st.lists(st.integers(1, 9), min_size=2, max_size=5),
        n_pos=st.integers(1, 6), n_neg=st.integers(1, 12), seed=st.integers(0, 2**16))
@@ -226,6 +239,12 @@ def test_triplet_sampler_properties(sizes, n_pos, n_neg, seed):
             assert len(set(neg[i].tolist())) == n_neg
     again = sampler.draw(np.random.default_rng(seed), rows, n_pos, n_neg)
     assert (again[0] == pos).all() and (again[1] == neg).all()
+    # pools above, at and below the subset size
+    pool = rng.integers(1, 2 * max(n_pos, n_neg) + 2, size=40)
+    for n in (n_pos, n_neg):
+        got, want = (f(np.random.default_rng(seed), pool, n)
+                     for f in (gan._subset_offsets, row_loop_subset_offsets))
+        assert got.tolist() == want.tolist()
 
 
 def test_triplet_sampler_uniform_and_replacement_for_small_classes():
@@ -758,6 +777,123 @@ def test_critic_backward_without_parameter_gradients_gives_same_input_gradient()
     assert no_input is None
 
 
+def mlp_discriminator_forward(disc, x):
+    """The three mlp_forward calls that Discriminator.forward replaced, kept
+    as its oracle. The cache holds (x, z, h, critic, logits): the same
+    arrays as the three layer caches, with z second as the penalty reads it."""
+    h, ((x, z),) = mlp_forward(disc.trunk, x)
+    critic, _ = mlp_forward(disc.critic, h)
+    logits, _ = mlp_forward(disc.head, h)
+    return critic[:, 0], logits, (x, z, h, critic, logits)
+
+
+def mlp_discriminator_backward(disc, cache, d_critic, d_logits, grads=None,
+                               param_grads=True, input_grad=True):
+    """The three mlp_backward calls that Discriminator.backward replaced."""
+    x, z, h, critic, logits = cache
+    parts = (None,) * 3 if grads is None else (grads[:2], grads[2:4], grads[4:])
+    critic_grads, d_h = mlp_backward(disc.critic, [(h, critic)], d_critic[:, None],
+                                     parts[1], param_grads)
+    head_grads, d_head = mlp_backward(disc.head, [(h, logits)], d_logits, parts[2],
+                                      param_grads)
+    d_h += d_head
+    trunk_grads, d_x = mlp_backward(disc.trunk, [(x, z)], d_h, parts[0], param_grads,
+                                    input_grad)
+    return (trunk_grads + critic_grads + head_grads if param_grads else None), d_x
+
+
+def tied_rows(rng, disc, n):
+    """n rows whose trunk pre-activations hold exact zeros: the even rows are
+    0 and half the trunk biases are 0, so those units sit on the relu tie."""
+    disc.trunk.layers[0].bias[:] = rng.normal(size=disc.cfg.hidden_dim)
+    disc.trunk.layers[0].bias[::2] = 0.0
+    x = rng.uniform(-0.9, 0.9, size=(n, disc.cfg.visual_dim))
+    x[::2] = 0.0
+    return x
+
+
+def assert_same_bytes(got, ref):
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape and g.tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("param_grads", [True, False])
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("into_views", [False, True])
+def test_direct_discriminator_is_bitwise_the_mlp_passes(param_grads, input_grad, into_views):
+    for seed in range(4):
+        rng = np.random.default_rng(40 + seed)
+        disc = make_disc(rng, visual_dim=7, hidden=12, num_classes=5)
+        disc.critic.layers[0].bias[:] = rng.normal()
+        disc.head.layers[0].bias[:] = rng.normal(size=5)
+        x = tied_rows(rng, disc, 9)
+        critic, logits, cache = disc.forward(x)
+        ref_critic, ref_logits, ref_cache = mlp_discriminator_forward(disc, x)
+        assert (cache[1] == 0.0).any() and cache[1].tobytes() == ref_cache[1].tobytes()
+        assert critic.tobytes() == ref_critic.tobytes()
+        assert logits.tobytes() == ref_logits.tobytes()
+
+        d_critic, d_logits = rng.normal(size=9), rng.normal(size=(9, 5))
+        size = sum(p.size for p in disc.params())
+        flat, ref_flat = np.full(size, np.nan), np.full(size, np.nan)
+        shapes = [p.shape for p in disc.params()]
+        views, ref_views = ((unflatten(f, shapes) if into_views else None)
+                            for f in (flat, ref_flat))
+        grads, d_x = disc.backward(cache, d_critic, d_logits, views, param_grads, input_grad)
+        ref_grads, ref_d_x = mlp_discriminator_backward(
+            disc, ref_cache, d_critic, d_logits, ref_views, param_grads, input_grad)
+        assert_same_bytes(grads, ref_grads)
+        assert_same_bytes(None if d_x is None else [d_x],
+                          None if ref_d_x is None else [ref_d_x])
+        if into_views and param_grads:
+            assert all(g.base is flat for g in grads)
+            assert flat.tobytes() == ref_flat.tobytes()
+
+
+def test_direct_discriminator_rejects_what_the_mlp_passes_reject():
+    rng = np.random.default_rng(48)
+    disc = make_disc(rng, visual_dim=3, hidden=4, num_classes=2)
+    for bad in (np.zeros(3), np.zeros((2, 4))):
+        with pytest.raises(ConfigError, match="input"):
+            disc.forward(bad)
+    _, logits, cache = disc.forward(rng.normal(size=(5, 3)))
+    for d_critic, d_logits in [(np.zeros(4), logits), (np.zeros((5, 1)), logits),
+                               (np.zeros(5), logits[:, :1])]:
+        with pytest.raises(UsageError, match="upstream gradient"):
+            disc.backward(cache, d_critic, d_logits)
+    wider = make_disc(rng, visual_dim=4, hidden=4, num_classes=2)
+    with pytest.raises(UsageError, match="stale cache"):
+        wider.backward(cache, np.zeros(5), logits)
+
+
+def test_desk_width_training_is_bitwise_that_of_the_mlp_passes(monkeypatch):
+    """30 outer steps at the acceptance widths, n_d 5 and gp_weight 10: the
+    trained parameters are those of a Discriminator run by mlp_forward and
+    mlp_backward, byte for byte."""
+    ds = data.make_synthetic(data.SyntheticSpec(seed=3))
+    gen_cfg = GeneratorConfig(semantic_dim=50, visual_dim=64, reduce_dim=32,
+                              hidden_dim=64, noise_sigma=0.1)
+    disc_cfg = DiscriminatorConfig(visual_dim=64, hidden_dim=64)
+    cfg = GanTrainConfig(n_step=30, n_d=5, gp_weight=10.0, batch_size=64, eval_every=0,
+                         margin=0.5)
+
+    def trained():
+        rng = np.random.default_rng(3)
+        work, _, gen, disc, cols = selftrain.prepare_models(ds, gen_cfg, disc_cfg, rng)
+        tr = work.train_indices()
+        result = gan.train_gan(work, work.features[tr], work.labels[tr], gen, disc, cols,
+                               cfg, rng)
+        return [p.tobytes() for p in result.generator.params() + result.discriminator.params()]
+
+    direct = trained()
+    monkeypatch.setattr(Discriminator, "forward", mlp_discriminator_forward)
+    monkeypatch.setattr(Discriminator, "backward", mlp_discriminator_backward)
+    assert trained() == direct
+
+
 def per_row_generator_pass(gen, semantics, noise, d_out):
     """The per-row forward and backward that the per-class reduce replaced,
     kept as its oracle: output and gradients in gen.params() order."""
@@ -819,7 +955,7 @@ def test_float_indices_are_a_usage_error_naming_the_argument(name):
 
 
 def _bad_loss_inputs():
-    """name -> (argument the error must name, call that passes a bad input)."""
+    """name -> (pattern that names the bad argument, call that passes it)."""
     rng = np.random.default_rng(15)
     disc, gen = make_disc(rng, hidden=4), make_gen(rng)
     real, fake = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
@@ -830,6 +966,11 @@ def _bad_loss_inputs():
             disc, real, fake, labels, 10.0, eps=np.full(4, 0.5))),
         "eps-short": ("eps", lambda: discriminator_loss_grads(
             disc, real, fake, labels, 10.0, eps=np.full((3, 1), 0.5))),
+        # the caller's rows and labels, not the stacked batch's
+        "d-label-count": (r"labels must be 4 integers, got int64 \(5,\)",
+                          lambda: discriminator_loss_grads(
+                              disc, real, fake, np.array([0, 1, 0, 1, 0]), 10.0,
+                              eps=np.full((4, 1), 0.5))),
         "ce-empty": ("logits", lambda: softmax_cross_entropy(
             np.zeros((0, 3)), np.zeros(0, dtype=np.int64))),
         "ce-float-labels": ("labels", lambda: softmax_cross_entropy(

@@ -53,6 +53,12 @@ def test_knn_too_few_references():
         KnnClassifier(np.zeros((2, 3)), np.zeros(2, dtype=np.int64), k=5)
 
 
+@pytest.mark.parametrize("labels", [[5, 6, 7, 8, 9], [5, 6], [[5], [6], [7]]])
+def test_knn_label_count_not_one_per_reference_is_a_usage_error(labels):
+    with pytest.raises(UsageError, match="labels"):
+        KnnClassifier(np.zeros((3, 2)), np.array(labels), k=1)
+
+
 def test_knn_query_dim_mismatch():
     clf = KnnClassifier(np.zeros((3, 2)), np.zeros(3, dtype=np.int64), k=1)
     with pytest.raises(UsageError):
