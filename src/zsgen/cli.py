@@ -95,7 +95,18 @@ def _model_configs(cfg, dataset):
     return gen_cfg, disc_cfg
 
 
+def _check_output_dirs(cfg, keys):
+    """A ConfigError naming the key and path of the first set io output whose
+    directory does not exist, so a run is not lost when it is written."""
+    for key in keys:
+        path = getattr(cfg.io, key)
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"io.{key}: the directory of {path} does not exist")
+
+
 def cmd_train(args, cfg):
+    checkpoint = _require(cfg, "io", "checkpoint")
+    _check_output_dirs(cfg, ("checkpoint", "train_log", "ssl_report"))
     dataset = _load_dataset(cfg)
     gen_cfg, disc_cfg = _model_configs(cfg, dataset)
     # the unseen-only top-1 of a later evaluate searches the fewest references
@@ -104,8 +115,7 @@ def cmd_train(args, cfg):
     # the gan section is a GanTrainConfig, with the network widths besides
     result = selftrain.run_ssl(dataset, gen_cfg, disc_cfg, cfg.gan, cfg.ssl, cfg.seed)
     evaluate.save_model(
-        _require(cfg, "io", "checkpoint"),
-        result.generator, result.discriminator, result.scaler,
+        checkpoint, result.generator, result.discriminator, result.scaler,
         result.class_cols, config_hash(cfg),
     )
     if cfg.io.train_log:

@@ -90,10 +90,16 @@ class FeatureScaler:
         return cls(lo=x.min(axis=0), hi=x.max(axis=0))
 
     def transform(self, x):
+        """2 (x - lo) / span - 1 per dimension, formed in place in one new array."""
         span = self.hi - self.lo
-        safe = np.where(span > 0.0, span, 1.0)
-        out = 2.0 * (np.asarray(x, dtype=np.float64) - self.lo) / safe - 1.0
-        return np.where(span > 0.0, out, 0.0)
+        varies = span > 0.0
+        out = np.subtract(np.asarray(x, dtype=np.float64), self.lo)
+        out *= 2.0
+        out /= np.where(varies, span, 1.0)
+        out -= 1.0
+        if not varies.all():
+            out[..., ~varies] = 0.0
+        return out
 
 
 class Network:
@@ -129,6 +135,15 @@ class Network:
     def pack(self):
         """Move the parameters into one flat vector (see nn.pack); returns it."""
         return pack(self._mlps)
+
+    def split(self, flat):
+        """Views of flat, laid out like the packed parameters: one per part,
+        in layout order."""
+        sizes = [sum(p.size for p in mlp.param_arrays()) for mlp in self._mlps]
+        if flat.shape != (sum(sizes),):
+            raise UsageError(f"a vector of shape {flat.shape} does not hold "
+                             f"the {sum(sizes)} parameters")
+        return np.split(flat, np.cumsum(sizes)[:-1])
 
     def copy(self):
         return self.from_parts(replace(self.cfg), {
@@ -183,22 +198,29 @@ class Generator(Network):
         return out, (reduce_cache, decode_cache, classes) if keep_cache else None
 
     def backward(self, cache, d_out, grads=None):
-        """Parameter gradients in params() order, written into grads when given.
-
-        The reduce layer's upstream gradient is d_reduced summed per semantic
-        row; the gradient in the semantics is not formed.
-        """
-        reduce_cache, decode_cache, classes = cache
+        """Parameter gradients in params() order, written into grads when given:
+        backward_decode, then backward_reduce."""
         n_reduce = 2 * len(self.reduce.layers)
         parts = (None, None) if grads is None else (grads[:n_reduce], grads[n_reduce:])
-        decode_grads, d_h = mlp_backward(self.decode, decode_cache, d_out, parts[1])
+        decode_grads, d_rows = self.backward_decode(cache, d_out, parts[1])
+        return self.backward_reduce(cache[0], d_rows, parts[0]) + decode_grads
+
+    def backward_decode(self, cache, d_out, grads=None):
+        """The decode part's gradients (written into grads when given) and
+        d_rows, the gradient in the reduce output: d_reduced summed per
+        semantic row. The gradient in the semantics is not formed."""
+        reduce_cache, decode_cache, classes = cache
+        grads, d_h = mlp_backward(self.decode, decode_cache, d_out, grads)
         # d_reduced summed per semantic row, as a one-hot product
         one_hot = np.zeros((reduce_cache[0][0].shape[0], classes.size))
         one_hot[classes, np.arange(classes.size)] = 1.0
-        d_rows = one_hot @ d_h[:, :self.cfg.reduce_dim]
-        reduce_grads, _ = mlp_backward(self.reduce, reduce_cache, d_rows, parts[0],
-                                       input_grad=False)
-        return reduce_grads + decode_grads
+        return grads, one_hot @ d_h[:, :self.cfg.reduce_dim]
+
+    def backward_reduce(self, reduce_cache, d_rows, grads=None):
+        """The reduce part's gradients from the forward cache's first entry,
+        written into grads when given."""
+        grads, _ = mlp_backward(self.reduce, reduce_cache, d_rows, grads, input_grad=False)
+        return grads
 
 
 def generate(gen, semantics, noise, classes=None, out=None):
@@ -481,7 +503,7 @@ def discriminator_loss_grads(disc, real_x, fake_x, labels, gp_weight, rng=None, 
 
 
 def generator_loss_grads(gen, disc, semantics, noise, labels, features,
-                         pos_rows, neg_rows, cfg, classes=None, out=None):
+                         pos_rows, neg_rows, cfg, classes=None, out=None, update=None):
     """Generator loss with its gradients in the generator parameters.
 
     The loss is the part that depends on the generator: the negated mean
@@ -489,9 +511,21 @@ def generator_loss_grads(gen, disc, semantics, noise, labels, features,
     the weighted triplet term. semantics and classes are as in
     Generator.forward; pos_rows / neg_rows are the row indices into
     features of the real samples matched to each batch row's class, as
-    triplet_loss_grad takes them. Returns (loss, triplet, grads) with grads
-    one flat vector in the layout of gen.params(), written into out when it
-    is given.
+    triplet_loss_grad takes them.
+
+    Without update, returns (loss, triplet, grads) with grads one flat
+    vector in the layout of gen.params(), written into out when it is given.
+
+    update is one (params, AdamState) pair per generator part, in layout
+    order: the part's slice of the packed parameters (Network.split) and its
+    own Adam state. Each part's gradient is then formed at the head of out
+    (or of a new vector the size of the largest part) and applied by
+    adam_step as soon as it is formed: the decode part first, once the
+    forward caches and the step's other temporaries are released, then the
+    reduce part. No whole gradient vector exists, and (loss, triplet, None)
+    is returned. A non-finite loss returns before any gradient is formed, so
+    no parameter or moment changes. Each product and each Adam operation is
+    the one a whole-vector step makes, so the parameters are the same bytes.
     """
     fake_x, gen_cache = gen.forward(semantics, noise, classes)
     critic_f, logits_f, disc_cache = disc.forward(fake_x)
@@ -500,12 +534,35 @@ def generator_loss_grads(gen, disc, semantics, noise, labels, features,
     ce_fake, d_logits_f = softmax_cross_entropy(logits_f, labels)
     trip, d_trip = triplet_loss_grad(fake_x, features, pos_rows, neg_rows, cfg.margin)
     loss = -float(critic_f.sum() / n) + 0.5 * ce_fake + cfg.lambda_t * trip
+    if update is not None and not math.isfinite(loss):
+        return loss, trip, None
     _, d_fake = disc.backward(disc_cache, np.full(n, -1.0 / n), 0.5 * d_logits_f,
                               param_grads=False)
     del disc_cache, fake_x   # the generator's backward reads neither
     d_fake += cfg.lambda_t * d_trip
-    flat, grads = _flat_grads(gen.params(), out)
-    gen.backward(gen_cache, d_fake, grads)
+    del d_trip
+    if update is None:
+        flat, _ = _flat_grads(gen.params(), out)
+        reduce_flat, decode_flat = gen.split(flat)
+    else:
+        (reduce_params, reduce_adam), (decode_params, decode_adam) = update
+        flat = None
+        if out is None:
+            out = np.empty(max(reduce_params.size, decode_params.size))
+        reduce_flat, decode_flat = out[:reduce_params.size], out[:decode_params.size]
+
+    _, d_rows = gen.backward_decode(
+        gen_cache, d_fake, _flat_grads(gen.decode.param_arrays(), decode_flat)[1])
+    reduce_cache = gen_cache[0]
+    # only the reduce part's small cache outlives the decode part's gradient,
+    # so no forward cache is alive when the moments are first written
+    del gen_cache, d_fake
+    if update is not None:
+        adam_step(decode_params, decode_flat, decode_adam)
+    gen.backward_reduce(reduce_cache, d_rows,
+                        _flat_grads(gen.reduce.param_arrays(), reduce_flat)[1])
+    if update is not None:
+        adam_step(reduce_params, reduce_flat, reduce_adam)
     return loss, trip, flat
 
 
@@ -626,13 +683,15 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng):
     sem_of_class = dataset.semantics_for(sampler.classes)
     col_of_class = np.array([class_cols[int(c)] for c in sampler.classes])
 
-    gen_params, disc_params = gen.pack(), disc.pack()
-    # the critic's and the generator's gradients are never live together, so
-    # both are views of the head of one vector
-    grads = np.empty(max(gen_params.size, disc_params.size))
-    gen_grads, disc_grads = grads[:gen_params.size], grads[:disc_params.size]
+    gen_parts, disc_params = gen.split(gen.pack()), disc.pack()
+    # the critic's gradient and each generator part's are never live
+    # together, so all are views of the head of one vector
+    grads = np.empty(max(disc_params.size, *(p.size for p in gen_parts)))
+    disc_grads = grads[:disc_params.size]
     rates = dict(alpha=cfg.alpha, beta1=cfg.beta1, beta2=cfg.beta2)
-    gen_adam = AdamState.for_params(gen_params, **rates)
+    # one Adam state per generator part: each advances once per step, so its
+    # bias correction is the one a single state for the whole vector makes
+    gen_update = [(p, AdamState.for_params(p, **rates)) for p in gen_parts]
     disc_adam = AdamState.for_params(disc_params, **rates)
 
     best = None   # (gen, disc) snapshot of the best probe so far
@@ -659,11 +718,11 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng):
         pos, neg = sampler.draw(rng, idx, cfg.n_pos, cfg.n_neg)
         lg, trip, _ = generator_loss_grads(
             gen, disc, sem_of_class, gen.sample_noise(rng, m), col_of_class[k],
-            train_x, fit_idx[pos], fit_idx[neg], cfg, classes=k, out=gen_grads,
+            train_x, fit_idx[pos], fit_idx[neg], cfg, classes=k, out=grads,
+            update=gen_update,
         )
         if not math.isfinite(lg):
             raise UsageError(f"non-finite generator loss at step {step}")
-        adam_step(gen_params, gen_grads, gen_adam)
 
         if probe and step % cfg.eval_every == 0:
             gacc = _probe_gacc(gen, dataset, val_x, val_y, cfg, rng)

@@ -263,7 +263,8 @@ def gzsl_suh(sm, labels):
     s = float(_per_class_accuracy(correct[:, is_seen], labels[is_seen])[0])
     u = float(_per_class_accuracy(correct[:, is_unseen], labels[is_unseen])[0])
     h = 0.0 if s + u == 0.0 else 2.0 * s * u / (s + u)
-    return s, u, h
+    # rounding can put 2su / (s + u) an ulp outside [min, max], as at s = u = 700/12
+    return s, u, min(max(h, min(s, u)), max(s, u))
 
 
 def retrieval_precisions(queries, features, labels, ratios):

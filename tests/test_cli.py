@@ -381,3 +381,27 @@ def test_train_rejects_k_above_reference_count_before_training(tmp_path, capsys,
     assert main(["--quiet", "--config", cfg_path, "--set", setting, "train"]) == 1
     assert setting.split("=")[0] in capsys.readouterr().err
     assert calls == [] and not (tmp_path / "model.ck").exists()
+
+
+def tree_of(root):
+    return sorted((d, sorted(f)) for d, _, f in os.walk(root))
+
+
+@pytest.mark.parametrize("key", ["checkpoint", "train_log", "ssl_report"])
+def test_train_with_a_missing_output_directory_fails_before_training(
+        tmp_path, capsys, monkeypatch, key):
+    calls = []
+    monkeypatch.setattr(gan, "discriminator_loss_grads",
+                        lambda *a, **k: calls.append(1))
+    out = tmp_path / "ds"
+    assert main(synth_args(out)) == 0
+    cfg = tiny_run_config(tmp_path, out)
+    missing = os.path.join("missing", os.path.basename(cfg["io"][key]))
+    cfg["io"][key] = missing
+    cfg_path = write_config(tmp_path / "run.yaml", cfg)
+    monkeypatch.chdir(tmp_path)
+    before = tree_of(tmp_path)
+    assert main(["--quiet", "--config", cfg_path, "train"]) == 1
+    err = capsys.readouterr().err
+    assert f"io.{key}" in err and missing in err
+    assert calls == [] and tree_of(tmp_path) == before

@@ -13,7 +13,9 @@ from zsgen.gan import (
     triplet_loss_grad,
 )
 from zsgen.knn import KnnClassifier
-from zsgen.nn import Layer, Mlp, activate_grad, mlp_backward, mlp_forward, unflatten
+from zsgen.nn import (
+    AdamState, Layer, Mlp, activate_grad, adam_step, mlp_backward, mlp_forward, unflatten,
+)
 
 
 def reference_triplet(synthetic, positives, negatives, margin):
@@ -989,3 +991,74 @@ def test_bad_loss_input_is_a_usage_error_naming_the_argument(case):
     name, call = _bad_loss_inputs()[case]
     with pytest.raises(UsageError, match=name):
         call()
+
+
+def generator_step_inputs(rng, gen, n=12, n_sem=5, n_features=30):
+    """Arguments after (gen, disc) of one generator_loss_grads call whose
+    triplet hinge is active, and its classes."""
+    features = rng.normal(size=(n_features, 4))
+    pos = rng.integers(0, n_features, size=(n, 2))
+    neg = rng.integers(0, n_features, size=(n, 3))
+    args = (rng.normal(size=(n_sem, 6)), gen.sample_noise(rng, n),
+            rng.integers(0, 3, size=n), features, pos, neg,
+            GanTrainConfig(margin=5.0, lambda_t=0.7))
+    return args, rng.integers(0, n_sem, size=n)
+
+
+def part_update(gen, **rates):
+    """generator_loss_grads's update: each part's slice of the packed
+    parameters with its own Adam state."""
+    return [(p, AdamState.for_params(p, **rates)) for p in gen.split(gen.pack())]
+
+
+@pytest.mark.parametrize("kw", [{}, {"noise_dim": 5, "noise_mode": "concat"}])
+def test_part_by_part_update_is_bitwise_the_whole_vector_adam_step(kw):
+    """Three steps: each part's gradient applied as soon as it is formed gives
+    the bytes of the whole flat gradient and one whole-vector adam_step."""
+    rng = np.random.default_rng(17)
+    gen = make_gen(rng, **kw)
+    ref, disc = gen.copy(), make_disc(rng, visual_dim=4, hidden=5, num_classes=3)
+    rates = dict(alpha=0.01, beta1=0.5, beta2=0.9)
+    update = part_update(gen, **rates)
+    ref_params = ref.pack()
+    ref_adam = AdamState.for_params(ref_params, **rates)
+    buffer = np.full(max(p.size for p, _ in update), np.nan)
+    for _ in range(3):
+        args, classes = generator_step_inputs(rng, gen)
+        loss, trip, spent = generator_loss_grads(gen, disc, *args, classes=classes,
+                                                 out=buffer, update=update)
+        ref_loss, ref_trip, grads = generator_loss_grads(ref, disc, *args, classes=classes)
+        adam_step(ref_params, grads, ref_adam)
+        assert spent is None and (loss, trip) == (ref_loss, ref_trip) and trip > 0.0
+        assert [p.tobytes() for p in gen.params()] == [p.tobytes() for p in ref.params()]
+    assert [a.t for _, a in update] == [3, 3]
+    for name in ("m", "v"):
+        parts = np.concatenate([getattr(a, name) for _, a in update])
+        assert parts.tobytes() == getattr(ref_adam, name).tobytes()
+
+
+def test_non_finite_generator_loss_changes_no_parameter_or_moment():
+    rng = np.random.default_rng(18)
+    gen, disc = make_gen(rng), make_disc(rng, visual_dim=4, hidden=5, num_classes=3)
+    update = part_update(gen)
+    before = [p.tobytes() for p in gen.params()]
+    args, classes = generator_step_inputs(rng, gen)
+    args[3][args[4][0, 0]] = 1e300   # a positive whose distance overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, _, spent = generator_loss_grads(gen, disc, *args, classes=classes,
+                                              update=update)
+    assert not np.isfinite(loss) and spent is None
+    assert [p.tobytes() for p in gen.params()] == before
+    for _, state in update:
+        assert state.t == 0 and not state.m.any() and not state.v.any()
+
+
+def test_split_gives_views_of_each_part_in_layout_order():
+    gen = make_gen(np.random.default_rng(19))
+    flat = gen.pack()
+    reduce_part, decode_part = gen.split(flat)
+    assert reduce_part.size == sum(p.size for p in gen.reduce.param_arrays())
+    assert decode_part.size == sum(p.size for p in gen.decode.param_arrays())
+    assert np.shares_memory(decode_part, gen.decode.layers[-1].bias)
+    with pytest.raises(UsageError):
+        gen.split(flat[1:])

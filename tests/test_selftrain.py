@@ -614,3 +614,36 @@ def test_probe_k_unchecked_when_the_probe_never_runs(monkeypatch):
     cfg = replace(TRAIN_CFG, knn_k=31, n_step=5, eval_every=10)
     run_ssl(data.make_synthetic(SPEC), GEN_CFG, DISC_CFG, cfg,
             SslConfig(knn_k=3, per_class_synthetic=5), seed=0)
+
+
+def three_array_transform(scaler, x):
+    """The expression FeatureScaler.transform replaced, kept as its oracle."""
+    span = scaler.hi - scaler.lo
+    safe = np.where(span > 0.0, span, 1.0)
+    out = 2.0 * (np.asarray(x, dtype=np.float64) - scaler.lo) / safe - 1.0
+    return np.where(span > 0.0, out, 0.0)
+
+
+def test_scaler_transform_is_bitwise_the_three_array_form():
+    rng = np.random.default_rng(23)
+    fit = rng.normal(size=(50, 9)) * rng.uniform(0.1, 50.0, size=9)
+    fit[:, [2, 7]] = 4.25   # constant columns map to 0
+    scaler = gan.FeatureScaler.fit(fit)
+    for x in (fit, rng.normal(size=(40, 9)) * 30.0, fit[3]):
+        assert scaler.transform(x).tobytes() == three_array_transform(scaler, x).tobytes()
+    assert not scaler.transform(rng.normal(size=(5, 9)))[:, [2, 7]].any()
+    varying = gan.FeatureScaler(lo=-np.ones(3), hi=np.ones(3))
+    x = rng.normal(size=(6, 3))
+    assert varying.transform(x).tobytes() == three_array_transform(varying, x).tobytes()
+
+
+def test_scaler_transform_holds_one_array_of_the_features_size():
+    x = np.random.default_rng(24).normal(size=(4000, 512))
+    scaler = gan.FeatureScaler.fit(x)
+    tracemalloc.start()
+    try:
+        out = scaler.transform(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == x.shape and peak < 1.5 * x.nbytes, (peak, x.nbytes)

@@ -5,6 +5,7 @@ import pytest
 
 from zsgen import data, gan, metrics, selftrain
 from zsgen.evaluate import score_matrix
+from zsgen.errors import UsageError
 from zsgen.gan import GanTrainConfig, train_gan
 from zsgen.knn import KnnClassifier, knn_scores, squared_distances
 from zsgen.verify import run_gradient_checks
@@ -80,6 +81,47 @@ def test_a_training_step_holds_no_whole_triplet_sample_stack():
     finally:
         tracemalloc.stop()
     assert peak < stack, (peak, stack)
+
+
+def test_a_generator_step_holds_no_gradient_vector_of_the_whole_generator():
+    # reduce and decode parts of about 400k values each (3.2 MB) outweigh the step's
+    # batch temporaries; train_gan holds the packed parameters and both
+    # moments, and a gradient vector of the whole generator would add 6.4 MB
+    from zsgen.gan import DiscriminatorConfig, GeneratorConfig
+    spec = data.SyntheticSpec(num_seen=4, num_unseen=2, samples_per_class=10,
+                              semantic_dim=3999, visual_dim=100, seed=0)
+    rng = np.random.default_rng(0)
+    work, _, gen, disc, cols = selftrain.prepare_models(
+        data.make_synthetic(spec),
+        GeneratorConfig(semantic_dim=3999, visual_dim=100, reduce_dim=100,
+                        hidden_dim=1990),
+        DiscriminatorConfig(visual_dim=100, hidden_dim=10), rng)
+    sizes = [sum(p.size for p in part.param_arrays()) for part in (gen.reduce, gen.decode)]
+    assert sizes == [400_000, 400_090]
+    whole = 8 * sum(sizes)
+    tr = work.train_indices()
+    x, y = work.features[tr], work.labels[tr]
+    cfg = GanTrainConfig(n_step=1, n_d=1, batch_size=16, eval_every=0)
+    tracemalloc.start()
+    try:
+        train_gan(work, x, y, gen, disc, cols, cfg, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # parameters, two moments and one part's gradient, with a part to spare
+    assert peak < 4 * whole, (peak, whole)
+
+
+def test_non_finite_generator_loss_names_the_step_and_leaves_the_generator(monkeypatch):
+    ds, work, scaler, gen, disc, cols, rng = setup()
+    before = [p.tobytes() for p in gen.params()]
+    monkeypatch.setattr(gan, "triplet_loss_grad",
+                        lambda synthetic, *a: (np.inf, np.zeros_like(synthetic)))
+    tr = work.train_indices()
+    cfg = GanTrainConfig(**{**TINY, "eval_every": 0})
+    with pytest.raises(UsageError, match="non-finite generator loss at step 1"):
+        train_gan(work, work.features[tr], work.labels[tr], gen, disc, cols, cfg, rng)
+    assert [p.tobytes() for p in gen.params()] == before
 
 
 def probe_returning(monkeypatch, scores, gen, disc):
