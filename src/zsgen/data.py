@@ -102,6 +102,13 @@ def _check_left(fh, size, path):
         raise ParseError(f"truncated: expected {size} more bytes, found {left}", path=path)
 
 
+def _check_end(fh, path):
+    """A file with bytes left after its declared payload is malformed."""
+    extra = os.fstat(fh.fileno()).st_size - fh.tell()
+    if extra:
+        raise ParseError(f"{extra} bytes past the end of the declared data", path=path)
+
+
 def _read_exact(fh, size, path):
     """Exactly size bytes from fh."""
     _check_left(fh, size, path)
@@ -132,6 +139,7 @@ def _load_matrix_binary(path):
             raise ParseError(f"unsupported matrix format version {version}", path=path)
         labels = _read_array(fh, np.dtype(np.int64), n, path)
         values = _read_array(fh, np.dtype(np.float64), n * d, path)
+        _check_end(fh, path)
     values = values.reshape(n, d)
     if d:  # NaN propagates through min and max, which hold no n x d temporary
         bad = ~(np.isfinite(values.min(axis=1)) & np.isfinite(values.max(axis=1)))
@@ -494,6 +502,8 @@ def load_checkpoint(path):
         for _ in range(count):
             (nlen,) = _unpack(fh, "<H", path)
             name = _utf8(_read_exact(fh, nlen, path), "array name", path)
+            if name in arrays:
+                raise ParseError(f"array {name!r} appears twice", path=path)
             (dlen,) = _unpack(fh, "<H", path)
             dtype_str = _utf8(_read_exact(fh, dlen, path), "array dtype", path)
             if dtype_str not in _CHECKPOINT_DTYPES:
@@ -507,4 +517,5 @@ def load_checkpoint(path):
                 arrays[name] = flat.reshape(shape)
             except ValueError:  # too many dimensions, or an index-overflowing empty shape
                 raise ParseError(f"array {name!r} has shape {shape}", path=path) from None
+        _check_end(fh, path)
     return arrays, meta

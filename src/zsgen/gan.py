@@ -18,8 +18,8 @@ from .bounds import bounded, check_bounds
 from .errors import ConfigError, UsageError
 from .knn import KnnClassifier, check_k
 from .nn import (
-    AdamState, adam_step, init_mlp, mlp_backward, mlp_forward,
-    pack, unflatten,
+    AdamState, init_mlp, layer_forms, mlp_backward_forms, mlp_forward, pack,
+    stream_grads, write_grads,
 )
 
 
@@ -136,15 +136,6 @@ class Network:
         """Move the parameters into one flat vector (see nn.pack); returns it."""
         return pack(self._mlps)
 
-    def split(self, flat):
-        """Views of flat, laid out like the packed parameters: one per part,
-        in layout order."""
-        sizes = [sum(p.size for p in mlp.param_arrays()) for mlp in self._mlps]
-        if flat.shape != (sum(sizes),):
-            raise UsageError(f"a vector of shape {flat.shape} does not hold "
-                             f"the {sum(sizes)} parameters")
-        return np.split(flat, np.cumsum(sizes)[:-1])
-
     def copy(self):
         return self.from_parts(replace(self.cfg), {
             part: getattr(self, part).copy() for part in self.layout(self.cfg)})
@@ -197,30 +188,22 @@ class Generator(Network):
         out, decode_cache = mlp_forward(self.decode, h, keep_cache, out)
         return out, (reduce_cache, decode_cache, classes) if keep_cache else None
 
-    def backward(self, cache, d_out, grads=None):
-        """Parameter gradients in params() order, written into grads when given:
-        backward_decode, then backward_reduce."""
-        n_reduce = 2 * len(self.reduce.layers)
-        parts = (None, None) if grads is None else (grads[:n_reduce], grads[n_reduce:])
-        decode_grads, d_rows = self.backward_decode(cache, d_out, parts[1])
-        return self.backward_reduce(cache[0], d_rows, parts[0]) + decode_grads
+    def backward_forms(self, cache, d_out):
+        """The gradient forms of params(), in that order (see nn.stream_grads).
 
-    def backward_decode(self, cache, d_out, grads=None):
-        """The decode part's gradients (written into grads when given) and
-        d_rows, the gradient in the reduce output: d_reduced summed per
-        semantic row. The gradient in the semantics is not formed."""
+        Every input gradient is formed here from the weights as they are:
+        the decode layers', and d_rows, the gradient in the reduce output
+        summed per semantic row (a one-hot product). The gradient in the
+        semantics is not formed.
+        """
         reduce_cache, decode_cache, classes = cache
-        grads, d_h = mlp_backward(self.decode, decode_cache, d_out, grads)
-        # d_reduced summed per semantic row, as a one-hot product
+        decode_forms, d_h = mlp_backward_forms(self.decode, decode_cache, d_out)
         one_hot = np.zeros((reduce_cache[0][0].shape[0], classes.size))
         one_hot[classes, np.arange(classes.size)] = 1.0
-        return grads, one_hot @ d_h[:, :self.cfg.reduce_dim]
-
-    def backward_reduce(self, reduce_cache, d_rows, grads=None):
-        """The reduce part's gradients from the forward cache's first entry,
-        written into grads when given."""
-        grads, _ = mlp_backward(self.reduce, reduce_cache, d_rows, grads, input_grad=False)
-        return grads
+        d_rows = one_hot @ d_h[:, :self.cfg.reduce_dim]
+        reduce_forms, _ = mlp_backward_forms(self.reduce, reduce_cache, d_rows,
+                                             input_grad=False)
+        return reduce_forms + decode_forms
 
 
 def generate(gen, semantics, noise, classes=None, out=None):
@@ -283,10 +266,9 @@ class Discriminator(Network):
         logits += head.bias
         return scores[:, 0], logits, (x, z, h)
 
-    def backward(self, cache, d_critic, d_logits, grads=None, param_grads=True,
-                 input_grad=True):
-        """(parameter gradients in params() order, d_x), as mlp_backward:
-        written into grads when given, and None for what is skipped."""
+    def backward_forms(self, cache, d_critic, d_logits, input_grad=True):
+        """(gradient forms of params() in that order, see nn.stream_grads;
+        d_x, None without input_grad). The forms read no parameter."""
         trunk, critic, head = self._layers()
         x, z, h = cache
         if x.shape[1] != trunk.weight.shape[0]:
@@ -301,15 +283,16 @@ class Discriminator(Network):
         d_h += d_logits @ head.weight.T
         d_h *= z >= 0.0
         d_x = d_h @ trunk.weight.T if input_grad else None
-        if not param_grads:
-            return None, d_x
-        if grads is None:
-            grads = [np.empty_like(p) for p in self.params()]
         # (layer input, pre-activation gradient) per layer, in params() order
-        for i, (a, d_z) in enumerate(((x, d_h), (h, d_critic[:, None]), (h, d_logits))):
-            np.matmul(a.T, d_z, out=grads[2 * i])
-            np.add.reduce(d_z, axis=0, out=grads[2 * i + 1])
-        return grads, d_x
+        return (layer_forms(x, d_h) + layer_forms(h, d_critic[:, None])
+                + layer_forms(h, d_logits)), d_x
+
+    def backward(self, cache, d_critic, d_logits, grads=None, param_grads=True,
+                 input_grad=True):
+        """(parameter gradients in params() order, d_x), as mlp_backward:
+        written into grads when given, and None for what is skipped."""
+        forms, d_x = self.backward_forms(cache, d_critic, d_logits, input_grad)
+        return (write_grads(forms, self.params(), grads) if param_grads else None), d_x
 
 
 def _safe_unit(diff, dist):
@@ -423,9 +406,10 @@ def softmax_cross_entropy(logits, labels):
     return loss, probs
 
 
-def gradient_penalty_grads(disc, z_hat, grads, scale=1.0):
+def gradient_penalty_grads(disc, z_hat, forms, scale=1.0):
     """Value of the unit-gradient penalty; adds scale times its gradients in
-    the discriminator parameters to grads (aligned with disc.params()).
+    the trunk and critic weights to their forms in forms, the gradient forms
+    of disc.params() (see nn.stream_grads).
 
     Penalty = mean over interpolates of (||grad_x critic|| - 1)^2. z_hat is
     the interpolates' trunk pre-activation: the trunk is one affine layer and
@@ -433,7 +417,11 @@ def gradient_penalty_grads(disc, z_hat, grads, scale=1.0):
     mask = (z_hat >= 0), W the trunk weight and c the critic weight, the
     critic gradient is g = (mask * c) @ W.T, and P = d_g.T @ mask gives both
     parameter gradients: P * c for W and the column sums of W * P for c.
-    The mask carries no derivative, so biases receive zero gradient.
+    Each run of W's rows forms its own rows of P. The column sums run on
+    from run to run, row after row as one einsum over W * P adds them, so
+    every run of W must be formed, from W as it was, before c's form runs:
+    layout order does both. The mask carries no derivative, so biases
+    receive zero gradient.
     """
     weight = disc.trunk.layers[0].weight
     mask = (z_hat >= 0.0).astype(np.float64)
@@ -444,28 +432,40 @@ def gradient_penalty_grads(disc, z_hat, grads, scale=1.0):
     penalty = float(np.add.reduce(excess ** 2) / z_hat.shape[0])
     d_g = _safe_unit(g, norms)
     d_g *= ((2.0 * scale / z_hat.shape[0]) * excess)[:, None]
-    prod = d_g.T @ mask
-    grads[2] += np.einsum("ij,ij->j", weight, prod)[:, None]
-    prod *= c
-    grads[0] += prod
+    sums = np.zeros(c.size)   # the column sums of W * P over the runs formed so far
+    trunk_form, critic_form = forms[0], forms[2]
+
+    def trunk_rows(lo, hi, dest):
+        p = d_g.T[lo:hi] @ mask
+        # dest holds the rows of W * P while they are summed, the first row
+        # carrying the sums so far, before the trunk's own form fills it
+        np.multiply(weight[lo:hi], p, out=dest)
+        dest[0] += sums
+        np.add.reduce(dest, axis=0, out=sums)
+        p *= c
+        trunk_form(lo, hi, dest)
+        dest += p
+
+    def critic_rows(lo, hi, dest):
+        critic_form(lo, hi, dest)
+        dest += sums[lo:hi, None]
+
+    forms[0], forms[2] = trunk_rows, critic_rows
     return penalty
 
 
-def _flat_grads(params, out):
-    """out (or a new vector) laid out like params, and its per-array views."""
-    flat = np.empty(sum(p.size for p in params)) if out is None else out
-    return flat, unflatten(flat, [p.shape for p in params])
-
-
 def discriminator_loss_grads(disc, real_x, fake_x, labels, gp_weight, rng=None, eps=None,
-                             out=None):
+                             update=None):
     """Critic gap + gradient penalty + averaged classification losses,
     with gradients in the discriminator parameters.
 
     The real and fake batches run as one stacked pass: the cross-entropy
-    over both is the mean of the two batch losses. Returns (loss, grads)
-    with grads one flat vector in the layout of disc.params(), written into
-    out when it is given.
+    over both is the mean of the two batch losses. The gradient is formed by
+    nn.stream_grads in layout order. Without update, returns (loss, grads)
+    with grads one flat vector in the layout of disc.params(). With update,
+    (flat parameters, AdamState), each block of the gradient is applied as
+    soon as it is formed and (loss, None) is returned; a non-finite loss
+    returns before any block is formed, so no parameter or moment changes.
     """
     real_x = np.asarray(real_x, dtype=np.float64)
     fake_x = np.asarray(fake_x, dtype=np.float64)
@@ -483,10 +483,8 @@ def discriminator_loss_grads(disc, real_x, fake_x, labels, gp_weight, rng=None, 
     loss = float(critic[n:].sum() / n) - float(critic[:n].sum() / n) + ce
     d_critic = np.full(2 * n, 1.0 / n)
     d_critic[:n] = -1.0 / n
-    flat, grads = _flat_grads(disc.params(), out)
-    disc.backward(cache, d_critic, d_logits, grads, input_grad=False)
-    # the penalty reads only the trunk pre-activation of the stacked batch;
-    # the stacked input and the relu output go before it runs
+    forms, _ = disc.backward_forms(cache, d_critic, d_logits, input_grad=False)
+    # the penalty reads only the trunk pre-activation of the stacked batch
     z = cache[1]
     del cache
 
@@ -498,12 +496,15 @@ def discriminator_loss_grads(disc, real_x, fake_x, labels, gp_weight, rng=None, 
         z_hat = eps * z[:n]
         z_hat += (1.0 - eps) * z[n:]
         del z
-        loss += gp_weight * gradient_penalty_grads(disc, z_hat, grads, gp_weight)
-    return loss, flat
+        loss += gp_weight * gradient_penalty_grads(disc, z_hat, forms, gp_weight)
+        del z_hat
+    if update is not None and not math.isfinite(loss):
+        return loss, None
+    return loss, stream_grads(forms, [p.shape for p in disc.params()], update)
 
 
 def generator_loss_grads(gen, disc, semantics, noise, labels, features,
-                         pos_rows, neg_rows, cfg, classes=None, out=None, update=None):
+                         pos_rows, neg_rows, cfg, classes=None, update=None):
     """Generator loss with its gradients in the generator parameters.
 
     The loss is the part that depends on the generator: the negated mean
@@ -513,19 +514,13 @@ def generator_loss_grads(gen, disc, semantics, noise, labels, features,
     features of the real samples matched to each batch row's class, as
     triplet_loss_grad takes them.
 
-    Without update, returns (loss, triplet, grads) with grads one flat
-    vector in the layout of gen.params(), written into out when it is given.
-
-    update is one (params, AdamState) pair per generator part, in layout
-    order: the part's slice of the packed parameters (Network.split) and its
-    own Adam state. Each part's gradient is then formed at the head of out
-    (or of a new vector the size of the largest part) and applied by
-    adam_step as soon as it is formed: the decode part first, once the
-    forward caches and the step's other temporaries are released, then the
-    reduce part. No whole gradient vector exists, and (loss, triplet, None)
-    is returned. A non-finite loss returns before any gradient is formed, so
-    no parameter or moment changes. Each product and each Adam operation is
-    the one a whole-vector step makes, so the parameters are the same bytes.
+    The gradient is formed by nn.stream_grads, last layer first: the
+    decode layers' blocks, whose forward caches are then released, before
+    the reduce part's. Without update, returns (loss, triplet, grads) with
+    grads one flat vector in the layout of gen.params(). With update, (flat
+    parameters, AdamState), each block is applied as soon as it is formed
+    and (loss, triplet, None) is returned; a non-finite loss returns before
+    any gradient is formed, so no parameter or moment changes.
     """
     fake_x, gen_cache = gen.forward(semantics, noise, classes)
     critic_f, logits_f, disc_cache = disc.forward(fake_x)
@@ -541,29 +536,11 @@ def generator_loss_grads(gen, disc, semantics, noise, labels, features,
     del disc_cache, fake_x   # the generator's backward reads neither
     d_fake += cfg.lambda_t * d_trip
     del d_trip
-    if update is None:
-        flat, _ = _flat_grads(gen.params(), out)
-        reduce_flat, decode_flat = gen.split(flat)
-    else:
-        (reduce_params, reduce_adam), (decode_params, decode_adam) = update
-        flat = None
-        if out is None:
-            out = np.empty(max(reduce_params.size, decode_params.size))
-        reduce_flat, decode_flat = out[:reduce_params.size], out[:decode_params.size]
-
-    _, d_rows = gen.backward_decode(
-        gen_cache, d_fake, _flat_grads(gen.decode.param_arrays(), decode_flat)[1])
-    reduce_cache = gen_cache[0]
-    # only the reduce part's small cache outlives the decode part's gradient,
-    # so no forward cache is alive when the moments are first written
+    forms = gen.backward_forms(gen_cache, d_fake)
+    # the forms hold only the layer inputs and pre-activation gradients
     del gen_cache, d_fake
-    if update is not None:
-        adam_step(decode_params, decode_flat, decode_adam)
-    gen.backward_reduce(reduce_cache, d_rows,
-                        _flat_grads(gen.reduce.param_arrays(), reduce_flat)[1])
-    if update is not None:
-        adam_step(reduce_params, reduce_flat, reduce_adam)
-    return loss, trip, flat
+    return loss, trip, stream_grads(forms, [p.shape for p in gen.params()], update,
+                                    reverse=True)
 
 
 @dataclass
@@ -683,16 +660,11 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng):
     sem_of_class = dataset.semantics_for(sampler.classes)
     col_of_class = np.array([class_cols[int(c)] for c in sampler.classes])
 
-    gen_parts, disc_params = gen.split(gen.pack()), disc.pack()
-    # the critic's gradient and each generator part's are never live
-    # together, so all are views of the head of one vector
-    grads = np.empty(max(disc_params.size, *(p.size for p in gen_parts)))
-    disc_grads = grads[:disc_params.size]
     rates = dict(alpha=cfg.alpha, beta1=cfg.beta1, beta2=cfg.beta2)
-    # one Adam state per generator part: each advances once per step, so its
-    # bias correction is the one a single state for the whole vector makes
-    gen_update = [(p, AdamState.for_params(p, **rates)) for p in gen_parts]
-    disc_adam = AdamState.for_params(disc_params, **rates)
+    # each network's packed parameters and its Adam state; the losses stream
+    # their gradients into these, so no gradient vector is held here
+    gen_update, disc_update = ((p, AdamState.for_params(p, **rates))
+                               for p in (gen.pack(), disc.pack()))
 
     best = None   # (gen, disc) snapshot of the best probe so far
     best_gacc = float("-inf")
@@ -707,19 +679,17 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng):
             fake = generate(gen, sem_of_class, gen.sample_noise(rng, m), k)
             last_ld, _ = discriminator_loss_grads(
                 disc, train_x[fit_idx[idx]], fake, col_of_class[k], cfg.gp_weight,
-                rng=rng, out=disc_grads,
+                rng=rng, update=disc_update,
             )
             if not math.isfinite(last_ld):
                 raise UsageError(f"non-finite discriminator loss at step {step}")
-            adam_step(disc_params, disc_grads, disc_adam)
 
         idx = rng.integers(0, fit_idx.size, size=m)
         k = sampler.class_of_row[idx]
         pos, neg = sampler.draw(rng, idx, cfg.n_pos, cfg.n_neg)
         lg, trip, _ = generator_loss_grads(
             gen, disc, sem_of_class, gen.sample_noise(rng, m), col_of_class[k],
-            train_x, fit_idx[pos], fit_idx[neg], cfg, classes=k, out=grads,
-            update=gen_update,
+            train_x, fit_idx[pos], fit_idx[neg], cfg, classes=k, update=gen_update,
         )
         if not math.isfinite(lg):
             raise UsageError(f"non-finite generator loss at step {step}")

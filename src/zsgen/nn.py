@@ -1,14 +1,19 @@
 """Dense MLP substrate: layers, forward/backward, Adam, gradient checking.
 
 Everything is float64 numpy. Batches are row-major: one sample per row.
-The backward pass returns gradients shaped exactly like the parameters, in
-param_arrays order. `pack` moves a network's parameters into one contiguous
-vector that its layers view; a gradient vector of the same layout (views
-from `unflatten`) takes the backward's output, and Adam updates the whole
-vector at once. A forward that keeps no cache, as generation runs it, applies
-each activation in place and can write its last layer into the caller's array.
+`pack` moves a network's parameters into one contiguous vector that its
+layers view. A backward pass forms every gradient in the layers' inputs from
+the weights as they are, and gives each parameter array's gradient as a
+form: a function that writes any run of the array's rows. `stream_grads`
+runs a network's forms one block of its flat layout at a time, at most
+GRAD_BLOCK_VALUES values: it writes the blocks into one flat gradient, or
+hands each to `adam_step` for its range of the parameters as soon as it is
+formed, so a training step never holds a gradient of the whole network. A
+forward that keeps no cache, as generation runs it, applies each activation
+in place and can write its last layer into the caller's array.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -198,14 +203,26 @@ def mlp_forward(mlp, x, keep_cache=True, out=None):
     return h, cache
 
 
-def mlp_backward(mlp, cache, d_out, grads=None, param_grads=True, input_grad=True):
+def layer_forms(a, d):
+    """The gradient forms (see stream_grads) of an affine layer whose input is
+    a and whose pre-activation gradient is d: the rows of a.T @ d for its
+    weight, and d summed over rows for its bias."""
+    def weight(lo, hi, dest):
+        np.matmul(a.T[lo:hi], d, out=dest)
+
+    def bias(lo, hi, dest):
+        np.add.reduce(d, axis=0, out=dest[0])
+
+    return [weight, bias]
+
+
+def mlp_backward_forms(mlp, cache, d_out, input_grad=True):
     """Backpropagate an upstream gradient through the network.
 
-    Returns (grads, d_input) where grads is a list aligned with
-    mlp.param_arrays(). The gradients are written into `grads` when it is
-    given (views of a flat gradient, say). param_grads=False skips them and
-    input_grad=False skips the first layer's input gradient; what is
-    skipped comes back as None.
+    Returns (forms, d_input): the gradient forms of mlp.param_arrays(), in
+    that order, and the gradient in the network's input (None with
+    input_grad=False). Every layer's input gradient is formed here, so the
+    forms read no parameter: they can run after the parameters change.
     """
     if len(cache) != len(mlp.layers):
         raise UsageError("cache does not match network depth")
@@ -214,10 +231,7 @@ def mlp_backward(mlp, cache, d_out, grads=None, param_grads=True, input_grad=Tru
         raise UsageError(
             f"upstream gradient shape {d_out.shape} does not match output"
         )
-    if not param_grads:
-        grads = None
-    elif grads is None:
-        grads = [np.empty_like(p) for p in mlp.param_arrays()]
+    forms = []
     d_h = d_out
     for i in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[i]
@@ -230,11 +244,114 @@ def mlp_backward(mlp, cache, d_out, grads=None, param_grads=True, input_grad=Tru
             d_z = d_h * (z >= 0.0)   # a bool mask, not a float copy
         else:
             d_z = d_h * activate_grad(layer.activation, z, layer.slope)
-        if param_grads:
-            np.matmul(h_in.T, d_z, out=grads[2 * i])
-            np.add.reduce(d_z, axis=0, out=grads[2 * i + 1])
+        forms[:0] = layer_forms(h_in, d_z)
         d_h = d_z @ layer.weight.T if i or input_grad else None
-    return grads, d_h
+    return forms, d_h
+
+
+def write_grads(forms, params, grads=None):
+    """Each array's whole gradient from its form, written into grads (arrays
+    shaped like params) or into new arrays; returns the list."""
+    if grads is None:
+        grads = [np.empty_like(p) for p in params]
+    for form, g in zip(forms, grads):
+        form(0, g.shape[0] if g.ndim == 2 else 1, g if g.ndim == 2 else g[None])
+    return grads
+
+
+def mlp_backward(mlp, cache, d_out, grads=None, param_grads=True, input_grad=True):
+    """Backpropagate an upstream gradient through the network.
+
+    Returns (grads, d_input) where grads is a list aligned with
+    mlp.param_arrays(). The gradients are written into `grads` when it is
+    given (views of a flat gradient, say). param_grads=False skips them and
+    input_grad=False skips the first layer's input gradient; what is
+    skipped comes back as None.
+    """
+    forms, d_h = mlp_backward_forms(mlp, cache, d_out, input_grad)
+    return (write_grads(forms, mlp.param_arrays(), grads) if param_grads else None), d_h
+
+
+# values per gradient block: stream_grads forms a network's gradient, and
+# hands it to Adam, this many values (8 MB) at a time
+GRAD_BLOCK_VALUES = 1 << 20
+
+
+@functools.lru_cache(maxsize=32)
+def _grad_blocks(shapes, budget, reverse):
+    """The plan of a flat gradient of arrays of the given shapes, a 1-d
+    array being one row: (values in all, values in the largest block,
+    blocks in the order they are formed, last first with reverse). A block
+    is (start, end, pieces), each piece (array, first row, end row, start
+    and end in the block, row width, whether it is the array's last piece
+    to be formed).
+
+    An array of more than budget values is cut into runs of budget // width
+    rows, at least one; consecutive runs that fit in budget share a block.
+    """
+    runs, at = [], 0
+    for i, shape in enumerate(shapes):
+        n_rows, width = shape if len(shape) == 2 else (1, shape[0])
+        step = n_rows if n_rows * width <= budget else max(1, budget // width)
+        for lo in range(0, n_rows, step):
+            hi = min(lo + step, n_rows)
+            runs.append((i, lo, hi, at, at + (hi - lo) * width, width))
+            at = runs[-1][4]
+    blocks = []
+    for run in runs:
+        if blocks and run[4] - blocks[-1][0][3] <= budget:
+            blocks[-1].append(run)
+        else:
+            blocks.append([run])
+    if reverse:
+        blocks.reverse()
+    # going back through the forming order, an array's first piece is its last
+    planned, pending = [], set(range(len(shapes)))
+    for block in reversed(blocks):
+        start, pieces = block[0][3], []
+        for i, lo, hi, a, b, width in reversed(block):
+            pieces.append((i, lo, hi, a - start, b - start, width, i in pending))
+            pending.discard(i)
+        planned.append((start, block[-1][4], tuple(reversed(pieces))))
+    return at, max(end - start for start, end, _ in planned), tuple(reversed(planned))
+
+
+def stream_grads(forms, shapes, update=None, reverse=False):
+    """A network's gradient, formed one block of its flat layout at a time.
+
+    forms[i](lo, hi, dest) writes rows lo:hi of the gradient of the array
+    of shape shapes[i] into dest, a (hi - lo, width) array; a 1-d array is
+    one row. Blocks hold at most GRAD_BLOCK_VALUES values (a wider row is a
+    block of its own) and run in layout order, or last first with reverse.
+    forms is consumed: each form is dropped after its array's last piece,
+    which releases what only it holds.
+
+    Without update, each block is its range of one new vector, which is
+    returned. With update, (flat parameters, AdamState), every
+    block is formed in one work block and adam_step applies it to its range
+    as soon as it is formed; the step count advances once, before the first
+    block, and None is returned. Adam's operations are elementwise, so the
+    parameters and moments are those of one whole-vector adam_step.
+    """
+    size, largest, blocks = _grad_blocks(tuple(shapes), GRAD_BLOCK_VALUES, reverse)
+    if update is None:
+        flat = np.empty(size)
+    else:
+        params, state = update
+        if params.shape != (size,):
+            raise UsageError(f"a parameter vector of shape {params.shape} does not hold "
+                             f"the gradient's {size} values")
+        flat, work = None, np.empty(largest)
+        state.t += 1
+    for start, end, pieces in blocks:
+        dest = work[:end - start] if flat is None else flat[start:end]
+        for i, lo, hi, a, b, width, last in pieces:
+            forms[i](lo, hi, dest[a:b].reshape(hi - lo, width))
+            if last:
+                forms[i] = None
+        if flat is None:
+            adam_step(params, dest, state, at=start)
+    return flat
 
 
 @dataclass
@@ -263,24 +380,34 @@ class AdamState:
 ADAM_CHUNK = 1 << 16
 
 
-def adam_step(params, grads, state):
+def adam_step(params, grads, state, at=None):
     """One bias-corrected Adam update, in place on a flat parameter vector.
 
     m_hat = m / (1 - b1^t), v_hat = v / (1 - b2^t) and
     p -= alpha * m_hat / (sqrt(v_hat) + epsilon), operation for operation.
-    The vector is updated ADAM_CHUNK entries at a time, with intermediates
-    in two work buffers of one chunk, allocated once per call.
+    Without at, grads is the whole gradient and the step count advances
+    first. With at, grads is the block of a step's gradient that starts at
+    params[at]: only that range and its moments change, at the count that
+    the caller advanced once for the step. The range is updated ADAM_CHUNK
+    entries at a time, with intermediates in two work buffers of one chunk,
+    allocated once per call.
     """
-    if params.ndim != 1 or grads.shape != params.shape or state.m.shape != params.shape:
-        raise UsageError(f"parameter {params.shape}, gradient {grads.shape} and "
+    n = grads.size
+    if (params.ndim != 1 or grads.ndim != 1 or state.m.shape != params.shape
+            or (n != params.size if at is None else not 0 <= at <= params.size - n)):
+        raise UsageError(f"parameter {params.shape}, gradient {grads.shape} at {at} and "
                          f"moment {state.m.shape} vectors differ")
-    state.t += 1
+    m_all, v_all = state.m, state.v
+    if at is None:
+        state.t += 1
+    else:
+        params, m_all, v_all = params[at:at + n], m_all[at:at + n], v_all[at:at + n]
     b1, b2 = state.beta1, state.beta2
     c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
-    work = np.empty((2, min(params.size, ADAM_CHUNK)))
-    for lo in range(0, params.size, ADAM_CHUNK):
+    work = np.empty((2, min(n, ADAM_CHUNK)))
+    for lo in range(0, n, ADAM_CHUNK):
         p, g = params[lo:lo + ADAM_CHUNK], grads[lo:lo + ADAM_CHUNK]
-        m, v = state.m[lo:lo + ADAM_CHUNK], state.v[lo:lo + ADAM_CHUNK]
+        m, v = m_all[lo:lo + ADAM_CHUNK], v_all[lo:lo + ADAM_CHUNK]
         a, b = work[0, :p.size], work[1, :p.size]
         m *= b1
         m += np.multiply(g, 1.0 - b1, out=a)

@@ -1,4 +1,6 @@
-"""Finite-difference verification harness for every differentiable piece."""
+"""Finite-difference verification harness for every differentiable piece,
+and the check that the training step's streamed Adam updates are those of
+the whole gradient."""
 
 import numpy as np
 
@@ -7,7 +9,7 @@ from .gan import (
     GeneratorConfig, discriminator_loss_grads, generator_loss_grads,
     triplet_loss_grad,
 )
-from .nn import gradient_check, init_mlp, mlp_backward, mlp_forward
+from .nn import AdamState, adam_step, gradient_check, init_mlp, mlp_backward, mlp_forward
 
 
 def check_mlp_backward(rng):
@@ -114,8 +116,52 @@ def check_discriminator_input_grad(rng, n=3):
     return gradient_check(f, [x])
 
 
+def _streamed_is_whole(net, loss_grads):
+    """0.0 when loss_grads(net, update=...), streaming its gradient into a
+    fresh Adam state as training does, leaves the parameter and moment bytes
+    that its whole gradient and one whole-vector adam_step leave on a copy
+    of net; inf otherwise. loss_grads(net) returns the whole flat gradient."""
+    ref = net.copy()
+    params, ref_params = net.pack(), ref.pack()
+    adam, ref_adam = AdamState.for_params(params), AdamState.for_params(ref_params)
+    loss_grads(net, update=(params, adam))
+    adam_step(ref_params, loss_grads(ref), ref_adam)
+    same = all(a.tobytes() == b.tobytes() for a, b in
+               ((params, ref_params), (adam.m, ref_adam.m), (adam.v, ref_adam.v)))
+    return 0.0 if same else float("inf")
+
+
+def check_streamed_critic_update(rng, gp_weight=10.0):
+    """One streamed critic update against the whole gradient's adam_step."""
+    _, disc = _toy_models(rng)
+    m = 3
+    real = rng.uniform(-0.9, 0.9, size=(m, disc.cfg.visual_dim))
+    fake = rng.uniform(-0.9, 0.9, size=(m, disc.cfg.visual_dim))
+    labels = rng.integers(0, disc.cfg.num_classes, size=m)
+    eps = rng.uniform(0.0, 1.0, size=(m, 1))
+    return _streamed_is_whole(disc, lambda d, update=None: discriminator_loss_grads(
+        d, real, fake, labels, gp_weight, eps=eps, update=update)[1])
+
+
+def check_streamed_generator_step(rng):
+    """One streamed generator step against the whole gradient's adam_step."""
+    gen, disc = _toy_models(rng)
+    m = 3
+    sem = rng.normal(size=(m - 1, gen.cfg.semantic_dim))
+    classes = np.minimum(np.arange(m), m - 2)
+    noise = gen.sample_noise(rng, m)
+    labels = rng.integers(0, disc.cfg.num_classes, size=m)
+    features = rng.normal(size=(4 * m, gen.cfg.visual_dim))
+    pos, neg = np.arange(2 * m).reshape(m, 2), np.arange(2 * m, 4 * m).reshape(m, 2)
+    cfg = GanTrainConfig(margin=5.0, lambda_t=0.7, batch_size=m)
+    return _streamed_is_whole(gen, lambda g, update=None: generator_loss_grads(
+        g, disc, sem, noise, labels, features, pos, neg, cfg, classes=classes,
+        update=update)[2])
+
+
 def run_gradient_checks(seed=0, n_seeds=20):
-    """(name, max relative error) for every check, worst case over seeds."""
+    """(name, max relative error) for every check, worst case over seeds; a
+    streamed-update check reads 0 when its bytes match and inf otherwise."""
     results = []
     for name, fn in [
         ("mlp_backward", check_mlp_backward),
@@ -124,6 +170,8 @@ def run_gradient_checks(seed=0, n_seeds=20):
         ("discriminator_loss[gp=0]", lambda r: check_discriminator_loss(r, 0.0)),
         ("discriminator_loss[gp=10]", lambda r: check_discriminator_loss(r, 10.0)),
         ("discriminator_input_grad", check_discriminator_input_grad),
+        ("streamed_critic_update", check_streamed_critic_update),
+        ("streamed_generator_step", check_streamed_generator_step),
     ]:
         worst = 0.0
         for s in range(n_seeds):

@@ -379,6 +379,32 @@ def test_checkpoint_bad_magic(tmp_path):
         data.load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("save, load", [
+    (lambda p: data.save_matrix_binary(p, np.arange(4), np.ones((4, 3))), data.load_matrix),
+    (lambda p: data.save_checkpoint(p, {"w": np.ones((2, 3))}, {"k": 1}),
+     data.load_checkpoint),
+], ids=["matrix", "checkpoint"])
+def test_bytes_past_the_declared_payload_are_a_parse_error_naming_path(tmp_path, save, load):
+    path = tmp_path / "f.bin"
+    save(str(path))
+    load(str(path))
+    path.write_bytes(path.read_bytes() + b"garbage!")
+    with pytest.raises(ParseError, match="8 bytes past the end") as info:
+        load(str(path))
+    assert str(path) in str(info.value)
+
+
+def test_checkpoint_naming_an_array_twice_is_a_parse_error_naming_path(tmp_path):
+    path = tmp_path / "ck.bin"
+    data.save_checkpoint(str(path), {"v": np.array([1.0]), "w": np.array([2.0])}, {})
+    blob = path.read_bytes()
+    assert blob.count(b"\x01\x00v") == 1   # the name "v", after its length
+    path.write_bytes(blob.replace(b"\x01\x00v", b"\x01\x00w"))
+    with pytest.raises(ParseError, match="'w' appears twice") as info:
+        data.load_checkpoint(str(path))
+    assert str(path) in str(info.value)
+
+
 def _tiny_model_checkpoint(path):
     rng = np.random.default_rng(4)
     gen = gan.Generator(gan.GeneratorConfig(semantic_dim=3, visual_dim=2,

@@ -13,8 +13,10 @@ from zsgen.gan import (
     triplet_loss_grad,
 )
 from zsgen.knn import KnnClassifier
+from zsgen import nn
 from zsgen.nn import (
-    AdamState, Layer, Mlp, activate_grad, adam_step, mlp_backward, mlp_forward, unflatten,
+    AdamState, Layer, Mlp, activate_grad, adam_step, mlp_backward, mlp_backward_forms,
+    mlp_forward, stream_grads, unflatten, write_grads,
 )
 
 
@@ -656,6 +658,16 @@ def chain_gradient_penalty_grads(disc, x_hat, grads, scale=1.0):
     return penalty
 
 
+def penalty_into(disc, z_hat, grads, scale=1.0):
+    """gradient_penalty_grads with its gradients added to grads, a list
+    aligned with disc.params(): each array's form gives what grads held."""
+    held = [g.copy() if g.ndim == 2 else g.copy()[None] for g in grads]
+    forms = [lambda lo, hi, dest, h=h: np.copyto(dest, h[lo:hi]) for h in held]
+    penalty = gradient_penalty_grads(disc, z_hat, forms, scale)
+    write_grads(forms, grads, grads)
+    return penalty
+
+
 def mixed_preactivation(disc, real_x, fake_x, eps):
     """eps * z_real + (1 - eps) * z_fake: the interpolates' trunk pre-activation."""
     (_, z_real), = mlp_forward(disc.trunk, real_x)[1]
@@ -704,10 +716,7 @@ def test_stacked_critic_pass_matches_two_pass_oracle(m, gp_weight):
         eps = rng.uniform(0.0, 1.0, size=(m, 1))
         ref_loss, ref_grads = two_pass_discriminator_loss_grads(
             disc, real, fake, labels, gp_weight, eps)
-        out = np.full(sum(p.size for p in disc.params()), np.nan)
-        loss, grads = discriminator_loss_grads(disc, real, fake, labels, gp_weight,
-                                               eps=eps, out=out)
-        assert grads is out
+        loss, grads = discriminator_loss_grads(disc, real, fake, labels, gp_weight, eps=eps)
         assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
         assert_rel_close(grads, ref_grads)
 
@@ -727,8 +736,8 @@ def test_penalty_from_mixed_preactivation_matches_chain_oracle(scale):
         ref = chain_gradient_penalty_grads(disc, eps * real + (1.0 - eps) * fake,
                                            ref_grads, scale)
         grads = [np.zeros_like(p) for p in disc.params()]
-        penalty = gradient_penalty_grads(disc, mixed_preactivation(disc, real, fake, eps),
-                                         grads, scale)
+        penalty = penalty_into(disc, mixed_preactivation(disc, real, fake, eps), grads,
+                               scale)
         assert abs(penalty - ref) <= 1e-12 * abs(ref)
         assert_rel_close(grads, ref_grads)
         # only the trunk and critic weights receive penalty gradients
@@ -757,7 +766,7 @@ def test_penalty_counts_a_relu_tie_as_active_in_both_forms():
     # penalty ((2 - 1)^2 + (0 - 1)^2) / 2; d_g = [[0, 1], [0, 0]]
     want = [np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 1.0]]), np.zeros(3),
             np.array([[1.0], [0.0], [1.0]]), np.zeros(1), np.zeros((3, 2)), np.zeros(2)]
-    for form, arg in [(gradient_penalty_grads, z_hat),
+    for form, arg in [(penalty_into, z_hat),
                       (chain_gradient_penalty_grads, eps * real + (1.0 - eps) * fake)]:
         grads = [np.zeros_like(p) for p in disc.params()]
         assert form(disc, arg, grads) == 1.0
@@ -802,6 +811,17 @@ def mlp_discriminator_backward(disc, cache, d_critic, d_logits, grads=None,
     trunk_grads, d_x = mlp_backward(disc.trunk, [(x, z)], d_h, parts[0], param_grads,
                                     input_grad)
     return (trunk_grads + critic_grads + head_grads if param_grads else None), d_x
+
+
+def mlp_discriminator_backward_forms(disc, cache, d_critic, d_logits, input_grad=True):
+    """The three mlp_backward_forms calls that Discriminator.backward_forms
+    replaced."""
+    x, z, h, critic, logits = cache
+    critic_forms, d_h = mlp_backward_forms(disc.critic, [(h, critic)], d_critic[:, None])
+    head_forms, d_head = mlp_backward_forms(disc.head, [(h, logits)], d_logits)
+    d_h += d_head
+    trunk_forms, d_x = mlp_backward_forms(disc.trunk, [(x, z)], d_h, input_grad)
+    return trunk_forms + critic_forms + head_forms, d_x
 
 
 def tied_rows(rng, disc, n):
@@ -893,6 +913,7 @@ def test_desk_width_training_is_bitwise_that_of_the_mlp_passes(monkeypatch):
     direct = trained()
     monkeypatch.setattr(Discriminator, "forward", mlp_discriminator_forward)
     monkeypatch.setattr(Discriminator, "backward", mlp_discriminator_backward)
+    monkeypatch.setattr(Discriminator, "backward_forms", mlp_discriminator_backward_forms)
     assert trained() == direct
 
 
@@ -920,7 +941,8 @@ def test_per_class_reduce_matches_per_row_semantics(kw):
     for sem, rows in [(table, classes), (table[classes], None)]:
         out, cache = gen.forward(sem, noise, rows)
         assert out.tobytes() == ref.tobytes()
-        assert_rel_close(gen.backward(cache, d_out), ref_grads)
+        assert_rel_close(write_grads(gen.backward_forms(cache, d_out), gen.params()),
+                         ref_grads)
 
     labels = rng.integers(0, 3, size=40)
     pos, neg = rng.normal(size=(40, 2, 4)), rng.normal(size=(40, 3, 4))
@@ -1006,35 +1028,37 @@ def generator_step_inputs(rng, gen, n=12, n_sem=5, n_features=30):
 
 
 def part_update(gen, **rates):
-    """generator_loss_grads's update: each part's slice of the packed
-    parameters with its own Adam state."""
-    return [(p, AdamState.for_params(p, **rates)) for p in gen.split(gen.pack())]
+    """generator_loss_grads's update: the packed parameters with one Adam
+    state for the whole generator."""
+    params = gen.pack()
+    return params, AdamState.for_params(params, **rates)
 
 
 @pytest.mark.parametrize("kw", [{}, {"noise_dim": 5, "noise_mode": "concat"}])
-def test_part_by_part_update_is_bitwise_the_whole_vector_adam_step(kw):
-    """Three steps: each part's gradient applied as soon as it is formed gives
-    the bytes of the whole flat gradient and one whole-vector adam_step."""
+def test_part_by_part_update_is_bitwise_the_whole_vector_adam_step(kw, monkeypatch):
+    """Three steps: each block of the gradient applied as soon as it is
+    formed, the reduce part one block and the decode part several, gives the
+    bytes of the whole flat gradient and one whole-vector adam_step."""
     rng = np.random.default_rng(17)
     gen = make_gen(rng, **kw)
     ref, disc = gen.copy(), make_disc(rng, visual_dim=4, hidden=5, num_classes=3)
+    monkeypatch.setattr(nn, "GRAD_BLOCK_VALUES",
+                        sum(p.size for p in gen.reduce.param_arrays()))
     rates = dict(alpha=0.01, beta1=0.5, beta2=0.9)
-    update = part_update(gen, **rates)
+    params, adam = update = part_update(gen, **rates)
     ref_params = ref.pack()
     ref_adam = AdamState.for_params(ref_params, **rates)
-    buffer = np.full(max(p.size for p, _ in update), np.nan)
     for _ in range(3):
         args, classes = generator_step_inputs(rng, gen)
         loss, trip, spent = generator_loss_grads(gen, disc, *args, classes=classes,
-                                                 out=buffer, update=update)
+                                                 update=update)
         ref_loss, ref_trip, grads = generator_loss_grads(ref, disc, *args, classes=classes)
         adam_step(ref_params, grads, ref_adam)
         assert spent is None and (loss, trip) == (ref_loss, ref_trip) and trip > 0.0
         assert [p.tobytes() for p in gen.params()] == [p.tobytes() for p in ref.params()]
-    assert [a.t for _, a in update] == [3, 3]
+    assert adam.t == 3
     for name in ("m", "v"):
-        parts = np.concatenate([getattr(a, name) for _, a in update])
-        assert parts.tobytes() == getattr(ref_adam, name).tobytes()
+        assert getattr(adam, name).tobytes() == getattr(ref_adam, name).tobytes()
 
 
 def test_non_finite_generator_loss_changes_no_parameter_or_moment():
@@ -1049,16 +1073,150 @@ def test_non_finite_generator_loss_changes_no_parameter_or_moment():
                                               update=update)
     assert not np.isfinite(loss) and spent is None
     assert [p.tobytes() for p in gen.params()] == before
-    for _, state in update:
-        assert state.t == 0 and not state.m.any() and not state.v.any()
+    state = update[1]
+    assert state.t == 0 and not state.m.any() and not state.v.any()
 
 
-def test_split_gives_views_of_each_part_in_layout_order():
-    gen = make_gen(np.random.default_rng(19))
-    flat = gen.pack()
-    reduce_part, decode_part = gen.split(flat)
-    assert reduce_part.size == sum(p.size for p in gen.reduce.param_arrays())
-    assert decode_part.size == sum(p.size for p in gen.decode.param_arrays())
-    assert np.shares_memory(decode_part, gen.decode.layers[-1].bias)
-    with pytest.raises(UsageError):
-        gen.split(flat[1:])
+def test_non_finite_critic_loss_changes_no_parameter_or_moment():
+    rng = np.random.default_rng(22)
+    disc = make_disc(rng, visual_dim=6, hidden=9, num_classes=4)
+    params = disc.pack()
+    update = params, AdamState.for_params(params)
+    before = params.tobytes()
+    real, fake = rng.uniform(-0.9, 0.9, size=(2, 5, 6))
+    real[0] = np.inf   # a real row whose critic score is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, spent = discriminator_loss_grads(disc, real, fake, rng.integers(0, 4, size=5),
+                                               10.0, rng=rng, update=update)
+    assert not np.isfinite(loss) and spent is None
+    assert params.tobytes() == before
+    state = update[1]
+    assert state.t == 0 and not state.m.any() and not state.v.any()
+
+
+def block_values(net, kind):
+    """A gradient block size for net: one that splits its first weight, one
+    that ends where its first layer does, or one past the whole network."""
+    sizes = [p.size for p in net.params()]
+    return {"splits-a-layer": 2 * sizes[0] // 5, "ends-on-a-layer": sizes[0] + sizes[1],
+            "past-the-network": sum(sizes) + 1}[kind]
+
+
+BLOCK_KINDS = ["splits-a-layer", "ends-on-a-layer", "past-the-network"]
+
+
+def counted_adam_steps(monkeypatch):
+    """A list that gains one entry per adam_step call the streamed losses make."""
+    calls = []
+    original = nn.adam_step
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "adam_step", counting)
+    return calls
+
+
+def critic_step_inputs(rng, n=7):
+    real, fake = rng.uniform(-0.9, 0.9, size=(2, n, 6))
+    return real, fake, rng.integers(0, 4, size=n), rng.uniform(0.0, 1.0, size=(n, 1))
+
+
+def hinge_step_inputs(rng, gen, hinge, n=12):
+    """Arguments after (gen, disc) of one generator_loss_grads call, with its
+    classes: positives among the first 15 feature rows and negatives among
+    the last 15, which lie 100 away when the hinge is to be inactive."""
+    features = rng.normal(size=(30, 4))
+    if not hinge:
+        features[15:] += 100.0
+    args = (rng.normal(size=(5, 6)), gen.sample_noise(rng, n), rng.integers(0, 3, size=n),
+            features, rng.integers(0, 15, size=(n, 2)), rng.integers(15, 30, size=(n, 3)),
+            GanTrainConfig(margin=5.0, lambda_t=0.7))
+    return args, rng.integers(0, 5, size=n)
+
+
+def assert_streamed_is_whole(update, ref_params, ref_adam, steps):
+    params, adam = update
+    assert params.tobytes() == ref_params.tobytes()
+    assert adam.t == ref_adam.t == steps
+    for name in ("m", "v"):
+        assert getattr(adam, name).tobytes() == getattr(ref_adam, name).tobytes()
+
+
+@pytest.mark.parametrize("block", BLOCK_KINDS)
+@pytest.mark.parametrize("gp_weight", [0.0, 10.0])
+def test_streamed_critic_update_is_bitwise_the_whole_vector_adam_step(monkeypatch, block,
+                                                                      gp_weight):
+    rng = np.random.default_rng(23)
+    disc = make_disc(rng, visual_dim=6, hidden=9, num_classes=4)
+    ref = disc.copy()
+    monkeypatch.setattr(nn, "GRAD_BLOCK_VALUES", block_values(disc, block))
+    calls = counted_adam_steps(monkeypatch)
+    rates = dict(alpha=0.01, beta1=0.5, beta2=0.9)
+    params = disc.pack()
+    update = params, AdamState.for_params(params, **rates)
+    ref_params = ref.pack()
+    ref_adam = AdamState.for_params(ref_params, **rates)
+    for _ in range(3):
+        real, fake, labels, eps = critic_step_inputs(rng)
+        calls.clear()
+        loss, spent = discriminator_loss_grads(disc, real, fake, labels, gp_weight, eps=eps,
+                                               update=update)
+        # one adam_step per block: one in all when the block is past the network
+        assert (len(calls) == 1) == (block == "past-the-network")
+        ref_loss, grads = discriminator_loss_grads(ref, real, fake, labels, gp_weight,
+                                                   eps=eps)
+        adam_step(ref_params, grads, ref_adam)
+        assert spent is None and loss == ref_loss
+    assert_streamed_is_whole(update, ref_params, ref_adam, 3)
+
+
+@pytest.mark.parametrize("block", BLOCK_KINDS)
+@pytest.mark.parametrize("hinge", [True, False])
+def test_streamed_generator_step_is_bitwise_the_whole_vector_adam_step(monkeypatch, block,
+                                                                       hinge):
+    rng = np.random.default_rng(24)
+    gen = make_gen(rng)
+    ref, disc = gen.copy(), make_disc(rng, visual_dim=4, hidden=5, num_classes=3)
+    monkeypatch.setattr(nn, "GRAD_BLOCK_VALUES", block_values(gen, block))
+    calls = counted_adam_steps(monkeypatch)
+    rates = dict(alpha=0.01, beta1=0.5, beta2=0.9)
+    update = part_update(gen, **rates)
+    ref_params = ref.pack()
+    ref_adam = AdamState.for_params(ref_params, **rates)
+    for _ in range(3):
+        args, classes = hinge_step_inputs(rng, gen, hinge)
+        calls.clear()
+        loss, trip, spent = generator_loss_grads(gen, disc, *args, classes=classes,
+                                                 update=update)
+        assert (len(calls) == 1) == (block == "past-the-network")
+        ref_loss, ref_trip, grads = generator_loss_grads(ref, disc, *args, classes=classes)
+        adam_step(ref_params, grads, ref_adam)
+        assert spent is None and (loss, trip) == (ref_loss, ref_trip)
+        assert (trip > 0.0) == hinge
+    assert_streamed_is_whole(update, ref_params, ref_adam, 3)
+
+
+@pytest.mark.parametrize("block", BLOCK_KINDS[:2])
+def test_gradient_blocks_only_regroup_the_products(monkeypatch, block):
+    """The whole flat gradients formed in small blocks are those formed in
+    one block, up to the rounding of a BLAS product over fewer rows."""
+    rng = np.random.default_rng(25)
+    gen = make_gen(rng)
+    disc = make_disc(rng, visual_dim=6, hidden=9, num_classes=4)
+    real, fake, labels, eps = critic_step_inputs(rng)
+    args, classes = hinge_step_inputs(rng, gen, True)
+    small = make_disc(rng, visual_dim=4, hidden=5, num_classes=3)
+
+    def gradients():
+        return (discriminator_loss_grads(disc, real, fake, labels, 10.0, eps=eps)[1],
+                generator_loss_grads(gen, small, *args, classes=classes)[2])
+
+    whole = gradients()
+    monkeypatch.setattr(nn, "GRAD_BLOCK_VALUES", block_values(disc, block))
+    got_disc, _ = gradients()
+    monkeypatch.setattr(nn, "GRAD_BLOCK_VALUES", block_values(gen, block))
+    _, got_gen = gradients()
+    assert_rel_close(got_disc, whole[0])
+    assert_rel_close(got_gen, whole[1])

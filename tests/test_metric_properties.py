@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from zsgen.metrics import (
     ScoreMatrix, ausuc, calibrated_predictions, CalibrationSweep, generalized_accuracy,
-    gzsl_suh, suc_curve,
+    gzsl_suh, suc_curve, top1_per_class,
 )
 
 
@@ -83,3 +83,77 @@ def test_harmonic_mean_of_equal_accuracies_is_that_accuracy():
     labels = np.array([0] * 12 + [1] * 12)
     s, u, h = gzsl_suh(ScoreMatrix(scores, [0, 1], 1), labels)
     assert s == u == 700.0 / 12.0 and h == s
+
+
+@st.composite
+def integer_matrices(draw):
+    """(ScoreMatrix of small integer scores, labels) with seen and unseen
+    rows: ties within a row, and with the seen maximum after a sweep shift,
+    are common."""
+    n_seen, n_unseen = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    ids = draw(st.permutations(range(12)))[:n_seen + n_unseen]
+    class_ids = sorted(ids[:n_seen]) + sorted(ids[n_seen:])
+    n_rows = draw(st.integers(2, 24))
+    scores = draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(class_ids),
+                                    max_size=len(class_ids)),
+                           min_size=n_rows, max_size=n_rows))
+    labels = [draw(st.sampled_from(class_ids)) for _ in range(n_rows)]
+    labels[0], labels[1] = draw(st.sampled_from(class_ids[:n_seen])), \
+        draw(st.sampled_from(class_ids[n_seen:]))
+    return ScoreMatrix(np.array(scores, dtype=np.float64), class_ids, n_seen), np.array(labels)
+
+
+@given(integer_matrices(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_permuting_the_rows_of_an_integer_matrix_leaves_every_metric_bitwise(case, random):
+    sm, labels = case
+    order = list(range(labels.size))
+    random.shuffle(order)
+    assert metric_bytes(*rows(sm, labels, np.array(order))) == metric_bytes(sm, labels)
+
+
+@given(integer_matrices(), st.integers(2, 3))
+@settings(max_examples=40, deadline=None)
+def test_repeating_every_row_of_an_integer_matrix_leaves_every_metric_bitwise(case, times):
+    sm, labels = case
+    repeated = np.repeat(np.arange(labels.size), times)
+    assert metric_bytes(*rows(sm, labels, repeated)) == metric_bytes(sm, labels)
+
+
+@given(integer_matrices())
+@settings(max_examples=40, deadline=None)
+def test_ausuc_of_an_integer_matrix_lies_in_the_unit_interval(case):
+    points = suc_curve(*case)
+    assume(len({x for x, _ in points}) >= 2)
+    assert 0.0 <= ausuc(points) <= 1.0
+
+
+@given(integer_matrices())
+@settings(max_examples=40, deadline=None)
+def test_harmonic_mean_of_an_integer_matrix_lies_between_seen_and_unseen(case):
+    s, u, h = gzsl_suh(*case)
+    assert min(s, u) <= h <= max(s, u)
+
+
+def all_metric_bytes(sm, labels):
+    """metric_bytes, with the per-class top-1 over all the columns and over
+    the unseen block for the unseen-class rows."""
+    unseen = np.isin(labels, sm.unseen_ids)
+    return metric_bytes(sm, labels) + (
+        top1_per_class(sm.scores, sm.class_ids, labels),
+        top1_per_class(sm.scores[unseen][:, sm.seen_count:], sm.unseen_ids, labels[unseen]))
+
+
+@given(st.one_of(vote_matrices(), integer_matrices()),
+       st.lists(st.integers(0, 10 ** 6), min_size=12, max_size=12, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_an_order_preserving_relabelling_of_class_ids_leaves_every_metric_bitwise(case,
+                                                                                  targets):
+    # ties go to the smallest id, so only a map that keeps the ids' order
+    # may leave the predictions, and with them every metric, as they were
+    sm, labels = case
+    new_id = dict(zip(range(12), sorted(targets)))   # ids are drawn from 0..11
+    relabelled = ScoreMatrix(sm.scores, [new_id[c] for c in sm.class_ids.tolist()],
+                             sm.seen_count)
+    new_labels = np.array([new_id[c] for c in labels.tolist()])
+    assert all_metric_bytes(relabelled, new_labels) == all_metric_bytes(sm, labels)

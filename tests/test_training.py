@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zsgen import data, gan, metrics, selftrain
+from zsgen import data, gan, metrics, nn, selftrain
 from zsgen.evaluate import score_matrix
 from zsgen.errors import UsageError
 from zsgen.gan import GanTrainConfig, train_gan
@@ -83,10 +83,13 @@ def test_a_training_step_holds_no_whole_triplet_sample_stack():
     assert peak < stack, (peak, stack)
 
 
-def test_a_generator_step_holds_no_gradient_vector_of_the_whole_generator():
+def test_a_generator_step_holds_no_gradient_vector_of_the_whole_generator(monkeypatch):
     # reduce and decode parts of about 400k values each (3.2 MB) outweigh the step's
     # batch temporaries; train_gan holds the packed parameters and both
-    # moments, and a gradient vector of the whole generator would add 6.4 MB
+    # moments, and a gradient vector of the whole generator would add 6.4 MB.
+    # The whole generator would fit in one default gradient block, so the
+    # block is set to 2^19 values, which each part fits and the two do not.
+    monkeypatch.setattr(nn, "GRAD_BLOCK_VALUES", 1 << 19)
     from zsgen.gan import DiscriminatorConfig, GeneratorConfig
     spec = data.SyntheticSpec(num_seen=4, num_unseen=2, samples_per_class=10,
                               semantic_dim=3999, visual_dim=100, seed=0)
@@ -110,6 +113,32 @@ def test_a_generator_step_holds_no_gradient_vector_of_the_whole_generator():
         tracemalloc.stop()
     # parameters, two moments and one part's gradient, with a part to spare
     assert peak < 4 * whole, (peak, whole)
+
+
+def test_a_training_step_holds_at_most_one_gradient_block():
+    # a reduce weight of 2.6 M values is two and a half gradient blocks; above
+    # the packed parameters and their two moments a step holds one block, the
+    # batch's activations and Adam's two work chunks (1 MB), under 2 MB together
+    from zsgen.gan import DiscriminatorConfig, GeneratorConfig
+    spec = data.SyntheticSpec(num_seen=4, num_unseen=2, samples_per_class=10,
+                              semantic_dim=2600, visual_dim=8, seed=0)
+    rng = np.random.default_rng(0)
+    work, _, gen, disc, cols = selftrain.prepare_models(
+        data.make_synthetic(spec),
+        GeneratorConfig(semantic_dim=2600, visual_dim=8, reduce_dim=1000, hidden_dim=16),
+        DiscriminatorConfig(visual_dim=8, hidden_dim=10), rng)
+    assert gen.reduce.layers[0].weight.size > 2 * nn.GRAD_BLOCK_VALUES
+    persistent = 3 * 8 * sum(p.size for p in gen.params() + disc.params())
+    tr = work.train_indices()
+    x, y = work.features[tr], work.labels[tr]
+    cfg = GanTrainConfig(n_step=1, n_d=1, batch_size=16, eval_every=0)
+    tracemalloc.start()
+    try:
+        train_gan(work, x, y, gen, disc, cols, cfg, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - persistent < 8 * nn.GRAD_BLOCK_VALUES + (2 << 20), (peak, persistent)
 
 
 def test_non_finite_generator_loss_names_the_step_and_leaves_the_generator(monkeypatch):
