@@ -6,14 +6,14 @@ layers view. A backward pass forms every gradient in the layers' inputs from
 the weights as they are, and gives each parameter array's gradient as a
 form: a function that writes any run of the array's rows. `stream_grads`
 runs a network's forms one block of its flat layout at a time, at most
-GRAD_BLOCK_VALUES values: it writes the blocks into one flat gradient, or
+GRAD_BLOCK_VALUES values and no more than the network's largest array
+past one Adam work chunk: it writes the blocks into one flat gradient, or
 hands each to `adam_step` for its range of the parameters as soon as it is
 formed, so a training step never holds a gradient of the whole network. A
 forward that keeps no cache, as generation runs it, applies each activation
 in place and can write its last layer into the caller's array.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -273,12 +273,14 @@ def mlp_backward(mlp, cache, d_out, grads=None, param_grads=True, input_grad=Tru
 
 
 # values per gradient block: stream_grads forms a network's gradient, and
-# hands it to Adam, this many values (8 MB) at a time
+# hands it to Adam, at most this many values (8 MB) at a time
 GRAD_BLOCK_VALUES = 1 << 20
 
+# entries per Adam work chunk: two 512 KiB buffers, whatever the network size
+ADAM_CHUNK = 1 << 16
 
-@functools.lru_cache(maxsize=32)
-def _grad_blocks(shapes, budget, reverse):
+
+def _grad_blocks(shapes, reverse):
     """The plan of a flat gradient of arrays of the given shapes, a 1-d
     array being one row: (values in all, values in the largest block,
     blocks in the order they are formed, last first with reverse). A block
@@ -286,9 +288,14 @@ def _grad_blocks(shapes, budget, reverse):
     and end in the block, row width, whether it is the array's last piece
     to be formed).
 
-    An array of more than budget values is cut into runs of budget // width
-    rows, at least one; consecutive runs that fit in budget share a block.
+    A block's budget is GRAD_BLOCK_VALUES, or the largest array if that is
+    smaller, so a network that would fit in one block is still not held
+    whole; but never under ADAM_CHUNK, the size of the two work buffers
+    adam_step allocates anyway. An array of more than budget values is cut
+    into runs of budget // width rows, at least one; consecutive runs that
+    fit in budget share a block.
     """
+    budget = min(GRAD_BLOCK_VALUES, max(ADAM_CHUNK, max(map(math.prod, shapes))))
     runs, at = [], 0
     for i, shape in enumerate(shapes):
         n_rows, width = shape if len(shape) == 2 else (1, shape[0])
@@ -321,8 +328,10 @@ def stream_grads(forms, shapes, update=None, reverse=False):
 
     forms[i](lo, hi, dest) writes rows lo:hi of the gradient of the array
     of shape shapes[i] into dest, a (hi - lo, width) array; a 1-d array is
-    one row. Blocks hold at most GRAD_BLOCK_VALUES values (a wider row is a
-    block of its own) and run in layout order, or last first with reverse.
+    one row. Blocks hold at most GRAD_BLOCK_VALUES values and no more than
+    the largest array, unless that is under ADAM_CHUNK (see _grad_blocks; a
+    wider row is a block of its own), and run in layout order, or last first
+    with reverse.
     forms is consumed: each form is dropped after its array's last piece,
     which releases what only it holds.
 
@@ -333,7 +342,7 @@ def stream_grads(forms, shapes, update=None, reverse=False):
     block, and None is returned. Adam's operations are elementwise, so the
     parameters and moments are those of one whole-vector adam_step.
     """
-    size, largest, blocks = _grad_blocks(tuple(shapes), GRAD_BLOCK_VALUES, reverse)
+    size, largest, blocks = _grad_blocks(shapes, reverse)
     if update is None:
         flat = np.empty(size)
     else:
@@ -374,10 +383,6 @@ class AdamState:
         the moments cost no memory until the first adam_step.
         """
         return cls(**settings, m=np.zeros(params.shape), v=np.zeros(params.shape))
-
-
-# entries per Adam work chunk: two 512 KiB buffers, whatever the network size
-ADAM_CHUNK = 1 << 16
 
 
 def adam_step(params, grads, state, at=None):

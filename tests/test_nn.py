@@ -347,3 +347,22 @@ def test_adam_moments_take_no_memory_before_the_first_step():
     for moment in (state.m, state.v):
         assert moment.dtype == np.float64 and moment.shape == params.shape
         assert not moment.any()
+
+
+@pytest.mark.parametrize("shapes, largest", [
+    # under one Adam chunk in all: one block, whatever its arrays
+    ([(32, 64), (64,), (64, 32), (32,)], 4192),
+    # two parts of about 400k values fit one block together, but no block
+    # is larger than the largest array
+    ([(3999, 100), (100,), (100, 1990), (1990,), (1990, 100), (100,)], 3999 * 100),
+    # an array past the block is cut into runs of rows
+    ([(5000, 1000), (1000,)], nn.GRAD_BLOCK_VALUES),
+])
+def test_a_gradient_block_is_at_most_the_largest_array_past_one_adam_chunk(shapes, largest):
+    size, got, blocks = nn._grad_blocks(shapes, False)
+    assert size == sum(np.prod(s) for s in shapes) and got <= largest
+    assert [b[:2] for b in blocks] == sorted(b[:2] for b in blocks)
+    assert blocks[0][0] == 0 and blocks[-1][1] == size
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    if size <= nn.ADAM_CHUNK:
+        assert len(blocks) == 1

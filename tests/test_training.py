@@ -83,13 +83,10 @@ def test_a_training_step_holds_no_whole_triplet_sample_stack():
     assert peak < stack, (peak, stack)
 
 
-def test_a_generator_step_holds_no_gradient_vector_of_the_whole_generator(monkeypatch):
+def test_a_generator_step_holds_no_gradient_vector_of_the_whole_generator():
     # reduce and decode parts of about 400k values each (3.2 MB) outweigh the step's
     # batch temporaries; train_gan holds the packed parameters and both
-    # moments, and a gradient vector of the whole generator would add 6.4 MB.
-    # The whole generator would fit in one default gradient block, so the
-    # block is set to 2^19 values, which each part fits and the two do not.
-    monkeypatch.setattr(nn, "GRAD_BLOCK_VALUES", 1 << 19)
+    # moments, and a gradient vector of the whole generator would add 6.4 MB
     from zsgen.gan import DiscriminatorConfig, GeneratorConfig
     spec = data.SyntheticSpec(num_seen=4, num_unseen=2, samples_per_class=10,
                               semantic_dim=3999, visual_dim=100, seed=0)
