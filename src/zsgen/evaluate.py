@@ -167,12 +167,13 @@ def evaluate_model(gen, dataset_scaled, sweep, ratios, per_class_synthetic,
                               knn_k, d2[is_unseen, unseen_refs])
 
     sm = score_matrix(clf, dataset_scaled, x_test, d2)
-    del d2  # not held through the sweep, whose arrays set the peak memory
-    s, u, h = metrics.gzsl_suh(sm, y_test)
-    predictions = metrics.calibrated_predictions(sm, sweep.values())
-    g_acc = metrics.generalized_accuracy(sm, y_test, predictions=predictions)
-    points = metrics.suc_curve(sm, y_test, predictions=predictions)
-    del predictions  # not held through retrieval
+    del d2  # not held through the metrics and retrieval
+    # one pass of the sweep kernel: the sweep's points, then lambda = 0 for
+    # S, U and H; 0 leaves max|lambda|, and so every other point's count, as is
+    counts = metrics.calibrated_hits(sm, y_test, np.append(sweep.values(), 0.0))
+    s, u, h = metrics.gzsl_suh(sm, y_test, counts=counts[-1:])
+    g_acc = metrics.generalized_accuracy(sm, y_test, counts=counts[:-1])
+    points = metrics.suc_curve(sm, y_test, counts=counts[:-1])
     area = metrics.ausuc(points)
 
     map_at = retrieval_map(

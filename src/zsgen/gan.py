@@ -154,14 +154,22 @@ class Generator(Network):
     def sample_noise(self, rng, n):
         return rng.normal(0.0, self.cfg.noise_sigma, size=(n, self.cfg.noise_dim))
 
-    def forward(self, semantics, noise, classes=None, keep_cache=True, out=None):
+    def reduce_rows(self, semantics):
+        """The reduce layer's rows for the semantic rows, with their cache:
+        the reduced= of forward and generate while the weights do not change."""
+        return mlp_forward(self.reduce, np.asarray(semantics, dtype=np.float64))
+
+    def forward(self, semantics, noise, classes=None, keep_cache=True, out=None,
+                reduced=None):
         """Generated rows, one per noise row, and the cache for backward.
 
         Noise row i is generated from semantic row classes[i], so the reduce
-        layer runs once per semantic row, however many noise rows share it.
-        By default noise row i uses semantic row i, or the only one.
-        keep_cache and out are as in mlp_forward: without a cache (None is
-        returned for it) the rows can be written into out.
+        layer runs once per semantic row, however many noise rows share it,
+        and not at all when reduced, reduce_rows(semantics) under the
+        current weights, is given. By default noise row i uses semantic row
+        i, or the only one. keep_cache and out are as in mlp_forward:
+        without a cache (None is returned for it) the rows can be written
+        into out.
         """
         semantics = np.asarray(semantics, dtype=np.float64)
         noise = np.asarray(noise, dtype=np.float64)
@@ -179,12 +187,16 @@ class Generator(Network):
                     or not 0 <= np.minimum.reduce(classes) <= np.maximum.reduce(classes) < n_sem):
                 raise UsageError("classes must be one integer semantic row index per noise row")
             classes = classes.astype(np.int64, copy=False)
-        reduced, reduce_cache = mlp_forward(self.reduce, semantics, keep_cache)
+        if reduced is None:
+            reduced = mlp_forward(self.reduce, semantics, keep_cache)
+        rows, reduce_cache = reduced
+        if rows.shape != (n_sem, self.cfg.reduce_dim) or keep_cache and reduce_cache is None:
+            raise UsageError("reduced must be reduce_rows of the semantics")
         if self.cfg.noise_mode == "add":
-            h = reduced[classes]
+            h = rows[classes]
             h += noise
         else:
-            h = np.concatenate([reduced[classes], noise], axis=1)
+            h = np.concatenate([rows[classes], noise], axis=1)
         out, decode_cache = mlp_forward(self.decode, h, keep_cache, out)
         return out, (reduce_cache, decode_cache, classes) if keep_cache else None
 
@@ -206,11 +218,12 @@ class Generator(Network):
         return reduce_forms + decode_forms
 
 
-def generate(gen, semantics, noise, classes=None, out=None):
+def generate(gen, semantics, noise, classes=None, out=None, reduced=None):
     """Synthesize visual features with the forward that keeps no cache.
 
     The rows are written into out when it is given, a C-contiguous float64
-    (noise rows, visual_dim) array, and out is returned.
+    (noise rows, visual_dim) array, and out is returned. reduced is as in
+    Generator.forward.
     """
     noise = np.asarray(noise, dtype=np.float64)
     if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
@@ -218,7 +231,8 @@ def generate(gen, semantics, noise, classes=None, out=None):
                                 and out.shape == (noise.shape[0], gen.cfg.visual_dim)):
         raise UsageError(f"out must be a C-contiguous float64 ({noise.shape[0]}, "
                          f"{gen.cfg.visual_dim}) array")
-    out, _ = gen.forward(semantics, noise, classes, keep_cache=False, out=out)
+    out, _ = gen.forward(semantics, noise, classes, keep_cache=False, out=out,
+                         reduced=reduced)
     if not np.isfinite(out).all():
         raise UsageError("non-finite values in generated features")
     return out
@@ -504,12 +518,12 @@ def discriminator_loss_grads(disc, real_x, fake_x, labels, gp_weight, rng=None, 
 
 
 def generator_loss_grads(gen, disc, semantics, noise, labels, features,
-                         pos_rows, neg_rows, cfg, classes=None, update=None):
+                         pos_rows, neg_rows, cfg, classes=None, update=None, reduced=None):
     """Generator loss with its gradients in the generator parameters.
 
     The loss is the part that depends on the generator: the negated mean
     critic score of the generated batch, half its classification loss, and
-    the weighted triplet term. semantics and classes are as in
+    the weighted triplet term. semantics, classes and reduced are as in
     Generator.forward; pos_rows / neg_rows are the row indices into
     features of the real samples matched to each batch row's class, as
     triplet_loss_grad takes them.
@@ -522,7 +536,7 @@ def generator_loss_grads(gen, disc, semantics, noise, labels, features,
     and (loss, triplet, None) is returned; a non-finite loss returns before
     any gradient is formed, so no parameter or moment changes.
     """
-    fake_x, gen_cache = gen.forward(semantics, noise, classes)
+    fake_x, gen_cache = gen.forward(semantics, noise, classes, reduced=reduced)
     critic_f, logits_f, disc_cache = disc.forward(fake_x)
 
     n = fake_x.shape[0]
@@ -673,10 +687,13 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng):
     last_ld = float("nan")
 
     for step in range(1, cfg.n_step + 1):
+        # the generator's weights change only at its update, so the reduce
+        # layer's rows for the fit classes serve the whole step
+        reduced = gen.reduce_rows(sem_of_class)
         for _ in range(cfg.n_d):
             idx = rng.integers(0, fit_idx.size, size=m)
             k = sampler.class_of_row[idx]
-            fake = generate(gen, sem_of_class, gen.sample_noise(rng, m), k)
+            fake = generate(gen, sem_of_class, gen.sample_noise(rng, m), k, reduced=reduced)
             last_ld, _ = discriminator_loss_grads(
                 disc, train_x[fit_idx[idx]], fake, col_of_class[k], cfg.gp_weight,
                 rng=rng, update=disc_update,
@@ -690,6 +707,7 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng):
         lg, trip, _ = generator_loss_grads(
             gen, disc, sem_of_class, gen.sample_noise(rng, m), col_of_class[k],
             train_x, fit_idx[pos], fit_idx[neg], cfg, classes=k, update=gen_update,
+            reduced=reduced,
         )
         if not math.isfinite(lg):
             raise UsageError(f"non-finite generator loss at step {step}")

@@ -4,6 +4,12 @@ seen-unseen curves with their area, GZSL harmonic mean, retrieval precision.
 Score matrices have one column per class, seen classes first then the
 unseen block, each block in ascending class-id order. Argmax ties always
 go to the smallest class id.
+
+The calibration sweep is counted, not formed: calibrated_hits finds each
+row's flip point, the first sweep point at which its unseen argmax wins,
+and from the flip points counts the right predictions per point and class
+in O(N log L + L*C) for N rows, L points and C classes. G_acc, the SUC
+curve and (at lambda = 0) S, U and H read those counts.
 """
 
 import math
@@ -42,7 +48,7 @@ class ScoreMatrix:
 
 
 # most steps a calibration sweep may take; the default sweep takes 400, and
-# the evaluation holds a (points x queries) array of predictions
+# the evaluation holds a (points x classes) array of hit counts
 MAX_SWEEP_POINTS = 10_000
 
 
@@ -87,13 +93,12 @@ def predict_labels(scores, class_ids):
     return np.where(tie, class_ids[None, :], big).min(axis=1)
 
 
-def _per_class_accuracy(correct, labels):
-    """Mean over the classes in labels of per-class top-1 (%), for every row
-    of correct, an (L, n) hit mask over n samples with these labels; (L,)."""
-    order = np.argsort(labels, kind="stable")
-    _, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
-    hits = np.add.reduceat(correct[:, order], starts, axis=1, dtype=np.int64)
-    return 100.0 * (hits / sizes).mean(axis=1)
+def _class_accuracy(hits, sizes):
+    """Mean over the classes of per-class top-1 (%) for every row of hits, an
+    (L, C) count of the right predictions among each class's sizes[c] rows;
+    (L,). The mean runs down C-contiguous rows: a gather of columns is
+    F-ordered, and numpy would sum its rows in another order."""
+    return 100.0 * (np.ascontiguousarray(hits) / sizes).mean(axis=1)
 
 
 def _labels(labels, rows):
@@ -113,71 +118,98 @@ def top1_per_class(scores, class_ids, labels):
     if missing:
         raise ConfigError(f"labels outside the class set: {sorted(missing)}")
     correct = predict_labels(scores, class_ids) == labels
-    return float(_per_class_accuracy(correct[None, :], labels)[0])
+    classes, cls, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    hits = np.bincount(cls[correct], minlength=classes.size)
+    return float(_class_accuracy(hits[None, :], sizes)[0])
 
 
 # cap on the temporaries of one chunk of sweep points, which share it with
 # the vectors of one value per row that the sweep holds through its chunks;
-# the set-up before the chunks (the block maxima, the near-tie test and the
-# fallback rows' copy) is not capped and scales with N*(s + u). A whole
-# evaluation at the acceptance shapes holds about 7 MB of arrays at its peak
-# (the kNN), and the sweep stays under that so it does not raise the peak
+# the set-up before the chunks (the block maxima, the near-tie test, the
+# flip-point search and the slow rows' copy) is not capped and scales with
+# N*(s + u). A whole evaluation at the acceptance shapes holds about 7 MB
+# of arrays at its peak (the kNN), and the sweep stays under that so it
+# does not raise the peak
 _SWEEP_CHUNK_BYTES = 1 << 20
 
 
-def calibrated_predictions(sm, lams):
-    """Calibrated argmax of every row at every sweep point, shape (L, N).
+def _spare(n):
+    """What the chunk cap leaves beside seven vectors of n values, held until
+    the end, and numpy's buffers for a broadcast operation (under 128 KB)."""
+    return _SWEEP_CHUNK_BYTES - 8 * 7 * n - (1 << 17)
+
+
+def _flip_points(sm, lams):
+    """The set-up that calibrated_predictions and calibrated_hits share.
 
     Row i at point l is predict_labels of the scores with lams[l] added to
     every unseen column. The seen block does not move, so its maximum and
     smallest tied id are taken once. Rounding is monotone, so fl(x + lam)
     is monotone in x, and the largest shifted unseen score is fl(m + lam)
-    for the row's unseen maximum m: one add per row and point, O(L*N) in
-    all, and the winner there is the smallest id tied at m. Adding lam can
-    still round a smaller score onto that sum, a tie the plain scores do
-    not have, and a column with a smaller id would then win it. Two sums
-    of magnitude at most B = |m| + max|lam| round to one value only if the
-    scores lie within spacing(B) of each other, so a row with such a
-    column that close to m, or whose B is not finite, takes the argmax of
-    its shifted unseen scores at every point instead.
+    for the row's unseen maximum m; the winner there is the smallest id
+    tied at m. Adding lam can still round a smaller score onto that sum, a
+    tie the plain scores do not have, and a column with a smaller id would
+    then win it. Two sums of magnitude at most B = |m| + max|lam| round to
+    one value only if the scores lie within spacing(B) of each other, so a
+    row with such a column that close to m, or whose B is not finite, is
+    slow: it takes the argmax of its shifted unseen scores at every point.
+
+    fl(m + lam) is monotone in lam too, so a fast row predicts its seen
+    argmax up to one point, its flip point, and its unseen argmax from
+    there. flip[i] is that point's place among the points in ascending
+    order (L when there is none), found by a binary search of log2 L passes
+    over the rows that evaluates the predicate itself; rank[l] is lams[l]'s
+    place in that order.
+
+    Returns rank, flip, seen_pred and top_ids (every row's two candidates),
+    slow (the slow rows' indices) and the slow rows' arguments for
+    _slow_chunks, None when there are none.
     """
-    lams = np.asarray(lams, dtype=np.float64)
+    if np.isnan(lams).any():
+        raise UsageError("calibration sweep points must not be NaN")
     s = sm.seen_count
     seen, unseen = sm.scores[:, :s], sm.scores[:, s:]
-    n, u = unseen.shape
     seen_max, seen_pred = seen.max(axis=1), predict_labels(seen, sm.seen_ids)
     top, top_ids = unseen.max(axis=1), predict_labels(unseen, sm.unseen_ids)
     with np.errstate(over="ignore"):  # a bound or gap past the float range
         bound = np.spacing(np.abs(top) + np.abs(lams).max(initial=0.0))
         near = (top[:, None] - unseen <= bound[:, None]) & (sm.unseen_ids < top_ids[:, None])
     slow = np.flatnonzero(near.any(axis=1) | ~np.isfinite(bound))
-    del near  # not held through the chunks
+    del near  # not held through the search
     # the unseen maximum wins past the seen one, and at a tie when its id
     # is the smaller: where fl(top + lam) >= thresh
     thresh = np.where(top_ids < seen_pred, seen_max, np.nextafter(seen_max, np.inf))
-    pred = np.empty((lams.size, n), dtype=np.int64)
-    # held until the end: seven vectors of one value per row, and numpy's
-    # buffers for a broadcast operation (under 128 KB)
-    spare = _SWEEP_CHUNK_BYTES - 8 * 7 * n - (1 << 17)
-    # per sweep point: n sums and n flags
-    step = max(1, spare // (9 * max(1, n)))
-    for a in range(0, lams.size, step):
-        out = pred[a:a + step]
-        np.copyto(out, seen_pred)
-        np.copyto(out, top_ids, where=top + lams[a:a + step, None] >= thresh)
-    if slow.size == 0:
-        return pred
-    order = np.argsort(sm.unseen_ids, kind="stable")
-    unseen = unseen[np.ix_(slow, order)]  # the slow rows, columns in id order
-    seen_max, seen_pred = seen_max[slow], seen_pred[slow]
+    order = np.argsort(lams, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(lams.size)
+    # the points in ascending order, padded with +inf to a power of two: the
+    # predicate holds at every pad, so no probe needs a bounds check
+    depth = lams.size.bit_length()
+    ascending = np.full(1 << depth, np.inf)
+    ascending[:lams.size] = lams[order]
+    flip = np.zeros(top.size, dtype=np.int64)
+    # a pass moves a row's flip point on by half where the predicate fails
+    # at the last point passed; no sum is NaN, so < is its negation
+    for half in (1 << k for k in reversed(range(depth))):
+        flip += half * (top + ascending[flip + (half - 1)] < thresh)
+    slow_rows = None
+    if slow.size:
+        col = np.argsort(sm.unseen_ids, kind="stable")  # unseen columns in id order
+        slow_rows = (unseen[np.ix_(slow, col)], sm.unseen_ids[col],
+                     seen_max[slow], seen_pred[slow])
+    return rank, flip, seen_pred, top_ids, slow, slow_rows
+
+
+def _slow_chunks(slow_rows, lams, spare):
+    """(a, the slow rows' predictions at lams[a:a + step]) for chunks of sweep
+    points whose temporaries fit in spare bytes less the rows' own copy."""
+    unseen, unseen_ids, seen_max, seen_pred = slow_rows
     spare -= unseen.nbytes + seen_max.nbytes + seen_pred.nbytes
     # per sweep point: the slow rows' u sums and at most seven arrays of
     # one value per slow row
-    step = max(1, spare // (8 * slow.size * (u + 7)))
+    step = max(1, spare // (8 * (unseen.size + 7 * seen_max.size)))
     for a in range(0, lams.size, step):
-        pred[a:a + step, slow] = _argmax_calibrated(
-            unseen, sm.unseen_ids[order], seen_max, seen_pred, lams[a:a + step])
-    return pred
+        yield a, _argmax_calibrated(unseen, unseen_ids, seen_max, seen_pred, lams[a:a + step])
 
 
 def _argmax_calibrated(unseen, unseen_ids, seen_max, seen_pred, lams):
@@ -194,41 +226,106 @@ def _argmax_calibrated(unseen, unseen_ids, seen_max, seen_pred, lams):
     )
 
 
-def generalized_accuracy(sm, labels, *, predictions=None):
+def calibrated_predictions(sm, lams):
+    """Calibrated argmax of every row at every sweep point, shape (L, N).
+
+    Row i at point l is predict_labels of the scores with lams[l] added to
+    every unseen column: for a fast row, its seen argmax before its flip
+    point and its unseen argmax from there (see _flip_points).
+    """
+    lams = np.asarray(lams, dtype=np.float64)
+    rank, flip, seen_pred, top_ids, slow, slow_rows = _flip_points(sm, lams)
+    pred = np.empty((lams.size, flip.size), dtype=np.int64)
+    step = max(1, _spare(flip.size) // max(1, flip.size))  # n flags per point
+    for a in range(0, lams.size, step):
+        out = pred[a:a + step]
+        np.copyto(out, seen_pred)
+        np.copyto(out, top_ids, where=rank[a:a + step, None] >= flip)
+    if slow_rows is not None:
+        for a, chunk in _slow_chunks(slow_rows, lams, _spare(flip.size)):
+            pred[a:a + len(chunk), slow] = chunk
+    return pred
+
+
+def calibrated_hits(sm, labels, lams):
+    """Right calibrated predictions per sweep point and class, shape (L, C).
+
+    hits[l, c] counts the rows labelled classes[c], for classes =
+    np.unique(labels), whose calibrated_predictions at lams[l] is their
+    label. A fast row is right before its flip point (its seen argmax is
+    its label), from it (its unseen argmax is), or never, so one bincount
+    over (flip point, class) and a running sum down the points in ascending
+    order count every fast row in O(N + L*C), with no (L, N) array. The
+    slow rows' predictions are compared chunk by chunk.
+    """
+    labels = _labels(labels, sm.scores.shape[0])
+    lams = np.asarray(lams, dtype=np.float64)
+    rank, flip, seen_pred, top_ids, slow, slow_rows = _flip_points(sm, lams)
+    classes, cls = np.unique(labels, return_inverse=True)
+    c, size = classes.size, (lams.size + 1) * classes.size
+    fast = np.ones(labels.size, dtype=bool)
+    fast[slow] = False
+    # down the points in ascending order, a fast row whose unseen argmax is
+    # its label turns right at its flip point, one whose seen argmax is
+    # turns wrong there
+    late, early = fast & (top_ids == labels), fast & (seen_pred == labels)
+    at = flip * c + cls
+    steps = np.bincount(at[late], minlength=size) - np.bincount(at[early], minlength=size)
+    ascending = np.cumsum(steps.reshape(-1, c)[:-1], axis=0)
+    ascending += np.bincount(cls[early], minlength=c)
+    hits = ascending[rank]  # in sweep order
+    del fast, late, early, at, steps, ascending  # not held through the chunks
+    if slow_rows is not None:
+        by_class = np.argsort(cls[slow], kind="stable")
+        present, starts = np.unique(cls[slow][by_class], return_index=True)
+        for a, chunk in _slow_chunks(slow_rows, lams, _spare(labels.size)):
+            right = (chunk == labels[slow])[:, by_class]
+            hits[a:a + len(chunk), present] += np.add.reduceat(right, starts, axis=1,
+                                                               dtype=np.int64)
+    return hits
+
+
+def generalized_accuracy(sm, labels, *, counts=None):
     """Mean over the calibration sweep of plain sample accuracy (%).
 
     Each sweep point adds lambda to every unseen-class column before the
-    argmax over all classes. predictions is calibrated_predictions(sm,
+    argmax over all classes. counts is calibrated_hits(sm, labels,
     sweep.values()) for the sweep to average over, which evaluate_model
     forms once for both this and suc_curve; without it, the default
     CalibrationSweep's are formed here.
     """
     labels = _labels(labels, sm.scores.shape[0])
-    if predictions is None:
-        predictions = calibrated_predictions(sm, CalibrationSweep().values())
-    hits = (predictions == labels).sum(axis=1)
+    if counts is None:
+        counts = calibrated_hits(sm, labels, CalibrationSweep().values())
+    hits = counts.sum(axis=1)
     # running sum in sweep order: the same float total as adding point by point
     total = float(np.add.accumulate(hits / labels.size)[-1])
     return 100.0 * total / hits.size
 
 
-def suc_curve(sm, labels, *, predictions=None):
+def _class_groups(sm, labels, metric):
+    """The sizes of the classes in labels, in ascending id order (the columns
+    of calibrated_hits), and masks over them of the seen and the unseen
+    classes, of which metric needs at least one each."""
+    classes, sizes = np.unique(labels, return_counts=True)
+    seen, unseen = np.isin(classes, sm.seen_ids), np.isin(classes, sm.unseen_ids)
+    if not seen.any() or not unseen.any():
+        raise ConfigError(f"{metric} needs both seen and unseen test samples")
+    return sizes, seen, unseen
+
+
+def suc_curve(sm, labels, *, counts=None):
     """Seen-unseen accuracy curve over the calibration sweep.
 
     Returns deduplicated (acc_unseen, acc_seen) fraction pairs sorted by
-    acc_unseen ascending. predictions is as in generalized_accuracy.
+    acc_unseen ascending. counts is as in generalized_accuracy.
     """
     labels = _labels(labels, sm.scores.shape[0])
-    is_seen = np.isin(labels, sm.seen_ids)
-    is_unseen = np.isin(labels, sm.unseen_ids)
-    if not is_seen.any() or not is_unseen.any():
-        raise ConfigError("SUC curve needs both seen and unseen test samples")
-    if predictions is None:
-        predictions = calibrated_predictions(sm, CalibrationSweep().values())
-    correct = predictions == labels
-    del predictions  # when formed here, not held through the per-class means
-    acc_u = _per_class_accuracy(correct[:, is_unseen], labels[is_unseen]) / 100.0
-    acc_s = _per_class_accuracy(correct[:, is_seen], labels[is_seen]) / 100.0
+    sizes, seen, unseen = _class_groups(sm, labels, "SUC curve")
+    if counts is None:
+        counts = calibrated_hits(sm, labels, CalibrationSweep().values())
+    acc_u = _class_accuracy(counts[:, unseen], sizes[unseen]) / 100.0
+    acc_s = _class_accuracy(counts[:, seen], sizes[seen]) / 100.0
     return sorted(set(zip(acc_u.tolist(), acc_s.tolist())))
 
 
@@ -251,17 +348,19 @@ def ausuc(points):
     return area
 
 
-def gzsl_suh(sm, labels):
-    """Uncalibrated GZSL seen/unseen per-class top-1 and their harmonic mean."""
+def gzsl_suh(sm, labels, *, counts=None):
+    """Uncalibrated GZSL seen/unseen per-class top-1 and their harmonic mean.
+
+    The calibrated rule at lambda = 0 is the argmax over all columns, ties
+    to the smallest id, so S and U are read from counts, calibrated_hits(sm,
+    labels, [0.0]); evaluate_model forms that row with the sweep's, and
+    without it, it is formed here.
+    """
     labels = _labels(labels, sm.scores.shape[0])
-    pred = predict_labels(sm.scores, sm.class_ids)
-    is_seen = np.isin(labels, sm.seen_ids)
-    is_unseen = np.isin(labels, sm.unseen_ids)
-    if not is_seen.any() or not is_unseen.any():
-        raise ConfigError("GZSL evaluation needs both seen and unseen test samples")
-    correct = (pred == labels)[None, :]
-    s = float(_per_class_accuracy(correct[:, is_seen], labels[is_seen])[0])
-    u = float(_per_class_accuracy(correct[:, is_unseen], labels[is_unseen])[0])
+    sizes, seen, unseen = _class_groups(sm, labels, "GZSL evaluation")
+    hits = calibrated_hits(sm, labels, [0.0]) if counts is None else counts
+    s = float(_class_accuracy(hits[:, seen], sizes[seen])[0])
+    u = float(_class_accuracy(hits[:, unseen], sizes[unseen])[0])
     h = 0.0 if s + u == 0.0 else 2.0 * s * u / (s + u)
     # rounding can put 2su / (s + u) an ulp outside [min, max], as at s = u = 700/12
     return s, u, min(max(h, min(s, u)), max(s, u))

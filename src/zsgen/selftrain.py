@@ -137,7 +137,9 @@ class SslResult:
     scaler: FeatureScaler
     class_cols: dict          # class id -> discriminator logit column
     dataset: ZslDataset       # the scaled dataset trained on
-    train_rows: np.ndarray    # dataset rows of the last round's training set
+    # dataset rows of the training set as the last round left it: the rows
+    # it trained on, then the rows it added, which no round trained on
+    train_rows: np.ndarray
     train_labels: np.ndarray  # their labels: true for TRAIN rows, then pseudo
     reports: list = field(default_factory=list)
     train_logs: list = field(default_factory=list)  # one probe history per iteration
@@ -170,7 +172,10 @@ def run_ssl(dataset, gen_cfg, disc_cfg, train_cfg, ssl_cfg, seed):
     """Full outer loop: (train -> pseudo-label -> add rows -> widen head) x n_ssl.
 
     A pseudo-labeled row whose features equal a row already trained on is
-    not added again, though it is frozen and counted as retained.
+    not added again, though it is frozen and counted as retained. The
+    result's train_rows and train_labels end with the rows the last round
+    added after its training: with n_ssl=1, every pseudo-labeled row in
+    them is one that no round trained on.
     """
     check_k("ssl.knn_k", ssl_cfg.knn_k, ssl_cfg.per_class_synthetic,
             len(dataset.split.unseen))

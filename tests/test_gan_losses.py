@@ -955,6 +955,49 @@ def test_per_class_reduce_matches_per_row_semantics(kw):
     assert_rel_close(grads, ref_grads)
 
 
+@pytest.mark.parametrize("kw", [{}, {"noise_dim": 3, "noise_mode": "concat"}])
+def test_generate_from_reduced_rows_is_bitwise_generate_from_semantics(kw):
+    rng = np.random.default_rng(15)
+    gen = make_gen(rng, **kw)
+    disc = make_disc(rng, visual_dim=4, hidden=5, num_classes=3)
+    table = rng.normal(size=(5, 6))
+    classes = rng.integers(0, 5, size=40)
+    noise = gen.sample_noise(rng, 40)
+    reduced = gen.reduce_rows(table)
+    rows = reduced[0].copy()
+    assert generate(gen, table, noise, classes, reduced=reduced).tobytes() == \
+        generate(gen, table, noise, classes).tobytes()
+    out, cache = gen.forward(table, noise, classes, reduced=reduced)
+    ref, ref_cache = gen.forward(table, noise, classes)
+    assert out.tobytes() == ref.tobytes()
+    d_out = rng.normal(size=(40, 4))
+    got, want = (write_grads(gen.backward_forms(c, d_out), gen.params())
+                 for c in (cache, ref_cache))
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    labels = rng.integers(0, 3, size=40)
+    pos, neg = rng.normal(size=(40, 2, 4)), rng.normal(size=(40, 3, 4))
+    cfg = GanTrainConfig(margin=5.0, lambda_t=0.7)
+    args = (gen, disc, table, noise, labels, *as_rows(pos, neg), cfg)
+    loss, trip, grads = generator_loss_grads(*args, classes=classes, reduced=reduced)
+    ref_loss, ref_trip, ref_grads = generator_loss_grads(*args, classes=classes)
+    assert (loss, trip, grads.tobytes()) == (ref_loss, ref_trip, ref_grads.tobytes())
+    # the rows are read, never written
+    assert reduced[0].tobytes() == rows.tobytes()
+
+
+def test_forward_rejects_reduced_rows_of_other_semantics():
+    rng = np.random.default_rng(16)
+    gen = make_gen(rng)
+    table, noise = rng.normal(size=(3, 6)), gen.sample_noise(rng, 4)
+    classes = np.array([0, 1, 2, 0])
+    with pytest.raises(UsageError, match="reduce_rows"):
+        generate(gen, table, noise, classes, reduced=gen.reduce_rows(table[:2]))
+    rows, _ = gen.reduce_rows(table)
+    with pytest.raises(UsageError, match="reduce_rows"):   # no cache to train from
+        gen.forward(table, noise, classes, reduced=(rows, None))
+
+
 def test_generate_rejects_class_indices_outside_the_table():
     rng = np.random.default_rng(14)
     gen = make_gen(rng)

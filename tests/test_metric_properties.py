@@ -1,13 +1,15 @@
-"""Invariants of the GZSL metrics over kNN vote-fraction score matrices:
-each row holds k votes spread over the classes, as knn_scores gives them."""
+"""Invariants of the GZSL metrics over kNN vote-fraction score matrices
+(each row holds k votes spread over the classes, as knn_scores gives
+them), small integer and Gaussian ones, and the calibration sweep's counts
+against its definition."""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zsgen.metrics import (
-    ScoreMatrix, ausuc, calibrated_predictions, CalibrationSweep, generalized_accuracy,
-    gzsl_suh, suc_curve, top1_per_class,
+    ScoreMatrix, ausuc, calibrated_hits, calibrated_predictions, CalibrationSweep,
+    generalized_accuracy, gzsl_suh, predict_labels, suc_curve, top1_per_class,
 )
 
 
@@ -157,3 +159,131 @@ def test_an_order_preserving_relabelling_of_class_ids_leaves_every_metric_bitwis
                              sm.seen_count)
     new_labels = np.array([new_id[c] for c in labels.tolist()])
     assert all_metric_bytes(relabelled, new_labels) == all_metric_bytes(sm, labels)
+
+
+# The calibration sweep's counts against the definition: the argmax, ties
+# to the smallest id, of the scores with lambda added to the unseen block,
+# one sweep point at a time.
+
+def defined_predictions(sm, lams):
+    """(L, N) predict_labels of the shifted scores, point by point."""
+    pred = np.empty((len(lams), sm.scores.shape[0]), dtype=np.int64)
+    with np.errstate(over="ignore"):
+        for i, lam in enumerate(lams):
+            shifted = sm.scores.copy()
+            shifted[:, sm.seen_count:] += lam
+            pred[i] = predict_labels(shifted, sm.class_ids)
+    return pred
+
+
+def per_class_hits(pred, labels):
+    """(L, C) right predictions per point and class, classes in id order."""
+    return np.stack([(pred[:, labels == c] == c).sum(axis=1) for c in np.unique(labels)],
+                    axis=1)
+
+
+@st.composite
+def gaussian_matrices(draw, min_classes=1):
+    """(ScoreMatrix of Gaussian scores, labels) with up to 12 classes a
+    block, ids unsorted within the blocks, and 1 to 10 rows of every class:
+    a mean over more than 8 classes of such fractions sums pairwise, in
+    another order than one class after another. Some rows hold unseen
+    scores a few ulps apart, which adding lambda can round onto one value,
+    and some rows one unseen score in every column."""
+    n_seen, n_unseen = (draw(st.integers(min_classes, 12)) for _ in range(2))
+    class_ids = draw(st.permutations(range(30)))[:n_seen + n_unseen]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    labels = rng.permutation(np.repeat(class_ids, rng.integers(1, 11, size=len(class_ids))))
+    scale = draw(st.sampled_from([0.01, 0.7, 3.0]))
+    scores = rng.normal(0.0, scale, size=(labels.size, len(class_ids)))
+    unseen = scores[:, n_seen:]
+    ties = rng.random(labels.size) < 0.3
+    unseen[ties] = unseen[ties, :1]
+    steps = rng.integers(-2, 3, size=unseen.shape) * (rng.random(labels.size) < 0.5)[:, None]
+    for direction in (np.inf, -np.inf):
+        for _ in range(2):
+            move = steps > 0 if direction > 0 else steps < 0
+            unseen[move] = np.nextafter(unseen[move], direction)
+            steps = np.where(move, steps - np.sign(steps), steps)
+    return ScoreMatrix(scores, class_ids, n_seen), labels
+
+
+BIG = np.finfo(np.float64).max
+
+sweep_points = st.one_of(
+    st.just(CalibrationSweep().values()),
+    st.permutations(CalibrationSweep(-1.0, 1.0, 0.05).values().tolist()),
+    st.lists(st.sampled_from([-0.5, 0.0, -0.0, 0.25, 0.5]), min_size=2, max_size=12),
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=1),
+    # sums that overflow to +-inf, where columns merge
+    st.lists(st.sampled_from([-BIG, -1.5e308, -1.0, 0.0, 1e-300, 1e308, BIG]),
+             min_size=1, max_size=8),
+    st.lists(st.floats(allow_nan=False), min_size=1, max_size=8),
+).map(lambda lams: np.array(lams, dtype=np.float64))
+
+any_matrix = st.one_of(vote_matrices(), integer_matrices(), gaussian_matrices())
+
+
+@given(any_matrix, sweep_points)
+@settings(max_examples=150, deadline=None)
+def test_the_sweep_counts_are_the_per_class_hits_of_the_defined_predictions(case, lams):
+    sm, labels = case
+    want = defined_predictions(sm, lams)
+    assert np.array_equal(calibrated_predictions(sm, lams), want)
+    hits = calibrated_hits(sm, labels, lams)
+    assert hits.dtype == np.int64 and hits.flags.c_contiguous
+    assert np.array_equal(hits, per_class_hits(want, labels))
+
+
+def assert_sweep_metrics_are_the_defined_ones(sm, labels, lams):
+    classes, sizes = np.unique(labels, return_counts=True)
+    seen, unseen = np.isin(classes, sm.seen_ids), np.isin(classes, sm.unseen_ids)
+
+    def class_mean(hits, group):
+        """Per-class top-1 (%) over the group's classes, as one 1-d mean."""
+        return 100.0 * np.mean(hits[group] / sizes[group])
+
+    want = per_class_hits(defined_predictions(sm, lams), labels)
+    total = 0.0
+    for hits in want:
+        total += hits.sum() / labels.size
+    counts = calibrated_hits(sm, labels, lams)
+    assert generalized_accuracy(sm, labels, counts=counts) == 100.0 * total / len(lams)
+    assert suc_curve(sm, labels, counts=counts) == sorted(
+        {(class_mean(hits, unseen) / 100.0, class_mean(hits, seen) / 100.0) for hits in want})
+    at_zero = per_class_hits(defined_predictions(sm, [0.0]), labels)[0]
+    assert gzsl_suh(sm, labels)[:2] == (class_mean(at_zero, seen), class_mean(at_zero, unseen))
+    # evaluate_model forms lambda = 0 after the sweep's points in one call
+    with_zero = calibrated_hits(sm, labels, np.append(lams, 0.0))
+    assert np.array_equal(with_zero[:-1], counts)
+    assert gzsl_suh(sm, labels, counts=with_zero[-1:]) == gzsl_suh(sm, labels)
+
+
+@given(any_matrix, sweep_points.filter(lambda lams: np.isfinite(lams).all()))
+@settings(max_examples=100, deadline=None)
+def test_the_sweep_metrics_from_counts_are_the_defined_ones_bitwise(case, lams):
+    assert_sweep_metrics_are_the_defined_ones(*case, lams)
+
+
+@given(gaussian_matrices(min_classes=9))
+@settings(max_examples=20, deadline=None)
+def test_the_sweep_metrics_over_many_classes_are_the_defined_ones_bitwise(case):
+    # more than 8 classes a block: the per-class means sum pairwise
+    assert_sweep_metrics_are_the_defined_ones(*case, CalibrationSweep().values())
+
+
+@given(st.one_of(vote_matrices(), integer_matrices()))
+@settings(max_examples=60, deadline=None)
+def test_a_sweep_that_flips_every_row_ends_at_the_seen_only_and_unseen_only_top1(case):
+    # scores lie in [-3, 3], so lambda = -8 puts every row on its seen
+    # argmax and lambda = 7.5 on its unseen one (Chao et al., 2016)
+    sm, labels = case
+    points = suc_curve(sm, labels, counts=calibrated_hits(
+        sm, labels, CalibrationSweep(-8.0, 8.0, 0.5).values()))
+    seen, unseen = np.isin(labels, sm.seen_ids), np.isin(labels, sm.unseen_ids)
+    seen_only = top1_per_class(sm.scores[seen][:, :sm.seen_count], sm.seen_ids,
+                               labels[seen]) / 100.0
+    unseen_only = top1_per_class(sm.scores[unseen][:, sm.seen_count:], sm.unseen_ids,
+                                 labels[unseen]) / 100.0
+    assert (0.0, seen_only) in points and (unseen_only, 0.0) in points
+    assert all(0.0 <= x <= unseen_only and 0.0 <= y <= seen_only for x, y in points)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from zsgen import metrics
 from zsgen.errors import ConfigError, UsageError
 from zsgen.metrics import (
-    MAX_SWEEP_POINTS, CalibrationSweep, ScoreMatrix, ausuc, calibrated_predictions,
-    generalized_accuracy, gzsl_suh, predict_labels, retrieval_precision,
-    retrieval_precisions, suc_curve, top1_per_class,
+    MAX_SWEEP_POINTS, CalibrationSweep, ScoreMatrix, ausuc, calibrated_hits,
+    calibrated_predictions, generalized_accuracy, gzsl_suh, predict_labels,
+    retrieval_precision, retrieval_precisions, suc_curve, top1_per_class,
 )
 
 
@@ -121,7 +121,7 @@ def test_generalized_accuracy_counts_match_brute_force():
         pred = predict_labels(adj, class_ids)
         total += (pred == labels).mean()
     np.testing.assert_allclose(
-        generalized_accuracy(sm, labels, predictions=calibrated_predictions(sm, sweep.values())),
+        generalized_accuracy(sm, labels, counts=calibrated_hits(sm, labels, sweep.values())),
         100.0 * total / 4.0,
     )
 
@@ -129,8 +129,8 @@ def test_generalized_accuracy_counts_match_brute_force():
 def test_suc_curve_hits_both_extremes_on_separable_scores():
     scores = np.array([[5.0, 0.0], [0.0, 5.0]])
     sm = ScoreMatrix(scores, np.array([0, 1]), seen_count=1)
-    pred = calibrated_predictions(sm, CalibrationSweep(-10.0, 10.0, 0.5).values())
-    points = suc_curve(sm, np.array([0, 1]), predictions=pred)
+    counts = calibrated_hits(sm, np.array([0, 1]), CalibrationSweep(-10.0, 10.0, 0.5).values())
+    points = suc_curve(sm, np.array([0, 1]), counts=counts)
     assert (0.0, 1.0) in points  # huge negative lambda: everything seen
     assert (1.0, 0.0) in points  # huge positive lambda: everything unseen
     assert (1.0, 1.0) in points  # balanced region classifies both
@@ -326,6 +326,19 @@ def _assert_predictions_match_oracle(sm, lams):
     return got
 
 
+def _oracle_hits(sm, labels, lams):
+    """calibrated_hits as one count per class of the oracle's right predictions."""
+    right = _argmax_sweep(sm, lams) == labels
+    return np.stack([right[:, labels == c].sum(axis=1) for c in np.unique(labels)], axis=1)
+
+
+def _assert_hits_match_oracle(sm, labels, lams):
+    got = calibrated_hits(sm, labels, lams)
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    assert np.array_equal(got, _oracle_hits(sm, labels, lams))
+    return got
+
+
 def _loop_calibrated(sm, lam):
     adjusted = sm.scores.copy()
     adjusted[:, sm.seen_count:] += lam
@@ -364,10 +377,11 @@ def _assert_sweep_matches_oracle(sm, labels):
     points = _loop_suc_curve(sm, labels, sweep)
     assert generalized_accuracy(sm, labels) == g_acc
     assert suc_curve(sm, labels) == points
-    # the predictions formed once serve both, as evaluate_model passes them
-    pred = _assert_predictions_match_oracle(sm, sweep.values())
-    assert generalized_accuracy(sm, labels, predictions=pred) == g_acc
-    assert suc_curve(sm, labels, predictions=pred) == points
+    # the counts formed once serve both, as evaluate_model passes them
+    _assert_predictions_match_oracle(sm, sweep.values())
+    counts = _assert_hits_match_oracle(sm, labels, sweep.values())
+    assert generalized_accuracy(sm, labels, counts=counts) == g_acc
+    assert suc_curve(sm, labels, counts=counts) == points
     pred = predict_labels(sm.scores, sm.class_ids)
     is_seen = np.isin(labels, sm.seen_ids)
     is_unseen = np.isin(labels, sm.unseen_ids)
@@ -492,6 +506,15 @@ def test_predictions_match_oracle_for_any_sweep_order(lams):
     unseen = _near_tie_scores(rng, 120, 3, 1)
     sm = ScoreMatrix(np.hstack([votes, unseen]), rng.permutation(10), seen_count=7)
     _assert_predictions_match_oracle(sm, lams)
+
+
+def test_a_sweep_point_that_is_nan_is_a_usage_error():
+    sm = ScoreMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]), seen_count=1)
+    lams = np.array([0.0, np.nan, 1.0])
+    with pytest.raises(UsageError, match="NaN"):
+        calibrated_predictions(sm, lams)
+    with pytest.raises(UsageError, match="NaN"):
+        calibrated_hits(sm, np.array([0, 1]), lams)
 
 
 def test_predictions_of_no_rows():

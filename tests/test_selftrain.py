@@ -9,7 +9,7 @@ from zsgen import data, evaluate, gan, knn, metrics, selftrain
 from zsgen.errors import ConfigError, UsageError
 from zsgen.gan import DiscriminatorConfig, GanTrainConfig, GeneratorConfig, generate
 from zsgen.knn import KnnClassifier, knn_predict_proba, knn_scores, squared_distances
-from zsgen.metrics import CalibrationSweep, calibrated_predictions
+from zsgen.metrics import CalibrationSweep, calibrated_hits
 from zsgen.selftrain import (
     SslConfig, expand_classifier_head, pseudo_label, run_ssl, synthesize_references,
     unseen_test_rows, unseen_top1,
@@ -408,6 +408,25 @@ def test_ssl_training_set_is_train_rows_then_unseen_test_rows():
     assert result.dataset.features.shape == ds.features.shape
 
 
+def test_ssl_training_set_ends_with_rows_no_round_trained_on(monkeypatch):
+    # the last round pseudo-labels and adds rows after its training
+    ds = data.make_synthetic(SPEC)
+    seen_by_training = []
+
+    def recording(dataset, train_x, *args):
+        seen_by_training.append(train_x.copy())
+        return gan.train_gan(dataset, train_x, *args)
+
+    monkeypatch.setattr(selftrain, "train_gan", recording)
+    cfg = SslConfig(psi=0.0, n_ssl=1, per_class_synthetic=5, knn_k=3)
+    result = run_ssl(ds, GEN_CFG, DISC_CFG, TRAIN_CFG, cfg, seed=0)
+    train = ds.train_indices()
+    assert len(seen_by_training) == 1
+    assert seen_by_training[0].tobytes() == result.dataset.features[train].tobytes()
+    assert result.train_rows.size > train.size
+    assert (result.train_rows[:train.size] == train).all()
+
+
 def test_ssl_row_equal_to_a_train_row_is_retained_but_not_added():
     ds = data.make_synthetic(SPEC)
     candidates = unseen_test_rows(ds)
@@ -514,20 +533,47 @@ def test_evaluate_model_forms_the_calibration_sweep_once(monkeypatch):
     ds, work, gen, disc, cols, rng = trained_setup()
     formed = []
 
-    def recording(sm, lams):
-        formed.append(sm)
-        return calibrated_predictions(sm, lams)
+    def recording(sm, labels, lams):
+        formed.append((sm, labels, np.asarray(lams)))
+        return calibrated_hits(sm, labels, lams)
 
-    monkeypatch.setattr(metrics, "calibrated_predictions", recording)
+    monkeypatch.setattr(metrics, "calibrated_hits", recording)
     sweep = CalibrationSweep(-1.0, 1.0, 0.05)
     rep = evaluate.evaluate_model(gen, work, sweep, [0.5, 1.0], 5, 3, rng)
     monkeypatch.undo()
-    # G_acc and the SUC curve both read the one (L, N) prediction matrix
+    # G_acc and the SUC curve read the one (L, C) array of hit counts, and
+    # S, U and H its row at lambda = 0 after them
     assert len(formed) == 1
-    labels = work.labels[work.test_indices()]
-    pred = calibrated_predictions(formed[0], sweep.values())
-    assert rep.g_acc == metrics.generalized_accuracy(formed[0], labels, predictions=pred)
-    assert rep.suc_points == metrics.suc_curve(formed[0], labels, predictions=pred)
+    sm, labels, lams = formed[0]
+    assert labels.tolist() == work.labels[work.test_indices()].tolist()
+    assert lams.tolist() == sweep.values().tolist() + [0.0]
+    counts = calibrated_hits(sm, labels, sweep.values())
+    assert rep.g_acc == metrics.generalized_accuracy(sm, labels, counts=counts)
+    assert rep.suc_points == metrics.suc_curve(sm, labels, counts=counts)
+    assert (rep.s, rep.u, rep.h) == metrics.gzsl_suh(sm, labels)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_evaluate_model_on_permuted_test_rows_gives_an_equal_report(seed):
+    # every metric is a mean over rows or classes, and a query row's
+    # distances, votes and ranks do not depend on its place in the block
+    ds = data.make_synthetic(data.SyntheticSpec(seed=seed))
+    rng = np.random.default_rng(seed)
+    work, scaler, gen, disc, cols = selftrain.prepare_models(
+        ds, replace(GEN_CFG, semantic_dim=50, visual_dim=64), replace(DISC_CFG, visual_dim=64),
+        rng)
+    train = work.train_indices()
+    gen = gan.train_gan(work, work.features[train], work.labels[train], gen, disc, cols,
+                        replace(TRAIN_CFG, eval_every=0), rng).generator
+    order = rng.permutation(work.labels.size)
+    permuted = data.ZslDataset(work.features[order], work.labels[order], work.class_ids,
+                               work.semantics, work.split, work.partition[order])
+    test = [d.labels[d.test_indices()] for d in (work, permuted)]
+    assert sorted(test[0].tolist()) == sorted(test[1].tolist())
+    assert test[0].tolist() != test[1].tolist()
+    reports = [evaluate.evaluate_model(gen, d, CalibrationSweep(), [0.25, 0.5, 1.0], 5, 3,
+                                       np.random.default_rng(9)) for d in (work, permuted)]
+    assert reports[0] == reports[1]
 
 
 def test_evaluate_model_scores_unseen_rows_of_one_reference_draw():

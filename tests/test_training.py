@@ -57,6 +57,26 @@ def test_no_probe_returns_the_passed_in_networks_trained():
     assert any((a != b).any() for a, b in zip(after, before))
 
 
+def test_the_reduce_layer_runs_once_per_outer_step(monkeypatch):
+    # the n_d critic batches and the generator step share one reduce pass,
+    # made before the generator's update changes its weights
+    ds, work, scaler, gen, disc, cols, rng = setup()
+    reduce_calls = []
+    forward = gan.mlp_forward
+
+    def recording(mlp, *args, **kwargs):
+        if mlp is gen.reduce:
+            reduce_calls.append(mlp.layers[0].weight.copy())
+        return forward(mlp, *args, **kwargs)
+
+    monkeypatch.setattr(gan, "mlp_forward", recording)
+    tr = work.train_indices()
+    cfg = GanTrainConfig(**{**TINY, "n_step": 4, "n_d": 3, "eval_every": 0})
+    train_gan(work, work.features[tr], work.labels[tr], gen, disc, cols, cfg, rng)
+    assert len(reduce_calls) == 4
+    assert all((a != b).any() for a, b in zip(reduce_calls, reduce_calls[1:]))
+
+
 def test_a_training_step_holds_no_whole_triplet_sample_stack():
     # 200 batch rows with 100 positives and 100 negatives of width 256: one
     # (m, n_pos, d) sample stack (41 MB) outweighs everything else a step holds
