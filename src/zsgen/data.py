@@ -247,8 +247,7 @@ def _class_ids(text, path, lineno):
 
 
 def load_split(path):
-    seen = unseen = None
-    scheme = ""
+    ids, scheme = {}, ""
     for lineno, line in text_lines(path):
         line = line.strip()
         if not line:
@@ -256,15 +255,15 @@ def load_split(path):
         if line.startswith("# scheme:"):
             scheme = line[len("# scheme:"):].strip()
             continue
-        if line.startswith("seen:"):
-            seen = _class_ids(line[len("seen:"):], path, lineno)
-        elif line.startswith("unseen:"):
-            unseen = _class_ids(line[len("unseen:"):], path, lineno)
-        else:
+        key, colon, rest = line.partition(":")
+        if not colon or key not in ("seen", "unseen"):
             raise ParseError(f"unrecognized line {line!r}", path=path, line=lineno)
-    if seen is None or unseen is None:
+        if key in ids:
+            raise ParseError(f"a second '{key}:' line", path=path, line=lineno)
+        ids[key] = _class_ids(rest, path, lineno)
+    if len(ids) < 2:
         raise ParseError("split file needs both 'seen:' and 'unseen:' lines", path=path)
-    return SplitSpec(seen=seen, unseen=unseen, scheme=scheme)
+    return SplitSpec(seen=ids["seen"], unseen=ids["unseen"], scheme=scheme)
 
 
 def validate_split(split, class_ids):

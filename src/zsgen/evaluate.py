@@ -117,9 +117,14 @@ def load_model(path):
             class_id = int(key)
         except ValueError:
             raise ParseError(f"class_cols key {key!r} is not a class id", path=path) from None
-        if not isinstance(col, int) or not 0 <= col < disc.cfg.num_classes:
+        # a bool is an int, and True would pass as column 1
+        if type(col) is not int or not 0 <= col < disc.cfg.num_classes:
             raise ParseError(f"class_cols value {col!r} is not a logit column", path=path)
+        if class_id in class_cols:
+            raise ParseError(f"class_cols names class {class_id} twice", path=path)
         class_cols[class_id] = col
+    if len(set(class_cols.values())) < len(class_cols):
+        raise ParseError("class_cols gives one logit column to two classes", path=path)
     return gen, disc, scaler, class_cols, meta
 
 

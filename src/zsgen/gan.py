@@ -6,6 +6,9 @@ perturbs it with Gaussian noise, and decodes through leaky-relu and tanh
 layers into the visual feature range (-1, 1). The discriminator shares a
 relu trunk between a scalar Wasserstein critic head and a class-logit
 head; its loss carries a gradient penalty toward unit critic gradients.
+Both networks run every layer through nn's one dense-layer pass pair; only
+the penalty, which differentiates the critic's input gradient, forms its
+products here.
 """
 
 import math
@@ -18,8 +21,8 @@ from .bounds import bounded, check_bounds
 from .errors import ConfigError, UsageError
 from .knn import KnnClassifier, check_k
 from .nn import (
-    AdamState, init_mlp, layer_forms, mlp_backward_forms, mlp_forward, pack,
-    stream_grads, write_grads,
+    AdamState, dense_backward, dense_forward, init_mlp, mlp_backward, mlp_forward, pack,
+    stream_grads,
 )
 
 
@@ -200,7 +203,7 @@ class Generator(Network):
         out, decode_cache = mlp_forward(self.decode, h, keep_cache, out)
         return out, (reduce_cache, decode_cache, classes) if keep_cache else None
 
-    def backward_forms(self, cache, d_out):
+    def backward(self, cache, d_out):
         """The gradient forms of params(), in that order (see nn.stream_grads).
 
         Every input gradient is formed here from the weights as they are:
@@ -209,12 +212,11 @@ class Generator(Network):
         semantics is not formed.
         """
         reduce_cache, decode_cache, classes = cache
-        decode_forms, d_h = mlp_backward_forms(self.decode, decode_cache, d_out)
+        decode_forms, d_h = mlp_backward(self.decode, decode_cache, d_out)
         one_hot = np.zeros((reduce_cache[0][0].shape[0], classes.size))
         one_hot[classes, np.arange(classes.size)] = 1.0
         d_rows = one_hot @ d_h[:, :self.cfg.reduce_dim]
-        reduce_forms, _ = mlp_backward_forms(self.reduce, reduce_cache, d_rows,
-                                             input_grad=False)
+        reduce_forms, _ = mlp_backward(self.reduce, reduce_cache, d_rows, input_grad=False)
         return reduce_forms + decode_forms
 
 
@@ -240,14 +242,11 @@ def generate(gen, semantics, noise, classes=None, out=None, reduced=None):
 
 class Discriminator(Network):
     """A relu trunk shared by a scalar critic and a class-logit head, each
-    exactly one layer, run as the few products that shape is.
+    exactly one layer, run by nn.dense_forward and nn.dense_backward.
 
-    forward forms z = x @ W + b and h = max(z, 0), then both heads from h.
-    backward forms d_h from the critic column and the head's logit gradient,
-    masks it by z >= 0 in place, then forms d_x and the parameter gradients.
-    They raise what mlp_forward and mlp_backward raise on the same parts and
-    give their results to the bit. gradient_penalty_grads relies on the
-    same shape.
+    The cache is the three layers' (input, pre-activation) pairs in layout
+    order, the trunk's first: gradient_penalty_grads reads its pre-activation
+    and relies on the same shape.
     """
 
     @staticmethod
@@ -263,7 +262,7 @@ class Discriminator(Network):
         return self.trunk.layers[0], self.critic.layers[0], self.head.layers[0]
 
     def forward(self, x):
-        """(critic scores (n,), logits (n, classes), cache (x, z, h))."""
+        """(critic scores (n,), logits (n, classes), cache)."""
         trunk, critic, head = self._layers()
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
@@ -271,42 +270,28 @@ class Discriminator(Network):
         if x.shape[1] != trunk.weight.shape[0]:
             raise ConfigError(f"input dim {x.shape[1]} does not match network input "
                               f"dim {trunk.weight.shape[0]}")
-        z = x @ trunk.weight
-        z += trunk.bias
-        h = np.maximum(z, 0.0)
-        scores = h @ critic.weight
-        scores += critic.bias
-        logits = h @ head.weight
-        logits += head.bias
-        return scores[:, 0], logits, (x, z, h)
+        h, z = dense_forward(trunk, x)
+        scores, _ = dense_forward(critic, h)
+        logits, _ = dense_forward(head, h)
+        return scores[:, 0], logits, ((x, z), (h, scores), (h, logits))
 
-    def backward_forms(self, cache, d_critic, d_logits, input_grad=True):
+    def backward(self, cache, d_critic, d_logits, input_grad=True):
         """(gradient forms of params() in that order, see nn.stream_grads;
         d_x, None without input_grad). The forms read no parameter."""
         trunk, critic, head = self._layers()
-        x, z, h = cache
-        if x.shape[1] != trunk.weight.shape[0]:
-            raise UsageError("stale cache: layer input dim changed")
+        trunk_cache, critic_cache, head_cache = cache
+        n = trunk_cache[1].shape[0]
         d_critic = np.asarray(d_critic, dtype=np.float64)
         d_logits = np.asarray(d_logits, dtype=np.float64)
-        if d_critic.shape != (z.shape[0],) or d_logits.shape != (z.shape[0],
-                                                                  head.weight.shape[1]):
+        if d_critic.shape != (n,) or d_logits.shape != (n, head.weight.shape[1]):
             raise UsageError(f"upstream gradient shapes {d_critic.shape} and "
                              f"{d_logits.shape} do not match output")
-        d_h = d_critic[:, None] * critic.weight[:, 0]
-        d_h += d_logits @ head.weight.T
-        d_h *= z >= 0.0
-        d_x = d_h @ trunk.weight.T if input_grad else None
-        # (layer input, pre-activation gradient) per layer, in params() order
-        return (layer_forms(x, d_h) + layer_forms(h, d_critic[:, None])
-                + layer_forms(h, d_logits)), d_x
-
-    def backward(self, cache, d_critic, d_logits, grads=None, param_grads=True,
-                 input_grad=True):
-        """(parameter gradients in params() order, d_x), as mlp_backward:
-        written into grads when given, and None for what is skipped."""
-        forms, d_x = self.backward_forms(cache, d_critic, d_logits, input_grad)
-        return (write_grads(forms, self.params(), grads) if param_grads else None), d_x
+        critic_forms, d_h = dense_backward(critic, *critic_cache, d_critic[:, None])
+        head_forms, d_head = dense_backward(head, *head_cache, d_logits)
+        d_h += d_head
+        del d_head   # not held through the trunk's pass
+        trunk_forms, d_x = dense_backward(trunk, *trunk_cache, d_h, input_grad, in_place=True)
+        return trunk_forms + critic_forms + head_forms, d_x
 
 
 def _safe_unit(diff, dist):
@@ -497,9 +482,9 @@ def discriminator_loss_grads(disc, real_x, fake_x, labels, gp_weight, rng=None, 
     loss = float(critic[n:].sum() / n) - float(critic[:n].sum() / n) + ce
     d_critic = np.full(2 * n, 1.0 / n)
     d_critic[:n] = -1.0 / n
-    forms, _ = disc.backward_forms(cache, d_critic, d_logits, input_grad=False)
+    forms, _ = disc.backward(cache, d_critic, d_logits, input_grad=False)
     # the penalty reads only the trunk pre-activation of the stacked batch
-    z = cache[1]
+    z = cache[0][1]
     del cache
 
     if gp_weight != 0.0:
@@ -545,12 +530,12 @@ def generator_loss_grads(gen, disc, semantics, noise, labels, features,
     loss = -float(critic_f.sum() / n) + 0.5 * ce_fake + cfg.lambda_t * trip
     if update is not None and not math.isfinite(loss):
         return loss, trip, None
-    _, d_fake = disc.backward(disc_cache, np.full(n, -1.0 / n), 0.5 * d_logits_f,
-                              param_grads=False)
+    # the critic's forms are dropped at once: they hold its layers' inputs
+    d_fake = disc.backward(disc_cache, np.full(n, -1.0 / n), 0.5 * d_logits_f)[1]
     del disc_cache, fake_x   # the generator's backward reads neither
     d_fake += cfg.lambda_t * d_trip
     del d_trip
-    forms = gen.backward_forms(gen_cache, d_fake)
+    forms = gen.backward(gen_cache, d_fake)
     # the forms hold only the layer inputs and pre-activation gradients
     del gen_cache, d_fake
     return loss, trip, stream_grads(forms, [p.shape for p in gen.params()], update,

@@ -2,9 +2,11 @@
 
 Everything is float64 numpy. Batches are row-major: one sample per row.
 `pack` moves a network's parameters into one contiguous vector that its
-layers view. A backward pass forms every gradient in the layers' inputs from
-the weights as they are, and gives each parameter array's gradient as a
-form: a function that writes any run of the array's rows. `stream_grads`
+layers view. Every affine layer runs through one pass pair, `dense_forward`
+and `dense_backward`; `mlp_forward` and `mlp_backward` loop over it. A
+backward pass forms every gradient in the layers' inputs from the weights
+as they are, and gives each parameter array's gradient as a form: a
+function that writes any run of the array's rows. `stream_grads`
 runs a network's forms one block of its flat layout at a time, at most
 GRAD_BLOCK_VALUES values and no more than the network's largest array
 past one Adam work chunk: it writes the blocks into one flat gradient, or
@@ -48,11 +50,11 @@ def activate(name, z, slope=0.2, in_place=False):
 
 
 def activate_grad(name, z, slope=0.2):
-    """d activation / d z evaluated at pre-activation z."""
+    """d activation / d z evaluated at pre-activation z; for relu, a bool mask."""
     if name == "identity":
         return np.ones_like(z)
     if name == "relu":
-        return (z >= 0.0).astype(np.float64)
+        return z >= 0.0
     if name == "leaky_relu":
         return np.where(z >= 0.0, 1.0, slope)
     if name == "tanh":
@@ -172,6 +174,52 @@ def init_mlp(dims, activations, rng, slope=0.2):
     return Mlp(layers)
 
 
+def dense_forward(layer, x, in_place=False, out=None):
+    """One layer on a batch: (activation, pre-activation z = x @ W + b).
+
+    z is formed into out when it is given (a C-contiguous float64 array of
+    its shape). in_place applies the activation in z itself, so both results
+    are one array; so are they for an identity layer.
+    """
+    z = np.matmul(x, layer.weight, out=out)
+    z += layer.bias
+    return activate(layer.activation, z, layer.slope, in_place), z
+
+
+def dense_backward(layer, a, z, d, input_grad=True, in_place=False):
+    """Backpropagate d, the gradient in the output of a layer whose input was
+    a and whose pre-activation was z.
+
+    Returns (forms, d_a): the gradient forms (see stream_grads) of the
+    layer's weight and bias, the rows of a.T @ d_z and d_z summed over rows,
+    and d_a = d_z @ W.T, formed only with input_grad (None without). d_z is
+    d times the activation's derivative at z, written into d with in_place,
+    when the caller owns d. d_a is formed here from the weight as it is, so
+    the forms read no parameter.
+    """
+    if a.shape[1] != layer.weight.shape[0]:
+        raise UsageError("stale cache: layer input dim changed")
+    if layer.activation != "identity":
+        d = np.multiply(d, activate_grad(layer.activation, z, layer.slope),
+                        out=d if in_place else None)
+
+    def weight(lo, hi, dest):
+        np.matmul(a.T[lo:hi], d, out=dest)
+
+    def bias(lo, hi, dest):
+        np.add.reduce(d, axis=0, out=dest[0])
+
+    if not input_grad:
+        d_a = None
+    elif layer.weight.shape[1] == 1:
+        # a product over one column is one multiply per entry: the broadcast
+        # forms it without a BLAS call, and keeps the sign of a zero product
+        d_a = d * layer.weight.T
+    else:
+        d_a = d @ layer.weight.T
+    return [weight, bias], d_a
+
+
 def mlp_forward(mlp, x, keep_cache=True, out=None):
     """Run the network on a batch. Returns (output, cache).
 
@@ -193,36 +241,21 @@ def mlp_forward(mlp, x, keep_cache=True, out=None):
     if keep_cache and out is not None:
         raise UsageError("out= is for the forward that keeps no cache")
     cache = [] if keep_cache else None
-    h = x
+    h, last = x, len(mlp.layers) - 1
     for i, layer in enumerate(mlp.layers):
-        z = np.matmul(h, layer.weight, out=out if i == len(mlp.layers) - 1 else None)
-        z += layer.bias
+        a, z = dense_forward(layer, h, not keep_cache, out if i == last else None)
         if keep_cache:
             cache.append((h, z))
-        h = activate(layer.activation, z, layer.slope, in_place=not keep_cache)
+        h = a
     return h, cache
 
 
-def layer_forms(a, d):
-    """The gradient forms (see stream_grads) of an affine layer whose input is
-    a and whose pre-activation gradient is d: the rows of a.T @ d for its
-    weight, and d summed over rows for its bias."""
-    def weight(lo, hi, dest):
-        np.matmul(a.T[lo:hi], d, out=dest)
-
-    def bias(lo, hi, dest):
-        np.add.reduce(d, axis=0, out=dest[0])
-
-    return [weight, bias]
-
-
-def mlp_backward_forms(mlp, cache, d_out, input_grad=True):
+def mlp_backward(mlp, cache, d_out, input_grad=True):
     """Backpropagate an upstream gradient through the network.
 
     Returns (forms, d_input): the gradient forms of mlp.param_arrays(), in
-    that order, and the gradient in the network's input (None with
-    input_grad=False). Every layer's input gradient is formed here, so the
-    forms read no parameter: they can run after the parameters change.
+    that order (see stream_grads), and the gradient in the network's input
+    (None with input_grad=False). d_out is not written.
     """
     if len(cache) != len(mlp.layers):
         raise UsageError("cache does not match network depth")
@@ -231,45 +264,13 @@ def mlp_backward_forms(mlp, cache, d_out, input_grad=True):
         raise UsageError(
             f"upstream gradient shape {d_out.shape} does not match output"
         )
-    forms = []
-    d_h = d_out
-    for i in range(len(mlp.layers) - 1, -1, -1):
-        layer = mlp.layers[i]
-        h_in, z = cache[i]
-        if h_in.shape[1] != layer.weight.shape[0]:
-            raise UsageError("stale cache: layer input dim changed")
-        if layer.activation == "identity":
-            d_z = d_h
-        elif layer.activation == "relu":
-            d_z = d_h * (z >= 0.0)   # a bool mask, not a float copy
-        else:
-            d_z = d_h * activate_grad(layer.activation, z, layer.slope)
-        forms[:0] = layer_forms(h_in, d_z)
-        d_h = d_z @ layer.weight.T if i or input_grad else None
-    return forms, d_h
-
-
-def write_grads(forms, params, grads=None):
-    """Each array's whole gradient from its form, written into grads (arrays
-    shaped like params) or into new arrays; returns the list."""
-    if grads is None:
-        grads = [np.empty_like(p) for p in params]
-    for form, g in zip(forms, grads):
-        form(0, g.shape[0] if g.ndim == 2 else 1, g if g.ndim == 2 else g[None])
-    return grads
-
-
-def mlp_backward(mlp, cache, d_out, grads=None, param_grads=True, input_grad=True):
-    """Backpropagate an upstream gradient through the network.
-
-    Returns (grads, d_input) where grads is a list aligned with
-    mlp.param_arrays(). The gradients are written into `grads` when it is
-    given (views of a flat gradient, say). param_grads=False skips them and
-    input_grad=False skips the first layer's input gradient; what is
-    skipped comes back as None.
-    """
-    forms, d_h = mlp_backward_forms(mlp, cache, d_out, input_grad)
-    return (write_grads(forms, mlp.param_arrays(), grads) if param_grads else None), d_h
+    forms, d = [], d_out
+    last = len(mlp.layers) - 1
+    for i in range(last, -1, -1):
+        weight_bias, d = dense_backward(mlp.layers[i], *cache[i], d, i > 0 or input_grad,
+                                        in_place=i < last)
+        forms[:0] = weight_bias
+    return forms, d
 
 
 # values per gradient block: stream_grads forms a network's gradient, and

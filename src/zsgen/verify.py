@@ -9,23 +9,30 @@ from .gan import (
     GeneratorConfig, discriminator_loss_grads, generator_loss_grads,
     triplet_loss_grad,
 )
-from .nn import AdamState, adam_step, gradient_check, init_mlp, mlp_backward, mlp_forward
+from .nn import (
+    AdamState, adam_step, gradient_check, init_mlp, mlp_backward, mlp_forward, pack,
+    stream_grads,
+)
 
 
 def check_mlp_backward(rng):
-    """Quadratic loss on a small MLP against central differences."""
+    """Quadratic loss on a small MLP against central differences: mlp_backward's
+    gradient forms, run into one flat gradient by stream_grads, in the packed
+    parameters."""
     mlp = init_mlp([4, 5, 3], ["leaky_relu", "tanh"], rng)
     x = rng.normal(size=(3, mlp.in_dim))
     target = rng.normal(size=(3, mlp.out_dim))
+    params = pack([mlp])
+    shapes = [p.shape for p in mlp.param_arrays()]
 
     def f():
         out, cache = mlp_forward(mlp, x)
         diff = out - target
         loss = float((diff * diff).sum())
-        grads, _ = mlp_backward(mlp, cache, 2.0 * diff)
-        return loss, grads
+        forms, _ = mlp_backward(mlp, cache, 2.0 * diff)
+        return loss, [stream_grads(forms, shapes)]
 
-    return gradient_check(f, mlp.param_arrays())
+    return gradient_check(f, [params])
 
 
 def check_triplet(rng, n_classes=3, dim=4):
@@ -99,8 +106,9 @@ def check_discriminator_loss(rng, gp_weight=0.0):
 
 
 def check_discriminator_input_grad(rng, n=3):
-    """The critic's input gradient, as the generator step takes it, under a
-    quadratic loss on both heads, against central differences in the input."""
+    """The critic's input gradient, as the generator step takes it from
+    Discriminator.backward, under a quadratic loss on both heads, against
+    central differences in the input."""
     _, disc = _toy_models(rng)
     x = rng.uniform(-0.9, 0.9, size=(n, disc.cfg.visual_dim))
     target_critic = rng.normal(size=n)
@@ -110,7 +118,7 @@ def check_discriminator_input_grad(rng, n=3):
         critic, logits, cache = disc.forward(x)
         d_critic, d_logits = critic - target_critic, logits - target_logits
         loss = float((d_critic * d_critic).sum() + (d_logits * d_logits).sum())
-        _, d_x = disc.backward(cache, 2.0 * d_critic, 2.0 * d_logits, param_grads=False)
+        _, d_x = disc.backward(cache, 2.0 * d_critic, 2.0 * d_logits)
         return loss, [d_x]
 
     return gradient_check(f, [x])

@@ -218,6 +218,19 @@ def test_split_file_listing_a_class_twice_names_path_and_line(tmp_path, body, li
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize("body, key", [
+    ("seen: 1 2\nunseen: 3\nseen: 4 5\n", "seen"),
+    ("unseen: 3\nseen: 1 2\nunseen: 4\n", "unseen"),
+], ids=["seen", "unseen"])
+def test_split_file_with_a_second_line_of_one_key_names_path_and_line(tmp_path, body, key):
+    path = tmp_path / "split.txt"
+    path.write_text(body)
+    with pytest.raises(ParseError, match=f"second '{key}:' line") as info:
+        data.load_split(str(path))
+    assert info.value.line == 3
+    assert str(path) in str(info.value)
+
+
 def test_split_round_trip(tmp_path):
     path = str(tmp_path / "split.txt")
     split = data.SplitSpec(seen=(0, 1), unseen=(2,), scheme="SCS")
@@ -477,6 +490,23 @@ def test_discriminator_layers_other_than_built_ones_rejected(tmp_path, craft):
     craft(arrays, meta)
     data.save_checkpoint(path, arrays, meta)
     with pytest.raises(ParseError, match="a discriminator builds") as info:
+        evaluate.load_model(path)
+    assert path in str(info.value)
+
+
+@pytest.mark.parametrize("class_cols, message", [
+    ({"0": True, "1": 1}, "True is not a logit column"),
+    ({"1": 0, "01": 1}, "names class 1 twice"),
+    ({"0": 1, "1": 1}, "one logit column to two classes"),
+], ids=["bool-column", "repeated-class", "shared-column"])
+def test_checkpoint_class_cols_that_map_no_class_to_its_own_column_rejected(
+        tmp_path, class_cols, message):
+    path = str(tmp_path / "model.ck")
+    _tiny_model_checkpoint(path)
+    arrays, meta = data.load_checkpoint(path)
+    meta["class_cols"] = class_cols
+    data.save_checkpoint(path, arrays, meta)
+    with pytest.raises(ParseError, match=message) as info:
         evaluate.load_model(path)
     assert path in str(info.value)
 

@@ -1,12 +1,14 @@
 """No module of the package imports a name that it never uses, or a name
-that another module of the package keeps private."""
+that another module of the package keeps private; and every top-level
+function or class of the package is read somewhere."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "zsgen"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "zsgen"
 
 
 def unused_imports(source):
@@ -67,3 +69,47 @@ def test_scan_finds_private_names():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_module_reads_no_private_name_of_another_module(module):
     assert private_names_read((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def definitions(source):
+    """Names of the top-level functions and classes that source defines."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def names_read(source):
+    """Every name that source reads, bare or as an attribute of anything."""
+    reads = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+    return reads
+
+
+def traced_names(source):
+    """The function names of the "module.function" keys of source's TARGETS
+    dict: the tracer wraps them by name."""
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)):
+            return {key.value.split(".")[-1] for key in node.value.keys}
+    return set()
+
+
+def test_scan_finds_unread_definitions():
+    source = ("import os\n\nclass Kept:\n    pass\n\ndef helper():\n    return os.sep\n\n"
+              "def orphan():\n    helper()\n\ndef traced():\n    pass\n\n"
+              "TARGETS = {'m.traced': True}\nx = Kept\n")
+    assert definitions(source) - names_read(source) - traced_names(source) == {"orphan"}
+
+
+def test_every_top_level_definition_is_read_by_a_module_a_test_or_the_benchmark():
+    readers = [*PACKAGE.glob("*.py"), *(ROOT / "tests").rglob("*.py"),
+               *(ROOT / "perfbench").glob("*.py")]
+    reads = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in readers))
+    reads |= traced_names((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    unread = sorted(f"{p.stem}.{name}" for p in PACKAGE.glob("*.py")
+                    for name in definitions(p.read_text(encoding="utf-8")) - reads)
+    assert unread == []

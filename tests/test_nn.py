@@ -7,14 +7,22 @@ import pytest
 from zsgen import nn
 from zsgen.errors import ConfigError, UsageError
 from zsgen.nn import (
-    AdamState, Layer, Mlp, activate, adam_step, glorot_init, gradient_check,
-    init_mlp, mlp_backward, mlp_forward, pack, unflatten,
+    AdamState, Layer, Mlp, activate, adam_step, dense_backward, dense_forward, glorot_init,
+    gradient_check, init_mlp, mlp_backward, mlp_forward, pack, stream_grads, unflatten,
 )
 
 
 def single_layer(weight, bias, activation):
     return Mlp([Layer(np.array(weight, dtype=float),
                       np.array(bias, dtype=float), activation)])
+
+
+def backward_grads(mlp, cache, d_out):
+    """mlp_backward's parameter gradients, as stream_grads forms them, each
+    viewed in the shape of its array; and its input gradient."""
+    forms, d_in = mlp_backward(mlp, cache, d_out)
+    shapes = [p.shape for p in mlp.param_arrays()]
+    return unflatten(stream_grads(forms, shapes), shapes), d_in
 
 
 def test_forward_identity_layer():
@@ -51,7 +59,7 @@ def test_backward_zero_upstream_gives_zero_grads():
     rng = np.random.default_rng(0)
     mlp = init_mlp([3, 4, 2], ["relu", "identity"], rng)
     out, cache = mlp_forward(mlp, rng.normal(size=(6, 3)))
-    grads, d_in = mlp_backward(mlp, cache, np.zeros_like(out))
+    grads, d_in = backward_grads(mlp, cache, np.zeros_like(out))
     for g in grads:
         assert not g.any()
     assert not d_in.any()
@@ -61,7 +69,7 @@ def test_backward_scalar_linear_gradient_is_input():
     mlp = single_layer([[1.5]], [0.0], "identity")
     x = np.array([[4.0]])
     _, cache = mlp_forward(mlp, x)
-    grads, _ = mlp_backward(mlp, cache, np.array([[1.0]]))
+    grads, _ = backward_grads(mlp, cache, np.array([[1.0]]))
     np.testing.assert_array_equal(grads[0], [[4.0]])
     np.testing.assert_array_equal(grads[1], [1.0])
 
@@ -75,7 +83,7 @@ def test_backward_matches_finite_differences():
     def f():
         out, cache = mlp_forward(mlp, x)
         diff = out - target
-        grads, _ = mlp_backward(mlp, cache, 2.0 * diff)
+        grads, _ = backward_grads(mlp, cache, 2.0 * diff)
         return float((diff * diff).sum()), grads
 
     assert gradient_check(f, mlp.param_arrays()) < 1e-4
@@ -188,7 +196,7 @@ def test_gradient_check_quadratic_loss_is_tight():
 
     def f():
         out, cache = mlp_forward(mlp, x)
-        grads, _ = mlp_backward(mlp, cache, 2.0 * out)
+        grads, _ = backward_grads(mlp, cache, 2.0 * out)
         return float((out * out).sum()), grads
 
     assert gradient_check(f, mlp.param_arrays()) < 1e-6
@@ -318,18 +326,93 @@ def test_pack_moves_parameters_into_one_vector_of_views():
 
 
 def test_backward_skips_what_is_not_asked_for():
+    """input_grad=False forms no input gradient and the same gradient bytes;
+    the forms read no parameter, so they give those bytes run after the
+    weights change, and the input gradient is formed before they run."""
     rng = np.random.default_rng(6)
     mlp = init_mlp([3, 4, 2], ["leaky_relu", "tanh"], rng)
     out, cache = mlp_forward(mlp, rng.normal(size=(5, 3)))
     d_out = rng.normal(size=out.shape)
-    grads, d_in = mlp_backward(mlp, cache, d_out)
-    into = [np.full_like(p, np.nan) for p in mlp.param_arrays()]
-    written, no_input = mlp_backward(mlp, cache, d_out, into, input_grad=False)
-    assert written is into and no_input is None
-    for g, w in zip(grads, into):
-        assert g.tobytes() == w.tobytes()
-    no_params, d_only = mlp_backward(mlp, cache, d_out, param_grads=False)
-    assert no_params is None and d_only.tobytes() == d_in.tobytes()
+    before = d_out.copy()
+    shapes = [p.shape for p in mlp.param_arrays()]
+    forms, d_in = mlp_backward(mlp, cache, d_out)
+    no_input_forms, no_input = mlp_backward(mlp, cache, d_out, input_grad=False)
+    assert no_input is None and d_out.tobytes() == before.tobytes()
+    _, ref_d_in = mlp_backward(mlp, cache, d_out)
+    assert d_in.tobytes() == ref_d_in.tobytes()
+    grads = stream_grads(forms, shapes)
+    for p in mlp.param_arrays():
+        p += 1.0
+    assert stream_grads(no_input_forms, shapes).tobytes() == grads.tobytes()
+    assert all(f is None for f in forms + no_input_forms)   # stream_grads consumes them
+
+
+def plain_activation(name, z, slope):
+    """The activation and its derivative at z, written out in plain NumPy."""
+    if name == "identity":
+        return z, np.ones_like(z)
+    if name == "relu":
+        return np.maximum(z, 0.0), (z >= 0.0).astype(np.float64)
+    if name == "leaky_relu":
+        return np.where(z >= 0.0, z, slope * z), np.where(z >= 0.0, 1.0, slope)
+    return np.tanh(z), 1.0 - np.tanh(z) ** 2
+
+
+@pytest.mark.parametrize("name, slope", ACTIVATION_CASES)
+@pytest.mark.parametrize("width", [1, 4])
+def test_dense_pair_is_bitwise_plain_numpy(name, slope, width):
+    """dense_forward and dense_backward give the bytes of x @ W + b and its
+    activation, and of a.T @ d_z, d_z.sum(0) and d_z @ W.T, with and without
+    out=, in place or not, with and without the input gradient. Zero input
+    rows and zero biases put exact zeros in the pre-activation (the relu and
+    leaky relu ties)."""
+    rng = np.random.default_rng(14)
+    layer = Layer(rng.normal(size=(5, width)), rng.normal(size=width), name, slope)
+    layer.bias[::2] = 0.0
+    x = rng.normal(size=(9, 5))
+    x[::3] = 0.0
+    z_ref = x @ layer.weight + layer.bias
+    a_ref, grad_ref = plain_activation(name, z_ref, slope)
+    assert (z_ref == 0.0).any()
+
+    x_before = x.copy()
+    a, z = dense_forward(layer, x)
+    assert z.tobytes() == z_ref.tobytes() and a.tobytes() == a_ref.tobytes()
+    assert (a is z) == (name == "identity")
+    out = np.full((9, width), np.nan)
+    a_out, z_out = dense_forward(layer, x, in_place=True, out=out)
+    assert a_out is out and z_out is out and out.tobytes() == a_ref.tobytes()
+    assert x.tobytes() == x_before.tobytes()
+
+    d = rng.normal(size=(9, width))
+    d[1::4] = 0.0
+    d_z = d * grad_ref
+    want = np.concatenate([(x.T @ d_z).ravel(), d_z.sum(0)])
+    # one multiply per entry: for one column the broadcast, which keeps the
+    # sign of a zero product that the matmul drops
+    d_x_ref = d_z * layer.weight.T if width == 1 else d_z @ layer.weight.T
+    np.testing.assert_array_equal(d_x_ref, d_z @ layer.weight.T)
+    for in_place in (False, True):
+        for input_grad in (True, False):
+            d_arg = d.copy()
+            forms, d_x = dense_backward(layer, x, z, d_arg, input_grad, in_place)
+            assert (d_x is None) == (not input_grad)
+            if input_grad:
+                assert d_x.tobytes() == d_x_ref.tobytes()
+            # the caller's d is written only in place, and then holds d_z
+            assert d_arg.tobytes() == (d_z if in_place else d).tobytes()
+            got = stream_grads(forms, [layer.weight.shape, layer.bias.shape])
+            assert got.tobytes() == want.tobytes()
+
+
+def test_dense_backward_rejects_a_stale_input():
+    rng = np.random.default_rng(15)
+    layer = Layer(rng.normal(size=(3, 2)), np.zeros(2), "relu")
+    x = rng.normal(size=(4, 3))
+    _, z = dense_forward(layer, x)
+    wider = Layer(rng.normal(size=(4, 2)), np.zeros(2), "relu")
+    with pytest.raises(UsageError, match="stale cache"):
+        dense_backward(wider, x, z, np.ones((4, 2)))
 
 
 def _rss_kb():
