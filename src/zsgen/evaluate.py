@@ -174,7 +174,7 @@ def evaluate_model(gen, dataset_scaled, sweep, ratios, per_class_synthetic,
     sm = score_matrix(clf, dataset_scaled, x_test, d2)
     del d2  # not held through the metrics and retrieval
     # one pass of the sweep kernel: the sweep's points, then lambda = 0 for
-    # S, U and H; 0 leaves max|lambda|, and so every other point's count, as is
+    # S, U and H
     counts = metrics.calibrated_hits(sm, y_test, np.append(sweep.values(), 0.0))
     s, u, h = metrics.gzsl_suh(sm, y_test, counts=counts[-1:])
     g_acc = metrics.generalized_accuracy(sm, y_test, counts=counts[:-1])

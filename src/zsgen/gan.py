@@ -57,7 +57,7 @@ class DiscriminatorConfig:
 @dataclass
 class GanTrainConfig:
     margin: float = bounded(0.1, ge=0)
-    lambda_t: float = 1.0
+    lambda_t: float = bounded(1.0, ge=0)
     n_d: int = bounded(5, ge=1)
     n_step: int = bounded(10000, ge=0)
     patience: int = bounded(100, ge=1)

@@ -5,11 +5,14 @@ Score matrices have one column per class, seen classes first then the
 unseen block, each block in ascending class-id order. Argmax ties always
 go to the smallest class id.
 
-The calibration sweep is counted, not formed: calibrated_hits finds each
-row's flip point, the first sweep point at which its unseen argmax wins,
-and from the flip points counts the right predictions per point and class
-in O(N log L + L*C) for N rows, L points and C classes. G_acc, the SUC
-curve and (at lambda = 0) S, U and H read those counts.
+The calibration sweep adds lambda to every unseen column, so at each point
+a row predicts its unseen argmax, shifted by lambda, or its seen argmax,
+whichever is larger (a tie to the smaller id). The sweep is counted, not
+formed: calibrated_hits finds each row's flip point, the first sweep point
+at which its unseen argmax wins, and from the flip points counts the right
+predictions per point and class in O(N log L + L*C) for N rows, L points
+and C classes. G_acc, the SUC curve and (at lambda = 0) S, U and H read
+those counts.
 """
 
 import math
@@ -123,59 +126,35 @@ def top1_per_class(scores, class_ids, labels):
     return float(_class_accuracy(hits[None, :], sizes)[0])
 
 
-# cap on the temporaries of one chunk of sweep points, which share it with
-# the vectors of one value per row that the sweep holds through its chunks;
-# the set-up before the chunks (the block maxima, the near-tie test, the
-# flip-point search and the slow rows' copy) is not capped and scales with
-# N*(s + u). A whole evaluation at the acceptance shapes holds about 7 MB
-# of arrays at its peak (the kNN), and the sweep stays under that so it
-# does not raise the peak
-_SWEEP_CHUNK_BYTES = 1 << 20
+def calibrated_hits(sm, labels, lams):
+    """Right calibrated predictions per sweep point and class, shape (L, C).
 
+    hits[l, c] counts the rows labelled classes[c], for classes =
+    np.unique(labels), whose calibrated prediction at lams[l] is their
+    label. Calibrated stacking (Chao et al., 2016) adds lambda to every
+    unseen column, which cannot reorder the unseen block, so a row
+    predicts its unseen argmax where fl(m + lambda), for its unseen maximum
+    m, beats its seen maximum, or ties it and the unseen argmax has the
+    smaller id; elsewhere its seen argmax.
 
-def _spare(n):
-    """What the chunk cap leaves beside seven vectors of n values, held until
-    the end, and numpy's buffers for a broadcast operation (under 128 KB)."""
-    return _SWEEP_CHUNK_BYTES - 8 * 7 * n - (1 << 17)
-
-
-def _flip_points(sm, lams):
-    """The set-up that calibrated_predictions and calibrated_hits share.
-
-    Row i at point l is predict_labels of the scores with lams[l] added to
-    every unseen column. The seen block does not move, so its maximum and
-    smallest tied id are taken once. Rounding is monotone, so fl(x + lam)
-    is monotone in x, and the largest shifted unseen score is fl(m + lam)
-    for the row's unseen maximum m; the winner there is the smallest id
-    tied at m. Adding lam can still round a smaller score onto that sum, a
-    tie the plain scores do not have, and a column with a smaller id would
-    then win it. Two sums of magnitude at most B = |m| + max|lam| round to
-    one value only if the scores lie within spacing(B) of each other, so a
-    row with such a column that close to m, or whose B is not finite, is
-    slow: it takes the argmax of its shifted unseen scores at every point.
-
-    fl(m + lam) is monotone in lam too, so a fast row predicts its seen
-    argmax up to one point, its flip point, and its unseen argmax from
-    there. flip[i] is that point's place among the points in ascending
-    order (L when there is none), found by a binary search of log2 L passes
-    over the rows that evaluates the predicate itself; rank[l] is lams[l]'s
-    place in that order.
-
-    Returns rank, flip, seen_pred and top_ids (every row's two candidates),
-    slow (the slow rows' indices) and the slow rows' arguments for
-    _slow_chunks, None when there are none.
+    fl(m + lambda) is monotone in lambda, so a row predicts its seen argmax
+    up to one point, its flip point, and its unseen argmax from there.
+    flip[i] is that point's place among the points in ascending order (L
+    when there is none), found by a binary search of log2 L passes over the
+    rows; rank[l] is lams[l]'s place in that order. A row is right before
+    its flip point (its seen argmax is its label), from it (its unseen
+    argmax is), or never, so one bincount over (flip point, class) and a
+    running sum down the points in ascending order count every row in
+    O(N log L + L*C), with no (L, N) array.
     """
+    labels = _labels(labels, sm.scores.shape[0])
+    lams = np.asarray(lams, dtype=np.float64)
     if np.isnan(lams).any():
         raise UsageError("calibration sweep points must not be NaN")
     s = sm.seen_count
     seen, unseen = sm.scores[:, :s], sm.scores[:, s:]
     seen_max, seen_pred = seen.max(axis=1), predict_labels(seen, sm.seen_ids)
     top, top_ids = unseen.max(axis=1), predict_labels(unseen, sm.unseen_ids)
-    with np.errstate(over="ignore"):  # a bound or gap past the float range
-        bound = np.spacing(np.abs(top) + np.abs(lams).max(initial=0.0))
-        near = (top[:, None] - unseen <= bound[:, None]) & (sm.unseen_ids < top_ids[:, None])
-    slow = np.flatnonzero(near.any(axis=1) | ~np.isfinite(bound))
-    del near  # not held through the search
     # the unseen maximum wins past the seen one, and at a tie when its id
     # is the smaller: where fl(top + lam) >= thresh
     thresh = np.where(top_ids < seen_pred, seen_max, np.nextafter(seen_max, np.inf))
@@ -192,97 +171,17 @@ def _flip_points(sm, lams):
     # at the last point passed; no sum is NaN, so < is its negation
     for half in (1 << k for k in reversed(range(depth))):
         flip += half * (top + ascending[flip + (half - 1)] < thresh)
-    slow_rows = None
-    if slow.size:
-        col = np.argsort(sm.unseen_ids, kind="stable")  # unseen columns in id order
-        slow_rows = (unseen[np.ix_(slow, col)], sm.unseen_ids[col],
-                     seen_max[slow], seen_pred[slow])
-    return rank, flip, seen_pred, top_ids, slow, slow_rows
-
-
-def _slow_chunks(slow_rows, lams, spare):
-    """(a, the slow rows' predictions at lams[a:a + step]) for chunks of sweep
-    points whose temporaries fit in spare bytes less the rows' own copy."""
-    unseen, unseen_ids, seen_max, seen_pred = slow_rows
-    spare -= unseen.nbytes + seen_max.nbytes + seen_pred.nbytes
-    # per sweep point: the slow rows' u sums and at most seven arrays of
-    # one value per slow row
-    step = max(1, spare // (8 * (unseen.size + 7 * seen_max.size)))
-    for a in range(0, lams.size, step):
-        yield a, _argmax_calibrated(unseen, unseen_ids, seen_max, seen_pred, lams[a:a + step])
-
-
-def _argmax_calibrated(unseen, unseen_ids, seen_max, seen_pred, lams):
-    """calibrated_predictions at the points lams from the first argmax of
-    every row's shifted unseen scores, columns in id order; the arrays go
-    when it returns, before the next chunk's are made."""
-    shifted = unseen[None, :, :] + lams[:, None, None]
-    j = shifted.argmax(axis=2)
-    best = np.take_along_axis(shifted, j[:, :, None], axis=2)[:, :, 0]
-    ids = unseen_ids[j]
-    return np.where(
-        best > seen_max, ids,
-        np.where(best < seen_max, seen_pred, np.minimum(ids, seen_pred)),
-    )
-
-
-def calibrated_predictions(sm, lams):
-    """Calibrated argmax of every row at every sweep point, shape (L, N).
-
-    Row i at point l is predict_labels of the scores with lams[l] added to
-    every unseen column: for a fast row, its seen argmax before its flip
-    point and its unseen argmax from there (see _flip_points).
-    """
-    lams = np.asarray(lams, dtype=np.float64)
-    rank, flip, seen_pred, top_ids, slow, slow_rows = _flip_points(sm, lams)
-    pred = np.empty((lams.size, flip.size), dtype=np.int64)
-    step = max(1, _spare(flip.size) // max(1, flip.size))  # n flags per point
-    for a in range(0, lams.size, step):
-        out = pred[a:a + step]
-        np.copyto(out, seen_pred)
-        np.copyto(out, top_ids, where=rank[a:a + step, None] >= flip)
-    if slow_rows is not None:
-        for a, chunk in _slow_chunks(slow_rows, lams, _spare(flip.size)):
-            pred[a:a + len(chunk), slow] = chunk
-    return pred
-
-
-def calibrated_hits(sm, labels, lams):
-    """Right calibrated predictions per sweep point and class, shape (L, C).
-
-    hits[l, c] counts the rows labelled classes[c], for classes =
-    np.unique(labels), whose calibrated_predictions at lams[l] is their
-    label. A fast row is right before its flip point (its seen argmax is
-    its label), from it (its unseen argmax is), or never, so one bincount
-    over (flip point, class) and a running sum down the points in ascending
-    order count every fast row in O(N + L*C), with no (L, N) array. The
-    slow rows' predictions are compared chunk by chunk.
-    """
-    labels = _labels(labels, sm.scores.shape[0])
-    lams = np.asarray(lams, dtype=np.float64)
-    rank, flip, seen_pred, top_ids, slow, slow_rows = _flip_points(sm, lams)
     classes, cls = np.unique(labels, return_inverse=True)
     c, size = classes.size, (lams.size + 1) * classes.size
-    fast = np.ones(labels.size, dtype=bool)
-    fast[slow] = False
-    # down the points in ascending order, a fast row whose unseen argmax is
-    # its label turns right at its flip point, one whose seen argmax is
-    # turns wrong there
-    late, early = fast & (top_ids == labels), fast & (seen_pred == labels)
+    # down the points in ascending order, a row whose unseen argmax is its
+    # label turns right at its flip point, one whose seen argmax is turns
+    # wrong there
+    late, early = top_ids == labels, seen_pred == labels
     at = flip * c + cls
     steps = np.bincount(at[late], minlength=size) - np.bincount(at[early], minlength=size)
-    ascending = np.cumsum(steps.reshape(-1, c)[:-1], axis=0)
-    ascending += np.bincount(cls[early], minlength=c)
-    hits = ascending[rank]  # in sweep order
-    del fast, late, early, at, steps, ascending  # not held through the chunks
-    if slow_rows is not None:
-        by_class = np.argsort(cls[slow], kind="stable")
-        present, starts = np.unique(cls[slow][by_class], return_index=True)
-        for a, chunk in _slow_chunks(slow_rows, lams, _spare(labels.size)):
-            right = (chunk == labels[slow])[:, by_class]
-            hits[a:a + len(chunk), present] += np.add.reduceat(right, starts, axis=1,
-                                                               dtype=np.int64)
-    return hits
+    hits = np.cumsum(steps.reshape(-1, c)[:-1], axis=0)
+    hits += np.bincount(cls[early], minlength=c)
+    return hits[rank]  # in sweep order
 
 
 def generalized_accuracy(sm, labels, *, counts=None):

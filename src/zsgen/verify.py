@@ -67,9 +67,10 @@ def _toy_models(rng, n_classes=3, visual_dim=4):
     return Generator(gen_cfg, rng), Discriminator(disc_cfg, rng)
 
 
-def check_generator_loss(rng):
-    """Full generator loss against central differences, fixed discriminator;
-    two batch rows share a semantic row, as a class does in training."""
+def _generator_step(rng):
+    """A toy generator and step(gen, **kw), generator_loss_grads at one fixed
+    batch and critic; two batch rows share a semantic row, as a class does
+    in training."""
     gen, disc = _toy_models(rng)
     m = 3
     sem = rng.normal(size=(m - 1, gen.cfg.semantic_dim))
@@ -79,11 +80,29 @@ def check_generator_loss(rng):
     features = rng.normal(size=(4 * m, gen.cfg.visual_dim))
     pos, neg = np.arange(2 * m).reshape(m, 2), np.arange(2 * m, 4 * m).reshape(m, 2)
     cfg = GanTrainConfig(margin=5.0, lambda_t=0.7, batch_size=m)
+    return gen, lambda g, **kw: generator_loss_grads(
+        g, disc, sem, noise, labels, features, pos, neg, cfg, classes=classes, **kw)
+
+
+def _critic_step(rng, gp_weight):
+    """A toy critic and step(disc, **kw), discriminator_loss_grads at one
+    fixed batch and fixed interpolates."""
+    _, disc = _toy_models(rng)
+    m = 3
+    real = rng.uniform(-0.9, 0.9, size=(m, disc.cfg.visual_dim))
+    fake = rng.uniform(-0.9, 0.9, size=(m, disc.cfg.visual_dim))
+    labels = rng.integers(0, disc.cfg.num_classes, size=m)
+    eps = rng.uniform(0.0, 1.0, size=(m, 1))
+    return disc, lambda d, **kw: discriminator_loss_grads(
+        d, real, fake, labels, gp_weight, eps=eps, **kw)
+
+
+def check_generator_loss(rng):
+    """Full generator loss against central differences, fixed discriminator."""
+    gen, step = _generator_step(rng)
 
     def f():
-        loss, _, grads = generator_loss_grads(
-            gen, disc, sem, noise, labels, features, pos, neg, cfg, classes=classes
-        )
+        loss, _, grads = step(gen)
         return loss, [grads]
 
     return gradient_check(f, [gen.pack()])
@@ -91,15 +110,10 @@ def check_generator_loss(rng):
 
 def check_discriminator_loss(rng, gp_weight=0.0):
     """Discriminator loss against central differences, fixed interpolates."""
-    _, disc = _toy_models(rng)
-    m = 3
-    real = rng.uniform(-0.9, 0.9, size=(m, disc.cfg.visual_dim))
-    fake = rng.uniform(-0.9, 0.9, size=(m, disc.cfg.visual_dim))
-    labels = rng.integers(0, disc.cfg.num_classes, size=m)
-    eps = rng.uniform(0.0, 1.0, size=(m, 1))
+    disc, step = _critic_step(rng, gp_weight)
 
     def f():
-        loss, grads = discriminator_loss_grads(disc, real, fake, labels, gp_weight, eps=eps)
+        loss, grads = step(disc)
         return loss, [grads]
 
     return gradient_check(f, [disc.pack()])
@@ -124,16 +138,16 @@ def check_discriminator_input_grad(rng, n=3):
     return gradient_check(f, [x])
 
 
-def _streamed_is_whole(net, loss_grads):
-    """0.0 when loss_grads(net, update=...), streaming its gradient into a
-    fresh Adam state as training does, leaves the parameter and moment bytes
-    that its whole gradient and one whole-vector adam_step leave on a copy
-    of net; inf otherwise. loss_grads(net) returns the whole flat gradient."""
+def _streamed_is_whole(net, step, grad_at):
+    """0.0 when step(net, update=...), streaming its gradient into a fresh
+    Adam state as training does, leaves the parameter and moment bytes that
+    its whole gradient, step(net)[grad_at], and one whole-vector adam_step
+    leave on a copy of net; inf otherwise."""
     ref = net.copy()
     params, ref_params = net.pack(), ref.pack()
     adam, ref_adam = AdamState.for_params(params), AdamState.for_params(ref_params)
-    loss_grads(net, update=(params, adam))
-    adam_step(ref_params, loss_grads(ref), ref_adam)
+    step(net, update=(params, adam))
+    adam_step(ref_params, step(ref)[grad_at], ref_adam)
     same = all(a.tobytes() == b.tobytes() for a, b in
                ((params, ref_params), (adam.m, ref_adam.m), (adam.v, ref_adam.v)))
     return 0.0 if same else float("inf")
@@ -141,30 +155,12 @@ def _streamed_is_whole(net, loss_grads):
 
 def check_streamed_critic_update(rng, gp_weight=10.0):
     """One streamed critic update against the whole gradient's adam_step."""
-    _, disc = _toy_models(rng)
-    m = 3
-    real = rng.uniform(-0.9, 0.9, size=(m, disc.cfg.visual_dim))
-    fake = rng.uniform(-0.9, 0.9, size=(m, disc.cfg.visual_dim))
-    labels = rng.integers(0, disc.cfg.num_classes, size=m)
-    eps = rng.uniform(0.0, 1.0, size=(m, 1))
-    return _streamed_is_whole(disc, lambda d, update=None: discriminator_loss_grads(
-        d, real, fake, labels, gp_weight, eps=eps, update=update)[1])
+    return _streamed_is_whole(*_critic_step(rng, gp_weight), 1)
 
 
 def check_streamed_generator_step(rng):
     """One streamed generator step against the whole gradient's adam_step."""
-    gen, disc = _toy_models(rng)
-    m = 3
-    sem = rng.normal(size=(m - 1, gen.cfg.semantic_dim))
-    classes = np.minimum(np.arange(m), m - 2)
-    noise = gen.sample_noise(rng, m)
-    labels = rng.integers(0, disc.cfg.num_classes, size=m)
-    features = rng.normal(size=(4 * m, gen.cfg.visual_dim))
-    pos, neg = np.arange(2 * m).reshape(m, 2), np.arange(2 * m, 4 * m).reshape(m, 2)
-    cfg = GanTrainConfig(margin=5.0, lambda_t=0.7, batch_size=m)
-    return _streamed_is_whole(gen, lambda g, update=None: generator_loss_grads(
-        g, disc, sem, noise, labels, features, pos, neg, cfg, classes=classes,
-        update=update)[2])
+    return _streamed_is_whole(*_generator_step(rng), 2)
 
 
 def run_gradient_checks(seed=0, n_seeds=20):

@@ -50,7 +50,7 @@ WRONG_TYPE = {
 # maximum and exclusive maximum
 OUT_OF_BOUNDS = [
     ("cko.k", -1),
-    ("gan.margin", -0.1), ("gan.n_d", 0), ("gan.n_step", -1),
+    ("gan.margin", -0.1), ("gan.lambda_t", -1.0), ("gan.n_d", 0), ("gan.n_step", -1),
     ("gan.patience", 0), ("gan.batch_size", 0), ("gan.n_pos", 0),
     ("gan.n_neg", 0), ("gan.alpha", 0), ("gan.alpha", -1.0),
     ("gan.beta1", -0.1), ("gan.beta1", 1), ("gan.beta2", -0.1),

@@ -1,6 +1,6 @@
 """No module of the package imports a name that it never uses, or a name
 that another module of the package keeps private; and every top-level
-function or class of the package is read somewhere."""
+function or class of the package is read outside the tests."""
 
 import ast
 from pathlib import Path
@@ -105,9 +105,10 @@ def test_scan_finds_unread_definitions():
     assert definitions(source) - names_read(source) - traced_names(source) == {"orphan"}
 
 
-def test_every_top_level_definition_is_read_by_a_module_a_test_or_the_benchmark():
-    readers = [*PACKAGE.glob("*.py"), *(ROOT / "tests").rglob("*.py"),
-               *(ROOT / "perfbench").glob("*.py")]
+def test_every_top_level_definition_is_read_by_a_module_or_the_benchmark():
+    # tests do not count: a definition that only tests read is dead code
+    readers = [*PACKAGE.glob("*.py"),
+               *(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))]
     reads = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in readers))
     reads |= traced_names((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
     unread = sorted(f"{p.stem}.{name}" for p in PACKAGE.glob("*.py")

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zsgen.metrics import (
-    ScoreMatrix, ausuc, calibrated_hits, calibrated_predictions, CalibrationSweep,
+    ScoreMatrix, ausuc, calibrated_hits, CalibrationSweep,
     generalized_accuracy, gzsl_suh, predict_labels, suc_curve, top1_per_class,
 )
 
@@ -161,18 +161,40 @@ def test_an_order_preserving_relabelling_of_class_ids_leaves_every_metric_bitwis
     assert all_metric_bytes(relabelled, new_labels) == all_metric_bytes(sm, labels)
 
 
-# The calibration sweep's counts against the definition: the argmax, ties
-# to the smallest id, of the scores with lambda added to the unseen block,
-# one sweep point at a time.
+# The calibration sweep's counts against the definition, calibrated
+# stacking (Chao et al., 2016): lambda added to the unseen block cannot
+# reorder it, so at each point the row's unseen maximum plus lambda, under
+# its unseen argmax's id, meets the seen block in one argmax, ties to the
+# smallest id, one sweep point at a time.
 
 def defined_predictions(sm, lams):
-    """(L, N) predict_labels of the shifted scores, point by point."""
+    """(L, N) predict_labels, point by point, of the seen block beside one
+    unseen column: each row's unseen maximum plus lambda in its unseen
+    argmax's column, and -inf, which loses to every finite seen score, in
+    the others."""
+    s = sm.seen_count
+    unseen = sm.scores[:, s:]
+    top = unseen.max(axis=1)
+    top_col = np.argmax(sm.unseen_ids == predict_labels(unseen, sm.unseen_ids)[:, None],
+                        axis=1)
+    stacked = np.full_like(sm.scores, -np.inf)
+    stacked[:, :s] = sm.scores[:, :s]
     pred = np.empty((len(lams), sm.scores.shape[0]), dtype=np.int64)
     with np.errstate(over="ignore"):
         for i, lam in enumerate(lams):
-            shifted = sm.scores.copy()
-            shifted[:, sm.seen_count:] += lam
-            pred[i] = predict_labels(shifted, sm.class_ids)
+            stacked[np.arange(top.size), s + top_col] = top + lam
+            pred[i] = predict_labels(stacked, sm.class_ids)
+    return pred
+
+
+def shifted_predictions(sm, lams):
+    """(L, N) predict_labels of all the scores with lambda added to the
+    unseen block, point by point."""
+    pred = np.empty((len(lams), sm.scores.shape[0]), dtype=np.int64)
+    for i, lam in enumerate(lams):
+        shifted = sm.scores.copy()
+        shifted[:, sm.seen_count:] += lam
+        pred[i] = predict_labels(shifted, sm.class_ids)
     return pred
 
 
@@ -229,10 +251,21 @@ any_matrix = st.one_of(vote_matrices(), integer_matrices(), gaussian_matrices())
 def test_the_sweep_counts_are_the_per_class_hits_of_the_defined_predictions(case, lams):
     sm, labels = case
     want = defined_predictions(sm, lams)
-    assert np.array_equal(calibrated_predictions(sm, lams), want)
     hits = calibrated_hits(sm, labels, lams)
     assert hits.dtype == np.int64 and hits.flags.c_contiguous
     assert np.array_equal(hits, per_class_hits(want, labels))
+
+
+@given(st.one_of(vote_matrices(), integer_matrices()))
+@settings(max_examples=60, deadline=None)
+def test_on_votes_and_integers_the_sweep_counts_are_those_of_the_shifted_argmax(case):
+    # the program's scores are vote fractions v/k, at least 1/k apart: at
+    # the default sweep no sum rounds two unseen scores onto one, and the
+    # argmax of every shifted score is the stacking rule's prediction
+    sm, labels = case
+    lams = CalibrationSweep().values()
+    assert np.array_equal(calibrated_hits(sm, labels, lams),
+                          per_class_hits(shifted_predictions(sm, lams), labels))
 
 
 def assert_sweep_metrics_are_the_defined_ones(sm, labels, lams):

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zsgen import metrics
 from zsgen.errors import ConfigError, UsageError
 from zsgen.metrics import (
     MAX_SWEEP_POINTS, CalibrationSweep, ScoreMatrix, ausuc, calibrated_hits,
-    calibrated_predictions, generalized_accuracy, gzsl_suh, predict_labels,
+    generalized_accuracy, gzsl_suh, predict_labels,
     retrieval_precision, retrieval_precisions, suc_curve, top1_per_class,
 )
+from test_metric_properties import defined_predictions, shifted_predictions
 
 
 def test_sweep_grid_is_half_open_400_points():
@@ -286,63 +286,24 @@ def test_score_matrix_validation():
         ScoreMatrix(np.full((1, 2), np.inf), np.array([0, 1]), seen_count=1)
 
 
-# Oracles: the calibration sweep as one argmax over all columns per sweep
-# point, and per-class accuracy as one mean per class.
-
-def _argmax_sweep(sm, lams):
-    """calibrated_predictions as the argmax of every shifted unseen score,
-    formed in chunks of sweep points: the sweep calibrated_predictions must
-    match bit for bit."""
-    lams = np.asarray(lams, dtype=np.float64)
-    s = sm.seen_count
-
-    def by_id(block, ids):
-        order = np.argsort(ids, kind="stable")
-        return block[:, order], ids[order]
-
-    seen, seen_ids = by_id(sm.scores[:, :s], sm.seen_ids)
-    j = seen.argmax(axis=1)
-    seen_max, seen_pred = seen[np.arange(seen.shape[0]), j], seen_ids[j]
-    unseen, unseen_ids = by_id(sm.scores[:, s:], sm.unseen_ids)
-    n, u = unseen.shape
-    pred = np.empty((lams.size, n), dtype=np.int64)
-    step = max(1, (1 << 20) // (8 * max(1, n * (u + 4))))
-    for a in range(0, lams.size, step):
-        shifted = unseen[None, :, :] + lams[a:a + step, None, None]
-        j = shifted.argmax(axis=2)
-        best = np.take_along_axis(shifted, j[:, :, None], axis=2)[:, :, 0]
-        ids = unseen_ids[j]
-        pred[a:a + step] = np.where(
-            best > seen_max, ids,
-            np.where(best < seen_max, seen_pred, np.minimum(ids, seen_pred)),
-        )
-    return pred
-
-
-def _assert_predictions_match_oracle(sm, lams):
-    got = calibrated_predictions(sm, lams)
-    assert got.dtype == np.int64 and got.shape == (len(lams), sm.scores.shape[0])
-    assert np.array_equal(got, _argmax_sweep(sm, lams))
-    return got
-
+# Oracles: the calibration sweep as one argmax per sweep point of the seen
+# block beside the row's shifted unseen maximum (defined_predictions), and
+# per-class accuracy as one mean per class.
 
 def _oracle_hits(sm, labels, lams):
     """calibrated_hits as one count per class of the oracle's right predictions."""
-    right = _argmax_sweep(sm, lams) == labels
+    right = defined_predictions(sm, lams) == labels
     return np.stack([right[:, labels == c].sum(axis=1) for c in np.unique(labels)], axis=1)
 
 
 def _assert_hits_match_oracle(sm, labels, lams):
-    got = calibrated_hits(sm, labels, lams)
-    assert got.dtype == np.int64 and got.flags.c_contiguous
-    assert np.array_equal(got, _oracle_hits(sm, labels, lams))
+    """calibrated_hits against the oracle for labels, and for every row
+    labelled its unseen argmax, which counts the rows that predict it."""
+    for want in (predict_labels(sm.scores[:, sm.seen_count:], sm.unseen_ids), labels):
+        got = calibrated_hits(sm, want, lams)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert np.array_equal(got, _oracle_hits(sm, want, lams))
     return got
-
-
-def _loop_calibrated(sm, lam):
-    adjusted = sm.scores.copy()
-    adjusted[:, sm.seen_count:] += lam
-    return adjusted
 
 
 def _loop_per_class_accuracy(predicted, labels):
@@ -350,36 +311,33 @@ def _loop_per_class_accuracy(predicted, labels):
     return 100.0 * float(np.mean(accs))
 
 
-def _loop_generalized_accuracy(sm, labels, sweep):
+def _loop_generalized_accuracy(pred, labels):
     total = 0.0
-    lams = sweep.values()
-    for lam in lams:
-        pred = predict_labels(_loop_calibrated(sm, lam), sm.class_ids)
-        total += float((pred == labels).mean())
-    return 100.0 * total / len(lams)
+    for at_point in pred:
+        total += float((at_point == labels).mean())
+    return 100.0 * total / len(pred)
 
 
-def _loop_suc_curve(sm, labels, sweep):
+def _loop_suc_curve(sm, pred, labels):
     is_seen = np.isin(labels, sm.seen_ids)
     is_unseen = np.isin(labels, sm.unseen_ids)
     points = set()
-    for lam in sweep.values():
-        pred = predict_labels(_loop_calibrated(sm, lam), sm.class_ids)
-        acc_u = _loop_per_class_accuracy(pred[is_unseen], labels[is_unseen]) / 100.0
-        acc_s = _loop_per_class_accuracy(pred[is_seen], labels[is_seen]) / 100.0
+    for at_point in pred:
+        acc_u = _loop_per_class_accuracy(at_point[is_unseen], labels[is_unseen]) / 100.0
+        acc_s = _loop_per_class_accuracy(at_point[is_seen], labels[is_seen]) / 100.0
         points.add((acc_u, acc_s))
     return sorted(points)
 
 
 def _assert_sweep_matches_oracle(sm, labels):
-    sweep = CalibrationSweep()
-    g_acc = _loop_generalized_accuracy(sm, labels, sweep)
-    points = _loop_suc_curve(sm, labels, sweep)
+    lams = CalibrationSweep().values()
+    pred = defined_predictions(sm, lams)
+    g_acc = _loop_generalized_accuracy(pred, labels)
+    points = _loop_suc_curve(sm, pred, labels)
     assert generalized_accuracy(sm, labels) == g_acc
     assert suc_curve(sm, labels) == points
     # the counts formed once serve both, as evaluate_model passes them
-    _assert_predictions_match_oracle(sm, sweep.values())
-    counts = _assert_hits_match_oracle(sm, labels, sweep.values())
+    counts = _assert_hits_match_oracle(sm, labels, lams)
     assert generalized_accuracy(sm, labels, counts=counts) == g_acc
     assert suc_curve(sm, labels, counts=counts) == points
     pred = predict_labels(sm.scores, sm.class_ids)
@@ -427,17 +385,16 @@ def test_sweep_matches_oracle_when_adding_lambda_makes_unseen_ties():
     # a and b one ulp apart, rounded to one value for part of the sweep only
     merged = (a + lams) == (b + lams)
     assert merged.any() and not merged.all()
-    # unseen ids 1 (score a) and 3 (score b): b wins row 0 until the sum
-    # rounds both to one value, then the tie goes to the smaller id
+    # unseen ids 1 (score a) and 3 (score b): the shift does not reorder the
+    # unseen block, so b's id 3 wins row 0 at every point, where the argmax
+    # of the rounded sums would give the merged points to the smaller id
     rows = [[-10.0, a, b], [-10.0, b, a], [a, a, b], [b, b, a]]
     sm = ScoreMatrix(np.array(rows), np.array([2, 1, 3]), seen_count=1)
     labels = np.array([3, 1, 2, 3])
     _assert_sweep_matches_oracle(sm, labels)
-    got = calibrated_predictions(sm, lams)
-    for i, lam in enumerate(lams):
-        assert np.array_equal(got[i], predict_labels(_loop_calibrated(sm, lam), sm.class_ids))
-    assert np.array_equal(got[:, 0], np.where(merged, 1, 3))
-
+    assert np.array_equal(defined_predictions(sm, lams)[:, 0], np.full(lams.size, 3))
+    assert np.array_equal(shifted_predictions(sm, lams)[:, 0], np.where(merged, 1, 3))
+    assert np.array_equal(calibrated_hits(sm, labels, lams)[:, 2], np.full(lams.size, 1))
 
 
 def _near_tie_scores(rng, n, u, spread):
@@ -464,7 +421,6 @@ def test_predictions_match_oracle_on_near_ties(seed):
     seen = rng.choice([-5.0, 0.0, 0.1, 1.0, 1.5, 2.0], size=(400, 3))
     class_ids = rng.permutation(9)  # unsorted within both blocks
     sm = ScoreMatrix(np.hstack([seen, unseen]), class_ids, seen_count=3)
-    _assert_predictions_match_oracle(sm, CalibrationSweep().values())
     labels = class_ids[rng.integers(0, 9, size=400)]
     _assert_sweep_matches_oracle(sm, labels)
 
@@ -473,21 +429,25 @@ def test_predictions_match_oracle_on_rows_of_equal_unseen_scores():
     # every unseen score of a row equal: the smallest unseen id, at any point
     scores = np.array([[0.5, 0.1, 0.1, 0.1], [0.0, 0.3, 0.3, 0.3], [0.2, 0.2, 0.2, 0.2]])
     sm = ScoreMatrix(scores, np.array([3, 7, 1, 5]), seen_count=1)
-    pred = _assert_predictions_match_oracle(sm, CalibrationSweep().values())
-    assert set(pred[:, 1].tolist()) == {3, 1}
+    lams = CalibrationSweep().values()
+    _assert_hits_match_oracle(sm, np.array([3, 1, 3]), lams)
+    assert set(defined_predictions(sm, lams)[:, 1].tolist()) == {3, 1}
 
 
 def test_predictions_match_oracle_near_the_float_range():
-    # a bound of inf and sums that overflow to +-inf, where columns merge
+    # sums that overflow to +-inf, where the unseen maximum meets a seen
+    # score of the float range
     big = np.finfo(np.float64).max
     rng = np.random.default_rng(8)
     values = np.array([-big, -1e308, -1.0, 0.0, 1e-300, 1.0, 1e308, np.nextafter(1e308, 0.0), big])
     scores = rng.choice(values, size=(300, 7))
-    sm = ScoreMatrix(scores, np.array([4, 0, 6, 2, 5, 1, 3]), seen_count=3)
+    class_ids = np.array([4, 0, 6, 2, 5, 1, 3])
+    sm = ScoreMatrix(scores, class_ids, seen_count=3)
+    labels = class_ids[rng.integers(0, 7, size=300)]
     wide = np.concatenate([1.5e308 * np.linspace(-1.0, 1.0, 31), [-big, big, 0.0]])
     with np.errstate(over="ignore"):
-        _assert_predictions_match_oracle(sm, wide)
-        _assert_predictions_match_oracle(sm, rng.permutation(wide))
+        _assert_hits_match_oracle(sm, labels, wide)
+        _assert_hits_match_oracle(sm, labels, rng.permutation(wide))
 
 
 @pytest.mark.parametrize("lams", [
@@ -504,23 +464,24 @@ def test_predictions_match_oracle_for_any_sweep_order(lams):
     }[lams]
     votes = rng.multinomial(4, np.full(7, 1.0 / 7), size=120) / 4
     unseen = _near_tie_scores(rng, 120, 3, 1)
-    sm = ScoreMatrix(np.hstack([votes, unseen]), rng.permutation(10), seen_count=7)
-    _assert_predictions_match_oracle(sm, lams)
+    class_ids = rng.permutation(10)
+    sm = ScoreMatrix(np.hstack([votes, unseen]), class_ids, seen_count=7)
+    _assert_hits_match_oracle(sm, class_ids[rng.integers(0, 10, size=120)], lams)
 
 
 def test_a_sweep_point_that_is_nan_is_a_usage_error():
     sm = ScoreMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]), seen_count=1)
-    lams = np.array([0.0, np.nan, 1.0])
     with pytest.raises(UsageError, match="NaN"):
-        calibrated_predictions(sm, lams)
-    with pytest.raises(UsageError, match="NaN"):
-        calibrated_hits(sm, np.array([0, 1]), lams)
+        calibrated_hits(sm, np.array([0, 1]), np.array([0.0, np.nan, 1.0]))
 
 
 def test_predictions_of_no_rows():
+    # the oracle predicts nothing at every point, and there is nothing to count
     sm = ScoreMatrix(np.zeros((0, 5)), np.arange(5), seen_count=2)
-    pred = _assert_predictions_match_oracle(sm, CalibrationSweep().values())
-    assert pred.shape == (400, 0)
+    lams = CalibrationSweep().values()
+    assert defined_predictions(sm, lams).shape == (400, 0)
+    with pytest.raises(ConfigError, match="no samples to evaluate"):
+        calibrated_hits(sm, np.array([], dtype=np.int64), lams)
 
 
 @pytest.mark.parametrize("metric", [
@@ -557,9 +518,9 @@ def _traced_peak(fn, *args):
 
 
 # tracemalloc peaks (bytes) of generalized_accuracy and suc_curve when the
-# sweep took the argmax of every shifted unseen score (_argmax_sweep) in
-# chunks of 1 MB, at the desk shape (750 queries, 10 seen + 5 unseen
-# classes, k 5) and the paper shape (600 queries, 150 + 50 classes, k 20)
+# sweep took the argmax of every shifted unseen score in chunks of 1 MB, at
+# the desk shape (750 queries, 10 seen + 5 unseen classes, k 5) and the
+# paper shape (600 queries, 150 + 50 classes, k 20)
 ARGMAX_SWEEP_PEAKS = {(750, 10, 5, 5): (4_107_240, 4_105_969),
                       (600, 150, 50, 20): (4_893_832, 4_895_472)}
 
@@ -570,26 +531,3 @@ def test_sweep_peak_memory_is_no_more_than_the_argmax_sweep(shape):
     g_acc_peak, suc_peak = ARGMAX_SWEEP_PEAKS[shape]
     assert _traced_peak(generalized_accuracy, sm, labels)[0] <= g_acc_peak
     assert _traced_peak(suc_curve, sm, labels)[0] <= suc_peak
-
-
-def test_rows_that_all_take_the_argmax_stay_under_the_chunk_cap(monkeypatch):
-    # each row's first unseen maximum has an unseen column one ulp below it
-    # with a smaller id, so every row takes the per-point argmax
-    rng = np.random.default_rng(11)
-    top = rng.normal(size=(1500, 1))
-    scores = np.hstack([rng.normal(size=(1500, 4)), np.nextafter(top, -np.inf), top,
-                        rng.normal(-5.0, 1.0, size=(1500, 2))])
-    sm = ScoreMatrix(scores, np.arange(8), seen_count=4)
-    argmax_rows = []
-
-    def recording(unseen, *args):
-        argmax_rows.append(unseen.shape[0])
-        return argmax_calibrated(unseen, *args)
-
-    argmax_calibrated = metrics._argmax_calibrated
-    monkeypatch.setattr(metrics, "_argmax_calibrated", recording)
-    lams = CalibrationSweep().values()
-    peak, pred = _traced_peak(calibrated_predictions, sm, lams)
-    assert set(argmax_rows) == {1500} and len(argmax_rows) > 1
-    assert peak <= metrics._SWEEP_CHUNK_BYTES + pred.nbytes
-    assert np.array_equal(pred, _argmax_sweep(sm, lams))
