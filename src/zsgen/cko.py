@@ -64,34 +64,30 @@ def embed_class_name(table, name):
     return np.mean(vecs, axis=0)
 
 
-def _cosine(a, b):
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
 def similarity_matrix(table, names, measure="cosine"):
     """Pairwise class-name similarity, cosine by default.
 
     measure="neg_euclidean" ranks by negated Euclidean distance instead;
-    cosine keeps the unit diagonal the overlay heat maps assume.
+    cosine keeps the unit diagonal the overlay heat maps assume. Both are
+    read off one Gram matrix of the distinct name embeddings, so alike
+    embeddings tie exactly, the matrix is exactly symmetric and the
+    negated distance of an embedding to itself is exactly 0. A zero
+    embedding has cosine 0 to every class.
     """
-    embedded = [embed_class_name(table, name) for name in names]
-    n = len(embedded)
-    sm = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            if measure == "cosine":
-                s = _cosine(embedded[i], embedded[j])
-            elif measure == "neg_euclidean":
-                s = -float(np.linalg.norm(embedded[i] - embedded[j]))
-            else:
-                raise ConfigError(f"unknown similarity measure {measure!r}")
-            sm[i, j] = s
-            sm[j, i] = s
-    return sm
+    if measure not in ("cosine", "neg_euclidean"):
+        raise ConfigError(f"unknown similarity measure {measure!r}")
+    embedded = np.array([embed_class_name(table, name) for name in names])
+    rows, inverse = np.unique(embedded.reshape(len(names), table.dim), axis=0,
+                              return_inverse=True)
+    gram = rows @ rows.T  # numpy forms x @ x.T as one triangle, mirrored: exactly symmetric
+    sq = np.diag(gram)
+    if measure == "cosine":
+        norms = np.sqrt(sq)
+        scale = norms[:, None] * norms
+        sm = np.divide(gram, scale, out=np.zeros_like(gram), where=scale > 0.0)
+    else:
+        sm = -np.sqrt(np.maximum(sq[:, None] + sq - 2.0 * gram, 0.0))
+    return sm[np.ix_(inverse, inverse)]
 
 
 def top_k_similar(sm, i, class_ids, k):
@@ -99,11 +95,8 @@ def top_k_similar(sm, i, class_ids, k):
 
     Descending similarity; ties broken by ascending class id.
     """
-    order = sorted(
-        (j for j in range(sm.shape[0]) if j != i),
-        key=lambda j: (-sm[i, j], class_ids[j]),
-    )
-    return order[:k]
+    order = np.lexsort((class_ids, -sm[i]))
+    return order[order != i][:k].tolist()
 
 
 def overlay(records, sm, k):

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UsageError
+from .metrics import predict_labels
 
 
 @dataclass
@@ -130,7 +131,6 @@ def knn_predict_proba(clf, queries):
 
     Vote ties go to the smallest class id.
     """
-    classes = np.unique(clf.labels)  # sorted, so argmax tie -> smallest id
+    classes = np.unique(clf.labels)
     votes = _votes(clf, squared_distances(queries, clf.references), classes)
-    best = votes.argmax(axis=1)
-    return classes[best], votes[np.arange(len(best)), best] / clf.k
+    return predict_labels(votes, classes), votes.max(axis=1) / clf.k

@@ -68,12 +68,8 @@ def tfidf_transform(model, doc):
     Out-of-vocabulary terms are ignored; an empty or fully OOV document
     maps to the zero vector.
     """
-    vec = np.zeros(len(model.vocabulary))
-    for term in doc:
-        idx = model.vocabulary.get(term)
-        if idx is not None:
-            vec[idx] += 1.0
-    vec *= model.idf
+    idx = np.array([model.vocabulary[t] for t in doc if t in model.vocabulary], dtype=np.intp)
+    vec = np.bincount(idx, minlength=len(model.vocabulary)) * model.idf
     norm = np.linalg.norm(vec)
     if norm > 0.0:
         vec /= norm

@@ -74,6 +74,79 @@ def test_neg_euclidean_measure():
     np.testing.assert_allclose(sm[0, 1], -5.0)
 
 
+def test_unknown_measure_raises_before_embedding():
+    t = table(crow=[1.0, 0.0])
+    for names in ([], ["crow"], ["dodo"], ["crow", "dodo"]):
+        with pytest.raises(ConfigError, match="bogus"):
+            similarity_matrix(t, names, "bogus")
+
+
+def ref_similarity(a, b, measure):
+    """The per-pair formulas, one pair at a time."""
+    if measure == "neg_euclidean":
+        return -float(np.linalg.norm(a - b))
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    return 0.0 if na == 0.0 or nb == 0.0 else float(np.dot(a, b) / (na * nb))
+
+
+# Name tables: words with short decimal vectors, which are inexact in
+# binary, plus one zero vector; names of one or two words, repeated.
+@st.composite
+def name_tables(draw):
+    dim = draw(st.integers(1, 6))
+    n_words = draw(st.integers(1, 5))
+    entry = st.floats(-4.0, 4.0).map(lambda v: round(v, 3))
+    vectors = {"w" + "abcde"[i]: np.array(draw(st.lists(entry, min_size=dim, max_size=dim)))
+               for i in range(n_words)}
+    vectors["zero"] = np.zeros(dim)
+    words = sorted(vectors)
+    name = st.lists(st.sampled_from(words), min_size=1, max_size=2).map(" ".join)
+    names = draw(st.lists(name, min_size=1, max_size=9))
+    return EmbeddingTable(vectors=vectors, dim=dim), names
+
+
+@given(name_tables(), st.sampled_from(["cosine", "neg_euclidean"]))
+@settings(max_examples=150, deadline=None)
+def test_similarity_matches_per_pair_formulas(tn, measure):
+    t, names = tn
+    emb = [embed_class_name(t, name) for name in names]
+    sm = similarity_matrix(t, names, measure)
+    n = len(names)
+    assert sm.shape == (n, n)
+    assert np.array_equal(sm, sm.T)
+    for i in range(n):
+        for j in range(n):
+            want = ref_similarity(emb[i], emb[j], measure)
+            if measure == "cosine":
+                # cosine lies in [-1, 1]: 1e-12 of that unit scale
+                assert abs(sm[i, j] - want) <= 1e-12
+            else:
+                # the squared distance, to 1e-12 of the squared norms it is formed from
+                scale = emb[i] @ emb[i] + emb[j] @ emb[j]
+                assert abs(sm[i, j] ** 2 - want ** 2) <= 1e-12 * scale
+            if emb[i].tobytes() == emb[j].tobytes():
+                assert sm[i].tobytes() == sm[j].tobytes()
+    if measure == "neg_euclidean":
+        assert (np.diag(sm) == 0.0).all()
+
+
+@given(name_tables(), st.sampled_from(["cosine", "neg_euclidean"]),
+       st.integers(0, 8), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_overlay_order_matches_brute_force(tn, measure, k, rnd):
+    t, names = tn
+    k = min(k, len(names) - 1)
+    ids = list(range(len(names)))
+    rnd.shuffle(ids)
+    recs = [ClassRecord(c, name, f"article-{c}") for c, name in zip(ids, names)]
+    sm = similarity_matrix(t, names, measure)
+    for i, rec in enumerate(overlay(recs, sm, k)):
+        order = sorted((j for j in range(len(recs)) if j != i),
+                       key=lambda j: (-sm[i, j], ids[j]))[:k]
+        assert rec.article_overlay == "\n".join(
+            [recs[i].article] + [recs[j].article for j in order])
+
+
 def records(n):
     return [ClassRecord(i, f"c{i}", f"article-{i}") for i in range(n)]
 

@@ -146,6 +146,22 @@ def test_tfidf_matches_reference(corpus):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
+@given(st.lists(DOCS, min_size=1, max_size=5), DOCS)
+@settings(max_examples=60, deadline=None)
+def test_transform_bytes_equal_per_token_accumulation(corpus, extra):
+    model = tfidf_fit(corpus)
+    for doc in corpus + [extra]:
+        want = np.zeros(len(model.vocabulary))
+        for term in doc:
+            if term in model.vocabulary:
+                want[model.vocabulary[term]] += 1.0
+        want *= model.idf
+        norm = np.linalg.norm(want)
+        if norm > 0.0:
+            want /= norm
+        assert tfidf_transform(model, doc).tobytes() == want.tobytes()
+
+
 @given(DOCS.filter(lambda d: d))
 @settings(max_examples=40, deadline=None)
 def test_transform_norm_is_unit_for_in_vocab_docs(doc):
