@@ -1,11 +1,11 @@
-"""Semi-supervised outer loop: pseudo-label unseen samples with a kNN over
-synthetic features, add them to the training set, and widen the class head.
+"""Semi-supervised outer loop: retrain on unseen samples pseudo-labeled by a
+kNN over synthetic features, widening the class head to their classes.
 
-Each iteration trains the adversarial model, labels confident unseen
-samples, and freezes those labels; a sample added once is never
-re-labeled in later iterations. The training set is a list of row indices
-into the one scaled dataset, with a label per row: the true labels of the
-TRAIN rows, then the pseudo-labels of the rows added.
+Each round after the first labels confident unseen samples with the
+previous round's generator, freezes those labels, and then trains; nothing
+is labeled after the last training. The training set is a list of row
+indices into the one scaled dataset, with a label per row: the true labels
+of the TRAIN rows, then the pseudo-labels of the rows added.
 """
 
 import hashlib
@@ -24,7 +24,7 @@ from .nn import glorot_init
 
 @dataclass
 class SslConfig:
-    psi: float = bounded(0.5, ge=0)
+    psi: float = bounded(0.5, ge=0, le=1)
     n_ssl: int = bounded(1, ge=1)
     per_class_synthetic: int = bounded(60, ge=1)
     knn_k: int = bounded(20, ge=1)
@@ -137,8 +137,8 @@ class SslResult:
     scaler: FeatureScaler
     class_cols: dict          # class id -> discriminator logit column
     dataset: ZslDataset       # the scaled dataset trained on
-    # dataset rows of the training set as the last round left it: the rows
-    # it trained on, then the rows it added, which no round trained on
+    # dataset rows the last round trained on: the TRAIN rows, then the rows
+    # each retraining round added
     train_rows: np.ndarray
     train_labels: np.ndarray  # their labels: true for TRAIN rows, then pseudo
     reports: list = field(default_factory=list)
@@ -169,13 +169,12 @@ def prepare_models(dataset, gen_cfg, disc_cfg, rng):
 
 
 def run_ssl(dataset, gen_cfg, disc_cfg, train_cfg, ssl_cfg, seed):
-    """Full outer loop: (train -> pseudo-label -> add rows -> widen head) x n_ssl.
+    """Train, then (pseudo-label -> widen head -> add rows -> retrain) x
+    (n_ssl - 1); n_ssl=1 trains the plain GAN.
 
     A pseudo-labeled row whose features equal a row already trained on is
-    not added again, though it is frozen and counted as retained. The
-    result's train_rows and train_labels end with the rows the last round
-    added after its training: with n_ssl=1, every pseudo-labeled row in
-    them is one that no round trained on.
+    not added again, though it is frozen and counted as retained. A round
+    reports the labeling it trained on and the unseen top-1 of its generator.
     """
     check_k("ssl.knn_k", ssl_cfg.knn_k, ssl_cfg.per_class_synthetic,
             len(dataset.split.unseen))
@@ -193,41 +192,41 @@ def run_ssl(dataset, gen_cfg, disc_cfg, train_cfg, ssl_cfg, seed):
         return hashlib.sha256(work.features[i].tobytes()).digest()
     trained = set(map(key, rows))
 
-    reports, train_logs = [], []
-    for iteration in range(1, ssl_cfg.n_ssl + 1):
-        result = train_gan(
-            work, work.features[rows], labels,
-            gen, disc, class_cols, train_cfg, rng,
-        )
-        gen, disc = result.generator, result.discriminator
-        train_logs.append(result.history)
-
-        open_idx = np.flatnonzero(~frozen)
-        pl = pseudo_label(
-            gen, unseen, work.semantics_for(unseen),
-            work.features[candidates[open_idx]], ssl_cfg, rng,
-        )
-        picked = open_idx[pl.source_indices]
-        frozen[picked] = True
-
-        new_classes = sorted(set(pl.labels.tolist()) - set(class_cols))
-        for c in new_classes:
-            class_cols[c] = len(class_cols)
-        expand_classifier_head(disc, len(class_cols), rng)
-        retained = candidates[picked]
-        fresh = np.array([key(i) not in trained for i in retained], dtype=bool)
-        trained.update(map(key, retained[fresh]))
-        rows = np.concatenate([rows, retained[fresh]])
-        labels = np.concatenate([labels, pl.labels[fresh]])
-
+    def gen_unseen_top1():
         refs, ref_labels = synthesize_references(
             gen, unseen, work.semantics_for(unseen), ssl_cfg.per_class_synthetic, rng
         )
-        reports.append({
-            "iteration": iteration,
-            "retained": int(len(pl)),
-            "new_classes": len(new_classes),
-            "unseen_top1": unseen_top1(refs, ref_labels, work, ssl_cfg.knn_k),
-            "val_gacc": result.best_gacc,
-        })
+        return unseen_top1(refs, ref_labels, work, ssl_cfg.knn_k)
+
+    reports, train_logs = [], []
+    retained = new_classes = 0
+    for iteration in range(1, ssl_cfg.n_ssl + 1):
+        if iteration > 1:
+            open_idx = np.flatnonzero(~frozen)
+            pl = pseudo_label(
+                gen, unseen, work.semantics_for(unseen),
+                work.features[candidates[open_idx]], ssl_cfg, rng,
+            )
+            picked = open_idx[pl.source_indices]
+            frozen[picked] = True
+
+            fresh_classes = sorted(set(pl.labels.tolist()) - set(class_cols))
+            for c in fresh_classes:
+                class_cols[c] = len(class_cols)
+            expand_classifier_head(disc, len(class_cols), rng)
+            added = candidates[picked]
+            fresh = np.array([key(i) not in trained for i in added], dtype=bool)
+            trained.update(map(key, added[fresh]))
+            rows = np.concatenate([rows, added[fresh]])
+            labels = np.concatenate([labels, pl.labels[fresh]])
+            retained, new_classes = len(pl), len(fresh_classes)
+            reports[-1]["unseen_top1"] = gen_unseen_top1()
+
+        result = train_gan(work, work.features[rows], labels,
+                           gen, disc, class_cols, train_cfg, rng)
+        gen, disc = result.generator, result.discriminator
+        train_logs.append(result.history)
+        reports.append({"iteration": iteration, "retained": retained,
+                        "new_classes": new_classes, "val_gacc": result.best_gacc})
+    reports[-1]["unseen_top1"] = gen_unseen_top1()
     return SslResult(gen, disc, scaler, class_cols, work, rows, labels, reports, train_logs)

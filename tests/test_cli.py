@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from zsgen import data, gan
+from zsgen import data, evaluate, gan
 from zsgen.cli import main
 from zsgen.config import config_hash, load_config
 from zsgen.errors import ConfigError
@@ -117,6 +117,22 @@ def test_retrieve_prints_the_evaluation_map_lines(tmp_path, capsys):
     assert len(report) == 3
     assert (tmp_path / "retrieval.txt").read_text().splitlines() == report
     assert capsys.readouterr().out.splitlines() == report
+
+
+def test_train_at_one_round_labels_nothing_and_keeps_the_seen_head(tmp_path):
+    out = tmp_path / "ds"
+    assert main(synth_args(out)) == 0
+    cfg = tiny_run_config(tmp_path, out)
+    assert cfg["ssl"]["n_ssl"] == 1
+    assert main(["--quiet", "--config", write_config(tmp_path / "run.yaml", cfg),
+                 "train"]) == 0
+    seen = sorted(data.load_split(dataset_io(out)["split"]).seen)
+    _, disc, _, class_cols, _ = evaluate.load_model(str(tmp_path / "model.ck"))
+    assert sorted(class_cols) == seen
+    assert disc.cfg.num_classes == len(seen)
+    assert disc.head.layers[0].weight.shape[1] == len(seen)
+    rows = (tmp_path / "ssl.tsv").read_text().splitlines()[1:]
+    assert len(rows) == 1 and rows[0].startswith("1\t0\t0\t")
 
 
 def test_train_evaluate_retrieve_round_trip(tmp_path):

@@ -58,8 +58,8 @@ OUT_OF_BOUNDS = [
     ("gan.knn_k", 0), ("gan.probe_per_class", 0), ("gan.val_fraction", -0.1),
     ("gan.val_fraction", 0.6), ("gan.reduce_dim", 0), ("gan.hidden_dim", 0),
     ("gan.disc_hidden_dim", 0), ("gan.noise_sigma", -0.5),
-    ("ssl.psi", -0.1), ("ssl.n_ssl", 0), ("ssl.per_class_synthetic", 0),
-    ("ssl.knn_k", 0),
+    ("ssl.psi", -0.1), ("ssl.psi", 1.01), ("ssl.n_ssl", 0),
+    ("ssl.per_class_synthetic", 0), ("ssl.knn_k", 0),
     ("eval.step", 0), ("eval.step", -0.01), ("eval.ratios", [0.5, 0]),
     ("eval.ratios", [-0.25]), ("eval.ratios", [1.5]), ("eval.ratios", [0.5, 1.01]),
     ("eval.per_class_synthetic", 0), ("eval.knn_k", 0),

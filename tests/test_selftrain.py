@@ -206,13 +206,20 @@ def trained_setup(seed=0):
     return ds, work, gen, disc, cols, rng
 
 
-def test_pseudo_label_unreachable_threshold_empty():
-    ds, work, gen, disc, cols, rng = trained_setup()
-    unseen = sorted(work.split.unseen)
-    x_u = work.features[work.test_indices()][:10]
-    cfg = SslConfig(psi=1.01, per_class_synthetic=5, knn_k=3)
-    pl = pseudo_label(gen, unseen, work.semantics_for(unseen), x_u, cfg, rng)
-    assert len(pl) == 0
+def test_psi_above_one_is_rejected_and_one_keeps_only_unanimous_votes():
+    with pytest.raises(ConfigError, match="psi"):
+        SslConfig(psi=1.01)
+    kept = {}
+    for psi in (0.0, 1.0):   # the same draws at both thresholds
+        ds, work, gen, disc, cols, rng = trained_setup()
+        unseen = sorted(work.split.unseen)
+        x_u = work.features[work.test_indices()][:20]
+        cfg = SslConfig(psi=psi, per_class_synthetic=5, knn_k=3)
+        kept[psi] = pseudo_label(gen, unseen, work.semantics_for(unseen), x_u, cfg, rng)
+    unanimous = np.flatnonzero(kept[0.0].confidences == 1.0)
+    assert 0 < unanimous.size < 20
+    assert kept[1.0].source_indices.tolist() == unanimous.tolist()
+    assert kept[1.0].labels.tolist() == kept[0.0].labels[unanimous].tolist()
 
 
 def test_pseudo_label_vacuous_threshold_keeps_everything():
@@ -408,23 +415,31 @@ def test_ssl_training_set_is_train_rows_then_unseen_test_rows():
     assert result.dataset.features.shape == ds.features.shape
 
 
-def test_ssl_training_set_ends_with_rows_no_round_trained_on(monkeypatch):
-    # the last round pseudo-labels and adds rows after its training
+def test_ssl_training_set_is_what_the_last_training_received(monkeypatch):
+    # every round after the first labels before it trains, and none labels after
+    received, labelings = [], []
+
+    def training(dataset, train_x, train_labels, *args):
+        received.append((train_x.copy(), train_labels.copy()))
+        return gan.train_gan(dataset, train_x, train_labels, *args)
+
+    def labeling(*args):
+        labelings.append(args)
+        return pseudo_label(*args)
+
+    monkeypatch.setattr(selftrain, "train_gan", training)
+    monkeypatch.setattr(selftrain, "pseudo_label", labeling)
     ds = data.make_synthetic(SPEC)
-    seen_by_training = []
-
-    def recording(dataset, train_x, *args):
-        seen_by_training.append(train_x.copy())
-        return gan.train_gan(dataset, train_x, *args)
-
-    monkeypatch.setattr(selftrain, "train_gan", recording)
-    cfg = SslConfig(psi=0.0, n_ssl=1, per_class_synthetic=5, knn_k=3)
-    result = run_ssl(ds, GEN_CFG, DISC_CFG, TRAIN_CFG, cfg, seed=0)
-    train = ds.train_indices()
-    assert len(seen_by_training) == 1
-    assert seen_by_training[0].tobytes() == result.dataset.features[train].tobytes()
-    assert result.train_rows.size > train.size
-    assert (result.train_rows[:train.size] == train).all()
+    for n_ssl in (1, 2):
+        received.clear()
+        labelings.clear()
+        cfg = SslConfig(psi=0.0, n_ssl=n_ssl, per_class_synthetic=5, knn_k=3)
+        result = run_ssl(ds, GEN_CFG, DISC_CFG, TRAIN_CFG, cfg, seed=0)
+        assert len(received) == n_ssl and len(labelings) == n_ssl - 1
+        train_x, train_labels = received[-1]
+        assert result.dataset.features[result.train_rows].tobytes() == train_x.tobytes()
+        assert result.train_labels.tolist() == train_labels.tolist()
+    assert result.train_rows.size > ds.train_indices().size
 
 
 def test_ssl_row_equal_to_a_train_row_is_retained_but_not_added():
@@ -434,8 +449,8 @@ def test_ssl_row_equal_to_a_train_row_is_retained_but_not_added():
     ds.features[copied] = ds.features[ds.train_indices()[0]]
     cfg = SslConfig(psi=0.0, n_ssl=2, per_class_synthetic=5, knn_k=3)
     result = run_ssl(ds, GEN_CFG, DISC_CFG, TRAIN_CFG, cfg, seed=0)
-    # psi=0 retains, and so freezes, every candidate in the first round
-    assert [r["retained"] for r in result.reports] == [candidates.size, 0]
+    # psi=0 retains, and so freezes, every candidate before the second round
+    assert [r["retained"] for r in result.reports] == [0, candidates.size]
     assert copied not in result.train_rows
     assert result.train_rows.size == ds.train_indices().size + candidates.size - 1
 
@@ -463,9 +478,9 @@ def test_ssl_rows_trained_on_are_kept_in_memory_that_does_not_grow_with_the_widt
     assert held[512] == held[8], held
 
 
-def test_ssl_unreachable_threshold_matches_plain_training():
+def test_ssl_single_round_matches_plain_training():
     ds = data.make_synthetic(SPEC)
-    cfg = SslConfig(psi=1.01, n_ssl=1, per_class_synthetic=5, knn_k=3)
+    cfg = SslConfig(psi=0.0, n_ssl=1, per_class_synthetic=5, knn_k=3)
     result = run_ssl(ds, GEN_CFG, DISC_CFG, TRAIN_CFG, cfg, seed=5)
 
     rng = np.random.default_rng(5)
@@ -473,12 +488,14 @@ def test_ssl_unreachable_threshold_matches_plain_training():
         ds, GEN_CFG, DISC_CFG, rng
     )
     tr = work.train_indices()
-    from zsgen.gan import train_gan
-    plain = train_gan(work, work.features[tr], work.labels[tr],
-                      gen, disc, cols, TRAIN_CFG, rng)
-    for a, b in zip(result.generator.params(), plain.generator.params()):
-        assert (a == b).all()
-    assert result.reports[0]["retained"] == 0
+    plain = gan.train_gan(work, work.features[tr], work.labels[tr],
+                          gen, disc, cols, TRAIN_CFG, rng)
+    ours = result.generator.params() + result.discriminator.params()
+    theirs = plain.generator.params() + plain.discriminator.params()
+    assert [(a.shape, a.tobytes()) for a in ours] == [(b.shape, b.tobytes()) for b in theirs]
+    assert result.discriminator.cfg.num_classes == len(ds.split.seen)
+    assert result.class_cols == cols
+    assert result.reports[0]["retained"] == result.reports[0]["new_classes"] == 0
 
 
 def test_unseen_test_rows_are_the_unseen_test_partition():
