@@ -522,6 +522,7 @@ def generator_loss_grads(gen, disc, semantics, noise, labels, features,
     any gradient is formed, so no parameter or moment changes.
     """
     fake_x, gen_cache = gen.forward(semantics, noise, classes, reduced=reduced)
+    del reduced   # its rows live on in gen_cache alone, released before the reduce part
     critic_f, logits_f, disc_cache = disc.forward(fake_x)
 
     n = fake_x.shape[0]
@@ -625,6 +626,15 @@ def _probe_gacc(gen, dataset, val_x, val_y, cfg, rng):
     return metrics.generalized_accuracy(score_matrix(clf, dataset, val_x), val_y)
 
 
+def _keyed_stream(rng, key):
+    """The stream of the child of rng's seed sequence whose last spawn key is
+    `key`: the one that sequence spawns as its child number `key`, formed
+    directly, without spawning any other."""
+    seq = rng.bit_generator.seed_seq
+    return np.random.default_rng(np.random.SeedSequence(
+        seq.entropy, spawn_key=seq.spawn_key + (key,), pool_size=seq.pool_size))
+
+
 def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng):
     """Adversarial training on the (scaled) training split.
 
@@ -636,17 +646,26 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng):
     is returned. When no probe scores (none ran, or all were NaN), the
     passed-in networks themselves are returned, trained. Stops early after
     `patience` consecutive evaluations without improvement.
+
+    rng only spawns the run's streams and is never drawn from: one each for
+    the validation split, the critic updates (batch rows, noise and the
+    penalty's mix), the generator steps (batch rows, noise and triplet
+    samples) and the probe. The probe at step s draws from its own stream,
+    keyed by s, so probing at another cadence or size moves no training draw.
+    Spawning advances rng's count of children, so another call with the same
+    rng trains on other streams.
     """
     if train_x.shape[0] == 0:
         raise ConfigError("empty training split")
     n_train = train_x.shape[0]
     m = min(cfg.batch_size, n_train)
+    split_rng, critic_rng, gen_rng, probe_rng = rng.spawn(4)
 
     # rows are held out only for a probe that some step reaches
     val_idx = np.empty(0, dtype=np.int64)
     if cfg.eval_every and cfg.n_step >= cfg.eval_every and cfg.val_fraction > 0:
         val_idx = _validation_split(train_y, sorted(dataset.split.seen),
-                                    cfg.val_fraction, rng)
+                                    cfg.val_fraction, split_rng)
     probe = val_idx.size > 0
     if probe:
         check_k("gan.knn_k", cfg.knn_k, cfg.probe_per_class,
@@ -673,32 +692,36 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng):
 
     for step in range(1, cfg.n_step + 1):
         # the generator's weights change only at its update, so the reduce
-        # layer's rows for the fit classes serve the whole step
-        reduced = gen.reduce_rows(sem_of_class)
+        # layer's rows for the fit classes serve the whole step; the generator
+        # step takes them out of this list, so that they are released with its
+        # forward cache, before its reduce part's gradient streams
+        reduced = [gen.reduce_rows(sem_of_class)]
         for _ in range(cfg.n_d):
-            idx = rng.integers(0, fit_idx.size, size=m)
+            idx = critic_rng.integers(0, fit_idx.size, size=m)
             k = sampler.class_of_row[idx]
-            fake = generate(gen, sem_of_class, gen.sample_noise(rng, m), k, reduced=reduced)
+            fake = generate(gen, sem_of_class, gen.sample_noise(critic_rng, m), k,
+                            reduced=reduced[0])
             last_ld, _ = discriminator_loss_grads(
                 disc, train_x[fit_idx[idx]], fake, col_of_class[k], cfg.gp_weight,
-                rng=rng, update=disc_update,
+                rng=critic_rng, update=disc_update,
             )
             if not math.isfinite(last_ld):
                 raise UsageError(f"non-finite discriminator loss at step {step}")
 
-        idx = rng.integers(0, fit_idx.size, size=m)
+        idx = gen_rng.integers(0, fit_idx.size, size=m)
         k = sampler.class_of_row[idx]
-        pos, neg = sampler.draw(rng, idx, cfg.n_pos, cfg.n_neg)
+        pos, neg = sampler.draw(gen_rng, idx, cfg.n_pos, cfg.n_neg)
         lg, trip, _ = generator_loss_grads(
-            gen, disc, sem_of_class, gen.sample_noise(rng, m), col_of_class[k],
+            gen, disc, sem_of_class, gen.sample_noise(gen_rng, m), col_of_class[k],
             train_x, fit_idx[pos], fit_idx[neg], cfg, classes=k, update=gen_update,
-            reduced=reduced,
+            reduced=reduced.pop(),
         )
         if not math.isfinite(lg):
             raise UsageError(f"non-finite generator loss at step {step}")
 
         if probe and step % cfg.eval_every == 0:
-            gacc = _probe_gacc(gen, dataset, val_x, val_y, cfg, rng)
+            gacc = _probe_gacc(gen, dataset, val_x, val_y, cfg,
+                               _keyed_stream(probe_rng, step))
             history.append({
                 "step": step, "loss_d": float(last_ld), "loss_g": float(lg),
                 "triplet": float(trip), "val_gacc": float(gacc),

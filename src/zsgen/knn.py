@@ -79,20 +79,27 @@ def _neighbors(d2, k):
     """Column indices of the k nearest references of each row of d2, (n, k).
 
     Distance ties are broken by reference index: the set is that of a
-    stable sort of the distances, in no particular order.
+    stable sort of the distances, in no particular order. Rows are selected
+    a block of at most NORM_BLOCK_VALUES distances at a time (at least one
+    row), so no index array the size of d2 is formed.
     """
-    near = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    near_d = np.take_along_axis(d2, near, axis=1)
-    kth = near_d.max(axis=1, keepdims=True)
-    # every reference closer than the k-th distance is in near; where more
-    # references sit at exactly that distance than near holds, keep the
-    # lowest-index ones
-    slots = (near_d == kth).sum(axis=1)
-    tied = np.flatnonzero((d2 == kth).sum(axis=1) > slots)
-    if tied.size:
-        at = d2[tied] == kth[tied]
-        keep = (d2[tied] < kth[tied]) | (at & (np.cumsum(at, axis=1) <= slots[tied, None]))
-        near[tied] = np.nonzero(keep)[1].reshape(tied.size, k)
+    near = np.empty((d2.shape[0], k), dtype=np.intp)
+    step = max(1, NORM_BLOCK_VALUES // max(1, d2.shape[1]))
+    for lo in range(0, d2.shape[0], step):
+        block = d2[lo:lo + step]
+        out = near[lo:lo + step]
+        out[...] = np.argpartition(block, k - 1, axis=1)[:, :k]
+        near_d = np.take_along_axis(block, out, axis=1)
+        kth = near_d.max(axis=1, keepdims=True)
+        # every reference closer than the k-th distance is in out; where more
+        # references sit at exactly that distance than out holds, keep the
+        # lowest-index ones
+        slots = (near_d == kth).sum(axis=1)
+        tied = np.flatnonzero((block == kth).sum(axis=1) > slots)
+        if tied.size:
+            at = block[tied] == kth[tied]
+            keep = (block[tied] < kth[tied]) | (at & (np.cumsum(at, axis=1) <= slots[tied, None]))
+            out[tied] = np.nonzero(keep)[1].reshape(tied.size, k)
     return near
 
 

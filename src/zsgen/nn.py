@@ -16,6 +16,7 @@ forward that keeps no cache, as generation runs it, applies each activation
 in place and can write its last layer into the caller's array.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -295,8 +296,19 @@ def _grad_blocks(shapes, reverse):
     adam_step allocates anyway. An array of more than budget values is cut
     into runs of budget // width rows, at least one; consecutive runs that
     fit in budget share a block.
+
+    A plan is made once per shapes, reverse and the two sizes (see _plan).
     """
-    budget = min(GRAD_BLOCK_VALUES, max(ADAM_CHUNK, max(map(math.prod, shapes))))
+    return _plan(tuple(shapes), reverse, GRAD_BLOCK_VALUES, ADAM_CHUNK)
+
+
+# a plan is a few small tuples per block; a run makes one per network, and one more
+# at each widening of the critic's head
+@functools.lru_cache(maxsize=64)
+def _plan(shapes, reverse, block_values, adam_chunk):
+    """_grad_blocks' plan, for blocks of at most block_values values past
+    one adam_chunk."""
+    budget = min(block_values, max(adam_chunk, max(map(math.prod, shapes))))
     runs, at = [], 0
     for i, shape in enumerate(shapes):
         n_rows, width = shape if len(shape) == 2 else (1, shape[0])

@@ -168,6 +168,17 @@ def prepare_models(dataset, gen_cfg, disc_cfg, rng):
     return work, scaler, gen, disc, class_cols
 
 
+def run_streams(seed, n_ssl):
+    """The random streams of a run_ssl run, independent children of
+    SeedSequence(seed): (init, rounds). init serves network init and every
+    head widening; rounds holds, per training round, (train, label, report):
+    the stream handed to train_gan, the one pseudo_label draws its references
+    from before that round trains, and the one the references of the round's
+    unseen top-1 come from."""
+    init, *rounds = np.random.default_rng(seed).spawn(1 + n_ssl)
+    return init, [tuple(r.spawn(3)) for r in rounds]
+
+
 def run_ssl(dataset, gen_cfg, disc_cfg, train_cfg, ssl_cfg, seed):
     """Train, then (pseudo-label -> widen head -> add rows -> retrain) x
     (n_ssl - 1); n_ssl=1 trains the plain GAN.
@@ -175,12 +186,14 @@ def run_ssl(dataset, gen_cfg, disc_cfg, train_cfg, ssl_cfg, seed):
     A pseudo-labeled row whose features equal a row already trained on is
     not added again, though it is frozen and counted as retained. A round
     reports the labeling it trained on and the unseen top-1 of its generator.
+    Every consumer draws from its own stream (see run_streams), so no probe,
+    label or report draw moves a training draw.
     """
     check_k("ssl.knn_k", ssl_cfg.knn_k, ssl_cfg.per_class_synthetic,
             len(dataset.split.unseen))
-    rng = np.random.default_rng(seed)
+    init_rng, round_rngs = run_streams(seed, ssl_cfg.n_ssl)
     work, scaler, gen, disc, class_cols = prepare_models(
-        dataset, gen_cfg, disc_cfg, rng
+        dataset, gen_cfg, disc_cfg, init_rng
     )
     unseen = sorted(work.split.unseen)
     candidates = unseen_test_rows(work)
@@ -192,7 +205,7 @@ def run_ssl(dataset, gen_cfg, disc_cfg, train_cfg, ssl_cfg, seed):
         return hashlib.sha256(work.features[i].tobytes()).digest()
     trained = set(map(key, rows))
 
-    def gen_unseen_top1():
+    def gen_unseen_top1(rng):
         refs, ref_labels = synthesize_references(
             gen, unseen, work.semantics_for(unseen), ssl_cfg.per_class_synthetic, rng
         )
@@ -200,12 +213,12 @@ def run_ssl(dataset, gen_cfg, disc_cfg, train_cfg, ssl_cfg, seed):
 
     reports, train_logs = [], []
     retained = new_classes = 0
-    for iteration in range(1, ssl_cfg.n_ssl + 1):
+    for iteration, (train_rng, label_rng, report_rng) in enumerate(round_rngs, 1):
         if iteration > 1:
             open_idx = np.flatnonzero(~frozen)
             pl = pseudo_label(
                 gen, unseen, work.semantics_for(unseen),
-                work.features[candidates[open_idx]], ssl_cfg, rng,
+                work.features[candidates[open_idx]], ssl_cfg, label_rng,
             )
             picked = open_idx[pl.source_indices]
             frozen[picked] = True
@@ -213,20 +226,19 @@ def run_ssl(dataset, gen_cfg, disc_cfg, train_cfg, ssl_cfg, seed):
             fresh_classes = sorted(set(pl.labels.tolist()) - set(class_cols))
             for c in fresh_classes:
                 class_cols[c] = len(class_cols)
-            expand_classifier_head(disc, len(class_cols), rng)
+            expand_classifier_head(disc, len(class_cols), init_rng)
             added = candidates[picked]
             fresh = np.array([key(i) not in trained for i in added], dtype=bool)
             trained.update(map(key, added[fresh]))
             rows = np.concatenate([rows, added[fresh]])
             labels = np.concatenate([labels, pl.labels[fresh]])
             retained, new_classes = len(pl), len(fresh_classes)
-            reports[-1]["unseen_top1"] = gen_unseen_top1()
 
         result = train_gan(work, work.features[rows], labels,
-                           gen, disc, class_cols, train_cfg, rng)
+                           gen, disc, class_cols, train_cfg, train_rng)
         gen, disc = result.generator, result.discriminator
         train_logs.append(result.history)
         reports.append({"iteration": iteration, "retained": retained,
-                        "new_classes": new_classes, "val_gacc": result.best_gacc})
-    reports[-1]["unseen_top1"] = gen_unseen_top1()
+                        "new_classes": new_classes, "val_gacc": result.best_gacc,
+                        "unseen_top1": gen_unseen_top1(report_rng)})
     return SslResult(gen, disc, scaler, class_cols, work, rows, labels, reports, train_logs)

@@ -254,13 +254,13 @@ def test_primary_ssl_invariants():
         selftrain.SslConfig(psi=0.0, n_ssl=1, per_class_synthetic=5, knn_k=3),
         seed=5,
     )
-    rng = np.random.default_rng(5)
+    init_rng, [(train_rng, _, _)] = selftrain.run_streams(5, 1)
     work, scaler, gen, disc, cols = selftrain.prepare_models(
-        ds, gen_cfg, disc_cfg, rng
+        ds, gen_cfg, disc_cfg, init_rng
     )
     tr = work.train_indices()
     plain = train_gan(work, work.features[tr], work.labels[tr],
-                      gen, disc, cols, train_cfg, rng)
+                      gen, disc, cols, train_cfg, train_rng)
     ours = single.generator.params() + single.discriminator.params()
     theirs = plain.generator.params() + plain.discriminator.params()
     checks["n_ssl=1 equals plain GAN"] = (

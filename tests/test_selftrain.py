@@ -143,6 +143,54 @@ def test_knn_tie_at_kth_distance_keeps_lowest_reference_indices():
     _assert_knn_matches_oracle(clf, np.array([[0.0], [0.5], [2.0]]), [7, 6, 5, 4, 3, 2, 1, 0])
 
 
+def whole_array_neighbors(d2, k):
+    """The neighbour selection as one argpartition over every row at once,
+    kept as the oracle of the selection by blocks of rows."""
+    near = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    near_d = np.take_along_axis(d2, near, axis=1)
+    kth = near_d.max(axis=1, keepdims=True)
+    slots = (near_d == kth).sum(axis=1)
+    tied = np.flatnonzero((d2 == kth).sum(axis=1) > slots)
+    if tied.size:
+        at = d2[tied] == kth[tied]
+        keep = (d2[tied] < kth[tied]) | (at & (np.cumsum(at, axis=1) <= slots[tied, None]))
+        near[tied] = np.nonzero(keep)[1].reshape(tied.size, k)
+    return near
+
+
+@pytest.mark.parametrize("block_values", [1, 10, 35, knn.NORM_BLOCK_VALUES])
+def test_knn_neighbors_by_blocks_of_rows_equal_the_whole_array_selection(
+        monkeypatch, block_values):
+    # 10 distances a row on a grid of 4 values: most rows tie at their k-th
+    # distance, on both sides of every block boundary (blocks of 1 row, of
+    # 3 rows and the last of 2, or all 23 rows)
+    monkeypatch.setattr(knn, "NORM_BLOCK_VALUES", block_values)
+    d2 = np.random.default_rng(25).integers(0, 4, size=(23, 10)).astype(np.float64)
+    for k in (1, 3, 9, 10):
+        ordered = np.sort(d2, axis=1)
+        if k < 10:
+            tied = ordered[:, k - 1] == ordered[:, k]
+            assert (tied[:-1] & tied[1:]).sum() > 5
+        got = knn._neighbors(d2, k)
+        assert got.tobytes() == whole_array_neighbors(d2, k).tobytes()
+        stable = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        assert (np.sort(got, axis=1) == np.sort(stable, axis=1)).all()
+
+
+def test_knn_neighbor_selection_forms_no_index_array_of_the_distances():
+    d2 = np.random.default_rng(26).random((200, 5000))
+    tracemalloc.start()
+    try:
+        near = knn._neighbors(d2, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block's indices and compares, about 0.6 MB; whole, the indices
+    # alone are as large as the distances (8 MB)
+    assert peak < d2.nbytes // 4, peak
+    assert near.tobytes() == whole_array_neighbors(d2, 5).tobytes()
+
+
 def three_term_squared_distances(queries, references):
     """The formula that the blocked, in-place squared_distances replaced,
     kept as its bit-for-bit oracle."""
@@ -483,19 +531,65 @@ def test_ssl_single_round_matches_plain_training():
     cfg = SslConfig(psi=0.0, n_ssl=1, per_class_synthetic=5, knn_k=3)
     result = run_ssl(ds, GEN_CFG, DISC_CFG, TRAIN_CFG, cfg, seed=5)
 
-    rng = np.random.default_rng(5)
+    init_rng, [(train_rng, _, _)] = selftrain.run_streams(5, 1)
     work, scaler, gen, disc, cols = selftrain.prepare_models(
-        ds, GEN_CFG, DISC_CFG, rng
+        ds, GEN_CFG, DISC_CFG, init_rng
     )
     tr = work.train_indices()
     plain = gan.train_gan(work, work.features[tr], work.labels[tr],
-                          gen, disc, cols, TRAIN_CFG, rng)
+                          gen, disc, cols, TRAIN_CFG, train_rng)
     ours = result.generator.params() + result.discriminator.params()
     theirs = plain.generator.params() + plain.discriminator.params()
     assert [(a.shape, a.tobytes()) for a in ours] == [(b.shape, b.tobytes()) for b in theirs]
     assert result.discriminator.cfg.num_classes == len(ds.split.seen)
     assert result.class_cols == cols
     assert result.reports[0]["retained"] == result.reports[0]["new_classes"] == 0
+
+
+def test_probe_cadence_and_size_move_no_training_draw(monkeypatch):
+    # each probe draws from its own stream, keyed by its step: runs that probe
+    # at other steps, or with more references, train the same networks, and
+    # probe them alike at the steps where both probe
+    train, probe = selftrain.train_gan, gan._probe_gacc
+    nets, probes = [], []
+
+    def training(dataset, x, y, gen, disc, *args):
+        nets[:] = gen, disc
+        return train(dataset, x, y, gen, disc, *args)
+
+    def probing(*args):
+        draws = args[-1].bit_generator.state
+        gacc = probe(*args)
+        probes.append(([p.tobytes() for net in nets for p in net.params()], draws, gacc))
+        return gacc
+
+    monkeypatch.setattr(selftrain, "train_gan", training)
+    monkeypatch.setattr(gan, "_probe_gacc", probing)
+    ds = data.make_synthetic(SPEC)
+    ssl_cfg = SslConfig(psi=0.0, n_ssl=1, per_class_synthetic=5, knn_k=3)
+
+    def by_step(eval_every, probe_per_class=5):
+        probes.clear()
+        cfg = replace(TRAIN_CFG, n_step=12, eval_every=eval_every,
+                      probe_per_class=probe_per_class, patience=100)
+        run_ssl(ds, GEN_CFG, DISC_CFG, cfg, ssl_cfg, seed=0)
+        steps = range(eval_every, cfg.n_step + 1, eval_every)
+        assert len(probes) == len(steps)   # no early stop
+        return dict(zip(steps, probes))
+
+    every2, every3 = by_step(2), by_step(3)
+    for step in (6, 12):
+        assert every2[step] == every3[step]
+    assert every2[2] != every2[4]   # the networks train between probes
+    wider = by_step(3, probe_per_class=8)
+    assert [p[0] for p in wider.values()] == [p[0] for p in every3.values()]
+
+
+def test_a_keyed_stream_is_the_child_of_that_number_that_spawning_gives():
+    for key in (0, 1, 7):
+        spawned = np.random.default_rng(3).spawn(key + 1)[key]
+        assert (gan._keyed_stream(np.random.default_rng(3), key).random(4).tolist()
+                == spawned.random(4).tolist())
 
 
 def test_unseen_test_rows_are_the_unseen_test_partition():

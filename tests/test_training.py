@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -132,6 +133,33 @@ def test_a_generator_step_holds_no_gradient_vector_of_the_whole_generator():
     assert peak < 4 * whole, (peak, whole)
 
 
+def test_a_generator_step_releases_the_reduce_rows_before_its_gradient_streams(
+        monkeypatch):
+    # the step's reduce rows serve the critic batches and the generator's
+    # forward; its gradient blocks, the reduce part's last, find them released
+    ds, work, scaler, gen, disc, cols, rng = setup()
+    reduce_rows, adam_step = gan.Generator.reduce_rows, nn.adam_step
+    rows, alive = [], {"critic": [], "generator": []}
+
+    def recording_rows(self, semantics):
+        out = reduce_rows(self, semantics)
+        rows.append(weakref.ref(out[0]))
+        return out
+
+    def recording_step(params, grads, state, at=None):
+        net = "generator" if np.shares_memory(params, gen.reduce.layers[0].weight) else "critic"
+        alive[net].append(rows[-1]() is not None)
+        return adam_step(params, grads, state, at)
+
+    monkeypatch.setattr(gan.Generator, "reduce_rows", recording_rows)
+    monkeypatch.setattr(nn, "adam_step", recording_step)
+    tr = work.train_indices()
+    cfg = GanTrainConfig(**{**TINY, "n_step": 3, "n_d": 2, "eval_every": 0})
+    train_gan(work, work.features[tr], work.labels[tr], gen, disc, cols, cfg, rng)
+    assert len(rows) == 3
+    assert alive == {"critic": [True] * 6, "generator": [False] * 3}
+
+
 def test_a_training_step_holds_at_most_one_gradient_block():
     # a reduce weight of 2.6 M values is two and a half gradient blocks; above
     # the packed parameters and their two moments a step holds one block, the
@@ -156,6 +184,35 @@ def test_a_training_step_holds_at_most_one_gradient_block():
     finally:
         tracemalloc.stop()
     assert peak - persistent < 8 * nn.GRAD_BLOCK_VALUES + (2 << 20), (peak, persistent)
+
+
+def test_a_widened_critic_head_gets_its_own_gradient_plan(monkeypatch):
+    # blocks of at most 20 values: the critic's plan has many blocks, the
+    # head's last, and a plan made for the seen-class head must not serve
+    # the widened one
+    ds, work, scaler, gen, disc, cols, rng = setup()
+    monkeypatch.setattr(nn, "GRAD_BLOCK_VALUES", 20)
+    tr = work.train_indices()[:6]
+    x, labels = work.features[tr], np.arange(6) % len(cols)
+    eps = np.linspace(0.0, 1.0, 6)[:, None]
+
+    def grads():
+        return gan.discriminator_loss_grads(disc, x, x[::-1], labels, 10.0, eps=eps)[1]
+
+    def plan():
+        return nn._grad_blocks([p.shape for p in disc.params()], False)
+
+    grads()
+    seen = plan()
+    selftrain.expand_classifier_head(disc, len(cols) + 2, rng)
+    misses = nn._plan.cache_info().misses
+    widened = grads()
+    assert nn._plan.cache_info().misses == misses + 1
+    assert plan() != seen and plan() is nn._grad_blocks(
+        tuple(p.shape for p in disc.params()), False)
+    assert widened.size == plan()[0] == sum(p.size for p in disc.params())
+    nn._plan.cache_clear()
+    assert grads().tobytes() == widened.tobytes()
 
 
 def test_non_finite_generator_loss_names_the_step_and_leaves_the_generator(monkeypatch):
