@@ -69,24 +69,27 @@ def similarity_matrix(table, names, measure="cosine"):
 
     measure="neg_euclidean" ranks by negated Euclidean distance instead;
     cosine keeps the unit diagonal the overlay heat maps assume. Both are
-    read off one Gram matrix of the distinct name embeddings, so alike
-    embeddings tie exactly, the matrix is exactly symmetric and the
-    negated distance of an embedding to itself is exactly 0. A zero
-    embedding has cosine 0 to every class.
+    formed over the distinct name embeddings, so alike embeddings tie
+    exactly and the matrix is exactly symmetric. Cosine is read off their
+    Gram matrix. The distance is the norm of their differences, a row at a
+    time, so near embeddings do not cancel to 0, and the negated distance
+    of an embedding to itself is exactly 0. A zero embedding has cosine 0
+    to every class.
     """
     if measure not in ("cosine", "neg_euclidean"):
         raise ConfigError(f"unknown similarity measure {measure!r}")
     embedded = np.array([embed_class_name(table, name) for name in names])
     rows, inverse = np.unique(embedded.reshape(len(names), table.dim), axis=0,
                               return_inverse=True)
-    gram = rows @ rows.T  # numpy forms x @ x.T as one triangle, mirrored: exactly symmetric
-    sq = np.diag(gram)
     if measure == "cosine":
-        norms = np.sqrt(sq)
+        gram = rows @ rows.T  # numpy forms x @ x.T as one triangle, mirrored: exactly symmetric
+        norms = np.sqrt(np.diag(gram))
         scale = norms[:, None] * norms
         sm = np.divide(gram, scale, out=np.zeros_like(gram), where=scale > 0.0)
     else:
-        sm = -np.sqrt(np.maximum(sq[:, None] + sq - 2.0 * gram, 0.0))
+        sm = np.empty((len(rows), len(rows)))
+        for i, row in enumerate(rows):   # a - b and b - a square alike: exactly symmetric
+            sm[i] = -np.linalg.norm(rows - row, axis=1)
     return sm[np.ix_(inverse, inverse)]
 
 

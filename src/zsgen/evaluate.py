@@ -19,7 +19,7 @@ from .gan import (
 )
 from .knn import KnnClassifier, knn_scores, squared_distances
 from .nn import Layer, Mlp
-from .selftrain import synthesize_references, unseen_top1
+from .selftrain import synthesize_references
 
 CHECKPOINT_KIND = "zsgen-model"
 
@@ -168,8 +168,9 @@ def evaluate_model(gen, dataset_scaled, sweep, ratios, per_class_synthetic,
     # one distance pass; the zero-shot probe searches its block of unseen
     # test rows by unseen references
     d2 = squared_distances(x_test, refs)
-    top1_unseen = unseen_top1(refs[unseen_refs], ref_labels[unseen_refs], dataset_scaled,
-                              knn_k, d2[is_unseen, unseen_refs])
+    unseen_clf = KnnClassifier(refs[unseen_refs], ref_labels[unseen_refs], k=knn_k)
+    unseen_scores = knn_scores(unseen_clf, x_test[is_unseen], unseen, d2[is_unseen, unseen_refs])
+    top1_unseen = metrics.top1_per_class(unseen_scores, unseen, y_test[is_unseen])
 
     sm = score_matrix(clf, dataset_scaled, x_test, d2)
     del d2  # not held through the metrics and retrieval

@@ -1,11 +1,11 @@
 """Semi-supervised outer loop: retrain on unseen samples pseudo-labeled by a
 kNN over synthetic features, widening the class head to their classes.
 
-Each round after the first labels confident unseen samples with the
-previous round's generator, freezes those labels, and then trains; nothing
-is labeled after the last training. The training set is a list of row
-indices into the one scaled dataset, with a label per row: the true labels
-of the TRAIN rows, then the pseudo-labels of the rows added.
+Each round after the first labels confident unseen samples from the kNN
+votes that scored the previous round's generator, freezes those labels, and
+then trains; nothing is labeled after the last training. The training set is
+a list of row indices into the one scaled dataset, with a label per row: the
+true labels of the TRAIN rows, then the pseudo-labels of the rows added.
 """
 
 import hashlib
@@ -18,7 +18,7 @@ from .bounds import bounded, check_bounds
 from .data import ZslDataset
 from .errors import UsageError
 from .gan import Discriminator, FeatureScaler, Generator, generate, train_gan
-from .knn import KnnClassifier, check_k, knn_predict_proba, knn_scores
+from .knn import KnnClassifier, check_k, knn_scores
 from .nn import glorot_init
 
 
@@ -75,16 +75,14 @@ def unseen_test_rows(dataset):
     return test_idx[np.isin(dataset.labels[test_idx], list(dataset.split.unseen))]
 
 
-def unseen_top1(refs, ref_labels, dataset, knn_k, distances=None):
-    """Zero-shot top-1 (%) of the unseen test rows, searched over unseen refs only.
-
-    distances, when given, are those rows' squared distances to refs.
-    """
-    unseen = sorted(dataset.split.unseen)
-    rows = unseen_test_rows(dataset)
-    clf = KnnClassifier(refs, ref_labels, k=knn_k)
-    scores = knn_scores(clf, dataset.features[rows], unseen, distances)
-    return metrics.top1_per_class(scores, unseen, dataset.labels[rows])
+def confident(scores, class_ids, psi):
+    """The rows of scores, vote fractions over class_ids, whose largest
+    fraction reaches psi, with their argmax class (ties go to the smallest
+    id) and that fraction; source_indices are rows of scores."""
+    labels = metrics.predict_labels(scores, class_ids)
+    conf = scores.max(axis=1)
+    keep = np.flatnonzero(conf >= psi)
+    return PseudoLabelSet(labels=labels[keep], confidences=conf[keep], source_indices=keep)
 
 
 def pseudo_label(gen, unseen_class_ids, unseen_semantics, x_u, cfg, rng):
@@ -101,9 +99,7 @@ def pseudo_label(gen, unseen_class_ids, unseen_semantics, x_u, cfg, rng):
         gen, unseen_class_ids, unseen_semantics, cfg.per_class_synthetic, rng
     )
     clf = KnnClassifier(refs, ref_labels, k=cfg.knn_k)
-    labels, conf = knn_predict_proba(clf, x_u)
-    keep = np.flatnonzero(conf >= cfg.psi)
-    return PseudoLabelSet(labels=labels[keep], confidences=conf[keep], source_indices=keep)
+    return confident(knn_scores(clf, x_u, unseen_class_ids), unseen_class_ids, cfg.psi)
 
 
 def expand_classifier_head(disc, new_class_count, rng):
@@ -171,23 +167,24 @@ def prepare_models(dataset, gen_cfg, disc_cfg, rng):
 def run_streams(seed, n_ssl):
     """The random streams of a run_ssl run, independent children of
     SeedSequence(seed): (init, rounds). init serves network init and every
-    head widening; rounds holds, per training round, (train, label, report):
-    the stream handed to train_gan, the one pseudo_label draws its references
-    from before that round trains, and the one the references of the round's
-    unseen top-1 come from."""
+    head widening; rounds holds, per training round, (train, refs): the
+    stream handed to train_gan, and the one that the unseen references of
+    the round's trained generator are drawn from."""
     init, *rounds = np.random.default_rng(seed).spawn(1 + n_ssl)
-    return init, [tuple(r.spawn(3)) for r in rounds]
+    return init, [tuple(r.spawn(2)) for r in rounds]
 
 
 def run_ssl(dataset, gen_cfg, disc_cfg, train_cfg, ssl_cfg, seed):
     """Train, then (pseudo-label -> widen head -> add rows -> retrain) x
     (n_ssl - 1); n_ssl=1 trains the plain GAN.
 
-    A pseudo-labeled row whose features equal a row already trained on is
-    not added again, though it is frozen and counted as retained. A round
-    reports the labeling it trained on and the unseen top-1 of its generator.
-    Every consumer draws from its own stream (see run_streams), so no probe,
-    label or report draw moves a training draw.
+    After each training, one draw of unseen references gives the unseen
+    test rows' kNN vote fractions: the round reports their unseen top-1,
+    with the labeling it trained on, and the next round labels their open
+    rows. A pseudo-labeled row whose features equal a row already trained on
+    is not added again, though it is frozen and counted as retained. Every
+    consumer draws from its own stream (see run_streams), so no probe or
+    reference draw moves a training draw.
     """
     check_k("ssl.knn_k", ssl_cfg.knn_k, ssl_cfg.per_class_synthetic,
             len(dataset.split.unseen))
@@ -205,21 +202,18 @@ def run_ssl(dataset, gen_cfg, disc_cfg, train_cfg, ssl_cfg, seed):
         return hashlib.sha256(work.features[i].tobytes()).digest()
     trained = set(map(key, rows))
 
-    def gen_unseen_top1(rng):
+    def candidate_votes(rng):   # the references do not outlive the call
         refs, ref_labels = synthesize_references(
-            gen, unseen, work.semantics_for(unseen), ssl_cfg.per_class_synthetic, rng
-        )
-        return unseen_top1(refs, ref_labels, work, ssl_cfg.knn_k)
+            gen, unseen, work.semantics_for(unseen), ssl_cfg.per_class_synthetic, rng)
+        clf = KnnClassifier(refs, ref_labels, k=ssl_cfg.knn_k)
+        return knn_scores(clf, work.features[candidates], unseen)
 
     reports, train_logs = [], []
     retained = new_classes = 0
-    for iteration, (train_rng, label_rng, report_rng) in enumerate(round_rngs, 1):
+    for iteration, (train_rng, refs_rng) in enumerate(round_rngs, 1):
         if iteration > 1:
             open_idx = np.flatnonzero(~frozen)
-            pl = pseudo_label(
-                gen, unseen, work.semantics_for(unseen),
-                work.features[candidates[open_idx]], ssl_cfg, label_rng,
-            )
+            pl = confident(votes[open_idx], unseen, ssl_cfg.psi)
             picked = open_idx[pl.source_indices]
             frozen[picked] = True
 
@@ -238,7 +232,9 @@ def run_ssl(dataset, gen_cfg, disc_cfg, train_cfg, ssl_cfg, seed):
                            gen, disc, class_cols, train_cfg, train_rng)
         gen, disc = result.generator, result.discriminator
         train_logs.append(result.history)
+        votes = candidate_votes(refs_rng)
         reports.append({"iteration": iteration, "retained": retained,
                         "new_classes": new_classes, "val_gacc": result.best_gacc,
-                        "unseen_top1": gen_unseen_top1(report_rng)})
+                        "unseen_top1": metrics.top1_per_class(
+                            votes, unseen, work.labels[candidates])})
     return SslResult(gen, disc, scaler, class_cols, work, rows, labels, reports, train_logs)

@@ -254,7 +254,7 @@ def test_primary_ssl_invariants():
         selftrain.SslConfig(psi=0.0, n_ssl=1, per_class_synthetic=5, knn_k=3),
         seed=5,
     )
-    init_rng, [(train_rng, _, _)] = selftrain.run_streams(5, 1)
+    init_rng, [(train_rng, _)] = selftrain.run_streams(5, 1)
     work, scaler, gen, disc, cols = selftrain.prepare_models(
         ds, gen_cfg, disc_cfg, init_rng
     )

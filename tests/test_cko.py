@@ -74,6 +74,25 @@ def test_neg_euclidean_measure():
     np.testing.assert_allclose(sm[0, 1], -5.0)
 
 
+def test_neg_euclidean_of_near_embeddings_is_the_norm_of_their_differences():
+    # a Gram matrix forms 1 + 1e-18 - 2 * 1 for crow and raven, which
+    # cancels to 0: every pair would tie, and the tie would go to crow
+    t = table(crow=[1.0, 0.0], raven=[1.0, 1e-9], rook=[1.0, 2e-9])
+    names = ["crow", "raven", "rook"]
+    sm = similarity_matrix(t, names, measure="neg_euclidean")
+    a = np.array([t.vectors[n] for n in names])
+    assert sm.tobytes() == (-np.linalg.norm(a[:, None] - a[None], axis=2)).tobytes()
+    assert sm[0, 1] == -1e-9 and sm[0, 2] == -2e-9
+    assert top_k_similar(sm, 2, [0, 1, 2], 1) == [1]
+    rng = np.random.default_rng(3)
+    for n, dim in [(1, 1), (5, 3), (12, 300)]:
+        a = rng.normal(size=(n, dim))
+        names = ["w" + "abcdefghijkl"[i] for i in range(n)]
+        t = EmbeddingTable(vectors=dict(zip(names, a)), dim=dim)
+        sm = similarity_matrix(t, names, measure="neg_euclidean")
+        assert sm.tobytes() == (-np.linalg.norm(a[:, None] - a[None], axis=2)).tobytes()
+
+
 def test_unknown_measure_raises_before_embedding():
     t = table(crow=[1.0, 0.0])
     for names in ([], ["crow"], ["dodo"], ["crow", "dodo"]):

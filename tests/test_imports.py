@@ -105,12 +105,25 @@ def test_scan_finds_unread_definitions():
     assert definitions(source) - names_read(source) - traced_names(source) == {"orphan"}
 
 
-def test_every_top_level_definition_is_read_by_a_module_or_the_benchmark():
-    # tests do not count: a definition that only tests read is dead code
+def unread_definitions(traced):
+    """"module.name" of each package definition that no package module and no
+    benchmark file reads, beside the tracer's TARGETS names when traced is
+    True. Tests do not count: a definition that only tests read is dead code."""
     readers = [*PACKAGE.glob("*.py"),
                *(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))]
     reads = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in readers))
-    reads |= traced_names((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
-    unread = sorted(f"{p.stem}.{name}" for p in PACKAGE.glob("*.py")
-                    for name in definitions(p.read_text(encoding="utf-8")) - reads)
-    assert unread == []
+    if traced:
+        reads |= traced_names((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    return {f"{p.stem}.{name}" for p in PACKAGE.glob("*.py")
+            for name in definitions(p.read_text(encoding="utf-8")) - reads}
+
+
+def test_every_top_level_definition_is_read_by_a_module_or_the_benchmark():
+    assert sorted(unread_definitions(traced=True)) == []
+
+
+def test_the_definitions_only_the_tracer_names_are_the_known_ones():
+    # kept only so that the tracer's TARGETS resolve; the benchmark's next
+    # maintenance retargets the tracer and deletes them
+    assert unread_definitions(traced=False) == {"knn.knn_predict_proba",
+                                                "metrics.retrieval_precision"}

@@ -11,8 +11,8 @@ from zsgen.gan import DiscriminatorConfig, GanTrainConfig, GeneratorConfig, gene
 from zsgen.knn import KnnClassifier, knn_predict_proba, knn_scores, squared_distances
 from zsgen.metrics import CalibrationSweep, calibrated_hits
 from zsgen.selftrain import (
-    SslConfig, expand_classifier_head, pseudo_label, run_ssl, synthesize_references,
-    unseen_test_rows, unseen_top1,
+    SslConfig, confident, expand_classifier_head, pseudo_label, run_ssl,
+    synthesize_references, unseen_test_rows,
 )
 
 SPEC = data.SyntheticSpec(num_seen=4, num_unseen=2, samples_per_class=20,
@@ -291,6 +291,59 @@ def test_pseudo_label_confidences_on_vote_grid():
     assert (pl.confidences >= 0.0).all()
 
 
+def test_confident_over_knn_scores_is_knn_predict_proba_bit_for_bit():
+    # the one selection rule of pseudo_label and run_ssl, on a 3x3 grid of
+    # points with few labels: vote ties and ties at the k-th distance
+    rng = np.random.default_rng(27)
+    vote_ties = kth_ties = 0
+    for _ in range(300):
+        n_refs = int(rng.integers(2, 12))
+        refs = rng.integers(0, 3, size=(n_refs, 2)).astype(np.float64)
+        labels = rng.choice([2, 5, 7, 11], size=n_refs)
+        queries = rng.integers(0, 3, size=(6, 2)).astype(np.float64)
+        k = int(rng.integers(1, n_refs + 1))
+        clf = KnnClassifier(refs, labels, k=k)
+        classes = np.unique(labels)
+        scores = knn_scores(clf, queries, classes)
+        vote_ties += ((scores == scores.max(axis=1, keepdims=True)).sum(axis=1) > 1).sum()
+        d2 = np.sort(squared_distances(queries, refs), axis=1)
+        if k < n_refs:
+            kth_ties += (d2[:, k - 1] == d2[:, k]).sum()
+        want_labels, want_conf = knn_predict_proba(clf, queries)
+        for psi in (0.0, 0.5, 0.6, 1.0):
+            got = confident(scores, classes, psi)
+            keep = np.flatnonzero(want_conf >= psi)
+            assert got.source_indices.tobytes() == keep.tobytes()
+            assert got.labels.tobytes() == want_labels[keep].tobytes()
+            assert got.confidences.tobytes() == want_conf[keep].tobytes()
+    assert vote_ties > 100 and kth_ties > 100
+
+
+def knn_predict_proba_pseudo_label(gen, class_ids, semantics, x_u, cfg, rng):
+    """Oracle: pseudo_label as knn_predict_proba's labels and vote fractions
+    over one draw of references, kept where the fraction reaches psi."""
+    refs, ref_labels = synthesize_references(gen, class_ids, semantics,
+                                             cfg.per_class_synthetic, rng)
+    labels, conf = knn_predict_proba(KnnClassifier(refs, ref_labels, k=cfg.knn_k), x_u)
+    keep = np.flatnonzero(conf >= cfg.psi)
+    return labels[keep], conf[keep], keep
+
+
+@pytest.mark.parametrize("k, psi", [(20, 0.5), (5, 0.6), (4, 0.0)])
+def test_pseudo_label_outputs_are_the_knn_predict_proba_selection(k, psi):
+    ds, work, gen, disc, cols, rng = trained_setup()
+    unseen = sorted(work.split.unseen)
+    rows = unseen_test_rows(work)
+    cfg = SslConfig(psi=psi, per_class_synthetic=10, knn_k=k)
+    for x_u in (work.features[rows], np.round(2.0 * work.features[rows])):
+        args = gen, unseen, work.semantics_for(unseen), x_u, cfg
+        pl = pseudo_label(*args, np.random.default_rng(k))
+        got = pl.labels, pl.confidences, pl.source_indices
+        want = knn_predict_proba_pseudo_label(*args, np.random.default_rng(k))
+        assert [(a.dtype, a.shape, a.tobytes()) for a in got] == \
+            [(a.dtype, a.shape, a.tobytes()) for a in want]
+
+
 def test_expand_head_same_count_is_identity():
     ds, work, gen, disc, cols, rng = trained_setup()
     before = [p.copy() for p in disc.params()]
@@ -464,30 +517,85 @@ def test_ssl_training_set_is_train_rows_then_unseen_test_rows():
 
 
 def test_ssl_training_set_is_what_the_last_training_received(monkeypatch):
-    # every round after the first labels before it trains, and none labels after
-    received, labelings = [], []
+    # every round draws its references after it trains, every round after
+    # the first labels before it trains, and none labels after the last
+    received, events = [], []
 
     def training(dataset, train_x, train_labels, *args):
+        events.append("train")
         received.append((train_x.copy(), train_labels.copy()))
         return gan.train_gan(dataset, train_x, train_labels, *args)
 
+    def drawing(*args):
+        events.append("refs")
+        return synthesize_references(*args)
+
     def labeling(*args):
-        labelings.append(args)
-        return pseudo_label(*args)
+        events.append("label")
+        return confident(*args)
 
     monkeypatch.setattr(selftrain, "train_gan", training)
-    monkeypatch.setattr(selftrain, "pseudo_label", labeling)
+    monkeypatch.setattr(selftrain, "synthesize_references", drawing)
+    monkeypatch.setattr(selftrain, "confident", labeling)
     ds = data.make_synthetic(SPEC)
     for n_ssl in (1, 2):
         received.clear()
-        labelings.clear()
+        events.clear()
         cfg = SslConfig(psi=0.0, n_ssl=n_ssl, per_class_synthetic=5, knn_k=3)
         result = run_ssl(ds, GEN_CFG, DISC_CFG, TRAIN_CFG, cfg, seed=0)
-        assert len(received) == n_ssl and len(labelings) == n_ssl - 1
+        assert events == ["train", "refs"] + ["label", "train", "refs"] * (n_ssl - 1)
         train_x, train_labels = received[-1]
         assert result.dataset.features[result.train_rows].tobytes() == train_x.tobytes()
         assert result.train_labels.tolist() == train_labels.tolist()
     assert result.train_rows.size > ds.train_indices().size
+
+
+@pytest.mark.parametrize("psi", [0.0, 0.7])
+def test_ssl_labels_the_votes_behind_the_previous_rounds_unseen_top1(monkeypatch, psi):
+    # three rounds; a round's one vote matrix over the unseen test rows gives
+    # its unseen top-1, and the next round labels that matrix's confident
+    # open rows. At psi=0 the second round freezes every candidate, so the
+    # third has no open row and retains none
+    votes, received = [], []
+
+    def scoring(clf, queries, class_ids, distances=None):
+        assert distances is None   # each matrix forms its own distances, once
+        votes.append(knn_scores(clf, queries, class_ids))
+        return votes[-1]
+
+    def training(dataset, train_x, train_labels, *args):
+        received.append(train_labels.copy())
+        return gan.train_gan(dataset, train_x, train_labels, *args)
+
+    monkeypatch.setattr(selftrain, "knn_scores", scoring)
+    monkeypatch.setattr(selftrain, "train_gan", training)
+    ds = data.make_synthetic(SPEC)
+    cfg = SslConfig(psi=psi, n_ssl=3, per_class_synthetic=5, knn_k=4)
+    result = run_ssl(ds, GEN_CFG, DISC_CFG, TRAIN_CFG, cfg, seed=2)
+
+    unseen, candidates = sorted(ds.split.unseen), unseen_test_rows(ds)
+    assert len(votes) == len(received) == 3
+    rows, labels = list(ds.train_indices()), list(ds.labels[ds.train_indices()])
+    frozen = np.zeros(candidates.size, dtype=bool)
+    for iteration, report in enumerate(result.reports, 1):
+        assert report["iteration"] == iteration
+        if iteration > 1:
+            scores = votes[iteration - 2]
+            open_idx = np.flatnonzero(~frozen)
+            picked = open_idx[scores[open_idx].max(axis=1) >= psi]
+            frozen[picked] = True
+            rows += candidates[picked].tolist()
+            labels += metrics.predict_labels(scores[picked], unseen).tolist()
+            assert report["retained"] == picked.size
+        assert received[iteration - 1].tolist() == labels
+        assert report["unseen_top1"] == metrics.top1_per_class(
+            votes[iteration - 1], unseen, ds.labels[candidates])
+    assert result.train_rows.tolist() == rows
+    retained = [r["retained"] for r in result.reports]
+    if psi == 0.0:
+        assert retained == [0, candidates.size, 0]
+    else:
+        assert 0 < retained[1] < candidates.size and retained[2] > 0
 
 
 def test_ssl_row_equal_to_a_train_row_is_retained_but_not_added():
@@ -531,7 +639,7 @@ def test_ssl_single_round_matches_plain_training():
     cfg = SslConfig(psi=0.0, n_ssl=1, per_class_synthetic=5, knn_k=3)
     result = run_ssl(ds, GEN_CFG, DISC_CFG, TRAIN_CFG, cfg, seed=5)
 
-    init_rng, [(train_rng, _, _)] = selftrain.run_streams(5, 1)
+    init_rng, [(train_rng, _)] = selftrain.run_streams(5, 1)
     work, scaler, gen, disc, cols = selftrain.prepare_models(
         ds, GEN_CFG, DISC_CFG, init_rng
     )
@@ -685,6 +793,15 @@ def test_evaluate_model_on_permuted_test_rows_gives_an_equal_report(seed):
     reports = [evaluate.evaluate_model(gen, d, CalibrationSweep(), [0.25, 0.5, 1.0], 5, 3,
                                        np.random.default_rng(9)) for d in (work, permuted)]
     assert reports[0] == reports[1]
+
+
+def unseen_top1(refs, ref_labels, dataset, k):
+    """Oracle: zero-shot top-1 (%) of dataset's unseen test rows, searched
+    over refs alone by a kNN of their own distances."""
+    unseen = sorted(dataset.split.unseen)
+    rows = unseen_test_rows(dataset)
+    scores = knn_scores(KnnClassifier(refs, ref_labels, k=k), dataset.features[rows], unseen)
+    return metrics.top1_per_class(scores, unseen, dataset.labels[rows])
 
 
 def test_evaluate_model_scores_unseen_rows_of_one_reference_draw():
