@@ -43,26 +43,28 @@ def _read_corpus(corpus_dir):
 
 
 def cmd_cko(args, cfg):
-    corpus_dir = _require(cfg, "io", "corpus_dir")
+    corpus_dir, overlay_dir, sm_path, vectors_path = (_require(cfg, "io", key) for key in (
+        "corpus_dir", "overlay_dir", "similarity_matrix", "semantic_vectors"))
+    _check_output_dirs(cfg, ("similarity_matrix", "semantic_vectors", "classes"),
+                       made=overlay_dir)
     table = cko_mod.load_embeddings(_require(cfg, "cko", "embeddings"))
     records, filenames = _read_corpus(corpus_dir)
     sm = cko_mod.similarity_matrix(table, [r.name for r in records], cfg.cko.similarity)
     records = cko_mod.overlay(records, sm, cfg.cko.k)
 
-    overlay_dir = _require(cfg, "io", "overlay_dir")
     os.makedirs(overlay_dir, exist_ok=True)
     for rec, fname in zip(records, filenames):
         with data.atomic_write(os.path.join(overlay_dir, fname)) as fh:
             fh.write(rec.article_overlay)
     ids = np.array([r.class_id for r in records], dtype=np.int64)
-    data.save_matrix(_require(cfg, "io", "similarity_matrix"), ids, sm)
+    data.save_matrix(sm_path, ids, sm)
 
     stopwords = text.load_stopwords(cfg.text.stopwords)
     source = "article_overlay" if cfg.text.fit_on == "overlay" else "article"
     docs = [text.preprocess(getattr(r, source), stopwords) for r in records]
     model = text.tfidf_fit(docs)
     vectors = text.encode_corpus(model, docs)
-    data.save_matrix(_require(cfg, "io", "semantic_vectors"), ids, vectors)
+    data.save_matrix(vectors_path, ids, vectors)
 
     if cfg.io.classes:
         with data.atomic_write(cfg.io.classes) as fh:
@@ -95,12 +97,18 @@ def _model_configs(cfg, dataset):
     return gen_cfg, disc_cfg
 
 
-def _check_output_dirs(cfg, keys):
+def _check_output_dirs(cfg, keys, made=None):
     """A ConfigError naming the key and path of the first set io output whose
-    directory does not exist, so a run is not lost when it is written."""
+    directory does not exist, so a run is not lost when it is written. The
+    directory made, which the command makes with its parents, counts as
+    existing, and so do those parents."""
     for key in keys:
         path = getattr(cfg.io, key)
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+        if not path:
+            continue
+        where = os.path.abspath(os.path.dirname(path) or ".")
+        if not os.path.isdir(where) and not (
+                made and os.path.commonpath([where, os.path.abspath(made)]) == where):
             raise ConfigError(f"io.{key}: the directory of {path} does not exist")
 
 
@@ -155,6 +163,7 @@ def _evaluate(args, cfg):
         )
     # the eval section is the CalibrationSweep, with the reference and retrieval settings
     e = cfg.eval
+    check_k("eval.knn_k", e.knn_k, e.per_class_synthetic, len(dataset.split.unseen))
     return evaluate.evaluate_model(
         gen, selftrain.scaled_copy(dataset, scaler), e, e.ratios,
         e.per_class_synthetic, e.knn_k, np.random.default_rng(cfg.seed),
@@ -162,8 +171,10 @@ def _evaluate(args, cfg):
 
 
 def cmd_evaluate(args, cfg):
+    path = _require(cfg, "io", "report")
+    _check_output_dirs(cfg, ("report", "suc_points"))
     report = _evaluate(args, cfg)
-    evaluate.write_report(_require(cfg, "io", "report"), report)
+    evaluate.write_report(path, report)
     if cfg.io.suc_points:
         evaluate.write_suc_points(cfg.io.suc_points, report.suc_points)
     _say(args, f"unseen top-1 {report.top1_unseen:.2f}%  AUSUC {report.ausuc:.4f}  "
@@ -172,6 +183,7 @@ def cmd_evaluate(args, cfg):
 
 
 def cmd_retrieve(args, cfg):
+    _check_output_dirs(cfg, ("retrieval",))
     lines = evaluate.map_lines(_evaluate(args, cfg).map_at)
     if cfg.io.retrieval:
         with data.atomic_write(cfg.io.retrieval) as fh:

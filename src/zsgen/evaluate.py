@@ -17,7 +17,7 @@ from .errors import ConfigError, ParseError
 from .gan import (
     Discriminator, DiscriminatorConfig, FeatureScaler, Generator, GeneratorConfig,
 )
-from .knn import KnnClassifier, knn_scores, squared_distances
+from .knn import KnnClassifier, knn_scores, score_matrix, squared_distances
 from .nn import Layer, Mlp
 from .selftrain import synthesize_references
 
@@ -134,16 +134,6 @@ def retrieval_map(refs, ref_labels, features, labels, ratios):
     queries = {int(c): refs[ref_labels == c].mean(axis=0) for c in np.unique(ref_labels)}
     maps = metrics.retrieval_precisions(queries, features, labels, ratios)
     return {int(round(100 * ratio)): m for ratio, m in zip(ratios, maps)}
-
-
-def score_matrix(clf, dataset, queries, distances=None):
-    """kNN vote-fraction scores over the combined seen+unseen class space,
-    seen classes first, from the queries' squared distances to clf's
-    references (formed here when not given)."""
-    seen = sorted(dataset.split.seen)
-    class_ids = np.array(seen + sorted(dataset.split.unseen), dtype=np.int64)
-    scores = knn_scores(clf, queries, class_ids, distances)
-    return metrics.ScoreMatrix(scores, class_ids, seen_count=len(seen))
 
 
 def evaluate_model(gen, dataset_scaled, sweep, ratios, per_class_synthetic,

@@ -19,7 +19,7 @@ import numpy as np
 from . import metrics
 from .bounds import bounded, check_bounds
 from .errors import ConfigError, UsageError
-from .knn import KnnClassifier, check_k
+from .knn import KnnClassifier, check_k, score_matrix
 from .nn import (
     AdamState, dense_backward, dense_forward, init_mlp, mlp_backward, mlp_forward, pack,
     stream_grads,
@@ -112,6 +112,10 @@ class Network:
     of that name; parameters run in layout order, weight then bias per layer.
     """
 
+    # the order in which training streams the gradient forms (see
+    # nn.stream_grads): layout order, or last layer first
+    last_first = False
+
     def __init__(self, cfg, rng):
         self._assemble(cfg, {part: init_mlp(widths, activations, rng, slope)
                              for part, (widths, activations, slope)
@@ -145,6 +149,10 @@ class Network:
 
 
 class Generator(Network):
+    # the decode part's forms, which hold its forward caches, run and are
+    # released before the reduce part's
+    last_first = True
+
     @staticmethod
     def layout(cfg):
         decode_in = cfg.reduce_dim + (cfg.noise_dim if cfg.noise_mode == "concat" else 0)
@@ -453,18 +461,14 @@ def gradient_penalty_grads(disc, z_hat, forms, scale=1.0):
     return penalty
 
 
-def discriminator_loss_grads(disc, real_x, fake_x, labels, gp_weight, rng=None, eps=None,
-                             update=None):
-    """Critic gap + gradient penalty + averaged classification losses,
-    with gradients in the discriminator parameters.
+def discriminator_loss_grads(disc, real_x, fake_x, labels, gp_weight, eps=None):
+    """Critic gap + gradient penalty + averaged classification losses, and
+    the gradient forms of disc.params() (see nn.stream_grads): (loss, forms).
 
     The real and fake batches run as one stacked pass: the cross-entropy
-    over both is the mean of the two batch losses. The gradient is formed by
-    nn.stream_grads in layout order. Without update, returns (loss, grads)
-    with grads one flat vector in the layout of disc.params(). With update,
-    (flat parameters, AdamState), each block of the gradient is applied as
-    soon as it is formed and (loss, None) is returned; a non-finite loss
-    returns before any block is formed, so no parameter or moment changes.
+    over both is the mean of the two batch losses. eps, (rows, 1), is the
+    penalty's mix of each real row with its fake one; it is read only when
+    gp_weight is not 0.
     """
     real_x = np.asarray(real_x, dtype=np.float64)
     fake_x = np.asarray(fake_x, dtype=np.float64)
@@ -474,7 +478,7 @@ def discriminator_loss_grads(disc, real_x, fake_x, labels, gp_weight, rng=None, 
     labels = np.asarray(labels)
     if labels.dtype.kind not in "iu" or labels.shape != (n,):
         raise UsageError(f"labels must be {n} integers, got {labels.dtype} {labels.shape}")
-    if eps is not None and np.shape(eps) != (n, 1):
+    if gp_weight != 0.0 and np.shape(eps) != (n, 1):
         raise UsageError(f"eps must be ({n}, 1), got {np.shape(eps)}")
 
     critic, logits, cache = disc.forward(np.concatenate([real_x, fake_x]))
@@ -488,59 +492,41 @@ def discriminator_loss_grads(disc, real_x, fake_x, labels, gp_weight, rng=None, 
     del cache
 
     if gp_weight != 0.0:
-        if eps is None:
-            if rng is None:
-                raise UsageError("gradient penalty needs rng or explicit eps")
-            eps = rng.uniform(0.0, 1.0, size=(n, 1))
         z_hat = eps * z[:n]
         z_hat += (1.0 - eps) * z[n:]
         del z
         loss += gp_weight * gradient_penalty_grads(disc, z_hat, forms, gp_weight)
-        del z_hat
-    if update is not None and not math.isfinite(loss):
-        return loss, None
-    return loss, stream_grads(forms, [p.shape for p in disc.params()], update)
+    return loss, forms
 
 
 def generator_loss_grads(gen, disc, semantics, noise, labels, features,
-                         pos_rows, neg_rows, cfg, classes=None, update=None, reduced=None):
-    """Generator loss with its gradients in the generator parameters.
+                         pos_rows, neg_rows, cfg, classes=None, reduced=None):
+    """Generator loss, its triplet term and the gradient forms of
+    gen.params() (see nn.stream_grads): (loss, triplet, forms).
 
     The loss is the part that depends on the generator: the negated mean
     critic score of the generated batch, half its classification loss, and
     the weighted triplet term. semantics, classes and reduced are as in
     Generator.forward; pos_rows / neg_rows are the row indices into
     features of the real samples matched to each batch row's class, as
-    triplet_loss_grad takes them.
-
-    The gradient is formed by nn.stream_grads, last layer first: the
-    decode layers' blocks, whose forward caches are then released, before
-    the reduce part's. Without update, returns (loss, triplet, grads) with
-    grads one flat vector in the layout of gen.params(). With update, (flat
-    parameters, AdamState), each block is applied as soon as it is formed
-    and (loss, triplet, None) is returned; a non-finite loss returns before
-    any gradient is formed, so no parameter or moment changes.
+    triplet_loss_grad takes them. The forms hold only the layer inputs and
+    pre-activation gradients: the forward caches and the critic's pass are
+    released here.
     """
     fake_x, gen_cache = gen.forward(semantics, noise, classes, reduced=reduced)
-    del reduced   # its rows live on in gen_cache alone, released before the reduce part
+    del reduced   # its rows live on in gen_cache alone
     critic_f, logits_f, disc_cache = disc.forward(fake_x)
 
     n = fake_x.shape[0]
     ce_fake, d_logits_f = softmax_cross_entropy(logits_f, labels)
     trip, d_trip = triplet_loss_grad(fake_x, features, pos_rows, neg_rows, cfg.margin)
     loss = -float(critic_f.sum() / n) + 0.5 * ce_fake + cfg.lambda_t * trip
-    if update is not None and not math.isfinite(loss):
-        return loss, trip, None
     # the critic's forms are dropped at once: they hold its layers' inputs
     d_fake = disc.backward(disc_cache, np.full(n, -1.0 / n), 0.5 * d_logits_f)[1]
     del disc_cache, fake_x   # the generator's backward reads neither
     d_fake += cfg.lambda_t * d_trip
     del d_trip
-    forms = gen.backward(gen_cache, d_fake)
-    # the forms hold only the layer inputs and pre-activation gradients
-    del gen_cache, d_fake
-    return loss, trip, stream_grads(forms, [p.shape for p in gen.params()], update,
-                                    reverse=True)
+    return loss, trip, gen.backward(gen_cache, d_fake)
 
 
 @dataclass
@@ -613,10 +599,8 @@ def _validation_split(train_y, seen_ids, frac, rng):
 def _probe_gacc(gen, dataset, val_x, val_y, cfg, rng):
     """kNN probe on synthetic features; generalized accuracy, over the default
     calibration sweep, of validation seen-class queries over the full
-    seen+unseen class space, scored by evaluate.score_matrix. The references
+    seen+unseen class space, scored by knn.score_matrix. The references
     are generated one class at a time, seen classes first."""
-    from .evaluate import score_matrix  # evaluate imports this module
-
     refs, ref_labels = [], []
     for c in sorted(dataset.split.seen) + sorted(dataset.split.unseen):
         sem = dataset.semantics_for([c])
@@ -648,10 +632,11 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng):
     `patience` consecutive evaluations without improvement.
 
     rng only spawns the run's streams and is never drawn from: one each for
-    the validation split, the critic updates (batch rows, noise and the
-    penalty's mix), the generator steps (batch rows, noise and triplet
-    samples) and the probe. The probe at step s draws from its own stream,
-    keyed by s, so probing at another cadence or size moves no training draw.
+    the validation split, the critic updates (batch rows, noise and, when
+    gp_weight is not 0, the penalty's mix eps), the generator steps (batch
+    rows, noise and triplet samples) and the probe. The probe at step s
+    draws from its own stream, keyed by s, so probing at another cadence or
+    size moves no training draw.
     Spawning advances rng's count of children, so another call with the same
     rng trains on other streams.
     """
@@ -679,10 +664,11 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng):
     col_of_class = np.array([class_cols[int(c)] for c in sampler.classes])
 
     rates = dict(alpha=cfg.alpha, beta1=cfg.beta1, beta2=cfg.beta2)
-    # each network's packed parameters and its Adam state; the losses stream
-    # their gradients into these, so no gradient vector is held here
+    # each network's packed parameters and its Adam state, into which its
+    # gradient streams, block by block, so no gradient vector is held
     gen_update, disc_update = ((p, AdamState.for_params(p, **rates))
                                for p in (gen.pack(), disc.pack()))
+    gen_shapes, disc_shapes = ([p.shape for p in net.params()] for net in (gen, disc))
 
     best = None   # (gen, disc) snapshot of the best probe so far
     best_gacc = float("-inf")
@@ -694,30 +680,30 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng):
         # the generator's weights change only at its update, so the reduce
         # layer's rows for the fit classes serve the whole step; the generator
         # step takes them out of this list, so that they are released with its
-        # forward cache, before its reduce part's gradient streams
+        # forward cache, before its gradient streams
         reduced = [gen.reduce_rows(sem_of_class)]
         for _ in range(cfg.n_d):
             idx = critic_rng.integers(0, fit_idx.size, size=m)
             k = sampler.class_of_row[idx]
             fake = generate(gen, sem_of_class, gen.sample_noise(critic_rng, m), k,
                             reduced=reduced[0])
-            last_ld, _ = discriminator_loss_grads(
-                disc, train_x[fit_idx[idx]], fake, col_of_class[k], cfg.gp_weight,
-                rng=critic_rng, update=disc_update,
-            )
+            eps = critic_rng.uniform(0.0, 1.0, size=(m, 1)) if cfg.gp_weight else None
+            last_ld, forms = discriminator_loss_grads(
+                disc, train_x[fit_idx[idx]], fake, col_of_class[k], cfg.gp_weight, eps)
             if not math.isfinite(last_ld):
                 raise UsageError(f"non-finite discriminator loss at step {step}")
+            stream_grads(forms, disc_shapes, disc_update, reverse=disc.last_first)
 
         idx = gen_rng.integers(0, fit_idx.size, size=m)
         k = sampler.class_of_row[idx]
         pos, neg = sampler.draw(gen_rng, idx, cfg.n_pos, cfg.n_neg)
-        lg, trip, _ = generator_loss_grads(
+        lg, trip, forms = generator_loss_grads(
             gen, disc, sem_of_class, gen.sample_noise(gen_rng, m), col_of_class[k],
-            train_x, fit_idx[pos], fit_idx[neg], cfg, classes=k, update=gen_update,
-            reduced=reduced.pop(),
+            train_x, fit_idx[pos], fit_idx[neg], cfg, classes=k, reduced=reduced.pop(),
         )
         if not math.isfinite(lg):
             raise UsageError(f"non-finite generator loss at step {step}")
+        stream_grads(forms, gen_shapes, gen_update, reverse=gen.last_first)
 
         if probe and step % cfg.eval_every == 0:
             gacc = _probe_gacc(gen, dataset, val_x, val_y, cfg,

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .metrics import predict_labels
+from .metrics import ScoreMatrix, predict_labels
 
 
 @dataclass
@@ -131,6 +131,16 @@ def knn_scores(clf, queries, class_ids, distances=None):
         raise UsageError(f"distances of shape {distances.shape} for {len(queries)} "
                          f"queries and {clf.references.shape[0]} references")
     return _votes(clf, distances, class_ids) / clf.k
+
+
+def score_matrix(clf, dataset, queries, distances=None):
+    """kNN vote-fraction scores over the combined seen+unseen class space,
+    seen classes first, from the queries' squared distances to clf's
+    references (formed here when not given)."""
+    seen = sorted(dataset.split.seen)
+    class_ids = np.array(seen + sorted(dataset.split.unseen), dtype=np.int64)
+    scores = knn_scores(clf, queries, class_ids, distances)
+    return ScoreMatrix(scores, class_ids, seen_count=len(seen))
 
 
 def knn_predict_proba(clf, queries):

@@ -67,8 +67,13 @@ def _toy_models(rng, n_classes=3, visual_dim=4):
     return Generator(gen_cfg, rng), Discriminator(disc_cfg, rng)
 
 
+def _flat_grads(net, forms):
+    """The flat gradient in the layout of net.params() from its forms."""
+    return stream_grads(forms, [p.shape for p in net.params()])
+
+
 def _generator_step(rng):
-    """A toy generator and step(gen, **kw), generator_loss_grads at one fixed
+    """A toy generator and step(gen), generator_loss_grads at one fixed
     batch and critic; two batch rows share a semantic row, as a class does
     in training."""
     gen, disc = _toy_models(rng)
@@ -80,43 +85,30 @@ def _generator_step(rng):
     features = rng.normal(size=(4 * m, gen.cfg.visual_dim))
     pos, neg = np.arange(2 * m).reshape(m, 2), np.arange(2 * m, 4 * m).reshape(m, 2)
     cfg = GanTrainConfig(margin=5.0, lambda_t=0.7, batch_size=m)
-    return gen, lambda g, **kw: generator_loss_grads(
-        g, disc, sem, noise, labels, features, pos, neg, cfg, classes=classes, **kw)
+    return gen, lambda g: generator_loss_grads(
+        g, disc, sem, noise, labels, features, pos, neg, cfg, classes=classes)
 
 
 def _critic_step(rng, gp_weight):
-    """A toy critic and step(disc, **kw), discriminator_loss_grads at one
-    fixed batch and fixed interpolates."""
+    """A toy critic and step(disc), discriminator_loss_grads at one fixed
+    batch and fixed interpolates."""
     _, disc = _toy_models(rng)
     m = 3
     real = rng.uniform(-0.9, 0.9, size=(m, disc.cfg.visual_dim))
     fake = rng.uniform(-0.9, 0.9, size=(m, disc.cfg.visual_dim))
     labels = rng.integers(0, disc.cfg.num_classes, size=m)
     eps = rng.uniform(0.0, 1.0, size=(m, 1))
-    return disc, lambda d, **kw: discriminator_loss_grads(
-        d, real, fake, labels, gp_weight, eps=eps, **kw)
+    return disc, lambda d: discriminator_loss_grads(d, real, fake, labels, gp_weight, eps)
 
 
-def check_generator_loss(rng):
-    """Full generator loss against central differences, fixed discriminator."""
-    gen, step = _generator_step(rng)
-
+def check_loss(net, step):
+    """A toy step's loss, the generator's or the critic's, and its flat
+    gradient against central differences in net's packed parameters."""
     def f():
-        loss, _, grads = step(gen)
-        return loss, [grads]
+        out = step(net)
+        return out[0], [_flat_grads(net, out[-1])]
 
-    return gradient_check(f, [gen.pack()])
-
-
-def check_discriminator_loss(rng, gp_weight=0.0):
-    """Discriminator loss against central differences, fixed interpolates."""
-    disc, step = _critic_step(rng, gp_weight)
-
-    def f():
-        loss, grads = step(disc)
-        return loss, [grads]
-
-    return gradient_check(f, [disc.pack()])
+    return gradient_check(f, [net.pack()])
 
 
 def check_discriminator_input_grad(rng, n=3):
@@ -138,29 +130,21 @@ def check_discriminator_input_grad(rng, n=3):
     return gradient_check(f, [x])
 
 
-def _streamed_is_whole(net, step, grad_at):
-    """0.0 when step(net, update=...), streaming its gradient into a fresh
-    Adam state as training does, leaves the parameter and moment bytes that
-    its whole gradient, step(net)[grad_at], and one whole-vector adam_step
-    leave on a copy of net; inf otherwise."""
+def check_streamed(net, step):
+    """One streamed update against the whole gradient's adam_step: 0.0 when
+    step(net)'s gradient forms, streamed into a fresh Adam state
+    in net's training order, leave the parameter and moment bytes that its
+    whole gradient and one whole-vector adam_step leave on a copy of net;
+    inf otherwise."""
     ref = net.copy()
     params, ref_params = net.pack(), ref.pack()
     adam, ref_adam = AdamState.for_params(params), AdamState.for_params(ref_params)
-    step(net, update=(params, adam))
-    adam_step(ref_params, step(ref)[grad_at], ref_adam)
+    stream_grads(step(net)[-1], [p.shape for p in net.params()], (params, adam),
+                 reverse=net.last_first)
+    adam_step(ref_params, _flat_grads(ref, step(ref)[-1]), ref_adam)
     same = all(a.tobytes() == b.tobytes() for a, b in
                ((params, ref_params), (adam.m, ref_adam.m), (adam.v, ref_adam.v)))
     return 0.0 if same else float("inf")
-
-
-def check_streamed_critic_update(rng, gp_weight=10.0):
-    """One streamed critic update against the whole gradient's adam_step."""
-    return _streamed_is_whole(*_critic_step(rng, gp_weight), 1)
-
-
-def check_streamed_generator_step(rng):
-    """One streamed generator step against the whole gradient's adam_step."""
-    return _streamed_is_whole(*_generator_step(rng), 2)
 
 
 def run_gradient_checks(seed=0, n_seeds=20):
@@ -170,12 +154,12 @@ def run_gradient_checks(seed=0, n_seeds=20):
     for name, fn in [
         ("mlp_backward", check_mlp_backward),
         ("triplet_loss", check_triplet),
-        ("generator_loss", check_generator_loss),
-        ("discriminator_loss[gp=0]", lambda r: check_discriminator_loss(r, 0.0)),
-        ("discriminator_loss[gp=10]", lambda r: check_discriminator_loss(r, 10.0)),
+        ("generator_loss", lambda r: check_loss(*_generator_step(r))),
+        ("discriminator_loss[gp=0]", lambda r: check_loss(*_critic_step(r, 0.0))),
+        ("discriminator_loss[gp=10]", lambda r: check_loss(*_critic_step(r, 10.0))),
         ("discriminator_input_grad", check_discriminator_input_grad),
-        ("streamed_critic_update", check_streamed_critic_update),
-        ("streamed_generator_step", check_streamed_generator_step),
+        ("streamed_critic_update", lambda r: check_streamed(*_critic_step(r, 10.0))),
+        ("streamed_generator_step", lambda r: check_streamed(*_generator_step(r))),
     ]:
         worst = 0.0
         for s in range(n_seeds):

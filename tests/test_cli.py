@@ -211,6 +211,124 @@ def test_every_artifact_is_written_through_atomic_write(tmp_path, monkeypatch):
     assert len(written) == len(set(written)) == 15
 
 
+def trained(tmp_path, monkeypatch):
+    """A tiny trained run: its config, with evaluate_model replaced by one
+    that records its calls."""
+    out = tmp_path / "ds"
+    assert main(synth_args(out)) == 0
+    cfg = tiny_run_config(tmp_path, out)
+    assert main(["--quiet", "--config", write_config(tmp_path / "run.yaml", cfg),
+                 "train"]) == 0
+    calls = []
+    monkeypatch.setattr(evaluate, "evaluate_model", lambda *a, **k: calls.append(1))
+    return cfg, calls
+
+
+@pytest.mark.parametrize("command, key", [
+    ("evaluate", "report"), ("evaluate", "suc_points"), ("retrieve", "retrieval"),
+])
+def test_evaluation_with_a_missing_output_directory_fails_before_evaluating(
+        tmp_path, capsys, monkeypatch, command, key):
+    cfg, calls = trained(tmp_path, monkeypatch)
+    missing = os.path.join("missing", os.path.basename(cfg["io"][key]))
+    cfg["io"][key] = missing
+    cfg_path = write_config(tmp_path / "bad.yaml", cfg)
+    monkeypatch.chdir(tmp_path)
+    before = tree_of(tmp_path)
+    capsys.readouterr()
+    assert main(["--quiet", "--config", cfg_path, command]) == 1
+    err = capsys.readouterr().err
+    assert f"io.{key}" in err and missing in err
+    assert calls == [] and tree_of(tmp_path) == before
+
+
+def test_evaluate_requires_its_report_before_evaluating(tmp_path, capsys, monkeypatch):
+    cfg, calls = trained(tmp_path, monkeypatch)
+    del cfg["io"]["report"]
+    cfg_path = write_config(tmp_path / "bad.yaml", cfg)
+    before = tree_of(tmp_path)
+    assert main(["--quiet", "--config", cfg_path, "evaluate"]) == 1
+    assert "io.report" in capsys.readouterr().err
+    assert calls == [] and tree_of(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["evaluate", "retrieve"])
+def test_evaluation_rejects_k_above_the_unseen_references_before_drawing_them(
+        tmp_path, capsys, monkeypatch, command):
+    # 5 refs x 2 unseen classes = 10 < 20
+    cfg, calls = trained(tmp_path, monkeypatch)
+    before = tree_of(tmp_path)
+    capsys.readouterr()
+    assert main(["--quiet", "--config", str(tmp_path / "run.yaml"),
+                 "--set", "eval.knn_k=20", command]) == 1
+    err = capsys.readouterr().err
+    assert "eval.knn_k=20" in err and "10 reference points" in err
+    assert calls == [] and tree_of(tmp_path) == before
+
+
+def cko_config(tmp_path, names):
+    """A corpus with one article per name, an embedding table and a cko
+    config writing into tmp_path."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i, name in enumerate(names):
+        (corpus / f"{name}.txt").write_text(f"{name} shares words with {names[i - 1]}\n")
+    emb = tmp_path / "emb.txt"
+    emb.write_text("".join(f"{name} {np.cos(i):.6f} {np.sin(i):.6f}\n"
+                           for i, name in enumerate(names)))
+    return {"seed": 0, "cko": {"k": 1, "embeddings": str(emb)}, "io": {
+        "corpus_dir": str(corpus), "overlay_dir": str(tmp_path / "overlay"),
+        "similarity_matrix": str(tmp_path / "sm.txt"),
+        "semantic_vectors": str(tmp_path / "sem.txt"),
+        "classes": str(tmp_path / "classes.txt"),
+    }}
+
+
+@pytest.mark.parametrize("key", ["similarity_matrix", "semantic_vectors", "classes"])
+def test_cko_with_a_missing_output_directory_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                            key):
+    cfg = cko_config(tmp_path, ["crow", "raven", "finch"])
+    missing = os.path.join("missing", os.path.basename(cfg["io"][key]))
+    cfg["io"][key] = missing
+    cfg_path = write_config(tmp_path / "cko.yaml", cfg)
+    monkeypatch.chdir(tmp_path)
+    before = tree_of(tmp_path)
+    assert main(["--quiet", "--config", cfg_path, "cko"]) == 1
+    err = capsys.readouterr().err
+    assert f"io.{key}" in err and missing in err
+    assert tree_of(tmp_path) == before
+
+
+def test_cko_train_evaluate_on_a_tiny_corpus(tmp_path):
+    """The semantics that cko encodes train and evaluate a model, with the
+    visual features labelled by the class ids cko assigns; the report is
+    finite and byte-identical across two runs."""
+    names = ["crow", "finch", "heron", "owl", "raven"]
+    cfg = cko_config(tmp_path, names)
+    ds = data.make_synthetic(data.SyntheticSpec(
+        num_seen=3, num_unseen=2, samples_per_class=10, visual_dim=8, sigma=0.3))
+    features = dataset_io(tmp_path / "ds")
+    os.makedirs(tmp_path / "ds")
+    data.save_dataset(ds, *features.values())
+    run = tiny_run_config(tmp_path, tmp_path / "ds")
+    run["io"].update(cfg["io"], semantics=cfg["io"]["semantic_vectors"])
+    run["cko"] = cfg["cko"]
+    cfg_path = write_config(tmp_path / "run.yaml", run)
+    reports = []
+    for _ in range(2):
+        for command in ("cko", "train", "evaluate"):
+            assert main(["--quiet", "--config", cfg_path, command]) == 0
+        reports.append((tmp_path / "report.txt").read_bytes())
+    # cko numbers the articles in file-name order, the ids the features carry
+    assert (tmp_path / "classes.txt").read_text().splitlines() == [
+        f"{i}\t{name}" for i, name in enumerate(sorted(names))]
+    assert sorted(set(ds.labels.tolist())) == list(range(len(names)))
+    values = [float(v) for line in reports[0].decode().splitlines()
+              for v in line.split(":")[-1].split() if v]
+    assert values and np.isfinite(values).all()
+    assert reports[0] == reports[1]
+
+
 def test_evaluate_rejects_dimension_mismatch(tmp_path):
     out = tmp_path / "ds"
     assert main(synth_args(out)) == 0

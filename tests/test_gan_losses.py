@@ -343,14 +343,21 @@ def flat_disc(num_classes, critic_bias=0.0, head_bias=0.0):
     return disc
 
 
+def flat_grads(net, forms):
+    """The flat gradient in the layout of net.params() from its forms."""
+    return stream_grads(forms, [p.shape for p in net.params()])
+
+
 def generator_step(disc, labels, pos, neg, margin=0.0, lambda_t=1.0, seed=0):
+    """(loss, triplet, flat gradient) of one generator_loss_grads call."""
     rng = np.random.default_rng(seed)
     gen = make_gen(rng)
     n = len(labels)
     cfg = GanTrainConfig(margin=margin, lambda_t=lambda_t)
-    return generator_loss_grads(gen, disc, rng.normal(size=(n, 6)),
-                                gen.sample_noise(rng, n), np.asarray(labels),
-                                *as_rows(pos, neg), cfg)
+    loss, trip, forms = generator_loss_grads(gen, disc, rng.normal(size=(n, 6)),
+                                             gen.sample_noise(rng, n), np.asarray(labels),
+                                             *as_rows(pos, neg), cfg)
+    return loss, trip, flat_grads(gen, forms)
 
 
 def sets(rng, n, k=2, shift=0.0):
@@ -727,7 +734,8 @@ def test_stacked_critic_pass_matches_two_pass_oracle(m, gp_weight):
         eps = rng.uniform(0.0, 1.0, size=(m, 1))
         ref_loss, ref_grads = two_pass_discriminator_loss_grads(
             disc, real, fake, labels, gp_weight, eps)
-        loss, grads = discriminator_loss_grads(disc, real, fake, labels, gp_weight, eps=eps)
+        loss, forms = discriminator_loss_grads(disc, real, fake, labels, gp_weight, eps=eps)
+        grads = flat_grads(disc, forms)
         assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
         assert_rel_close(grads, ref_grads)
 
@@ -997,10 +1005,12 @@ def test_per_class_reduce_matches_per_row_semantics(kw):
     labels = rng.integers(0, 3, size=40)
     pos, neg = rng.normal(size=(40, 2, 4)), rng.normal(size=(40, 3, 4))
     cfg = GanTrainConfig(margin=5.0, lambda_t=0.7)
-    loss, trip, grads = generator_loss_grads(gen, disc, table, noise, labels,
+    loss, trip, forms = generator_loss_grads(gen, disc, table, noise, labels,
                                              *as_rows(pos, neg), cfg, classes=classes)
-    ref_loss, ref_trip, ref_grads = generator_loss_grads(
+    grads = flat_grads(gen, forms)
+    ref_loss, ref_trip, ref_forms = generator_loss_grads(
         gen, disc, table[classes], noise, labels, *as_rows(pos, neg), cfg)
+    ref_grads = flat_grads(gen, ref_forms)
     assert (loss, trip) == (ref_loss, ref_trip)
     assert_rel_close(grads, ref_grads)
 
@@ -1029,8 +1039,10 @@ def test_generate_from_reduced_rows_is_bitwise_generate_from_semantics(kw):
     pos, neg = rng.normal(size=(40, 2, 4)), rng.normal(size=(40, 3, 4))
     cfg = GanTrainConfig(margin=5.0, lambda_t=0.7)
     args = (gen, disc, table, noise, labels, *as_rows(pos, neg), cfg)
-    loss, trip, grads = generator_loss_grads(*args, classes=classes, reduced=reduced)
-    ref_loss, ref_trip, ref_grads = generator_loss_grads(*args, classes=classes)
+    loss, trip, forms = generator_loss_grads(*args, classes=classes, reduced=reduced)
+    grads = flat_grads(gen, forms)
+    ref_loss, ref_trip, ref_forms = generator_loss_grads(*args, classes=classes)
+    ref_grads = flat_grads(gen, ref_forms)
     assert (loss, trip, grads.tobytes()) == (ref_loss, ref_trip, ref_grads.tobytes())
     # the rows are read, never written
     assert reduced[0].tobytes() == rows.tobytes()
@@ -1121,10 +1133,17 @@ def generator_step_inputs(rng, gen, n=12, n_sem=5, n_features=30):
 
 
 def part_update(gen, **rates):
-    """generator_loss_grads's update: the packed parameters with one Adam
-    state for the whole generator."""
+    """A generator's update: the packed parameters with one Adam state for
+    the whole generator."""
     params = gen.pack()
     return params, AdamState.for_params(params, **rates)
+
+
+def streamed(net, forms, update):
+    """Stream forms into update in the order training streams net's, as
+    train_gan does; returns what stream_grads returns."""
+    return stream_grads(forms, [p.shape for p in net.params()], update,
+                        reverse=net.last_first)
 
 
 @pytest.mark.parametrize("kw", [{}, {"noise_dim": 5, "noise_mode": "concat"}])
@@ -1143,10 +1162,10 @@ def test_part_by_part_update_is_bitwise_the_whole_vector_adam_step(kw, monkeypat
     ref_adam = AdamState.for_params(ref_params, **rates)
     for _ in range(3):
         args, classes = generator_step_inputs(rng, gen)
-        loss, trip, spent = generator_loss_grads(gen, disc, *args, classes=classes,
-                                                 update=update)
-        ref_loss, ref_trip, grads = generator_loss_grads(ref, disc, *args, classes=classes)
-        adam_step(ref_params, grads, ref_adam)
+        loss, trip, forms = generator_loss_grads(gen, disc, *args, classes=classes)
+        spent = streamed(gen, forms, update)
+        ref_loss, ref_trip, ref_forms = generator_loss_grads(ref, disc, *args, classes=classes)
+        adam_step(ref_params, flat_grads(ref, ref_forms), ref_adam)
         assert spent is None and (loss, trip) == (ref_loss, ref_trip) and trip > 0.0
         assert [p.tobytes() for p in gen.params()] == [p.tobytes() for p in ref.params()]
     assert adam.t == 3
@@ -1177,37 +1196,52 @@ def test_generator_step_releases_the_critic_pass_before_the_generator_backward(m
     generator_loss_grads(gen, disc, *args, classes=classes)
 
 
-def test_non_finite_generator_loss_changes_no_parameter_or_moment():
-    rng = np.random.default_rng(18)
-    gen, disc = make_gen(rng), make_disc(rng, visual_dim=4, hidden=5, num_classes=3)
-    update = part_update(gen)
+def tiny_training(seed):
+    """A train_gan call on a small synthetic set, as a function of the
+    training rows, and its networks."""
+    ds = data.make_synthetic(data.SyntheticSpec(num_seen=3, num_unseen=2,
+                                                samples_per_class=12, semantic_dim=6,
+                                                visual_dim=4, seed=seed))
+    rng = np.random.default_rng(seed)
+    work, _, gen, disc, cols = selftrain.prepare_models(
+        ds, GeneratorConfig(semantic_dim=6, visual_dim=4, reduce_dim=5, hidden_dim=7),
+        DiscriminatorConfig(visual_dim=4, hidden_dim=5), rng)
+    tr = work.train_indices()
+    cfg = GanTrainConfig(n_step=3, n_d=2, batch_size=8, eval_every=0)
+
+    def train(train_x):
+        return gan.train_gan(work, train_x, work.labels[tr], gen, disc, cols, cfg, rng)
+
+    return train, work.features[tr].copy(), gen, disc
+
+
+def test_non_finite_generator_loss_changes_no_parameter_or_moment(monkeypatch):
+    """train_gan raises naming the step before any of the generator's
+    gradient reaches Adam: its parameters, and so its moments, are untouched."""
+    train, train_x, gen, disc = tiny_training(18)
     before = [p.tobytes() for p in gen.params()]
-    args, classes = generator_step_inputs(rng, gen)
-    args[3][args[4][0, 0]] = 1e300   # a positive whose distance overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        loss, _, spent = generator_loss_grads(gen, disc, *args, classes=classes,
-                                              update=update)
-    assert not np.isfinite(loss) and spent is None
+    steps = counted_adam_steps(monkeypatch)
+    monkeypatch.setattr(gan, "triplet_loss_grad",
+                        lambda synthetic, *a: (np.nan, np.zeros_like(synthetic)))
+    with pytest.raises(UsageError, match="non-finite generator loss at step 1"):
+        train(train_x)
     assert [p.tobytes() for p in gen.params()] == before
-    state = update[1]
-    assert state.t == 0 and not state.m.any() and not state.v.any()
+    # the critic updates of step 1 ran; no step wrote the generator's vector
+    assert steps and not any(np.shares_memory(p, gen.params()[0]) for p in steps)
 
 
-def test_non_finite_critic_loss_changes_no_parameter_or_moment():
-    rng = np.random.default_rng(22)
-    disc = make_disc(rng, visual_dim=6, hidden=9, num_classes=4)
-    params = disc.pack()
-    update = params, AdamState.for_params(params)
-    before = params.tobytes()
-    real, fake = rng.uniform(-0.9, 0.9, size=(2, 5, 6))
-    real[0] = np.inf   # a real row whose critic score is not finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        loss, spent = discriminator_loss_grads(disc, real, fake, rng.integers(0, 4, size=5),
-                                               10.0, rng=rng, update=update)
-    assert not np.isfinite(loss) and spent is None
-    assert params.tobytes() == before
-    state = update[1]
-    assert state.t == 0 and not state.m.any() and not state.v.any()
+def test_non_finite_critic_loss_changes_no_parameter_or_moment(monkeypatch):
+    """A real batch whose critic score is not finite: train_gan raises naming
+    the step before any gradient reaches Adam."""
+    train, train_x, gen, disc = tiny_training(22)
+    before = [p.tobytes() for p in gen.params() + disc.params()]
+    steps = counted_adam_steps(monkeypatch)
+    train_x[:, 0] = np.inf
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(UsageError, match="non-finite discriminator loss at step 1"):
+        train(train_x)
+    assert [p.tobytes() for p in gen.params() + disc.params()] == before
+    assert steps == []
 
 
 def block_values(net, kind):
@@ -1222,13 +1256,14 @@ BLOCK_KINDS = ["splits-a-layer", "ends-on-a-layer", "past-the-network"]
 
 
 def counted_adam_steps(monkeypatch):
-    """A list that gains one entry per adam_step call the streamed losses make."""
+    """A list that gains one entry per adam_step call, the parameter vector
+    it updates."""
     calls = []
     original = nn.adam_step
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(params, *args, **kwargs):
+        calls.append(params)
+        return original(params, *args, **kwargs)
 
     monkeypatch.setattr(nn, "adam_step", counting)
     return calls
@@ -1277,13 +1312,13 @@ def test_streamed_critic_update_is_bitwise_the_whole_vector_adam_step(monkeypatc
     for _ in range(3):
         real, fake, labels, eps = critic_step_inputs(rng)
         calls.clear()
-        loss, spent = discriminator_loss_grads(disc, real, fake, labels, gp_weight, eps=eps,
-                                               update=update)
+        loss, forms = discriminator_loss_grads(disc, real, fake, labels, gp_weight, eps=eps)
+        spent = streamed(disc, forms, update)
         # one adam_step per block: one in all when the block is past the network
         assert (len(calls) == 1) == (block == "past-the-network")
-        ref_loss, grads = discriminator_loss_grads(ref, real, fake, labels, gp_weight,
-                                                   eps=eps)
-        adam_step(ref_params, grads, ref_adam)
+        ref_loss, ref_forms = discriminator_loss_grads(ref, real, fake, labels, gp_weight,
+                                                       eps=eps)
+        adam_step(ref_params, flat_grads(ref, ref_forms), ref_adam)
         assert spent is None and loss == ref_loss
     assert_streamed_is_whole(update, ref_params, ref_adam, 3)
 
@@ -1304,11 +1339,11 @@ def test_streamed_generator_step_is_bitwise_the_whole_vector_adam_step(monkeypat
     for _ in range(3):
         args, classes = hinge_step_inputs(rng, gen, hinge)
         calls.clear()
-        loss, trip, spent = generator_loss_grads(gen, disc, *args, classes=classes,
-                                                 update=update)
+        loss, trip, forms = generator_loss_grads(gen, disc, *args, classes=classes)
+        spent = streamed(gen, forms, update)
         assert (len(calls) == 1) == (block == "past-the-network")
-        ref_loss, ref_trip, grads = generator_loss_grads(ref, disc, *args, classes=classes)
-        adam_step(ref_params, grads, ref_adam)
+        ref_loss, ref_trip, ref_forms = generator_loss_grads(ref, disc, *args, classes=classes)
+        adam_step(ref_params, flat_grads(ref, ref_forms), ref_adam)
         assert spent is None and (loss, trip) == (ref_loss, ref_trip)
         assert (trip > 0.0) == hinge
     assert_streamed_is_whole(update, ref_params, ref_adam, 3)
@@ -1326,8 +1361,9 @@ def test_gradient_blocks_only_regroup_the_products(monkeypatch, block):
     small = make_disc(rng, visual_dim=4, hidden=5, num_classes=3)
 
     def gradients():
-        return (discriminator_loss_grads(disc, real, fake, labels, 10.0, eps=eps)[1],
-                generator_loss_grads(gen, small, *args, classes=classes)[2])
+        return (flat_grads(disc, discriminator_loss_grads(disc, real, fake, labels, 10.0,
+                                                          eps=eps)[1]),
+                flat_grads(gen, generator_loss_grads(gen, small, *args, classes=classes)[2]))
 
     whole = gradients()
     monkeypatch.setattr(nn, "GRAD_BLOCK_VALUES", block_values(disc, block))

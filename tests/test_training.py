@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from zsgen import data, gan, metrics, nn, selftrain
-from zsgen.evaluate import score_matrix
 from zsgen.errors import UsageError
 from zsgen.gan import GanTrainConfig, train_gan
-from zsgen.knn import KnnClassifier, knn_scores, squared_distances
+from zsgen.knn import KnnClassifier, knn_scores, score_matrix, squared_distances
 from zsgen.verify import run_gradient_checks
 
 SPEC = data.SyntheticSpec(num_seen=4, num_unseen=2, samples_per_class=20,
@@ -197,7 +196,8 @@ def test_a_widened_critic_head_gets_its_own_gradient_plan(monkeypatch):
     eps = np.linspace(0.0, 1.0, 6)[:, None]
 
     def grads():
-        return gan.discriminator_loss_grads(disc, x, x[::-1], labels, 10.0, eps=eps)[1]
+        forms = gan.discriminator_loss_grads(disc, x, x[::-1], labels, 10.0, eps=eps)[1]
+        return nn.stream_grads(forms, [p.shape for p in disc.params()])
 
     def plan():
         return nn._grad_blocks([p.shape for p in disc.params()], False)
