@@ -514,7 +514,6 @@ def generator_loss_grads(gen, disc, semantics, noise, labels, features,
     released here.
     """
     fake_x, gen_cache = gen.forward(semantics, noise, classes, reduced=reduced)
-    del reduced   # its rows live on in gen_cache alone
     critic_f, logits_f, disc_cache = disc.forward(fake_x)
 
     n = fake_x.shape[0]
@@ -600,13 +599,16 @@ def _probe_gacc(gen, dataset, val_x, val_y, cfg, rng):
     """kNN probe on synthetic features; generalized accuracy, over the default
     calibration sweep, of validation seen-class queries over the full
     seen+unseen class space, scored by knn.score_matrix. The references
-    are generated one class at a time, seen classes first."""
-    refs, ref_labels = [], []
-    for c in sorted(dataset.split.seen) + sorted(dataset.split.unseen):
-        sem = dataset.semantics_for([c])
-        refs.append(generate(gen, sem, gen.sample_noise(rng, cfg.probe_per_class)))
-        ref_labels.append(np.full(cfg.probe_per_class, c, dtype=np.int64))
-    clf = KnnClassifier(np.vstack(refs), np.concatenate(ref_labels), k=cfg.knn_k)
+    are generated one class at a time, seen classes first, each into its
+    rows of one array."""
+    class_ids = np.array(sorted(dataset.split.seen) + sorted(dataset.split.unseen),
+                         dtype=np.int64)
+    n = cfg.probe_per_class
+    refs = np.empty((class_ids.size * n, gen.cfg.visual_dim))
+    for i, c in enumerate(class_ids):
+        generate(gen, dataset.semantics_for([c]), gen.sample_noise(rng, n),
+                 out=refs[i * n:(i + 1) * n])
+    clf = KnnClassifier(refs, np.repeat(class_ids, n), k=cfg.knn_k)
     return metrics.generalized_accuracy(score_matrix(clf, dataset, val_x), val_y)
 
 
@@ -678,18 +680,17 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng):
 
     for step in range(1, cfg.n_step + 1):
         # the generator's weights change only at its update, so the reduce
-        # layer's rows for the fit classes serve the whole step; the generator
-        # step takes them out of this list, so that they are released with its
-        # forward cache, before its gradient streams
-        reduced = [gen.reduce_rows(sem_of_class)]
+        # layer's rows for the fit classes serve the whole step
+        reduced = gen.reduce_rows(sem_of_class)
         for _ in range(cfg.n_d):
             idx = critic_rng.integers(0, fit_idx.size, size=m)
             k = sampler.class_of_row[idx]
             fake = generate(gen, sem_of_class, gen.sample_noise(critic_rng, m), k,
-                            reduced=reduced[0])
+                            reduced=reduced)
             eps = critic_rng.uniform(0.0, 1.0, size=(m, 1)) if cfg.gp_weight else None
             last_ld, forms = discriminator_loss_grads(
                 disc, train_x[fit_idx[idx]], fake, col_of_class[k], cfg.gp_weight, eps)
+            del fake   # the forms hold the stacked copy they read
             if not math.isfinite(last_ld):
                 raise UsageError(f"non-finite discriminator loss at step {step}")
             stream_grads(forms, disc_shapes, disc_update, reverse=disc.last_first)
@@ -699,8 +700,9 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng):
         pos, neg = sampler.draw(gen_rng, idx, cfg.n_pos, cfg.n_neg)
         lg, trip, forms = generator_loss_grads(
             gen, disc, sem_of_class, gen.sample_noise(gen_rng, m), col_of_class[k],
-            train_x, fit_idx[pos], fit_idx[neg], cfg, classes=k, reduced=reduced.pop(),
+            train_x, fit_idx[pos], fit_idx[neg], cfg, classes=k, reduced=reduced,
         )
+        del reduced   # not held while the generator's gradient streams
         if not math.isfinite(lg):
             raise UsageError(f"non-finite generator loss at step {step}")
         stream_grads(forms, gen_shapes, gen_update, reverse=gen.last_first)

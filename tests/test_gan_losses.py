@@ -497,7 +497,7 @@ def test_discriminator_hand_built_critic_value():
     np.testing.assert_allclose(loss, -2.0, atol=1e-9)
 
 
-def test_discriminator_needs_rng_or_eps_for_penalty():
+def test_discriminator_penalty_checks_the_eps_shape():
     rng = np.random.default_rng(2)
     disc = make_disc(rng)
     x = rng.normal(size=(2, 3))

@@ -159,6 +159,33 @@ def test_a_generator_step_releases_the_reduce_rows_before_its_gradient_streams(
     assert alive == {"critic": [True] * 6, "generator": [False] * 3}
 
 
+def test_no_critic_batch_is_held_through_a_generator_update(monkeypatch):
+    # each critic update's fake batch is read by its loss alone, whose forms
+    # keep the stacked copy: every batch is released before the generator's
+    # gradient streams
+    ds, work, scaler, gen, disc, cols, rng = setup()
+    generate, adam_step = gan.generate, nn.adam_step
+    batches, alive = [], []
+
+    def recording_generate(*args, **kwargs):
+        out = generate(*args, **kwargs)
+        batches.append(weakref.ref(out))
+        return out
+
+    def recording_step(params, grads, state, at=None):
+        if np.shares_memory(params, gen.reduce.layers[0].weight):
+            alive.append(sum(batch() is not None for batch in batches))
+        return adam_step(params, grads, state, at)
+
+    monkeypatch.setattr(gan, "generate", recording_generate)
+    monkeypatch.setattr(nn, "adam_step", recording_step)
+    tr = work.train_indices()
+    cfg = GanTrainConfig(**{**TINY, "n_step": 3, "n_d": 2, "eval_every": 0})
+    train_gan(work, work.features[tr], work.labels[tr], gen, disc, cols, cfg, rng)
+    assert len(batches) == 6
+    assert alive == [0, 0, 0]
+
+
 def test_a_training_step_holds_at_most_one_gradient_block():
     # a reduce weight of 2.6 M values is two and a half gradient blocks; above
     # the packed parameters and their two moments a step holds one block, the
@@ -291,6 +318,32 @@ def test_probe_equals_its_own_scoring_oracle(seed, noise_sigma):
     val_x, val_y = work.features[tr], work.labels[tr]
     assert (gan._probe_gacc(gen, work, val_x, val_y, cfg, probe_rng)
             == reference_probe_gacc(gen, work, val_x, val_y, cfg, oracle_rng))
+    assert probe_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_the_probe_holds_its_references_once():
+    # 3000 references of 256 values against 4 queries: the references are
+    # nearly all that the probe allocates, and it holds them once
+    spec = data.SyntheticSpec(num_seen=4, num_unseen=2, samples_per_class=5,
+                              semantic_dim=16, visual_dim=256, seed=0)
+    from zsgen.gan import DiscriminatorConfig, GeneratorConfig
+    work, _, gen, _, _ = selftrain.prepare_models(
+        data.make_synthetic(spec),
+        GeneratorConfig(semantic_dim=16, visual_dim=256, reduce_dim=6, hidden_dim=10),
+        DiscriminatorConfig(visual_dim=256, hidden_dim=10), np.random.default_rng(0))
+    tr = work.train_indices()[:4]
+    val_x, val_y = work.features[tr], work.labels[tr]
+    cfg = GanTrainConfig(knn_k=3, probe_per_class=500)
+    ref_bytes = 6 * cfg.probe_per_class * 256 * 8
+    probe_rng, oracle_rng = (np.random.default_rng(3) for _ in range(2))
+    tracemalloc.start()
+    try:
+        gacc = gan._probe_gacc(gen, work, val_x, val_y, cfg, probe_rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ref_bytes, (peak, ref_bytes)
+    assert gacc == reference_probe_gacc(gen, work, val_x, val_y, cfg, oracle_rng)
     assert probe_rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
