@@ -29,8 +29,7 @@ _NETWORKS = (("gen", Generator, GeneratorConfig), ("disc", Discriminator, Discri
 
 
 def _layer_meta(layout):
-    return {part: [{"activation": act, "slope": slope} for act in activations]
-            for part, (_, activations, slope) in layout.items()}
+    return {part: list(activations) for part, (_, activations) in layout.items()}
 
 
 def _meta_entry(node, key, kind, path):
@@ -83,11 +82,11 @@ def _load_network(prefix, cls, cfg_cls, arrays, meta, path):
             raise ConfigError(f"{prefix}.{part} has layers {stored.get(part)}, "
                               f"a {cls.__name__.lower()} builds {built.get(part)}")
     parts = {}
-    for part, (widths, activations, slope) in layout.items():
+    for part, (widths, activations) in layout.items():
         parts[part] = Mlp([
             Layer(_take(arrays, f"{prefix}.{part}.{i}.weight", (widths[i], widths[i + 1]), path),
                   _take(arrays, f"{prefix}.{part}.{i}.bias", (widths[i + 1],), path),
-                  act, slope)
+                  act)
             for i, act in enumerate(activations)
         ])
     return cls.from_parts(cfg, parts)

@@ -2,13 +2,13 @@
 triplet/adversarial losses, and the inner adversarial training loop.
 
 The generator maps a semantic vector through a linear reduction layer,
-perturbs it with Gaussian noise, and decodes through leaky-relu and tanh
-layers into the visual feature range (-1, 1). The discriminator shares a
-relu trunk between a scalar Wasserstein critic head and a class-logit
-head; its loss carries a gradient penalty toward unit critic gradients.
-Both networks run every layer through nn's one dense-layer pass pair; only
-the penalty, which differentiates the critic's input gradient, forms its
-products here.
+adds Gaussian noise of the same width to it (or appends the noise), and
+decodes through leaky-relu and tanh layers into the visual feature range
+(-1, 1). The discriminator shares a relu trunk between a scalar Wasserstein
+critic head and a class-logit head; its loss carries a gradient penalty
+toward unit critic gradients. Both networks run every layer through nn's
+one dense-layer pass pair; only the penalty, which differentiates the
+critic's input gradient, forms its products here.
 """
 
 import math
@@ -32,17 +32,11 @@ class GeneratorConfig:
     visual_dim: int = bounded(ge=1)
     reduce_dim: int = bounded(1000, ge=1)
     hidden_dim: int = bounded(2048, ge=1)
-    noise_dim: int = bounded(0, ge=0)   # 0: same as reduce_dim (additive mode)
     noise_sigma: float = bounded(1.0, ge=0)
+    # reduce_dim-wide noise is added to the reduced semantics, or appended
     noise_mode: str = bounded("add", choices=("add", "concat"))
-    slope: float = bounded(0.2, gt=0, le=1)   # the decoder's leaky relu slope
 
-    def __post_init__(self):
-        check_bounds(self)
-        if self.noise_dim == 0:
-            self.noise_dim = self.reduce_dim
-        if self.noise_mode == "add" and self.noise_dim != self.reduce_dim:
-            raise ConfigError("additive noise requires noise_dim == reduce_dim")
+    __post_init__ = check_bounds
 
 
 @dataclass
@@ -107,9 +101,9 @@ class FeatureScaler:
 
 class Network:
     """Named parts, each an Mlp, as the subclass's layout(cfg) declares them:
-    part -> (widths, activations, slope), layer i mapping widths[i] to
-    widths[i + 1] and then applying activations[i]. Each part is an attribute
-    of that name; parameters run in layout order, weight then bias per layer.
+    part -> (widths, activations), layer i mapping widths[i] to widths[i + 1]
+    and then applying activations[i]. Each part is an attribute of that name;
+    parameters run in layout order, weight then bias per layer.
     """
 
     # the order in which training streams the gradient forms (see
@@ -117,9 +111,8 @@ class Network:
     last_first = False
 
     def __init__(self, cfg, rng):
-        self._assemble(cfg, {part: init_mlp(widths, activations, rng, slope)
-                             for part, (widths, activations, slope)
-                             in self.layout(cfg).items()})
+        self._assemble(cfg, {part: init_mlp(widths, activations, rng)
+                             for part, (widths, activations) in self.layout(cfg).items()})
 
     @classmethod
     def from_parts(cls, cfg, parts):
@@ -155,15 +148,14 @@ class Generator(Network):
 
     @staticmethod
     def layout(cfg):
-        decode_in = cfg.reduce_dim + (cfg.noise_dim if cfg.noise_mode == "concat" else 0)
+        decode_in = cfg.reduce_dim * (2 if cfg.noise_mode == "concat" else 1)
         return {
-            "reduce": ((cfg.semantic_dim, cfg.reduce_dim), ("identity",), cfg.slope),
-            "decode": ((decode_in, cfg.hidden_dim, cfg.visual_dim),
-                       ("leaky_relu", "tanh"), cfg.slope),
+            "reduce": ((cfg.semantic_dim, cfg.reduce_dim), ("identity",)),
+            "decode": ((decode_in, cfg.hidden_dim, cfg.visual_dim), ("leaky_relu", "tanh")),
         }
 
     def sample_noise(self, rng, n):
-        return rng.normal(0.0, self.cfg.noise_sigma, size=(n, self.cfg.noise_dim))
+        return rng.normal(0.0, self.cfg.noise_sigma, size=(n, self.cfg.reduce_dim))
 
     def reduce_rows(self, semantics):
         """The reduce layer's rows for the semantic rows, with their cache:
@@ -184,8 +176,8 @@ class Generator(Network):
         """
         semantics = np.asarray(semantics, dtype=np.float64)
         noise = np.asarray(noise, dtype=np.float64)
-        if noise.ndim != 2 or noise.shape[1] != self.cfg.noise_dim:
-            raise UsageError(f"noise must be (rows, {self.cfg.noise_dim}), got {noise.shape}")
+        if noise.ndim != 2 or noise.shape[1] != self.cfg.reduce_dim:
+            raise UsageError(f"noise must be (rows, {self.cfg.reduce_dim}), got {noise.shape}")
         n_sem, n = semantics.shape[0], noise.shape[0]
         if classes is None:
             if n_sem not in (1, n):
@@ -259,11 +251,10 @@ class Discriminator(Network):
 
     @staticmethod
     def layout(cfg):
-        # relu and identity read no slope; checkpoints record 0.2
         return {
-            "trunk": ((cfg.visual_dim, cfg.hidden_dim), ("relu",), 0.2),
-            "critic": ((cfg.hidden_dim, 1), ("identity",), 0.2),
-            "head": ((cfg.hidden_dim, cfg.num_classes), ("identity",), 0.2),
+            "trunk": ((cfg.visual_dim, cfg.hidden_dim), ("relu",)),
+            "critic": ((cfg.hidden_dim, 1), ("identity",)),
+            "head": ((cfg.hidden_dim, cfg.num_classes), ("identity",)),
         }
 
     def _layers(self):

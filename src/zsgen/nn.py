@@ -27,15 +27,15 @@ from .errors import ConfigError, UsageError
 
 ACTIVATIONS = ("identity", "relu", "leaky_relu", "tanh")
 
+# the leaky relu is max(z, LEAKY_SLOPE * z): z for z >= 0 and LEAKY_SLOPE * z
+# below, as in the generator of Xian et al. (2018)
+LEAKY_SLOPE = 0.2
 
-def _check_slope(slope):
-    """A leaky relu slope must lie in (0, 1]: there max(z, slope * z) is z for
-    z >= 0 and slope * z below, and at 0 it would make +inf a NaN."""
-    if not 0.0 < slope <= 1.0:
-        raise ConfigError(f"leaky relu slope must be in (0, 1], got {slope!r}")
+# Adam's denominator floor; no caller sets it
+ADAM_EPSILON = 1e-8
 
 
-def activate(name, z, slope=0.2, in_place=False):
+def activate(name, z, in_place=False):
     """The activation of pre-activation z; in_place writes it into z."""
     out = z if in_place else None
     if name == "identity":
@@ -43,21 +43,20 @@ def activate(name, z, slope=0.2, in_place=False):
     if name == "relu":
         return np.maximum(z, 0.0, out=out)
     if name == "leaky_relu":
-        _check_slope(slope)
-        return np.maximum(z, slope * z, out=out)
+        return np.maximum(z, LEAKY_SLOPE * z, out=out)
     if name == "tanh":
         return np.tanh(z, out=out)
     raise ConfigError(f"unknown activation {name!r}")
 
 
-def activate_grad(name, z, slope=0.2):
+def activate_grad(name, z):
     """d activation / d z evaluated at pre-activation z; for relu, a bool mask."""
     if name == "identity":
         return np.ones_like(z)
     if name == "relu":
         return z >= 0.0
     if name == "leaky_relu":
-        return np.where(z >= 0.0, 1.0, slope)
+        return np.where(z >= 0.0, 1.0, LEAKY_SLOPE)
     if name == "tanh":
         t = np.tanh(z)
         return 1.0 - t * t
@@ -69,7 +68,6 @@ class Layer:
     weight: np.ndarray  # (in_dim, out_dim)
     bias: np.ndarray    # (out_dim,)
     activation: str = "identity"
-    slope: float = 0.2
 
     def __post_init__(self):
         self.weight = np.asarray(self.weight, dtype=np.float64)
@@ -83,8 +81,6 @@ class Layer:
             )
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.activation == "leaky_relu":
-            _check_slope(self.slope)
         if not (np.isfinite(self.weight).all() and np.isfinite(self.bias).all()):
             raise ConfigError("layer parameters must be finite")
 
@@ -118,7 +114,7 @@ class Mlp:
 
     def copy(self):
         return Mlp([
-            Layer(l.weight.copy(), l.bias.copy(), l.activation, l.slope)
+            Layer(l.weight.copy(), l.bias.copy(), l.activation)
             for l in self.layers
         ])
 
@@ -159,7 +155,7 @@ def glorot_init(rng, fan_in, fan_out):
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def init_mlp(dims, activations, rng, slope=0.2):
+def init_mlp(dims, activations, rng):
     """Build an MLP with Glorot-uniform weights and zero biases.
 
     dims has one more entry than activations: dims[i] -> dims[i+1] with
@@ -171,7 +167,7 @@ def init_mlp(dims, activations, rng, slope=0.2):
     for i, act in enumerate(activations):
         w = glorot_init(rng, dims[i], dims[i + 1])
         b = np.zeros(dims[i + 1])
-        layers.append(Layer(w, b, act, slope))
+        layers.append(Layer(w, b, act))
     return Mlp(layers)
 
 
@@ -184,7 +180,7 @@ def dense_forward(layer, x, in_place=False, out=None):
     """
     z = np.matmul(x, layer.weight, out=out)
     z += layer.bias
-    return activate(layer.activation, z, layer.slope, in_place), z
+    return activate(layer.activation, z, in_place), z
 
 
 def dense_backward(layer, a, z, d, input_grad=True, in_place=False):
@@ -201,8 +197,7 @@ def dense_backward(layer, a, z, d, input_grad=True, in_place=False):
     if a.shape[1] != layer.weight.shape[0]:
         raise UsageError("stale cache: layer input dim changed")
     if layer.activation != "identity":
-        d = np.multiply(d, activate_grad(layer.activation, z, layer.slope),
-                        out=d if in_place else None)
+        d = np.multiply(d, activate_grad(layer.activation, z), out=d if in_place else None)
 
     def weight(lo, hi, dest):
         np.matmul(a.T[lo:hi], d, out=dest)
@@ -381,7 +376,6 @@ class AdamState:
     alpha: float = 0.001
     beta1: float = bounded(0.5, ge=0, lt=1)
     beta2: float = bounded(0.9, ge=0, lt=1)
-    epsilon: float = 1e-8
     t: int = 0
     m: np.ndarray = None   # moments, shaped like the flat parameter vector
     v: np.ndarray = None
@@ -402,7 +396,7 @@ def adam_step(params, grads, state, at=None):
     """One bias-corrected Adam update, in place on a flat parameter vector.
 
     m_hat = m / (1 - b1^t), v_hat = v / (1 - b2^t) and
-    p -= alpha * m_hat / (sqrt(v_hat) + epsilon), operation for operation.
+    p -= alpha * m_hat / (sqrt(v_hat) + ADAM_EPSILON), operation for operation.
     Without at, grads is the whole gradient and the step count advances
     first. With at, grads is the block of a step's gradient that starts at
     params[at]: only that range and its moments change, at the count that
@@ -434,7 +428,7 @@ def adam_step(params, grads, state, at=None):
         v += np.multiply(a, g, out=a)
         np.divide(v, c2, out=b)       # v_hat
         np.sqrt(b, out=b)
-        b += state.epsilon
+        b += ADAM_EPSILON
         np.divide(m, c1, out=a)       # m_hat
         a *= state.alpha
         p -= np.divide(a, b, out=a)

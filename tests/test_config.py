@@ -4,11 +4,16 @@ Each case writes a YAML document and expects load_config to raise a
 ConfigError whose message names the offending key.
 """
 
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 import yaml
 
-from zsgen.config import load_config
+from zsgen import cli, data
+from zsgen.config import GanSection, RunConfig, load_config
 from zsgen.errors import ConfigError
+from zsgen.gan import DiscriminatorConfig, GeneratorConfig
 
 INT, NUM, STR, STR_OR_NULL, ENUM, NUM_LIST = (
     "int", "num", "str", "str_or_null", "enum", "num_list")
@@ -104,3 +109,48 @@ def test_config_rule_violation_names_the_key(tmp_path, document, named):
     with pytest.raises(ConfigError) as info:
         load_config(str(path), [])
     assert named in str(info.value)
+
+
+# the network config fields that cli._model_configs takes from the dataset;
+# every other one is a gan section key, named here where the names differ
+FROM_DATASET = {"semantic_dim", "visual_dim", "num_classes"}
+SECTION_KEY = {GeneratorConfig: {}, DiscriminatorConfig: {"hidden_dim": "disc_hidden_dim"}}
+
+
+def test_every_network_setting_comes_from_the_config_or_the_dataset():
+    """No network setting can be set from Python alone: each field of the two
+    network configs is a gan section key or a dataset width, and the CLI
+    builds the networks with the config's value of each key."""
+    values = {}
+    for cls, renamed in SECTION_KEY.items():
+        for f in fields(cls):
+            if f.name not in FROM_DATASET:
+                key = renamed.get(f.name, f.name)
+                assert key in {g.name for g in fields(GanSection)}, f"{cls.__name__}.{f.name}"
+                # a value other than the default, so a key left unread shows
+                values[key] = ("concat" if key == "noise_mode" else f.default + 1)
+    cfg = RunConfig(gan=GanSection(**values))
+    ds = data.make_synthetic(data.SyntheticSpec(num_seen=3, num_unseen=2, samples_per_class=4,
+                                                semantic_dim=5, visual_dim=7))
+    for net_cfg in cli._model_configs(cfg, ds):
+        renamed = SECTION_KEY[type(net_cfg)]
+        for f in fields(net_cfg):
+            got = getattr(net_cfg, f.name)
+            if f.name in FROM_DATASET:
+                assert got == {"semantic_dim": 5, "visual_dim": 7, "num_classes": 3}[f.name]
+            else:
+                assert got == values[renamed.get(f.name, f.name)], f.name
+
+
+def test_readme_sample_configuration_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    sample = readme.split("### Sample configuration", 1)[1]
+    text = sample.split("```yaml\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "run.yaml"
+    path.write_text(text, encoding="utf-8")
+    cfg = load_config(str(path))
+    document = yaml.safe_load(text)
+    assert cfg.seed == document.pop("seed")
+    for section, settings in document.items():
+        for key, value in settings.items():
+            assert getattr(getattr(cfg, section), key) == value, f"{section}.{key}"

@@ -468,11 +468,11 @@ def _extra_layer(arrays, meta, part, width):
     last = arrays[f"disc.{part}.{len(specs) - 1}.weight"].shape[1]
     arrays[f"disc.{part}.{len(specs)}.weight"] = np.ones((last, width))
     arrays[f"disc.{part}.{len(specs)}.bias"] = np.zeros(width)
-    specs.append({"activation": "identity", "slope": 0.2})
+    specs.append("identity")
 
 
 def _relabel(meta, part, activation):
-    meta["disc_layers"][part][0]["activation"] = activation
+    meta["disc_layers"][part][0] = activation
 
 
 @pytest.mark.parametrize("craft", [
@@ -517,7 +517,7 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "tiny_model.ck")
 def test_stored_checkpoint_loads_and_saves_back_byte_for_byte(tmp_path):
     # tiny_model.ck: a concat-noise generator and a three-class critic
     gen, disc, scaler, class_cols, meta = evaluate.load_model(FIXTURE)
-    assert gen.cfg.noise_mode == "concat" and gen.decode.in_dim == 3
+    assert gen.cfg.noise_mode == "concat" and gen.decode.in_dim == 4
     assert disc.cfg.num_classes == 3 and class_cols == {0: 0, 1: 1, 4: 2}
     path = tmp_path / "again.ck"
     evaluate.save_model(str(path), gen, disc, scaler, class_cols, meta["config_hash"])
@@ -530,13 +530,14 @@ def _gen_decode(arrays, meta, activations):
     for i in range(2, len(activations)):
         arrays[f"gen.decode.{i}.weight"] = np.eye(width)
         arrays[f"gen.decode.{i}.bias"] = np.zeros(width)
-    meta["gen_layers"]["decode"] = [{"activation": a, "slope": 0.2} for a in activations]
+    meta["gen_layers"]["decode"] = list(activations)
 
 
 @pytest.mark.parametrize("craft", [
     lambda a, m: _gen_decode(a, m, ["relu", "tanh", "tanh"]),
     lambda a, m: _gen_decode(a, m, ["relu", "tanh"]),
-    lambda a, m: m["gen_layers"]["reduce"][0].update(slope=0.5),
+    # a layer as checkpoints listed it before the slope was a constant
+    lambda a, m: m["gen_layers"].update(reduce=[{"activation": "identity", "slope": 0.2}]),
     lambda a, m: m["gen_layers"].update(extra=[]),
 ], ids=["three-decode-layers", "decode-activation", "reduce-slope", "extra-part"])
 def test_generator_layers_other_than_built_ones_rejected(tmp_path, craft):
@@ -550,16 +551,30 @@ def test_generator_layers_other_than_built_ones_rejected(tmp_path, craft):
     assert path in str(info.value)
 
 
+def test_checkpoint_of_the_older_format_rejected(tmp_path):
+    # as checkpoints were written while the generator config held a noise
+    # width and a leaky relu slope, and every stored layer its slope
+    path = str(tmp_path / "model.ck")
+    _tiny_model_checkpoint(path)
+    arrays, meta = data.load_checkpoint(path)
+    meta["gen_cfg"].update(noise_dim=meta["gen_cfg"]["reduce_dim"], slope=0.2)
+    for prefix in ("gen", "disc"):
+        layers = meta[f"{prefix}_layers"]
+        for part, activations in layers.items():
+            layers[part] = [{"activation": act, "slope": 0.2} for act in activations]
+    data.save_checkpoint(path, arrays, meta)
+    with pytest.raises(ParseError, match="gen_cfg.noise_dim") as info:
+        evaluate.load_model(path)
+    assert path in str(info.value)
+
+
 @pytest.mark.parametrize("slope", [1.5, 0.0, -0.2])
 def test_checkpoint_generator_slope_outside_unit_interval_rejected(tmp_path, slope):
-    # the stored layers carry the same slope, so only the bound can catch it
+    # the generator config holds no slope now, so any stored slope is refused
     path = str(tmp_path / "model.ck")
     _tiny_model_checkpoint(path)
     arrays, meta = data.load_checkpoint(path)
     meta["gen_cfg"]["slope"] = slope
-    for specs in meta["gen_layers"].values():
-        for spec in specs:
-            spec["slope"] = slope
     data.save_checkpoint(path, arrays, meta)
     with pytest.raises(ParseError, match="slope") as info:
         evaluate.load_model(path)

@@ -557,7 +557,7 @@ def test_generate_rejects_mismatched_noise():
         generate(gen, rng.normal(size=(3, 6)), gen.sample_noise(rng, 2))
 
 
-@pytest.mark.parametrize("kw", [{}, {"noise_dim": 3, "noise_mode": "concat"}])
+@pytest.mark.parametrize("kw", [{}, {"noise_mode": "concat"}])
 def test_generate_broadcasts_one_semantic_row(kw):
     rng = np.random.default_rng(7)
     gen = make_gen(rng, **kw)
@@ -581,7 +581,7 @@ def test_generate_rejects_non_finite_output():
         generate(gen, rng.normal(size=(3, 6)), gen.sample_noise(rng, 3))
 
 
-@pytest.mark.parametrize("kw", [{}, {"noise_dim": 3, "noise_mode": "concat"}])
+@pytest.mark.parametrize("kw", [{}, {"noise_mode": "concat"}])
 def test_generate_into_out_is_bitwise_the_new_array(kw):
     rng = np.random.default_rng(8)
     gen = make_gen(rng, **kw)
@@ -610,18 +610,13 @@ def test_generate_rejects_an_out_it_cannot_write_in_place():
             generate(gen, sem, noise, out=out)
 
 
-@pytest.mark.parametrize("slope", [0.0, -0.1, 1.5])
-def test_generator_slope_outside_unit_interval_rejected(slope):
-    with pytest.raises(ConfigError, match="slope"):
-        GeneratorConfig(semantic_dim=6, visual_dim=4, slope=slope)
-    assert GeneratorConfig(semantic_dim=6, visual_dim=4, slope=1.0).slope == 1.0
-
-
 def test_concat_noise_mode():
     rng = np.random.default_rng(5)
     cfg = GeneratorConfig(semantic_dim=6, visual_dim=4, reduce_dim=5,
-                          hidden_dim=7, noise_dim=3, noise_mode="concat")
+                          hidden_dim=7, noise_mode="concat")
     gen = Generator(cfg, rng)
+    # the noise is as wide as the reduced semantics it is appended to
+    assert gen.sample_noise(rng, 2).shape == (2, 5) and gen.decode.in_dim == 10
     out = generate(gen, rng.normal(size=(2, 6)), gen.sample_noise(rng, 2))
     assert out.shape == (2, 4)
 
@@ -631,7 +626,7 @@ def critic_input_gradient(disc, x):
     needed to differentiate the gradient norm in the parameters."""
     h, trunk_cache = mlp_forward(disc.trunk, x)
     masks = [
-        activate_grad(layer.activation, z, layer.slope)
+        activate_grad(layer.activation, z)
         for layer, (_, z) in zip(disc.trunk.layers, trunk_cache)
     ]
     n = x.shape[0]
@@ -987,7 +982,7 @@ def per_row_generator_pass(gen, semantics, noise, d_out):
     return out, whole_grads(reduce_forms + decode_forms, gen.params())
 
 
-@pytest.mark.parametrize("kw", [{}, {"noise_dim": 3, "noise_mode": "concat"}])
+@pytest.mark.parametrize("kw", [{}, {"noise_mode": "concat"}])
 def test_per_class_reduce_matches_per_row_semantics(kw):
     rng = np.random.default_rng(13)
     gen = make_gen(rng, **kw)
@@ -1015,7 +1010,7 @@ def test_per_class_reduce_matches_per_row_semantics(kw):
     assert_rel_close(grads, ref_grads)
 
 
-@pytest.mark.parametrize("kw", [{}, {"noise_dim": 3, "noise_mode": "concat"}])
+@pytest.mark.parametrize("kw", [{}, {"noise_mode": "concat"}])
 def test_generate_from_reduced_rows_is_bitwise_generate_from_semantics(kw):
     rng = np.random.default_rng(15)
     gen = make_gen(rng, **kw)
@@ -1146,7 +1141,7 @@ def streamed(net, forms, update):
                         reverse=net.last_first)
 
 
-@pytest.mark.parametrize("kw", [{}, {"noise_dim": 5, "noise_mode": "concat"}])
+@pytest.mark.parametrize("kw", [{}, {"noise_mode": "concat"}])
 def test_part_by_part_update_is_bitwise_the_whole_vector_adam_step(kw, monkeypatch):
     """Three steps: each block of the gradient applied as soon as it is
     formed, the reduce part one block and the decode part several, gives the

@@ -160,6 +160,14 @@ def test_ausuc_order_invariant():
     assert ausuc(pts) == ausuc(list(reversed(pts)))
 
 
+@pytest.mark.parametrize("shared", [[(0.5, 0.25), (0.5, 0.75)], [(0.5, 0.75), (0.5, 0.25)]],
+                         ids=["lower-first", "upper-first"])
+def test_ausuc_integrates_the_upper_envelope_where_points_share_an_unseen_accuracy(shared):
+    # at unseen accuracy 0.5 only seen accuracy 0.75 is on the curve:
+    # 0.5 * (1 + 0.75) / 2 + 0.5 * (0.75 + 0) / 2, where the lower point gives 0.375
+    assert ausuc([(0.0, 1.0), *shared, (1.0, 0.0)]) == 0.625
+
+
 def test_ausuc_needs_two_points():
     with pytest.raises(UsageError):
         ausuc([(0.0, 1.0)])

@@ -145,7 +145,7 @@ def reference_adam_step(params, grads, state):
         v += (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1 ** state.t)
         v_hat = v / (1.0 - b2 ** state.t)
-        p -= state.alpha * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        p -= state.alpha * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPSILON)
 
 
 def test_adam_in_place_bit_identical_to_reference():
@@ -155,7 +155,7 @@ def test_adam_in_place_bit_identical_to_reference():
     params = pack([mlp])
     settings = dict(alpha=0.003, beta1=0.5, beta2=0.9)
     state = AdamState.for_params(params, **settings)
-    ref_state = SimpleNamespace(**settings, epsilon=state.epsilon, t=0,
+    ref_state = SimpleNamespace(**settings, t=0,
                                 m=[np.zeros_like(p) for p in ref_params],
                                 v=[np.zeros_like(p) for p in ref_params])
     ids = [id(a) for a in (params, state.m, state.v)]
@@ -211,8 +211,9 @@ def test_activation_ranges():
 
 # random values and the edge cases of every activation, one per row
 EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308]
-ACTIVATION_CASES = [("identity", 0.2), ("relu", 0.2), ("leaky_relu", 0.2),
-                    ("leaky_relu", 0.5), ("leaky_relu", 1.0), ("tanh", 0.2)]
+# each activation with the slope that its plain form below takes (only the
+# leaky relu reads it)
+ACTIVATION_CASES = [("identity", 0.2), ("relu", 0.2), ("leaky_relu", 0.2), ("tanh", 0.2)]
 
 
 def edge_values():
@@ -225,37 +226,41 @@ def where_leaky_relu(z, slope):
     return np.where(z >= 0.0, z, slope * z)
 
 
-@pytest.mark.parametrize("slope", [0.2, 0.5, 1.0])
+@pytest.mark.parametrize("slope", [0.2])
 def test_leaky_relu_is_bitwise_the_where_form(slope):
     z = edge_values()
-    assert activate("leaky_relu", z, slope).tobytes() == where_leaky_relu(z, slope).tobytes()
+    assert nn.LEAKY_SLOPE == slope
+    assert activate("leaky_relu", z).tobytes() == where_leaky_relu(z, slope).tobytes()
 
 
 @pytest.mark.parametrize("name, slope", ACTIVATION_CASES)
 def test_activation_in_place_is_bitwise_the_new_array(name, slope):
     z = edge_values()
-    fresh = activate(name, z, slope)
+    fresh = activate(name, z)
+    assert fresh.tobytes() == plain_activation(name, z, slope)[0].tobytes()
     written = z.copy()
-    assert activate(name, written, slope, in_place=True) is written
+    assert activate(name, written, in_place=True) is written
     assert written.tobytes() == fresh.tobytes()
 
 
 @pytest.mark.parametrize("name, slope", ACTIVATION_CASES)
 def test_cacheless_forward_is_bitwise_the_cached_one(name, slope):
     # a unit weight passes ±inf and NaN through to the activation
-    mlp = Mlp([Layer(np.ones((1, 1)), np.zeros(1), name, slope)])
+    mlp = Mlp([Layer(np.ones((1, 1)), np.zeros(1), name)])
     x = edge_values()
     before = x.copy()
     cached, cache = mlp_forward(mlp, x)
     bare, none = mlp_forward(mlp, x, keep_cache=False)
     assert none is None and cache
     assert bare.tobytes() == cached.tobytes()
+    z = x @ mlp.layers[0].weight + mlp.layers[0].bias
+    assert cached.tobytes() == plain_activation(name, z, slope)[0].tobytes()
     assert x.tobytes() == before.tobytes()
 
 
 def test_cacheless_forward_writes_its_last_layer_into_out():
     rng = np.random.default_rng(13)
-    mlp = init_mlp([3, 6, 5, 4], ["relu", "leaky_relu", "tanh"], rng, slope=0.3)
+    mlp = init_mlp([3, 6, 5, 4], ["relu", "leaky_relu", "tanh"], rng)
     x = rng.normal(size=(9, 3))
     before = x.copy()
     cached, _ = mlp_forward(mlp, x)
@@ -270,16 +275,6 @@ def test_cacheless_forward_writes_its_last_layer_into_out():
     assert x.tobytes() == before.tobytes()
     with pytest.raises(UsageError):
         mlp_forward(mlp, x, out=out)
-
-
-@pytest.mark.parametrize("slope", [0.0, -0.2, 1.5, np.nan, np.inf])
-def test_leaky_relu_slope_outside_unit_interval_rejected(slope):
-    with pytest.raises(ConfigError, match="slope"):
-        Layer(np.eye(2), np.zeros(2), "leaky_relu", slope)
-    with pytest.raises(ConfigError, match="slope"):
-        activate("leaky_relu", np.ones(3), slope)
-    # activations that read no slope do not check it
-    Layer(np.eye(2), np.zeros(2), "relu", slope)
 
 
 def test_glorot_bounds():
@@ -367,7 +362,7 @@ def test_dense_pair_is_bitwise_plain_numpy(name, slope, width):
     rows and zero biases put exact zeros in the pre-activation (the relu and
     leaky relu ties)."""
     rng = np.random.default_rng(14)
-    layer = Layer(rng.normal(size=(5, width)), rng.normal(size=width), name, slope)
+    layer = Layer(rng.normal(size=(5, width)), rng.normal(size=width), name)
     layer.bias[::2] = 0.0
     x = rng.normal(size=(9, 5))
     x[::3] = 0.0

@@ -420,7 +420,7 @@ def test_synthesize_references_matches_per_class_stack():
 
 @pytest.mark.parametrize("noise_mode", ["add", "concat"])
 def test_synthesize_references_partial_last_block(monkeypatch, noise_mode):
-    cfg = replace(GEN_CFG, noise_mode=noise_mode, noise_dim=0 if noise_mode == "add" else 3)
+    cfg = replace(GEN_CFG, noise_mode=noise_mode)
     gen = gan.Generator(cfg, np.random.default_rng(1))
     sem = np.random.default_rng(2).normal(size=(6, 16))
     # blocks of 4 classes and then 2
@@ -457,7 +457,7 @@ def vstacked_blocks(gen, sem, per_class, seed, classes_per_block):
 @pytest.mark.parametrize("classes_per_block", [1, 2, 7])
 def test_synthesize_references_in_place_equal_the_stacked_blocks(
         monkeypatch, noise_mode, classes_per_block):
-    cfg = replace(GEN_CFG, noise_mode=noise_mode, noise_dim=0 if noise_mode == "add" else 3)
+    cfg = replace(GEN_CFG, noise_mode=noise_mode)
     gen = gan.Generator(cfg, np.random.default_rng(3))
     sem = np.random.default_rng(4).normal(size=(7, 16))
     monkeypatch.setattr(selftrain, "SYNTH_BLOCK_ROWS", classes_per_block * 5)

@@ -281,6 +281,68 @@ def test_probe_snapshot_is_not_changed_by_later_steps(monkeypatch):
     assert any((a != b).any() for a, b in zip(params_of(gen, disc), seen[0]))
 
 
+def test_of_two_equal_probes_the_first_snapshot_is_kept(monkeypatch):
+    ds, work, scaler, gen, disc, cols, rng = setup()
+    seen = probe_returning(monkeypatch, [2.0, 2.0, 1.0], gen, disc)
+    tr = work.train_indices()
+    result = train_gan(work, work.features[tr], work.labels[tr],
+                       gen, disc, cols, GanTrainConfig(**TINY), rng)
+    assert len(seen) == 3 and result.best_gacc == 2.0
+    # a tie is no gain: the snapshot is the first probe's, not the second's
+    assert any((a != b).any() for a, b in zip(seen[0], seen[1]))
+    for a, b in zip(params_of(result.generator, result.discriminator), seen[0]):
+        assert (a == b).all()
+
+
+@pytest.mark.parametrize("scores", [[float("nan")] * 8, [1.0] + [0.5] * 7],
+                         ids=["never-scores", "first-only"])
+def test_a_probe_that_never_improves_stops_after_patience_probes(monkeypatch, scores):
+    # every probe after the first gain, or every one when none scores, counts
+    # toward patience; the run stops at the probe that reaches it
+    ds, work, scaler, gen, disc, cols, rng = setup()
+    seen = probe_returning(monkeypatch, scores, gen, disc)
+    tr = work.train_indices()
+    cfg = GanTrainConfig(**{**TINY, "n_step": 80, "patience": 3})
+    result = train_gan(work, work.features[tr], work.labels[tr], gen, disc, cols, cfg, rng)
+    probes = cfg.patience + (scores[0] == 1.0)
+    assert len(seen) == probes
+    assert [h["step"] for h in result.history] == [10 * (i + 1) for i in range(probes)]
+
+
+def test_a_critic_update_draws_eps_after_its_batch_rows_and_noise(monkeypatch):
+    """Each critic update's real rows, fake rows and penalty mix eps are a
+    replay of the critic stream: batch rows, noise, then eps from U[0, 1)."""
+    ds, work, scaler, gen, disc, cols, _ = setup()
+    tr = work.train_indices()
+    x, y = work.features[tr], work.labels[tr]
+    loss_grads, calls = gan.discriminator_loss_grads, []
+
+    def recording(disc, real_x, fake_x, labels, gp_weight, eps=None):
+        calls.append((real_x.copy(), fake_x.copy(), eps.copy()))
+        return loss_grads(disc, real_x, fake_x, labels, gp_weight, eps)
+
+    monkeypatch.setattr(gan, "discriminator_loss_grads", recording)
+    replay_gen = gen.copy()
+    cfg = GanTrainConfig(**{**TINY, "n_step": 2, "n_d": 2, "eval_every": 0})
+    train_gan(work, x, y, gen, disc, cols, cfg, np.random.default_rng(9))
+
+    # no rows are held out without a probe, so the fit rows are x itself
+    sampler = gan.TripletSampler(y)
+    sem = work.semantics_for(sampler.classes)
+    critic = np.random.default_rng(9).spawn(4)[1]
+    m = cfg.batch_size
+    assert len(calls) == cfg.n_step * cfg.n_d
+    for i, (real_x, fake_x, eps) in enumerate(calls):
+        idx = critic.integers(0, x.shape[0], size=m)
+        noise = replay_gen.sample_noise(critic, m)
+        want = critic.uniform(0.0, 1.0, size=(m, 1))
+        assert real_x.tobytes() == x[idx].tobytes()
+        if i < cfg.n_d:   # the generator is as the replay's until its first update
+            fake = gan.generate(replay_gen, sem, noise, sampler.class_of_row[idx])
+            assert fake_x.tobytes() == fake.tobytes()
+        assert eps.tobytes() == want.tobytes()
+
+
 def test_nan_probes_return_the_trained_networks(monkeypatch):
     ds, work, scaler, gen, disc, cols, rng = setup()
     probe_returning(monkeypatch, [float("nan")] * 3, gen, disc)
