@@ -356,6 +356,9 @@ def assemble_dataset(train_features_path, test_features_path, semantics_path, sp
     )
 
 
+SYNTHETIC_TEST_FRACTION = 0.25  # held-out fraction of each seen class
+
+
 @dataclass
 class SyntheticSpec:
     num_seen: int = bounded(10, ge=1)
@@ -365,7 +368,6 @@ class SyntheticSpec:
     visual_dim: int = bounded(64, ge=1)
     sigma: float = bounded(0.05, ge=0)
     seed: int = bounded(0, ge=0)
-    test_fraction: float = bounded(0.25, gt=0, lt=1)  # held-out fraction of each seen class
 
     __post_init__ = check_bounds
 
@@ -403,9 +405,6 @@ def make_synthetic(spec):
         sem = codes @ basis
         sem = sem / np.linalg.norm(sem, axis=1, keepdims=True)
         ctr = np.tanh(sem @ (w_star * 2.0))
-        if n_cls < 2:
-            best, best_sep = (sem, ctr), np.inf
-            break
         gaps = np.linalg.norm(ctr[:, None, :] - ctr[None, :, :], axis=2)
         sep = gaps[np.triu_indices(n_cls, k=1)].min()
         if sep > best_sep:
@@ -416,7 +415,7 @@ def make_synthetic(spec):
 
     feats, labels, partition = [], [], []
     seen = class_ids[: spec.num_seen]
-    n_test = max(1, int(round(spec.test_fraction * spec.samples_per_class)))
+    n_test = max(1, int(round(SYNTHETIC_TEST_FRACTION * spec.samples_per_class)))
     for c in range(n_cls):
         samples = centers[c] + rng.normal(0.0, spec.sigma,
                                           size=(spec.samples_per_class, spec.visual_dim))

@@ -22,14 +22,13 @@ from .nn import Layer, Mlp
 from .selftrain import synthesize_references
 
 CHECKPOINT_KIND = "zsgen-model"
+# the layout of a checkpoint's metadata and arrays; checkpoints written
+# before format 2 store no number and are read as format 1
+CHECKPOINT_FORMAT = 2
 
 
 # checkpoint prefix, network class, config class
 _NETWORKS = (("gen", Generator, GeneratorConfig), ("disc", Discriminator, DiscriminatorConfig))
-
-
-def _layer_meta(layout):
-    return {part: list(activations) for part, (_, activations) in layout.items()}
 
 
 def _meta_entry(node, key, kind, path):
@@ -55,14 +54,13 @@ def save_model(path, gen, disc, scaler, class_cols, config_hash=""):
     arrays = {"scaler.lo": scaler.lo, "scaler.hi": scaler.hi}
     meta = {
         "kind": CHECKPOINT_KIND,
+        "format": CHECKPOINT_FORMAT,
         "config_hash": config_hash,
         "class_cols": {str(k): v for k, v in class_cols.items()},
     }
     for (prefix, _, _), net in zip(_NETWORKS, (gen, disc)):
-        layout = net.layout(net.cfg)
         meta[f"{prefix}_cfg"] = asdict(net.cfg)
-        meta[f"{prefix}_layers"] = _layer_meta(layout)
-        for part in layout:
+        for part in net.layout(net.cfg):
             for i, layer in enumerate(getattr(net, part).layers):
                 arrays[f"{prefix}.{part}.{i}.weight"] = layer.weight
                 arrays[f"{prefix}.{part}.{i}.bias"] = layer.bias
@@ -71,18 +69,11 @@ def save_model(path, gen, disc, scaler, class_cols, config_hash=""):
 
 def _load_network(prefix, cls, cfg_cls, arrays, meta, path):
     """The network that the stored config builds, with its layers taken out of
-    arrays; the stored layer list must be the one that config builds."""
+    arrays."""
     cfg = build_section(cfg_cls, _meta_entry(meta, f"{prefix}_cfg", dict, path),
                         f"{prefix}_cfg")
-    layout = cls.layout(cfg)
-    stored = _meta_entry(meta, f"{prefix}_layers", dict, path)
-    built = _layer_meta(layout)
-    for part in [*built, *sorted(set(stored) - set(built))]:
-        if stored.get(part) != built.get(part):
-            raise ConfigError(f"{prefix}.{part} has layers {stored.get(part)}, "
-                              f"a {cls.__name__.lower()} builds {built.get(part)}")
     parts = {}
-    for part, (widths, activations) in layout.items():
+    for part, (widths, activations) in cls.layout(cfg).items():
         parts[part] = Mlp([
             Layer(_take(arrays, f"{prefix}.{part}.{i}.weight", (widths[i], widths[i + 1]), path),
                   _take(arrays, f"{prefix}.{part}.{i}.bias", (widths[i + 1],), path),
@@ -95,7 +86,12 @@ def _load_network(prefix, cls, cfg_cls, arrays, meta, path):
 def load_model(path):
     arrays, meta = data.load_checkpoint(path)
     if meta.get("kind") != CHECKPOINT_KIND:
-        raise ConfigError(f"{path} is not a model checkpoint")
+        raise ParseError(f"not a model checkpoint: its kind is {meta.get('kind')!r}", path=path)
+    found = meta.get("format", 1)
+    # a stored 2.0 equals 2, but a format number is an int
+    if type(found) is not int or found != CHECKPOINT_FORMAT:
+        raise ParseError(f"model checkpoint format {found!r}, this build reads format "
+                         f"{CHECKPOINT_FORMAT}; train the model again", path=path)
     try:
         gen, disc = (_load_network(*net, arrays, meta, path) for net in _NETWORKS)
         dim = gen.cfg.visual_dim

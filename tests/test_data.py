@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -273,8 +274,7 @@ def test_make_synthetic_sigma_zero_collapses_to_centers():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("test_fraction", 0.0), ("test_fraction", 1.0), ("sigma", -0.1), ("sigma", float("nan")),
-    ("visual_dim", 0), ("seed", -1),
+    ("sigma", -0.1), ("sigma", float("nan")), ("visual_dim", 0), ("seed", -1),
 ])
 def test_synthetic_spec_rejects_out_of_bounds_field(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -462,38 +462,6 @@ def test_checkpoint_bit_flips_raise_only_zsgen_errors(tmp_path, bit):
             pass
 
 
-def _extra_layer(arrays, meta, part, width):
-    """Append an identity layer of width outputs to disc.<part>."""
-    specs = meta["disc_layers"][part]
-    last = arrays[f"disc.{part}.{len(specs) - 1}.weight"].shape[1]
-    arrays[f"disc.{part}.{len(specs)}.weight"] = np.ones((last, width))
-    arrays[f"disc.{part}.{len(specs)}.bias"] = np.zeros(width)
-    specs.append("identity")
-
-
-def _relabel(meta, part, activation):
-    meta["disc_layers"][part][0] = activation
-
-
-@pytest.mark.parametrize("craft", [
-    lambda a, m: _relabel(m, "trunk", "leaky_relu"),
-    lambda a, m: _relabel(m, "critic", "relu"),
-    lambda a, m: _relabel(m, "head", "tanh"),
-    lambda a, m: _extra_layer(a, m, "trunk", 2),
-    lambda a, m: _extra_layer(a, m, "critic", 1),
-], ids=["trunk-activation", "critic-activation", "head-activation",
-        "two-trunk-layers", "two-critic-layers"])
-def test_discriminator_layers_other_than_built_ones_rejected(tmp_path, craft):
-    path = str(tmp_path / "model.ck")
-    _tiny_model_checkpoint(path)
-    arrays, meta = data.load_checkpoint(path)
-    craft(arrays, meta)
-    data.save_checkpoint(path, arrays, meta)
-    with pytest.raises(ParseError, match="a discriminator builds") as info:
-        evaluate.load_model(path)
-    assert path in str(info.value)
-
-
 @pytest.mark.parametrize("class_cols, message", [
     ({"0": True, "1": 1}, "True is not a logit column"),
     ({"1": 0, "01": 1}, "names class 1 twice"),
@@ -524,46 +492,101 @@ def test_stored_checkpoint_loads_and_saves_back_byte_for_byte(tmp_path):
     assert path.read_bytes() == open(FIXTURE, "rb").read()
 
 
-def _gen_decode(arrays, meta, activations):
-    """Relist gen.decode with the given activations, adding square layers."""
-    width = arrays["gen.decode.1.weight"].shape[1]
-    for i in range(2, len(activations)):
-        arrays[f"gen.decode.{i}.weight"] = np.eye(width)
-        arrays[f"gen.decode.{i}.bias"] = np.zeros(width)
-    meta["gen_layers"]["decode"] = list(activations)
+def write_fixture_model(path):
+    """The recipe of tests/fixtures/tiny_model.ck. When the checkpoint format
+    changes, write the fixture again with
+    PYTHONPATH=src python -c 'import tests.test_data as t; t.write_fixture_model(t.FIXTURE)'
+    """
+    rng = np.random.default_rng(0)
+    gen = gan.Generator(gan.GeneratorConfig(semantic_dim=3, visual_dim=2, reduce_dim=2,
+                                            hidden_dim=3, noise_mode="concat"), rng)
+    disc = gan.Discriminator(gan.DiscriminatorConfig(visual_dim=2, hidden_dim=3,
+                                                     num_classes=3), rng)
+    scaler = gan.FeatureScaler(lo=np.array([-1.0, 0.5]), hi=np.array([1.0, 2.0]))
+    evaluate.save_model(path, gen, disc, scaler, {0: 0, 1: 1, 4: 2}, "0" * 64)
 
 
-@pytest.mark.parametrize("craft", [
-    lambda a, m: _gen_decode(a, m, ["relu", "tanh", "tanh"]),
-    lambda a, m: _gen_decode(a, m, ["relu", "tanh"]),
-    # a layer as checkpoints listed it before the slope was a constant
-    lambda a, m: m["gen_layers"].update(reduce=[{"activation": "identity", "slope": 0.2}]),
-    lambda a, m: m["gen_layers"].update(extra=[]),
-], ids=["three-decode-layers", "decode-activation", "reduce-slope", "extra-part"])
-def test_generator_layers_other_than_built_ones_rejected(tmp_path, craft):
+def test_stored_checkpoint_is_what_its_recipe_writes(tmp_path):
+    path = tmp_path / "tiny_model.ck"
+    write_fixture_model(str(path))
+    assert path.read_bytes() == open(FIXTURE, "rb").read(), \
+        "tests/fixtures/tiny_model.ck is stale: write it again by write_fixture_model's recipe"
+
+
+# What a checkpoint of each format stores: its metadata keys, the fields of
+# its two configs and its array names. An entry never changes once a
+# checkpoint of its format has been written.
+CHECKPOINT_SCHEMAS = {
+    2: {
+        "meta": ["class_cols", "config_hash", "disc_cfg", "format", "gen_cfg", "kind"],
+        "gen_cfg": ["hidden_dim", "noise_mode", "noise_sigma", "reduce_dim", "semantic_dim",
+                    "visual_dim"],
+        "disc_cfg": ["hidden_dim", "num_classes", "visual_dim"],
+        "arrays": ["disc.critic.0.bias", "disc.critic.0.weight", "disc.head.0.bias",
+                   "disc.head.0.weight", "disc.trunk.0.bias", "disc.trunk.0.weight",
+                   "gen.decode.0.bias", "gen.decode.0.weight", "gen.decode.1.bias",
+                   "gen.decode.1.weight", "gen.reduce.0.bias", "gen.reduce.0.weight",
+                   "scaler.hi", "scaler.lo"],
+    },
+}
+
+
+def test_checkpoint_schema_is_the_one_its_format_number_names(tmp_path):
     path = str(tmp_path / "model.ck")
     _tiny_model_checkpoint(path)
     arrays, meta = data.load_checkpoint(path)
-    craft(arrays, meta)
+    schema = {
+        "meta": sorted(meta),
+        "gen_cfg": sorted(f.name for f in dataclasses.fields(gan.GeneratorConfig)),
+        "disc_cfg": sorted(f.name for f in dataclasses.fields(gan.DiscriminatorConfig)),
+        "arrays": sorted(arrays),
+    }
+    assert meta["format"] == evaluate.CHECKPOINT_FORMAT
+    assert schema == CHECKPOINT_SCHEMAS.get(evaluate.CHECKPOINT_FORMAT), (
+        "the checkpoint schema changed: take the next format number for "
+        "evaluate.CHECKPOINT_FORMAT, pin its schema in CHECKPOINT_SCHEMAS and write "
+        "tests/fixtures/tiny_model.ck again")
+
+
+FORMAT1_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "tiny_model_format1.ck")
+
+
+def test_checkpoint_of_the_older_format_rejected():
+    # tiny_model_format1.ck, written before checkpoints stored a format: its
+    # generator config holds a noise width and a slope, and each network
+    # its layer list; it is refused before its configs are read
+    with pytest.raises(ParseError, match="format 1, this build reads format 2") as info:
+        evaluate.load_model(FORMAT1_FIXTURE)
+    assert FORMAT1_FIXTURE in str(info.value) and "noise_dim" not in str(info.value)
+
+
+@pytest.mark.parametrize("found, read_as", [
+    (None, "1"), (1, "1"), (3, "3"), (2.0, "2.0"), ("2", "'2'"),
+], ids=["none", "1", "3", "float-2", "str-2"])
+def test_checkpoint_of_another_format_rejected_before_its_configs(tmp_path, found, read_as):
+    path = str(tmp_path / "model.ck")
+    _tiny_model_checkpoint(path)
+    arrays, meta = data.load_checkpoint(path)
+    meta["gen_cfg"] = "unreadable"
+    del meta["format"]
+    if found is not None:
+        meta["format"] = found
     data.save_checkpoint(path, arrays, meta)
-    with pytest.raises(ParseError, match="a generator builds") as info:
+    with pytest.raises(ParseError, match=f"format {read_as}, this build reads format 2") as info:
         evaluate.load_model(path)
     assert path in str(info.value)
 
 
-def test_checkpoint_of_the_older_format_rejected(tmp_path):
-    # as checkpoints were written while the generator config held a noise
-    # width and a leaky relu slope, and every stored layer its slope
+@pytest.mark.parametrize("kind", [None, "zsgen-dataset"], ids=["none", "other"])
+def test_checkpoint_of_another_kind_is_a_parse_error_naming_path(tmp_path, kind):
     path = str(tmp_path / "model.ck")
     _tiny_model_checkpoint(path)
     arrays, meta = data.load_checkpoint(path)
-    meta["gen_cfg"].update(noise_dim=meta["gen_cfg"]["reduce_dim"], slope=0.2)
-    for prefix in ("gen", "disc"):
-        layers = meta[f"{prefix}_layers"]
-        for part, activations in layers.items():
-            layers[part] = [{"activation": act, "slope": 0.2} for act in activations]
+    del meta["kind"]
+    if kind is not None:
+        meta["kind"] = kind
     data.save_checkpoint(path, arrays, meta)
-    with pytest.raises(ParseError, match="gen_cfg.noise_dim") as info:
+    with pytest.raises(ParseError, match="not a model checkpoint") as info:
         evaluate.load_model(path)
     assert path in str(info.value)
 
@@ -581,7 +604,9 @@ def test_checkpoint_generator_slope_outside_unit_interval_rejected(tmp_path, slo
     assert path in str(info.value)
 
 
-@pytest.mark.parametrize("name", ["gen.decode.2.weight", "notes"])
+# a third decode layer, a second trunk or critic layer, an extra part
+@pytest.mark.parametrize("name", ["gen.decode.2.weight", "disc.trunk.1.weight",
+                                  "disc.critic.1.weight", "gen.extra.0.weight", "notes"])
 def test_checkpoint_array_no_network_names_rejected(tmp_path, name):
     path = str(tmp_path / "model.ck")
     _tiny_model_checkpoint(path)
@@ -589,6 +614,28 @@ def test_checkpoint_array_no_network_names_rejected(tmp_path, name):
     arrays[name] = np.ones((2, 2))
     data.save_checkpoint(path, arrays, meta)
     with pytest.raises(ParseError, match=name) as info:
+        evaluate.load_model(path)
+    assert path in str(info.value)
+
+
+def _gen_decode_layer(arrays, index):
+    """Add a square layer at gen.decode.<index>, weight and bias both."""
+    width = arrays["gen.decode.1.weight"].shape[1]
+    arrays[f"gen.decode.{index}.weight"] = np.eye(width)
+    arrays[f"gen.decode.{index}.bias"] = np.zeros(width)
+
+
+@pytest.mark.parametrize("craft", [
+    lambda a: _gen_decode_layer(a, 2),
+], ids=["three-decode-layers"])
+def test_generator_layers_other_than_built_ones_rejected(tmp_path, craft):
+    # a whole layer the config does not build, well shaped, is still refused
+    path = str(tmp_path / "model.ck")
+    _tiny_model_checkpoint(path)
+    arrays, meta = data.load_checkpoint(path)
+    craft(arrays)
+    data.save_checkpoint(path, arrays, meta)
+    with pytest.raises(ParseError, match="gen.decode.2.bias.*gen.decode.2.weight") as info:
         evaluate.load_model(path)
     assert path in str(info.value)
 
