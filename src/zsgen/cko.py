@@ -30,11 +30,13 @@ class ClassRecord:
 def load_embeddings(path):
     """Load a plain-text `word v1 v2 ... vd` embedding table. Rows follow the
     matrix row rule (data.text_rows): every row has the first row's width
-    and only finite float values. Words are lowercased. A word listed twice
-    is a ParseError; of words that differ only in case the first row is
-    kept, as frequency-ordered tables list the common form first."""
+    and only finite float values, at least one. Words are lowercased. A word
+    listed twice is a ParseError; of words that differ only in case the first
+    row is kept, as frequency-ordered tables list the common form first."""
     vectors, words = {}, set()
     for lineno, word, values in text_rows(path, text_lines(path)):
+        if not values.size:   # the first row: the others take its width
+            raise ParseError(f"word {word!r} has no values", path=path, line=lineno)
         if word in words:
             raise ParseError(f"word {word!r} is listed twice", path=path, line=lineno)
         words.add(word)

@@ -7,6 +7,7 @@ Unknown keys and wrongly typed values are rejected naming `section.key`.
 
 import hashlib
 import json
+import re
 from dataclasses import (
     MISSING, asdict, dataclass, field, fields, is_dataclass, make_dataclass,
 )
@@ -93,6 +94,16 @@ def _is_a(value, tp):
     return type(value) in ((int, float) if tp is float else (tp,))
 
 
+def _read_exponents(value, tp):
+    """value, with each string such as 1e-4 that tp takes as a float read as
+    one: PyYAML reads YAML 1.1, where 1e-4 is a string."""
+    if tp is float and isinstance(value, str):
+        return float(value) if re.fullmatch(r"[-+]?[0-9]+[eE][-+]?[0-9]+", value) else value
+    if get_origin(tp) is list and isinstance(value, list):
+        return [_read_exponents(v, get_args(tp)[0]) for v in value]
+    return value
+
+
 def build_section(cls, document, where):
     """Construct dataclass cls from a YAML mapping, checking every key."""
     if not isinstance(document, dict):
@@ -104,6 +115,7 @@ def build_section(cls, document, where):
         f = known.get(key)
         if f is None:
             raise ConfigError(f"unknown config key {name}")
+        value = _read_exponents(value, f.type)
         if is_dataclass(f.type):
             value = build_section(f.type, value, name)
         elif not _is_a(value, f.type):

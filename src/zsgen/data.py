@@ -237,12 +237,14 @@ def save_split(path, split):
         fh.write("unseen: " + " ".join(str(c) for c in split.unseen) + "\n")
 
 
-def _class_ids(text, path, lineno):
+def _class_ids(text, path, lineno, earlier):
     try:
         ids = tuple(int(c) for c in text.split())
     except ValueError as exc:
         raise ParseError(f"class id is not an integer: {exc}", path=path, line=lineno) from None
-    check_distinct(ids, "is listed twice", ParseError, path=path, line=lineno)
+    if not ids:
+        raise ParseError("a split line with no class ids", path=path, line=lineno)
+    check_distinct(earlier + ids, "is listed twice", ParseError, path=path, line=lineno)
     return ids
 
 
@@ -260,7 +262,7 @@ def load_split(path):
             raise ParseError(f"unrecognized line {line!r}", path=path, line=lineno)
         if key in ids:
             raise ParseError(f"a second '{key}:' line", path=path, line=lineno)
-        ids[key] = _class_ids(rest, path, lineno)
+        ids[key] = _class_ids(rest, path, lineno, sum(ids.values(), ()))
     if len(ids) < 2:
         raise ParseError("split file needs both 'seen:' and 'unseen:' lines", path=path)
     return SplitSpec(seen=ids["seen"], unseen=ids["unseen"], scheme=scheme)

@@ -21,8 +21,8 @@ from .bounds import bounded, check_bounds
 from .errors import ConfigError, UsageError
 from .knn import KnnClassifier, check_k, score_matrix
 from .nn import (
-    AdamState, dense_backward, dense_forward, init_mlp, mlp_backward, mlp_forward, pack,
-    stream_grads,
+    AdamState, dense_backward, dense_forward, grad_plan, init_mlp, mlp_backward, mlp_forward,
+    pack, stream_grads,
 )
 
 
@@ -107,7 +107,7 @@ class Network:
     """
 
     # the order in which training streams the gradient forms (see
-    # nn.stream_grads): layout order, or last layer first
+    # grad_plan): layout order, or last layer first
     last_first = False
 
     def __init__(self, cfg, rng):
@@ -135,6 +135,10 @@ class Network:
     def pack(self):
         """Move the parameters into one flat vector (see nn.pack); returns it."""
         return pack(self._mlps)
+
+    def grad_plan(self):
+        """nn.grad_plan of params(), in the order training streams it."""
+        return grad_plan([p.shape for p in self.params()], self.last_first)
 
     def copy(self):
         return self.from_parts(replace(self.cfg), {
@@ -661,7 +665,7 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng):
     # gradient streams, block by block, so no gradient vector is held
     gen_update, disc_update = ((p, AdamState.for_params(p, **rates))
                                for p in (gen.pack(), disc.pack()))
-    gen_shapes, disc_shapes = ([p.shape for p in net.params()] for net in (gen, disc))
+    gen_plan, disc_plan = gen.grad_plan(), disc.grad_plan()
 
     best = None   # (gen, disc) snapshot of the best probe so far
     best_gacc = float("-inf")
@@ -684,7 +688,7 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng):
             del fake   # the forms hold the stacked copy they read
             if not math.isfinite(last_ld):
                 raise UsageError(f"non-finite discriminator loss at step {step}")
-            stream_grads(forms, disc_shapes, disc_update, reverse=disc.last_first)
+            stream_grads(forms, disc_plan, disc_update)
 
         idx = gen_rng.integers(0, fit_idx.size, size=m)
         k = sampler.class_of_row[idx]
@@ -696,7 +700,7 @@ def train_gan(dataset, train_x, train_y, gen, disc, class_cols, cfg, rng):
         del reduced   # not held while the generator's gradient streams
         if not math.isfinite(lg):
             raise UsageError(f"non-finite generator loss at step {step}")
-        stream_grads(forms, gen_shapes, gen_update, reverse=gen.last_first)
+        stream_grads(forms, gen_plan, gen_update)
 
         if probe and step % cfg.eval_every == 0:
             gacc = _probe_gacc(gen, dataset, val_x, val_y, cfg,

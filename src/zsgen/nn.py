@@ -6,17 +6,17 @@ layers view. Every affine layer runs through one pass pair, `dense_forward`
 and `dense_backward`; `mlp_forward` and `mlp_backward` loop over it. A
 backward pass forms every gradient in the layers' inputs from the weights
 as they are, and gives each parameter array's gradient as a form: a
-function that writes any run of the array's rows. `stream_grads`
-runs a network's forms one block of its flat layout at a time, at most
-GRAD_BLOCK_VALUES values and no more than the network's largest array
-past one Adam work chunk: it writes the blocks into one flat gradient, or
-hands each to `adam_step` for its range of the parameters as soon as it is
-formed, so a training step never holds a gradient of the whole network. A
-forward that keeps no cache, as generation runs it, applies each activation
-in place and can write its last layer into the caller's array.
+function that writes any run of the array's rows. `stream_grads` runs a
+network's forms one block of its flat layout at a time, by the `grad_plan`
+of the arrays' shapes, at most GRAD_BLOCK_VALUES values and no more than the
+network's largest array past one Adam work chunk: it writes the blocks into
+one flat gradient, or hands each to `adam_step` for its range of the
+parameters as soon as it is formed, so a training step never holds a
+gradient of the whole network. A forward that keeps no cache, as generation
+runs it, applies each activation in place and can write its last layer into
+the caller's array.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -277,69 +277,50 @@ GRAD_BLOCK_VALUES = 1 << 20
 ADAM_CHUNK = 1 << 16
 
 
-def _grad_blocks(shapes, reverse):
-    """The plan of a flat gradient of arrays of the given shapes, a 1-d
-    array being one row: (values in all, values in the largest block,
-    blocks in the order they are formed, last first with reverse). A block
-    is (start, end, pieces), each piece (array, first row, end row, start
-    and end in the block, row width, whether it is the array's last piece
-    to be formed).
+def grad_plan(shapes, reverse=False):
+    """The plan by which stream_grads forms a flat gradient of arrays of the
+    given shapes, a 1-d array being one row: (values in all, values in the
+    largest block, blocks in the order they are formed, last first with
+    reverse). A block is (start, end, pieces), each piece (array, first row,
+    end row, start and end in the block, row width, whether it is the
+    array's last piece to be formed).
 
     A block's budget is GRAD_BLOCK_VALUES, or the largest array if that is
     smaller, so a network that would fit in one block is still not held
     whole; but never under ADAM_CHUNK, the size of the two work buffers
     adam_step allocates anyway. An array of more than budget values is cut
     into runs of budget // width rows, at least one; consecutive runs that
-    fit in budget share a block.
-
-    A plan is made once per shapes, reverse and the two sizes (see _plan).
+    fit in budget share a block. A run of a cut array holds more than
+    budget - width values, so two runs of one array never share a block:
+    an array's last piece formed is its first rows with reverse and its
+    last rows without.
     """
-    return _plan(tuple(shapes), reverse, GRAD_BLOCK_VALUES, ADAM_CHUNK)
-
-
-# a plan is a few small tuples per block; a run makes one per network, and one more
-# at each widening of the critic's head
-@functools.lru_cache(maxsize=64)
-def _plan(shapes, reverse, block_values, adam_chunk):
-    """_grad_blocks' plan, for blocks of at most block_values values past
-    one adam_chunk."""
-    budget = min(block_values, max(adam_chunk, max(map(math.prod, shapes))))
-    runs, at = [], 0
+    budget = min(GRAD_BLOCK_VALUES, max(ADAM_CHUNK, max(map(math.prod, shapes))))
+    blocks, at = [], 0
     for i, shape in enumerate(shapes):
         n_rows, width = shape if len(shape) == 2 else (1, shape[0])
         step = n_rows if n_rows * width <= budget else max(1, budget // width)
         for lo in range(0, n_rows, step):
             hi = min(lo + step, n_rows)
-            runs.append((i, lo, hi, at, at + (hi - lo) * width, width))
-            at = runs[-1][4]
-    blocks = []
-    for run in runs:
-        if blocks and run[4] - blocks[-1][0][3] <= budget:
-            blocks[-1].append(run)
-        else:
-            blocks.append([run])
+            end = at + (hi - lo) * width
+            if not blocks or end - blocks[-1][0] > budget:
+                blocks.append((at, []))
+            start, pieces = blocks[-1]
+            pieces.append((i, lo, hi, at - start, end - start, width,
+                           lo == 0 if reverse else hi == n_rows))
+            at = end
+    planned = [(start, start + pieces[-1][4], tuple(pieces)) for start, pieces in blocks]
     if reverse:
-        blocks.reverse()
-    # going back through the forming order, an array's first piece is its last
-    planned, pending = [], set(range(len(shapes)))
-    for block in reversed(blocks):
-        start, pieces = block[0][3], []
-        for i, lo, hi, a, b, width in reversed(block):
-            pieces.append((i, lo, hi, a - start, b - start, width, i in pending))
-            pending.discard(i)
-        planned.append((start, block[-1][4], tuple(reversed(pieces))))
-    return at, max(end - start for start, end, _ in planned), tuple(reversed(planned))
+        planned.reverse()
+    return at, max(end - start for start, end, _ in planned), tuple(planned)
 
 
-def stream_grads(forms, shapes, update=None, reverse=False):
+def stream_grads(forms, plan, update=None):
     """A network's gradient, formed one block of its flat layout at a time.
 
-    forms[i](lo, hi, dest) writes rows lo:hi of the gradient of the array
-    of shape shapes[i] into dest, a (hi - lo, width) array; a 1-d array is
-    one row. Blocks hold at most GRAD_BLOCK_VALUES values and no more than
-    the largest array, unless that is under ADAM_CHUNK (see _grad_blocks; a
-    wider row is a block of its own), and run in layout order, or last first
-    with reverse.
+    plan, grad_plan of the arrays' shapes, sets the blocks and the order
+    they run in. forms[i](lo, hi, dest) writes rows lo:hi of the gradient of
+    array i into dest, a (hi - lo, width) array; a 1-d array is one row.
     forms is consumed: each form is dropped after its array's last piece,
     which releases what only it holds.
 
@@ -350,7 +331,7 @@ def stream_grads(forms, shapes, update=None, reverse=False):
     block, and None is returned. Adam's operations are elementwise, so the
     parameters and moments are those of one whole-vector adam_step.
     """
-    size, largest, blocks = _grad_blocks(shapes, reverse)
+    size, largest, blocks = plan
     if update is None:
         flat = np.empty(size)
     else:

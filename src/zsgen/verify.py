@@ -10,8 +10,8 @@ from .gan import (
     triplet_loss_grad,
 )
 from .nn import (
-    AdamState, adam_step, gradient_check, init_mlp, mlp_backward, mlp_forward, pack,
-    stream_grads,
+    AdamState, adam_step, grad_plan, gradient_check, init_mlp, mlp_backward, mlp_forward,
+    pack, stream_grads,
 )
 
 
@@ -23,14 +23,14 @@ def check_mlp_backward(rng):
     x = rng.normal(size=(3, mlp.in_dim))
     target = rng.normal(size=(3, mlp.out_dim))
     params = pack([mlp])
-    shapes = [p.shape for p in mlp.param_arrays()]
+    plan = grad_plan([p.shape for p in mlp.param_arrays()])
 
     def f():
         out, cache = mlp_forward(mlp, x)
         diff = out - target
         loss = float((diff * diff).sum())
         forms, _ = mlp_backward(mlp, cache, 2.0 * diff)
-        return loss, [stream_grads(forms, shapes)]
+        return loss, [stream_grads(forms, plan)]
 
     return gradient_check(f, [params])
 
@@ -67,11 +67,6 @@ def _toy_models(rng, n_classes=3, visual_dim=4):
     return Generator(gen_cfg, rng), Discriminator(disc_cfg, rng)
 
 
-def _flat_grads(net, forms):
-    """The flat gradient in the layout of net.params() from its forms."""
-    return stream_grads(forms, [p.shape for p in net.params()])
-
-
 def _generator_step(rng):
     """A toy generator and step(gen), generator_loss_grads at one fixed
     batch and critic; two batch rows share a semantic row, as a class does
@@ -106,7 +101,7 @@ def check_loss(net, step):
     gradient against central differences in net's packed parameters."""
     def f():
         out = step(net)
-        return out[0], [_flat_grads(net, out[-1])]
+        return out[0], [stream_grads(out[-1], net.grad_plan())]
 
     return gradient_check(f, [net.pack()])
 
@@ -139,9 +134,8 @@ def check_streamed(net, step):
     ref = net.copy()
     params, ref_params = net.pack(), ref.pack()
     adam, ref_adam = AdamState.for_params(params), AdamState.for_params(ref_params)
-    stream_grads(step(net)[-1], [p.shape for p in net.params()], (params, adam),
-                 reverse=net.last_first)
-    adam_step(ref_params, _flat_grads(ref, step(ref)[-1]), ref_adam)
+    stream_grads(step(net)[-1], net.grad_plan(), (params, adam))
+    adam_step(ref_params, stream_grads(step(ref)[-1], ref.grad_plan()), ref_adam)
     same = all(a.tobytes() == b.tobytes() for a, b in
                ((params, ref_params), (adam.m, ref_adam.m), (adam.v, ref_adam.v)))
     return 0.0 if same else float("inf")

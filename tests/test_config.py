@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 from zsgen import cli, data
-from zsgen.config import GanSection, RunConfig, load_config
+from zsgen.config import GanSection, RunConfig, config_hash, load_config
 from zsgen.errors import ConfigError
 from zsgen.gan import DiscriminatorConfig, GeneratorConfig
 
@@ -43,7 +43,7 @@ SECTIONS = {
 }
 
 WRONG_TYPE = {
-    INT: [1.5, "3", True],
+    INT: [1.5, "3", True, "1e1"],
     NUM: ["x", True, None],
     STR: [3, True, None],
     STR_OR_NULL: [3, True],
@@ -109,6 +109,22 @@ def test_config_rule_violation_names_the_key(tmp_path, document, named):
     with pytest.raises(ConfigError) as info:
         load_config(str(path), [])
     assert named in str(info.value)
+
+
+@pytest.mark.parametrize("text, overrides, same", [
+    ("gan: {alpha: 2e-4}\n", [], ["gan.alpha=0.0002"]),
+    ("gan: {alpha: '2E-4'}\n", [], ["gan.alpha=0.0002"]),
+    ("", ["gan.alpha=+1e-04"], ["gan.alpha=0.0001"]),
+    ("", ["eval.ratios=[5e-1,1]"], ["eval.ratios=[0.5,1]"]),
+], ids=["file", "quoted", "override", "list"])
+def test_exponent_float_loads_as_the_float(tmp_path, text, overrides, same):
+    """PyYAML takes 2e-4 for a string; a float key or float list entry reads
+    it as the float, to the RunConfig and hash of the same value in decimals."""
+    path = tmp_path / "run.yaml"
+    path.write_text(text, encoding="utf-8")
+    cfg, want = load_config(str(path), overrides), load_config(None, same)
+    assert cfg == want and config_hash(cfg) == config_hash(want)
+    assert all(type(r) is float for r in cfg.eval.ratios[:1] + [cfg.gan.alpha])
 
 
 # the network config fields that cli._model_configs takes from the dataset;

@@ -196,7 +196,9 @@ def test_text_matrix_label_that_is_no_int64_names_path_and_line(tmp_path, label)
     ("seen: 0 1\nunseen: 2 x\n", 2),
     ("# scheme: SCS\nseen: 0 1.5\nunseen: 2\n", 2),
     ("seen: 0 1\nunseen: 2\n\xff\n", 3),
-], ids=["word", "float", "bad-byte"])
+    ("seen:\nunseen: 2\n", 1),
+    ("seen: 0 1\n# scheme: SCS\nunseen:  \n", 3),
+], ids=["word", "float", "bad-byte", "no-seen-ids", "no-unseen-ids"])
 def test_split_bad_id_names_path_and_line(tmp_path, body, line):
     path = tmp_path / "split.txt"
     path.write_bytes(body.encode("latin-1"))
@@ -209,6 +211,8 @@ def test_split_bad_id_names_path_and_line(tmp_path, body, line):
 @pytest.mark.parametrize("body, line, repeat", [
     ("seen: 0 0 1 2\nunseen: 3 4\n", 1, 0),
     ("seen: 0 1 2\nunseen: 3 4 4\n", 2, 4),
+    ("seen: 1 2\nunseen: 2\n", 2, 2),
+    ("unseen: 5 3\n\nseen: 0 3\n", 3, 3),
 ])
 def test_split_file_listing_a_class_twice_names_path_and_line(tmp_path, body, line, repeat):
     path = tmp_path / "split.txt"

@@ -17,8 +17,8 @@ from zsgen.gan import (
 from zsgen.knn import KnnClassifier
 from zsgen import nn
 from zsgen.nn import (
-    AdamState, Layer, Mlp, activate_grad, adam_step, mlp_backward, mlp_forward, stream_grads,
-    unflatten,
+    AdamState, Layer, Mlp, activate_grad, adam_step, grad_plan, mlp_backward, mlp_forward,
+    stream_grads, unflatten,
 )
 
 
@@ -345,7 +345,7 @@ def flat_disc(num_classes, critic_bias=0.0, head_bias=0.0):
 
 def flat_grads(net, forms):
     """The flat gradient in the layout of net.params() from its forms."""
-    return stream_grads(forms, [p.shape for p in net.params()])
+    return stream_grads(forms, grad_plan([p.shape for p in net.params()]))
 
 
 def generator_step(disc, labels, pos, neg, margin=0.0, lambda_t=1.0, seed=0):
@@ -666,7 +666,7 @@ def whole_grads(forms, params):
     """The gradients of the arrays params from their forms, as stream_grads
     forms them, each viewed in the shape of its array."""
     shapes = [p.shape for p in params]
-    return unflatten(stream_grads(forms, shapes), shapes)
+    return unflatten(stream_grads(forms, grad_plan(shapes)), shapes)
 
 
 def penalty_into(disc, z_hat, grads, scale=1.0):
@@ -855,14 +855,14 @@ def test_critic_backward_without_parameter_gradients_gives_same_input_gradient()
     d_critic, d_logits = rng.normal(size=6), rng.normal(size=logits.shape)
     forms, d_x = disc.backward(cache, d_critic, d_logits)
     assert len(forms) == len(disc.params())
-    shapes = [p.shape for p in disc.params()]
+    plan = grad_plan([p.shape for p in disc.params()])
     ref_forms, ref_d_x = direct_products(disc).backward(cache, d_critic, d_logits)
     assert d_x.tobytes() == ref_d_x.tobytes()
-    streamed = stream_grads(forms, shapes)
-    assert streamed.tobytes() == stream_grads(ref_forms, shapes).tobytes()
+    streamed = stream_grads(forms, plan)
+    assert streamed.tobytes() == stream_grads(ref_forms, plan).tobytes()
     no_input_forms, no_input = disc.backward(cache, d_critic, d_logits, input_grad=False)
     assert no_input is None
-    assert stream_grads(no_input_forms, shapes).tobytes() == streamed.tobytes()
+    assert stream_grads(no_input_forms, plan).tobytes() == streamed.tobytes()
 
 
 def tied_rows(rng, disc, n):
@@ -910,9 +910,9 @@ def test_direct_discriminator_is_bitwise_the_mlp_passes(run_forms, input_grad, s
         if input_grad:
             assert d_x.tobytes() == ref_d_x.tobytes()
         if run_forms:
-            shapes = [p.shape for p in disc.params()]
-            assert (stream_grads(forms, shapes).tobytes()
-                    == stream_grads(ref_forms, shapes).tobytes())
+            plan = grad_plan([p.shape for p in disc.params()])
+            assert (stream_grads(forms, plan).tobytes()
+                    == stream_grads(ref_forms, plan).tobytes())
 
 
 def test_direct_discriminator_rejects_what_the_mlp_passes_reject():
@@ -1137,8 +1137,7 @@ def part_update(gen, **rates):
 def streamed(net, forms, update):
     """Stream forms into update in the order training streams net's, as
     train_gan does; returns what stream_grads returns."""
-    return stream_grads(forms, [p.shape for p in net.params()], update,
-                        reverse=net.last_first)
+    return stream_grads(forms, net.grad_plan(), update)
 
 
 @pytest.mark.parametrize("kw", [{}, {"noise_mode": "concat"}])

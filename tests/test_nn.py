@@ -3,12 +3,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zsgen import nn
 from zsgen.errors import ConfigError, UsageError
 from zsgen.nn import (
     AdamState, Layer, Mlp, activate, adam_step, dense_backward, dense_forward, glorot_init,
-    gradient_check, init_mlp, mlp_backward, mlp_forward, pack, stream_grads, unflatten,
+    grad_plan, gradient_check, init_mlp, mlp_backward, mlp_forward, pack, stream_grads,
+    unflatten,
 )
 
 
@@ -22,7 +25,7 @@ def backward_grads(mlp, cache, d_out):
     viewed in the shape of its array; and its input gradient."""
     forms, d_in = mlp_backward(mlp, cache, d_out)
     shapes = [p.shape for p in mlp.param_arrays()]
-    return unflatten(stream_grads(forms, shapes), shapes), d_in
+    return unflatten(stream_grads(forms, grad_plan(shapes)), shapes), d_in
 
 
 def test_forward_identity_layer():
@@ -329,16 +332,16 @@ def test_backward_skips_what_is_not_asked_for():
     out, cache = mlp_forward(mlp, rng.normal(size=(5, 3)))
     d_out = rng.normal(size=out.shape)
     before = d_out.copy()
-    shapes = [p.shape for p in mlp.param_arrays()]
+    plan = grad_plan([p.shape for p in mlp.param_arrays()])
     forms, d_in = mlp_backward(mlp, cache, d_out)
     no_input_forms, no_input = mlp_backward(mlp, cache, d_out, input_grad=False)
     assert no_input is None and d_out.tobytes() == before.tobytes()
     _, ref_d_in = mlp_backward(mlp, cache, d_out)
     assert d_in.tobytes() == ref_d_in.tobytes()
-    grads = stream_grads(forms, shapes)
+    grads = stream_grads(forms, plan)
     for p in mlp.param_arrays():
         p += 1.0
-    assert stream_grads(no_input_forms, shapes).tobytes() == grads.tobytes()
+    assert stream_grads(no_input_forms, plan).tobytes() == grads.tobytes()
     assert all(f is None for f in forms + no_input_forms)   # stream_grads consumes them
 
 
@@ -396,7 +399,7 @@ def test_dense_pair_is_bitwise_plain_numpy(name, slope, width):
                 assert d_x.tobytes() == d_x_ref.tobytes()
             # the caller's d is written only in place, and then holds d_z
             assert d_arg.tobytes() == (d_z if in_place else d).tobytes()
-            got = stream_grads(forms, [layer.weight.shape, layer.bias.shape])
+            got = stream_grads(forms, grad_plan([layer.weight.shape, layer.bias.shape]))
             assert got.tobytes() == want.tobytes()
 
 
@@ -437,10 +440,60 @@ def test_adam_moments_take_no_memory_before_the_first_step():
     ([(5000, 1000), (1000,)], nn.GRAD_BLOCK_VALUES),
 ])
 def test_a_gradient_block_is_at_most_the_largest_array_past_one_adam_chunk(shapes, largest):
-    size, got, blocks = nn._grad_blocks(shapes, False)
+    size, got, blocks = grad_plan(shapes)
     assert size == sum(np.prod(s) for s in shapes) and got <= largest
     assert [b[:2] for b in blocks] == sorted(b[:2] for b in blocks)
     assert blocks[0][0] == 0 and blocks[-1][1] == size
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
     if size <= nn.ADAM_CHUNK:
         assert len(blocks) == 1
+
+
+def without_flags(blocks):
+    return [(start, end, [piece[:6] for piece in pieces]) for start, end, pieces in blocks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(shapes=st.lists(st.one_of(st.tuples(st.integers(1, 40), st.integers(1, 40)),
+                                 st.tuples(st.integers(1, 40))), min_size=1, max_size=7),
+       block_values=st.sampled_from([1, 5, 20, 64, 1000]),
+       adam_chunk=st.sampled_from([1, 7, 16, 1 << 16]))
+def test_a_gradient_plan_forms_every_row_once_within_its_budget(shapes, block_values,
+                                                               adam_chunk):
+    """Blocks tile the flat layout, each within the budget unless it is one
+    row wider than it; every row of every array is in one piece, at its
+    place in the layout; an array's last-piece flag is on its last piece
+    formed only; and the reverse plan is the forward one last block first."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "GRAD_BLOCK_VALUES", block_values)
+        mp.setattr(nn, "ADAM_CHUNK", adam_chunk)
+        forward, backward = grad_plan(shapes), grad_plan(shapes, reverse=True)
+    sizes = [int(np.prod(s)) for s in shapes]
+    offsets = np.cumsum([0] + sizes)
+    budget = min(block_values, max(adam_chunk, max(sizes)))
+    size, largest, blocks = forward
+    assert size == offsets[-1] and blocks[0][0] == 0 and blocks[-1][1] == size
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    assert largest == max(end - start for start, end, _ in blocks)
+    rows = [[] for _ in shapes]
+    for start, end, pieces in blocks:
+        assert (end - start <= budget
+                or len(pieces) == 1 and pieces[0][2] - pieces[0][1] == 1)
+        assert pieces[0][3] == 0 and pieces[-1][4] == end - start
+        for (i, lo, hi, a, b, width), nxt in zip((p[:6] for p in pieces), pieces[1:] + ((),)):
+            assert width == shapes[i][-1]
+            assert b - a == (hi - lo) * width and start + a == offsets[i] + lo * width
+            assert not nxt or nxt[3] == b
+            rows[i].append((lo, hi))
+    for shape, runs in zip(shapes, rows):
+        n_rows = shape[0] if len(shape) == 2 else 1
+        assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]]
+        assert runs[-1][1] == n_rows
+    for _, _, formed in (forward, backward):
+        flags = [[] for _ in shapes]
+        for _, _, pieces in formed:
+            for piece in pieces:
+                flags[piece[0]].append(piece[6])
+        assert all(f[-1] and not any(f[:-1]) for f in flags)
+    assert backward[:2] == forward[:2]
+    assert without_flags(backward[2]) == without_flags(blocks)[::-1]

@@ -224,22 +224,33 @@ def test_a_widened_critic_head_gets_its_own_gradient_plan(monkeypatch):
 
     def grads():
         forms = gan.discriminator_loss_grads(disc, x, x[::-1], labels, 10.0, eps=eps)[1]
-        return nn.stream_grads(forms, [p.shape for p in disc.params()])
+        return nn.stream_grads(forms, disc.grad_plan())
 
-    def plan():
-        return nn._grad_blocks([p.shape for p in disc.params()], False)
-
-    grads()
-    seen = plan()
+    seen = disc.grad_plan()
     selftrain.expand_classifier_head(disc, len(cols) + 2, rng)
-    misses = nn._plan.cache_info().misses
     widened = grads()
-    assert nn._plan.cache_info().misses == misses + 1
-    assert plan() != seen and plan() is nn._grad_blocks(
-        tuple(p.shape for p in disc.params()), False)
-    assert widened.size == plan()[0] == sum(p.size for p in disc.params())
-    nn._plan.cache_clear()
+    plan = disc.grad_plan()
+    assert plan != seen and len(plan[2]) > 1
+    assert widened.size == plan[0] == sum(p.size for p in disc.params())
     assert grads().tobytes() == widened.tobytes()
+
+
+def test_a_training_call_plans_each_network_once(monkeypatch):
+    """The plans hang on the array shapes alone, which no step changes: one
+    train_gan call forms one per network and hands it to every step."""
+    ds, work, scaler, gen, disc, cols, rng = setup()
+    planned = []
+
+    def spy(shapes, reverse=False):
+        planned.append((list(shapes), reverse))
+        return nn.grad_plan(shapes, reverse)
+
+    monkeypatch.setattr(gan, "grad_plan", spy)
+    tr = work.train_indices()
+    cfg = GanTrainConfig(n_step=3, n_d=2, batch_size=8, eval_every=0)
+    train_gan(work, work.features[tr], work.labels[tr], gen, disc, cols, cfg, rng)
+    assert sorted(planned) == sorted(
+        ([p.shape for p in net.params()], net.last_first) for net in (gen, disc))
 
 
 def test_non_finite_generator_loss_names_the_step_and_leaves_the_generator(monkeypatch):
